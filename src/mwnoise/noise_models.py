@@ -13,6 +13,11 @@ synthesized phase track with a prescribed spectrum).  All randomness comes
 from numpy's Philox counter-based generator keyed on (seed, realization),
 so runs are reproducible and realizations can be generated independently in
 any order.
+
+Only the Monte Carlo samples these processes pulse by pulse: it is the
+time-domain check.  Readout streams and the gradiometer draw each
+sequence's phi_tot directly from its exact variance, which every process
+fixes in closed form (see ``spin_simulator.phi_tot_batch``).
 """
 
 from __future__ import annotations
@@ -67,19 +72,22 @@ class PhaseNoiseSpectrum:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
+        if not (0 < self.carrier_hz < math.inf):
+            raise ValueError("carrier frequency must be positive and finite")
         offsets = np.asarray(self.offsets_hz, dtype=float)
+        l_dbc = np.asarray(self.l_dbc, dtype=float)
         if offsets.size == 0:
             raise ValueError("spectrum needs at least one tabulated point")
-        if np.any(offsets <= 0):
-            raise ValueError("offsets must be positive")
+        if not np.all(np.isfinite(offsets) & (offsets > 0)):
+            raise ValueError("offsets must be positive and finite")
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("offsets must be strictly increasing")
-        if len(self.l_dbc) != offsets.size:
+        if l_dbc.shape != offsets.shape:
             raise ValueError("offsets and l_dbc must have the same length")
+        if not np.all(np.isfinite(l_dbc)):
+            raise ValueError("l_dbc values must be finite")
         object.__setattr__(self, "offsets_hz", tuple(float(x) for x in offsets))
-        object.__setattr__(self, "l_dbc", tuple(float(x) for x in self.l_dbc))
+        object.__setattr__(self, "l_dbc", tuple(float(x) for x in l_dbc))
 
     def l_at(self, f) -> np.ndarray:
         """L(f) in dBc/Hz with hold-below / slope-extrapolate-above rules."""
@@ -271,8 +279,8 @@ class WhiteNoise:
     emulate_injection_bandwidth: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma_wh < 0:
-            raise ValueError("sigma_wh must be nonnegative")
+        if not (0 <= self.sigma_wh < math.inf):
+            raise ValueError("sigma_wh must be nonnegative and finite")
 
     @property
     def effective_sigma(self) -> Radians:
@@ -297,10 +305,10 @@ class RandomWalkNoise:
     emulate_injection_bandwidth: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma_rw < 0:
-            raise ValueError("sigma_rw must be nonnegative")
-        if self.r_samp <= 0:
-            raise ValueError("r_samp must be positive")
+        if not (0 <= self.sigma_rw < math.inf):
+            raise ValueError("sigma_rw must be nonnegative and finite")
+        if not (0 < self.r_samp < math.inf):
+            raise ValueError("r_samp must be positive and finite")
 
     @property
     def effective_sigma(self) -> Radians:
@@ -319,8 +327,8 @@ class PsdDrivenNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.f_cutoff <= 0:
-            raise ValueError("f_cutoff must be positive")
+        if not (0 < self.f_cutoff < math.inf):
+            raise ValueError("f_cutoff must be positive and finite")
 
 
 NoiseProcess = Union[WhiteNoise, RandomWalkNoise, PsdDrivenNoise]
@@ -388,46 +396,15 @@ def _psd_track_layout(
     return duration, dt, idx
 
 
-def sample_pulse_phases(
-    process: NoiseProcess,
-    pulse_times,
-    realization: int = 0,
-) -> np.ndarray:
-    """One realization of the source phase at the given times (radians).
-
-    ``pulse_times`` must be nondecreasing and nonnegative.  The same
-    (process.seed, realization) pair always returns identical samples.
-    """
-    times = np.asarray(pulse_times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("pulse_times must be one-dimensional")
-    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
-        raise ValueError("pulse_times must be nondecreasing and nonnegative")
-
-    if isinstance(process, WhiteNoise):
-        rng = philox_rng(process.seed, realization, 0x7768697465)
-        return process.effective_sigma * rng.standard_normal(times.size)
-
-    if isinstance(process, RandomWalkNoise):
-        rng = philox_rng(process.seed, realization, 0x77616C6B)
-        sigma = process.effective_sigma
-        bounds = np.concatenate(([0.0], times))
-        if process.discrete_jumps:
-            ticks = np.floor(bounds * process.r_samp)
-            step_var = sigma**2 * np.diff(ticks)
-        else:
-            step_var = sigma**2 * process.r_samp * np.diff(bounds)
-        steps = np.sqrt(step_var) * rng.standard_normal(times.size)
-        return np.cumsum(steps)
-
-    if isinstance(process, PsdDrivenNoise):
-        duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
-        track = synthesize_phase_track(
-            process.spectrum, duration, dt, process.seed, realization
-        )
-        return track[idx]
-
-    raise TypeError(f"unknown noise process type: {type(process).__name__}")
+def _walk_step_variances(process: RandomWalkNoise, times: np.ndarray) -> np.ndarray:
+    """Variance of each random-walk step, from t = 0 to times[0], then
+    between consecutive times."""
+    sigma = process.effective_sigma
+    bounds = np.concatenate(([0.0], times))
+    if process.discrete_jumps:
+        ticks = np.floor(bounds * process.r_samp)
+        return sigma**2 * np.diff(ticks)
+    return sigma**2 * process.r_samp * np.diff(bounds)
 
 
 def sample_pulse_phases_batch(
@@ -438,11 +415,14 @@ def sample_pulse_phases_batch(
 ) -> np.ndarray:
     """Vectorized stack of realizations, shape (n_realizations, n_times).
 
-    Statistically identical to calling :func:`sample_pulse_phases` for
-    realizations 0..n-1 but drawn from one batched stream for speed.
-    ``seed`` overrides the process seed when given.
+    Row r is one realization of the source phase at the given times
+    (radians).  ``pulse_times`` must be one-dimensional, nondecreasing and
+    nonnegative.  ``seed`` overrides the process seed when given; the same
+    seed always returns identical samples.
     """
     times = np.asarray(pulse_times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("pulse_times must be one-dimensional")
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValueError("pulse_times must be nondecreasing and nonnegative")
     if n_realizations < 1:
@@ -455,13 +435,7 @@ def sample_pulse_phases_batch(
 
     if isinstance(process, RandomWalkNoise):
         rng = philox_rng(base_seed, 0x77616C6B, 1)
-        sigma = process.effective_sigma
-        bounds = np.concatenate(([0.0], times))
-        if process.discrete_jumps:
-            ticks = np.floor(bounds * process.r_samp)
-            step_var = sigma**2 * np.diff(ticks)
-        else:
-            step_var = sigma**2 * process.r_samp * np.diff(bounds)
+        step_var = _walk_step_variances(process, times)
         steps = np.sqrt(step_var) * rng.standard_normal((n_realizations, times.size))
         return np.cumsum(steps, axis=1)
 

@@ -26,8 +26,13 @@ from .noise_models import (
     NoiseProcess,
     PhaseNoiseSpectrum,
     PsdDrivenNoise,
+    RandomWalkNoise,
+    WhiteNoise,
+    _psd_track_layout,
+    _walk_step_variances,
     philox_rng,
     sample_pulse_phases_batch,
+    ssb_to_psd,
     synthesize_phase_track,
 )
 from .pulse_sequences import PulseSequence
@@ -116,24 +121,39 @@ def phi_tot_batch(
 ) -> np.ndarray:
     """phi_tot samples for ``n_realizations`` independent sequences.
 
-    Per-sequence draws are independent: the alternating weights sum to zero
-    over a sequence, so a source phase track contributes only through its
-    increments inside each interrogation window, which occupy disjoint time
-    intervals for consecutive sequences.
+    Per-sequence draws are independent: each sequence is referenced to the
+    frame of its own initial pi/2 pulse, so a source phase track contributes
+    only through its increments inside that sequence's interrogation window,
+    and consecutive windows occupy disjoint time intervals.  The weights of
+    the pulse phases, final pulse included, sum to -1 for an even pulse
+    count and +1 for an odd one; that remainder multiplies the frame phase
+    at the sequence start, which the reference removes.
 
-    For the PSD-driven process the per-sequence variance is computed once
-    from the synthesis grid (the draws are Gaussian either way) and the
-    samples drawn i.i.d. at that std, which keeps 10^6-sequence streams
-    tractable.
+    phi_tot is a fixed linear combination of Gaussian source phases, so it is
+    Gaussian with a variance every process fixes in closed form.  Each
+    sequence is one draw at that std, which costs O(n_realizations) whatever
+    the pulse count; :func:`monte_carlo_sigma_phi` keeps the per-pulse
+    time-domain path as the check.
     """
-    times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
-    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+    sigma = _phi_tot_sigma(seq, process)
+    rng = philox_rng(seed, 0x70736453)
+    return sigma * rng.standard_normal(n_realizations)
+
+
+def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:
+    """Exact std of phi_tot for one sequence under ``process``."""
     if isinstance(process, PsdDrivenNoise):
-        sigma = psd_sigma_phi_grid(process, seq)
-        rng = philox_rng(seed, 0x70736453)
-        return sigma * rng.standard_normal(n_realizations)
-    samples = sample_pulse_phases_batch(process, times, n_realizations, seed=seed)
-    return samples @ weights
+        return psd_sigma_phi_grid(process, seq)
+    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+    if isinstance(process, WhiteNoise):
+        return process.effective_sigma * math.sqrt(float(np.sum(weights**2)))
+    if isinstance(process, RandomWalkNoise):
+        # phi_tot = sum_i w_i sum_{k<=i} step_k = sum_k step_k T_k with
+        # T_k = sum_{i>=k} w_i, and the steps are independent.
+        times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
+        tail = np.cumsum(weights[::-1])[::-1]
+        return math.sqrt(float(np.sum(_walk_step_variances(process, times) * tail**2)))
+    raise TypeError(f"unknown noise process type: {type(process).__name__}")
 
 
 def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
@@ -143,19 +163,20 @@ def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
     :func:`synthesize_phase_track` with the layout used in the Monte Carlo,
     computed from the track's frequency comb instead of by sampling.
     """
-    from .noise_models import _psd_track_layout, ssb_to_psd
-
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
     n = int(round(duration / dt))
     freqs = np.fft.rfftfreq(n, dt)[1:]
     s_vals = ssb_to_psd(process.spectrum, freqs)
-    # Transfer function of the weighted sample combination at the comb lines.
-    sample_times = idx * dt
     weights = np.concatenate(([1.0], _alternating_weights(seq.n_pi), [-1.0]))
     weights[0] = -np.sum(weights[1:])  # frame reference at t = 0
-    h = np.exp(2j * np.pi * np.outer(freqs, sample_times)) @ weights
-    contrib = s_vals * np.abs(h) ** 2
+    # Transfer function of the weighted sample combination at the comb lines.
+    # Samples sit on the track grid (idx * dt) and line k is at k / (n dt), so
+    # H_k = sum_j w_j exp(2 pi i k idx_j / n) is the conjugate of the rfft of
+    # the weighted comb: O(n log n) time and O(n) memory.
+    comb = np.zeros(n)
+    np.add.at(comb, idx, weights)
+    contrib = s_vals * np.abs(np.fft.rfft(comb)[1:]) ** 2
     if n % 2 == 0:
         contrib[-1] *= 0.5  # the real Nyquist bin enters the track once, not twice
     var = float(np.sum(contrib) / (n * dt))

@@ -435,6 +435,24 @@ def test_exit_code_negative_sigma(tmp_path):
     assert main(["montecarlo", "--config", cfg, "--n-realizations", "200"]) == EXIT_NUMERIC
 
 
+def test_exit_code_nan_sigma_writes_no_table(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + """
+        [noise]
+        source = white
+        sigma_wh = nan
+
+        [pipeline]
+        duration_s = 1
+        """,
+    )
+    out = tmp_path / "nan.csv"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
+
+
 def test_provenance_headers(tmp_path):
     cfg = _write_config(tmp_path, BASE_SEQUENCE)
     out = tmp_path / "prov.csv"

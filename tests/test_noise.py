@@ -12,7 +12,6 @@ from mwnoise.noise_models import (
     INJECTION_GAIN_WHITE,
     MAX_TRACK_SAMPLES,
     philox_rng,
-    sample_pulse_phases,
     sample_pulse_phases_batch,
 )
 
@@ -34,6 +33,18 @@ def test_spectrum_validation():
         mw.PhaseNoiseSpectrum(1e9, (1e4, 1e3), (-100.0, -100.0))
     with pytest.raises(ValueError):
         mw.PhaseNoiseSpectrum(1e9, (1e3, 1e4), (-100.0,))
+
+
+def test_spectrum_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mw.PhaseNoiseSpectrum(bad, (1e3,), (-100.0,))
+        with pytest.raises(ValueError):
+            mw.PhaseNoiseSpectrum(1e9, (1e3, bad), (-100.0, -110.0))
+        with pytest.raises(ValueError):
+            mw.PhaseNoiseSpectrum(1e9, (1e3, 1e4), (-100.0, bad))
+        with pytest.raises(ValueError):
+            mw.PhaseNoiseSpectrum(1e9, (1e3, 1e4), (-100.0, -bad))
 
 
 def test_l_at_knots_and_interpolation():
@@ -248,20 +259,44 @@ def test_process_validation():
         mw.PsdDrivenNoise(mw.flat_spectrum(-120.0), 0.0)
 
 
+def test_white_noise_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mw.WhiteNoise(bad)
+
+
+def test_random_walk_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mw.RandomWalkNoise(bad, 1e6)
+        with pytest.raises(ValueError):
+            mw.RandomWalkNoise(1e-3, bad)
+
+
+def test_psd_process_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mw.PsdDrivenNoise(mw.flat_spectrum(-120.0), bad)
+
+
 def test_zero_sigma_gives_zeros():
     times = np.linspace(0.0, 1e-4, 16)
-    assert_array_equal(sample_pulse_phases(mw.WhiteNoise(0.0), times), np.zeros(16))
     assert_array_equal(
-        sample_pulse_phases(mw.RandomWalkNoise(0.0, 1e6), times), np.zeros(16)
+        sample_pulse_phases_batch(mw.WhiteNoise(0.0), times, 3), np.zeros((3, 16))
+    )
+    assert_array_equal(
+        sample_pulse_phases_batch(mw.RandomWalkNoise(0.0, 1e6), times, 3), np.zeros((3, 16))
     )
 
 
 def test_sample_pulse_phases_validation():
     proc = mw.WhiteNoise(0.01)
     with pytest.raises(ValueError):
-        sample_pulse_phases(proc, np.array([1e-5, 0.5e-5]))
+        sample_pulse_phases_batch(proc, np.array([1e-5, 0.5e-5]), 1)
     with pytest.raises(ValueError):
-        sample_pulse_phases(proc, np.array([-1e-5, 1e-5]))
+        sample_pulse_phases_batch(proc, np.array([-1e-5, 1e-5]), 1)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        sample_pulse_phases_batch(proc, np.array([[0.0, 1e-5], [2e-5, 3e-5]]), 1)
 
 
 def test_white_process_statistics():
@@ -327,8 +362,9 @@ def test_process_determinism():
         mw.RandomWalkNoise(1e-3, 1e6, seed=9),
         mw.PsdDrivenNoise(mw.flat_spectrum(-120.0), 1e6, seed=9),
     ):
+        # Without a seed argument the process seed keys the draws.
         assert_array_equal(
-            sample_pulse_phases(proc, times), sample_pulse_phases(proc, times)
+            sample_pulse_phases_batch(proc, times, 1), sample_pulse_phases_batch(proc, times, 1)
         )
         batch = sample_pulse_phases_batch(proc, times, 50, seed=3)
         again = sample_pulse_phases_batch(proc, times, 50, seed=3)
@@ -342,8 +378,9 @@ def test_batch_matches_single_draw_statistics():
     times = np.array([0.0, 2e-5, 7e-5])
     proc = mw.RandomWalkNoise(2e-3, 5e5, seed=11)
     batch = sample_pulse_phases_batch(proc, times, 20_000, seed=11)
-    singles = np.array(
-        [sample_pulse_phases(mw.RandomWalkNoise(2e-3, 5e5, seed=k), times) for k in range(2000)]
+    singles = np.concatenate(
+        [sample_pulse_phases_batch(mw.RandomWalkNoise(2e-3, 5e5, seed=k), times, 1)
+         for k in range(2000)]
     )
     assert_allclose(batch.std(axis=0)[1:], singles.std(axis=0)[1:], rtol=0.08)
 

@@ -2,13 +2,20 @@
 double-quantum readout, gradiometer channels and cw traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
-from mwnoise.spin_simulator import phi_tot_batch, psd_sigma_phi_grid
+from mwnoise.noise_models import _psd_track_layout, sample_pulse_phases_batch
+from mwnoise.spin_simulator import (
+    _alternating_weights,
+    _phi_tot_sigma,
+    phi_tot_batch,
+    psd_sigma_phi_grid,
+)
 
 T_PI = 48e-9
 T_DEAD = 15e-6
@@ -131,6 +138,62 @@ def test_psd_grid_matches_filter_prediction():
     assert grid_sigma == pytest.approx(filter_sigma, rel=0.01)
     batch = phi_tot_batch(seq, proc, 100_000, seed=31)
     assert float(batch.std(ddof=1)) == pytest.approx(grid_sigma, rel=0.02)
+
+
+def test_exact_sigma_matches_time_domain_sampler():
+    # The per-pulse sampler is the oracle for the closed-form variances.
+    seq = _table_seq()
+    times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
+    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+    n = 50_000
+    for proc in (
+        mw.WhiteNoise(0.01),
+        mw.RandomWalkNoise(1e-3, 1e6),
+        mw.RandomWalkNoise(1e-3, 1e6, discrete_jumps=True),
+    ):
+        phi = sample_pulse_phases_batch(proc, times, n, seed=37) @ weights
+        empirical = float(phi.std(ddof=1))
+        exact = _phi_tot_sigma(seq, proc)
+        std_err = exact / math.sqrt(2.0 * (n - 1))
+        assert abs(empirical - exact) < 5.0 * std_err, type(proc).__name__
+
+
+def test_psd_grid_matches_outer_product_reference():
+    spec = mw.preset_spectrum("g1-2.5ghz")
+    proc = mw.PsdDrivenNoise(spec, f_cutoff=1e8)
+    for n_pi in (8, 64):
+        seq = mw.PulseSequence(mw.SequenceKind.XY8, n_pi, 521.85e-9, T_PI, T_DEAD)
+        times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+        duration, dt, idx = _psd_track_layout(times, proc.f_cutoff)
+        n = int(round(duration / dt))
+        freqs = np.fft.rfftfreq(n, dt)[1:]
+        weights = np.concatenate(([0.0], _alternating_weights(n_pi), [-1.0]))
+        weights[0] = -np.sum(weights)
+        h = np.exp(2j * np.pi * np.outer(freqs, idx * dt)) @ weights
+        contrib = mw.ssb_to_psd(spec, freqs) * np.abs(h) ** 2
+        if n % 2 == 0:
+            contrib[-1] *= 0.5
+        want = math.sqrt(np.sum(contrib) / (n * dt))
+        assert psd_sigma_phi_grid(proc, seq) == pytest.approx(want, rel=1e-12)
+
+
+def _peak_alloc_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_draws_bounded_memory_at_xy8_64():
+    # A per-pulse matrix would need 10^6 x 513 x 8 bytes = 4.1 GB here, and
+    # an outer product over the PSD comb 3.7 GB.
+    seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
+    psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    assert _peak_alloc_mb(lambda: psd_sigma_phi_grid(psd, seq)) < 64.0
+    for proc in (mw.WhiteNoise(0.01), psd):
+        assert _peak_alloc_mb(lambda: phi_tot_batch(seq, proc, 1_000_000, seed=41)) < 64.0
 
 
 # --- double-quantum readout -------------------------------------------------------
