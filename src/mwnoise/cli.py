@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +38,7 @@ from .analytic_sensitivity import (
     eta_white,
     sigma_phi_filter,
 )
-from .core import khz_to_hz, ns_to_s, us_to_s
+from .core import khz_to_hz, ns_to_s, read_csv, us_to_s
 from .noise_models import (
     NoiseProcess,
     PhaseNoiseSpectrum,
@@ -46,7 +47,6 @@ from .noise_models import (
     WhiteNoise,
     flat_spectrum,
     load_spectrum,
-    preset_names,
     preset_spectrum,
 )
 from .pulse_sequences import (
@@ -193,7 +193,9 @@ def load_config(path: str | Path | None) -> dict:
                     raise ConfigError(f"[sweep] has unknown key {key!r}")
             cfg["sweep"]["axis"] = axis
             if values is not None:
-                cfg["sweep"]["values"] = [float(v) for v in values.split(",") if v.strip()]
+                cfg["sweep"]["values"] = [
+                    _coerce(section, "values", v) for v in values.split(",") if v.strip()
+                ]
             continue
         if section not in _DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -317,9 +319,12 @@ def build_readout(cfg: dict) -> "ReadoutModel | float":
             raise ConfigError("[readout] give either shot_sigma or contrast/n_photons, not both")
         return r["shot_sigma"]
     if all(v is not None for v in model_keys):
-        return ReadoutModel(
-            r["contrast"], r["n_photons"], us_to_s(r["t_read_us"]), us_to_s(r["t_norm_us"])
-        )
+        try:
+            return ReadoutModel(
+                r["contrast"], r["n_photons"], us_to_s(r["t_read_us"]), us_to_s(r["t_norm_us"])
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid [readout] parameters: {exc}") from None
     if any(v is not None for v in model_keys):
         raise ConfigError("[readout] contrast and n_photons must be given together")
     return 0.0
@@ -416,25 +421,34 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
     return points
 
 
-def _run_sweep(cfg: dict, worker, point_fn) -> list[list]:
-    """Evaluate ``point_fn(value, point_cfg)`` over the sweep, optionally in
-    a process pool, preserving input order in the output rows."""
+def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list[list], object]:
+    """Evaluate ``point_fn(point_cfg) -> (rows, extra)`` at every sweep point,
+    in a process pool when [run] workers > 1, keeping the input order.
+
+    ``point_fn`` is sent to the pool, so it is a module-level function or a
+    ``functools.partial`` of one.  Returns the table's columns and rows, led
+    by the sweep axis when there is one, and the last point's ``extra``.
+    """
     points = _sweep_configs(cfg)
+    configs = [point for _, point in points]
     workers = cfg["run"]["workers"]
     if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, points))
+            results = list(pool.map(point_fn, configs))
     else:
-        results = [point_fn(value, point) for value, point in points]
-    rows: list[list] = []
-    for chunk in results:
-        rows.extend(chunk)
-    return rows
+        results = [point_fn(point) for point in configs]
+    axis = cfg["sweep"]["axis"]
+    if axis is None:
+        rows = results[0][0]
+    else:
+        columns = [axis, *columns]
+        rows = [[value, *row] for (value, _), (chunk, _) in zip(points, results) for row in chunk]
+    return columns, rows, results[-1][1]
 
 
 # --- filter-fn ----------------------------------------------------------------
 
-def _filter_fn_point(value, cfg, f_min: float, f_max: float | None, n_points: int):
+def _filter_fn_point(cfg, f_min: float, f_max: float | None, n_points: int):
     seq = build_sequence(cfg)
     ff = FilterFunction(seq, finite_pulse_correction=cfg["sequence"]["finite_pulses"])
     top = f_max if f_max is not None else 2.2 * seq.f_center
@@ -444,42 +458,21 @@ def _filter_fn_point(value, cfg, f_min: float, f_max: float | None, n_points: in
         raise ConfigError("need at least 2 grid points")
     grid = np.linspace(f_min, top, n_points)
     values = filter_function_value(ff, grid)
-    rows = []
-    running = 0.0
-    prev = grid[0]
-    for f, v in zip(grid, values):
-        if f > prev:
-            running += filter_function_integral(ff, prev, f)
-            prev = f
-        row = [float(f), float(v), running]
-        if value is not None:
-            row.insert(0, value)
-        rows.append(row)
-    return rows
-
-
-def _filter_fn_worker(point):
-    value, cfg = point
-    return _filter_fn_point(value, cfg, *cfg["_grid"])
+    integrals = filter_function_integral(ff, f_min, grid)
+    return np.column_stack((grid, values, integrals)).tolist(), None
 
 
 def cmd_filter_fn(cfg: dict, args) -> None:
-    cfg["_grid"] = (args.f_min, args.f_max, args.n_points)
-    rows = _run_sweep(
-        cfg,
-        _filter_fn_worker,
-        lambda value, point: _filter_fn_point(value, point, args.f_min, args.f_max, args.n_points),
+    point_fn = functools.partial(
+        _filter_fn_point, f_min=args.f_min, f_max=args.f_max, n_points=args.n_points
     )
-    del cfg["_grid"]
-    columns = ["f_hz", "filter_value", "integral_rad_hz"]
-    if cfg["sweep"]["axis"] is not None:
-        columns.insert(0, cfg["sweep"]["axis"])
+    columns, rows, _ = _run_sweep(cfg, point_fn, ["f_hz", "filter_value", "integral_rad_hz"])
     _emit_table(cfg, "filter-fn", columns, rows, args.out, args.units)
 
 
 # --- predict ------------------------------------------------------------------
 
-def _predict_point(value, cfg):
+def _predict_point(cfg):
     seq = build_sequence(cfg)
     noise_cfg = cfg["noise"]
     source = _check_single_source(noise_cfg)
@@ -520,13 +513,10 @@ def _predict_point(value, cfg):
         eta_shot,
         eta_johnson,
     ]
-    if value is not None:
-        row.insert(0, value)
-    return [row]
+    return [row], None
 
 
 def cmd_predict(cfg: dict, args) -> None:
-    rows = _run_sweep(cfg, _predict_worker, _predict_point)
     columns = [
         "tau_tot_s",
         "f_center_hz",
@@ -537,19 +527,13 @@ def cmd_predict(cfg: dict, args) -> None:
         "eta_shot_t_sqrts",
         "eta_johnson_t_sqrts",
     ]
-    if cfg["sweep"]["axis"] is not None:
-        columns.insert(0, cfg["sweep"]["axis"])
+    columns, rows, _ = _run_sweep(cfg, _predict_point, columns)
     _emit_table(cfg, "predict", columns, rows, args.out, args.units)
-
-
-def _predict_worker(point):
-    value, cfg = point
-    return _predict_point(value, cfg)
 
 
 # --- montecarlo -----------------------------------------------------------------
 
-def _montecarlo_point(value, cfg):
+def _montecarlo_point(cfg):
     seq = build_sequence(cfg)
     seed = cfg["run"]["seed"]
     process = build_process(cfg, seed)
@@ -581,18 +565,10 @@ def _montecarlo_point(value, cfg):
         eta_phi(result.sigma_phi_empirical, seq),
         eta_phi(analytic, seq),
     ]
-    if value is not None:
-        row.insert(0, value)
-    return [row]
-
-
-def _montecarlo_worker(point):
-    value, cfg = point
-    return _montecarlo_point(value, cfg)
+    return [row], None
 
 
 def cmd_montecarlo(cfg: dict, args) -> None:
-    rows = _run_sweep(cfg, _montecarlo_worker, _montecarlo_point)
     columns = [
         "n_realizations",
         "sigma_phi_rad",
@@ -601,14 +577,13 @@ def cmd_montecarlo(cfg: dict, args) -> None:
         "eta_empirical_t_sqrts",
         "eta_analytic_t_sqrts",
     ]
-    if cfg["sweep"]["axis"] is not None:
-        columns.insert(0, cfg["sweep"]["axis"])
+    columns, rows, _ = _run_sweep(cfg, _montecarlo_point, columns)
     _emit_table(cfg, "montecarlo", columns, rows, args.out, args.units)
 
 
 # --- pipeline -------------------------------------------------------------------
 
-def _pipeline_point(value, cfg):
+def _pipeline_point(cfg):
     seq = build_sequence(cfg)
     p = cfg["pipeline"]
     seed = cfg["run"]["seed"]
@@ -641,8 +616,6 @@ def _pipeline_point(value, cfg):
             floors[2],
             floors[0] / floors[2] if floors[2] > 0 else float("inf"),
         ]
-        if value is not None:
-            row.insert(0, value)
         return [row], spectra[2]
 
     f_test = khz_to_hz(p["f_test_khz"]) if p["f_test_khz"] is not None else None
@@ -658,23 +631,10 @@ def _pipeline_point(value, cfg):
             seq, None, p["test_field_pt"] * 1e-12, f_test or 0.0, readout, p["duration_s"], seed
         )
         floor_off, _ = estimate_noise_floor(amplitude_spectrum(stream_off, interval), f_test)
-    row = [floor_on, floor_off, excess_noise(floor_on, floor_off)]
-    if value is not None:
-        row.insert(0, value)
-    return [row], spectrum_on
-
-
-def _pipeline_worker(point):
-    value, cfg = point
-    return _pipeline_point(value, cfg)[0]
+    return [[floor_on, floor_off, excess_noise(floor_on, floor_off)]], spectrum_on
 
 
 def cmd_pipeline(cfg: dict, args) -> None:
-    if cfg["sweep"]["axis"] is not None:
-        rows = _run_sweep(cfg, _pipeline_worker, lambda v, c: _pipeline_point(v, c)[0])
-        last_spectrum = None
-    else:
-        rows, last_spectrum = _pipeline_point(None, cfg)
     if cfg["pipeline"]["gradiometer"]:
         columns = [
             "floor_ch1_t_sqrts",
@@ -684,10 +644,9 @@ def cmd_pipeline(cfg: dict, args) -> None:
         ]
     else:
         columns = ["floor_on_t_sqrts", "floor_off_t_sqrts", "excess_t_sqrts"]
-    if cfg["sweep"]["axis"] is not None:
-        columns.insert(0, cfg["sweep"]["axis"])
+    columns, rows, last_spectrum = _run_sweep(cfg, _pipeline_point, columns)
     _emit_table(cfg, "pipeline", columns, rows, args.out, args.units)
-    if args.spectrum_out and last_spectrum is not None:
+    if args.spectrum_out:
         save_amplitude_spectrum(
             last_spectrum, args.spectrum_out, metadata={"seed": cfg["run"]["seed"]}
         )
@@ -700,19 +659,12 @@ def cmd_calibrate(cfg: dict, args) -> None:
     path = Path(args.data)
     if not path.exists():
         raise ConfigError(f"calibration data file not found: {path}")
-    pairs = []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except (ValueError, IndexError):
-            continue  # header line
-    if not pairs:
+    try:
+        _, data = read_csv(path, 2)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse calibration data: {exc}") from None
+    if data.size == 0:
         raise ConfigError(f"{path}: no v_test,v_nv rows found")
-    data = np.asarray(pairs)
     fit = fit_calibration(data[:, 0], data[:, 1], seq)
     rows = [[fit.v_max, fit.kappa, fit.residual_rms]]
     _emit_table(
@@ -738,9 +690,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         choices=("si", "paper"),
         default="si",
         help="table units: si (T, Hz, s) or paper (pT, kHz, us)",
-    )
-    sub.add_argument(
-        "--format", choices=("csv",), default="csv", help="output format (csv only)"
     )
 
 
@@ -796,14 +745,13 @@ def main(argv: list[str] | None = None) -> int:
             cfg["run"]["workers"] = args.workers
         if getattr(args, "n_realizations", None) is not None:
             cfg["run"]["n_realizations"] = args.n_realizations
+        if cfg["run"]["workers"] < 1:
+            raise ConfigError("[run] workers must be at least 1")
         _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"mwnoise: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, FloatingPointError) as exc:
-        print(f"mwnoise: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (FitError, ArithmeticError, ValueError) as exc:
         print(f"mwnoise: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Shared physical constants, scalar aliases and unit helpers.
+"""Shared physical constants, scalar aliases, unit helpers and CSV file I/O.
 
 Everything internal to the package is SI: seconds, hertz, tesla, radians,
 watts.  Display units (pT*s^1/2, kHz, us) only appear at the CLI boundary
@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
 
 # Semantic aliases for plain floats.  They carry no runtime cost; they make
 # signatures self-describing.
@@ -109,3 +112,50 @@ def watts_to_dbm(value_w: float) -> float:
     if value_w <= 0:
         raise ValueError("power must be positive to express in dBm")
     return 10.0 * math.log10(value_w / 1e-3)
+
+
+# --- CSV files -------------------------------------------------------------
+# One layout for every data file the package reads or writes: '# key=value'
+# metadata comments, at most one column-header line, then numeric rows.
+
+def write_csv(path: Path, metadata: dict, header: str, rows) -> None:
+    lines = [f"# {key}={value}" for key, value in metadata.items()]
+    lines.append(header)
+    lines.extend(rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_csv(path: Path, expected_columns: int) -> tuple[dict, np.ndarray]:
+    """(metadata, rows) of a numeric CSV file.
+
+    Blank lines are skipped and '#' lines are comments; a '# key=value'
+    comment sets metadata[key].  One non-numeric line before the first data
+    row is the column header.  Any other line must hold
+    ``expected_columns`` numbers, or ValueError names it.
+    """
+    metadata: dict[str, str] = {}
+    rows: list[list[float]] = []
+    header_seen = False
+    for number, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                metadata[key.strip()] = value.strip()
+            continue
+        try:
+            row = [float(p) for p in line.split(",")]
+        except ValueError:
+            if rows or header_seen:
+                raise ValueError(f"{path}, line {number}: not a numeric row: {line!r}") from None
+            header_seen = True
+            continue
+        if len(row) != expected_columns:
+            raise ValueError(
+                f"{path}, line {number}: expected {expected_columns} columns, got {line!r}"
+            )
+        rows.append(row)
+    return metadata, np.asarray(rows, dtype=float)

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import DbcPerHz, FrequencyHz, Radians, TimeSeconds
+from .core import DbcPerHz, FrequencyHz, Radians, TimeSeconds, read_csv, write_csv
 
 # Extrapolation floor for L(f) beyond the tabulated span.
 L_FLOOR_DBC = -200.0
@@ -230,38 +230,24 @@ def load_spectrum(path: str | Path, carrier_hz: FrequencyHz | None = None) -> Ph
     sets the carrier unless overridden by the argument.
     """
     path = Path(path)
-    offsets: list[float] = []
-    l_vals: list[float] = []
-    carrier = carrier_hz
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("carrier_hz=") and carrier_hz is None:
-                carrier = float(body.split("=", 1)[1])
-            continue
-        if line.lower().replace(" ", "").startswith("offset_hz,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: expected 'offset,l' pairs, got {line!r}")
-        offsets.append(float(parts[0]))
-        l_vals.append(float(parts[1]))
+    metadata, data = read_csv(path, 2)
+    carrier = carrier_hz if carrier_hz is not None else metadata.get("carrier_hz")
     if carrier is None:
         raise ValueError(f"{path}: no carrier given (use '# carrier_hz=...' or the argument)")
-    if not offsets:
+    if data.size == 0:
         raise ValueError(f"{path}: no data rows")
-    return PhaseNoiseSpectrum(carrier, tuple(offsets), tuple(l_vals), label=path.stem)
+    return PhaseNoiseSpectrum(
+        float(carrier), tuple(data[:, 0]), tuple(data[:, 1]), label=path.stem
+    )
 
 
 def save_spectrum(spectrum: PhaseNoiseSpectrum, path: str | Path) -> None:
-    path = Path(path)
-    lines = [f"# carrier_hz={spectrum.carrier_hz:.10g}", "offset_hz,l_dbc_per_hz"]
-    for f_off, l_val in zip(spectrum.offsets_hz, spectrum.l_dbc):
-        lines.append(f"{f_off:.10g},{l_val:.10g}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = (
+        f"{f_off:.10g},{l_val:.10g}" for f_off, l_val in zip(spectrum.offsets_hz, spectrum.l_dbc)
+    )
+    write_csv(
+        Path(path), {"carrier_hz": f"{spectrum.carrier_hz:.10g}"}, "offset_hz,l_dbc_per_hz", rows
+    )
 
 
 # --- stochastic processes ---------------------------------------------------

@@ -31,6 +31,8 @@ from .core import (
     SensitivityTeslaSqrtS,
     Tesla,
     TimeSeconds,
+    read_csv,
+    write_csv,
 )
 from .analytic_sensitivity import ReadoutModel
 from .noise_models import NoiseProcess, philox_rng
@@ -389,38 +391,6 @@ def fit_calibration(
 
 # --- stream / spectrum file I/O ------------------------------------------------
 
-def _write_csv(path: Path, metadata: dict, header: str, rows) -> None:
-    lines = [f"# {key}={value}" for key, value in metadata.items()]
-    lines.append(header)
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _read_csv(path: Path, expected_columns: int) -> tuple[dict, np.ndarray]:
-    metadata: dict[str, str] = {}
-    rows: list[list[float]] = []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                metadata[key.strip()] = value.strip()
-            continue
-        first = line.split(",")[0].strip()
-        try:
-            float(first)
-        except ValueError:
-            continue  # column-header line
-        parts = line.split(",")
-        if len(parts) != expected_columns:
-            raise ValueError(f"{path}: expected {expected_columns} columns, got {line!r}")
-        rows.append([float(p) for p in parts])
-    return metadata, np.asarray(rows, dtype=float)
-
-
 def save_stream(stream: ReadoutStream, path: str | Path, metadata: dict | None = None) -> None:
     """Write ``t_s,readout_t`` CSV with reproducibility metadata comments."""
     path = Path(path)
@@ -431,12 +401,12 @@ def save_stream(stream: ReadoutStream, path: str | Path, metadata: dict | None =
         f"{float(times[i])!r},{float(stream.samples[i])!r}"
         for i in range(stream.samples.size)
     )
-    _write_csv(path, meta, "t_s,readout_t", rows)
+    write_csv(path, meta, "t_s,readout_t", rows)
 
 
 def load_stream(path: str | Path) -> ReadoutStream:
     path = Path(path)
-    metadata, data = _read_csv(path, 2)
+    metadata, data = read_csv(path, 2)
     if "f_samp_hz" not in metadata:
         raise ValueError(f"{path}: missing '# f_samp_hz=' metadata")
     if data.size == 0:
@@ -460,12 +430,12 @@ def save_amplitude_spectrum(
     rows = (
         f"{float(f)!r},{float(a)!r}" for f, a in zip(spectrum.freqs, spectrum.asd)
     )
-    _write_csv(path, meta, "f_hz,asd_t_sqrts", rows)
+    write_csv(path, meta, "f_hz,asd_t_sqrts", rows)
 
 
 def load_amplitude_spectrum(path: str | Path) -> AmplitudeSpectrum:
     path = Path(path)
-    metadata, data = _read_csv(path, 2)
+    metadata, data = read_csv(path, 2)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     required = ("f_samp_hz", "interval_s", "n_chunks")

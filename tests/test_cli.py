@@ -61,6 +61,16 @@ def test_filter_fn_matches_library(tmp_path):
     assert rows[-1, 2] == pytest.approx(
         mw.filter_function_integral(ff, 0.0, float(grid[-1])), rel=1e-7
     )
+    # From a non-zero f_min, each row integrates from f_min to its own f.
+    f_min, f_max = 1.234e5, 1.5e6
+    assert main(
+        ["filter-fn", "--config", cfg, "--out", str(out), "--n-points", "64",
+         "--f-min", str(f_min), "--f-max", str(f_max)]
+    ) == EXIT_OK
+    _, _, rows = _read_table(out)
+    grid = np.linspace(f_min, f_max, 64)
+    want = [float(f"{mw.filter_function_integral(ff, f_min, f):.12g}") for f in grid]
+    assert rows[:, 2].tolist() == want
 
 
 def test_filter_fn_rerun_is_byte_identical(tmp_path):
@@ -149,23 +159,38 @@ def test_predict_carrier_sweep_monotone(tmp_path):
     assert np.all(np.diff(eta) > 0.0)
 
 
-def test_predict_workers_give_identical_bytes(tmp_path):
-    body = (
-        BASE_SEQUENCE
-        + """
-        [noise]
-        source = white
-        sigma_wh = 0.01
-
-        [sweep]
-        axis = sigma_wh
-        values = 0.001, 0.002, 0.004, 0.008
-        """
-    )
-    cfg = _write_config(tmp_path, body)
+@pytest.mark.parametrize(
+    "command, body, extra",
+    [
+        ("filter-fn", "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n", ["--n-points", "200"]),
+        (
+            "predict",
+            "[noise]\nsource = white\nsigma_wh = 0.01\n"
+            "[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.002, 0.004, 0.008\n",
+            [],
+        ),
+        (
+            "montecarlo",
+            "[noise]\nsource = preset\npreset = g1-2.5ghz\n"
+            "[sweep]\naxis = shift_db\nvalues = 0, 3\n",
+            ["--n-realizations", "200"],
+        ),
+        (
+            "pipeline",
+            "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
+            "[pipeline]\nduration_s = 1\n[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.01\n",
+            [],
+        ),
+    ],
+    ids=["filter-fn", "predict", "montecarlo", "pipeline"],
+)
+def test_predict_workers_give_identical_bytes(tmp_path, command, body, extra):
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(["predict", "--config", cfg, "--out", str(serial), "--workers", "1"]) == EXIT_OK
-    assert main(["predict", "--config", cfg, "--out", str(parallel), "--workers", "2"]) == EXIT_OK
+    for out, workers in ((serial, "1"), (parallel, "2")):
+        assert main(
+            [command, "--config", cfg, "--out", str(out), "--workers", workers, *extra]
+        ) == EXIT_OK
     serial_rows = [l for l in serial.read_text().splitlines() if not l.startswith("#")]
     parallel_rows = [l for l in parallel.read_text().splitlines() if not l.startswith("#")]
     assert serial_rows == parallel_rows
@@ -327,6 +352,35 @@ def test_pipeline_gradiometer_table(tmp_path):
     assert ratio > 3.0
 
 
+def test_pipeline_sweep_writes_last_spectrum(tmp_path):
+    body = (
+        BASE_SEQUENCE
+        + """
+        [noise]
+        source = white
+        sigma_wh = 0.005
+
+        [readout]
+        shot_sigma = 0.002
+
+        [pipeline]
+        duration_s = 1
+        """
+    )
+    sweep = _write_config(
+        tmp_path, body + "[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.01\n", "sweep.ini"
+    )
+    last = _write_config(tmp_path, body.replace("0.005", "0.01"), "last.ini")
+    swept, single = tmp_path / "swept.csv", tmp_path / "single.csv"
+    for cfg, spectrum_out in ((sweep, swept), (last, single)):
+        assert main(
+            ["pipeline", "--config", cfg, "--out", str(tmp_path / "t.csv"),
+             "--spectrum-out", str(spectrum_out)]
+        ) == EXIT_OK
+    assert mw.load_amplitude_spectrum(swept).freqs.size > 1000
+    assert swept.read_bytes() == single.read_bytes()
+
+
 # --- calibrate ------------------------------------------------------------------
 
 def test_calibrate_round_trip(tmp_path):
@@ -355,6 +409,24 @@ def test_calibrate_round_trip(tmp_path):
     assert row["kappa_t_per_v"] == pytest.approx(kappa_true, rel=0.01)
     assert row["v_max"] == pytest.approx(v_max_true, rel=0.01)
     assert any(line.startswith("# n_points=25") for line in meta)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["0.1,abc", "0.1", "0.1,0.2,0.3"],
+    ids=["non-numeric", "one-column", "three-columns"],
+)
+def test_calibrate_malformed_row_is_config_error(tmp_path, bad_row):
+    rows = [f"{0.01 * k!r},{abs(math.sin(0.1 * k))!r}" for k in range(25)]
+    rows.insert(10, bad_row)
+    data = tmp_path / "cal.csv"
+    data.write_text("v_test,v_nv\n" + "\n".join(rows) + "\n")
+    cfg = _write_config(tmp_path, BASE_SEQUENCE)
+    out = tmp_path / "fit.csv"
+    assert main(
+        ["calibrate", "--config", cfg, "--data", str(data), "--out", str(out)]
+    ) == EXIT_CONFIG
+    assert not out.exists()
 
 
 # --- exit codes and provenance -----------------------------------------------------
@@ -450,6 +522,39 @@ def test_exit_code_nan_sigma_writes_no_table(tmp_path):
     )
     out = tmp_path / "nan.csv"
     assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[noise]\nsource = flat\nl_dbc = 4000\n",
+        "[noise]\nsource = preset\npreset = g1-2.5ghz\nf_cutoff_hz = inf\n",
+    ],
+    ids=["overflowing-spectrum", "infinite-cutoff"],
+)
+def test_exit_code_numeric_probes(tmp_path, body):
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, extra",
+    [
+        ("[sweep]\naxis = n_r\nvalues = 1, abc\n", []),
+        ("[run]\nworkers = 0\n", []),
+        ("", ["--workers", "0"]),
+        ("[readout]\ncontrast = 1.5\nn_photons = 0.05\n", []),
+    ],
+    ids=["sweep-value", "workers-ini", "workers-flag", "contrast"],
+)
+def test_exit_code_config_probes(tmp_path, body, extra):
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
     assert not out.exists()
 
 

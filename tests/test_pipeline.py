@@ -343,6 +343,19 @@ def test_stream_csv_round_trip(tmp_path):
     assert any(line.startswith("# f_samp_hz=") for line in head[:6])
 
 
+def test_stream_csv_rejects_malformed_rows(tmp_path):
+    head = "# f_samp_hz=1000.0\nt_s,readout_t\n0.0,1e-12\n"
+    path = tmp_path / "stream.csv"
+    for bad in ("0.001,abc\n", "0.001\n", "t_s,readout_t\n"):
+        path.write_text(head + bad + "0.002,3e-12\n")
+        with pytest.raises(ValueError, match="line 4"):
+            mw.load_stream(path)
+    # At most one header line, and only before the first data row.
+    path.write_text("# f_samp_hz=1000.0\nt_s,readout_t\nsecond,header\n0.0,1e-12\n")
+    with pytest.raises(ValueError, match="line 3"):
+        mw.load_stream(path)
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     seq = _table_seq()
     stream = mw.synthesize_stream(seq, None, 0.0, 0.0, 3e-3, 30.0, seed=8)

@@ -198,6 +198,11 @@ def test_filter_integral_additivity():
             ff, split, 5e6
         )
         assert parts == pytest.approx(whole, rel=1e-9)
+    # An array of upper bounds is one lattice pass, bit-equal to one scalar
+    # call per bound.
+    f_hi = np.array([1e5, seq.f_center, 2.34e6, 5e6, 0.0])
+    running = mw.filter_function_integral(ff, 0.0, f_hi)
+    assert running.tolist() == [mw.filter_function_integral(ff, 0.0, f) for f in f_hi]
 
 
 def test_filter_integral_degenerate_and_validation():
@@ -210,6 +215,8 @@ def test_filter_integral_degenerate_and_validation():
         mw.filter_function_integral(ff, 1e5, 1e4)
     with pytest.raises(ValueError):
         mw.filter_function_integral(ff, 0.0, math.inf)
+    with pytest.raises(ValueError):
+        band_integral_weighted(ff, np.ones_like, 0.0, math.inf)
     with pytest.raises(ValueError):
         mw.filter_function_value(ff, -1.0)
 
