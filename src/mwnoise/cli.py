@@ -168,10 +168,14 @@ def _coerce(section: str, key: str, raw: str):
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
     if (section, key) in _INT_KEYS:
-        if value != int(value):
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
-        return int(value)
+        return _integer(f"[{section}] {key}", value, raw)
     return value
+
+
+def _integer(label: str, value: float, raw) -> int:
+    if not value.is_integer():
+        raise ConfigError(f"{label}: expected an integer, got {raw!r}")
+    return int(value)
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -317,6 +321,8 @@ def build_readout(cfg: dict) -> "ReadoutModel | float":
     if r["shot_sigma"] is not None:
         if any(v is not None for v in model_keys):
             raise ConfigError("[readout] give either shot_sigma or contrast/n_photons, not both")
+        if not 0 <= r["shot_sigma"] < math.inf:
+            raise ConfigError("[readout] shot_sigma must be nonnegative and finite")
         return r["shot_sigma"]
     if all(v is not None for v in model_keys):
         try:
@@ -416,7 +422,9 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
     points = []
     for value in values:
         point = copy.deepcopy(cfg)
-        point[section][key] = int(value) if (section, key) in _INT_KEYS else value
+        if (section, key) in _INT_KEYS:
+            value = _integer(f"[sweep] {axis}", value, value)
+        point[section][key] = value
         points.append((float(value), point))
     return points
 
@@ -535,6 +543,7 @@ def cmd_predict(cfg: dict, args) -> None:
 
 def _montecarlo_point(cfg):
     seq = build_sequence(cfg)
+    build_readout(cfg)  # validated only: the table has no readout column
     seed = cfg["run"]["seed"]
     process = build_process(cfg, seed)
     if process is None:

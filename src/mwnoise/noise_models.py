@@ -14,10 +14,15 @@ from numpy's Philox counter-based generator keyed on (seed, realization),
 so runs are reproducible and realizations can be generated independently in
 any order.
 
-Only the Monte Carlo samples these processes pulse by pulse: it is the
-time-domain check.  Readout streams and the gradiometer draw each
-sequence's phi_tot directly from its exact variance, which every process
-fixes in closed form (see ``spin_simulator.phi_tot_batch``).
+Only the Monte Carlo draws per-realization noise: it is the check of the
+closed forms.  It samples white and random-walk noise pulse by pulse, and
+reads the PSD-driven process's synthesis draws through the comb transfer
+of its sample times, which gives the same phi_tot as the tracks without
+building them (``spin_simulator.monte_carlo_sigma_phi``); the PSD branch
+of :func:`sample_pulse_phases_batch` stays as its time-domain oracle.
+Readout streams and the gradiometer draw each sequence's phi_tot directly
+from its exact variance, which every process fixes in closed form (see
+``spin_simulator.phi_tot_batch``).
 """
 
 from __future__ import annotations
@@ -349,7 +354,7 @@ def synthesize_phase_track(
     s_vals[1:] = ssb_to_psd(spectrum, freqs[1:])
     scale = np.sqrt(s_vals * n / (2.0 * dt))
 
-    rng = philox_rng(seed, realization, 0x747261636B)
+    rng = _track_rng(seed, realization)
     re = rng.standard_normal((n_tracks, freqs.size))
     im = rng.standard_normal((n_tracks, freqs.size))
     coeff = (re + 1j * im) * (scale / math.sqrt(2.0))
@@ -359,6 +364,21 @@ def synthesize_phase_track(
         coeff[:, -1] = re[:, -1] * scale[-1]
     tracks = np.fft.irfft(coeff, n=n, axis=1)
     return tracks[0] if n_tracks == 1 else tracks
+
+
+def _track_rng(seed: int, realization: int) -> np.random.Generator:
+    """Philox stream of the synthesis draws of tracks from ``realization`` on."""
+    return philox_rng(seed, realization, 0x747261636B)
+
+
+def _track_chunks(n: int, n_tracks: int):
+    """(start, stop) realization ranges of n-sample tracks synthesized
+    together, bounding each batch at a quarter of MAX_TRACK_SAMPLES.  A
+    range's draws come from ``_track_rng(seed, start)``: all real parts of
+    its coefficients, row by row, then all imaginary parts."""
+    chunk = max(1, MAX_TRACK_SAMPLES // (4 * n))
+    for start in range(0, n_tracks, chunk):
+        yield start, min(start + chunk, n_tracks)
 
 
 def _psd_track_layout(
@@ -378,6 +398,8 @@ def _psd_track_layout(
     n = int(round(duration / dt))
     if n > MAX_TRACK_SAMPLES:
         raise ValueError("pulse window too long for the requested cutoff")
+    if n < 2:
+        raise ValueError("pulse window too short for the requested cutoff")
     idx = np.clip(np.rint(pulse_times / dt).astype(int), 0, n - 1)
     return duration, dt, idx
 
@@ -429,10 +451,7 @@ def sample_pulse_phases_batch(
         duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
         out = np.empty((n_realizations, times.size))
         # Batch the fairly large tracks to bound peak memory.
-        n_per = int(round(duration / dt))
-        chunk = max(1, MAX_TRACK_SAMPLES // (4 * n_per))
-        for start in range(0, n_realizations, chunk):
-            stop = min(start + chunk, n_realizations)
+        for start, stop in _track_chunks(int(round(duration / dt)), n_realizations):
             tracks = synthesize_phase_track(
                 process.spectrum, duration, dt, base_seed,
                 realization=start, n_tracks=stop - start,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import (
     DEFAULT_CONSTANTS,
@@ -361,6 +360,9 @@ def fit_calibration(
         # Clamp so wild LM steps cannot overflow exp and poison the solver.
         v_max, kappa = np.exp(np.clip(log_params, -50.0, 50.0))
         return _calibration_model(v_test, v_max, kappa, arg_scale) - v_nv
+
+    # scipy.optimize takes most of the package's import time; only this fit uses it.
+    from scipy.optimize import least_squares
 
     candidates = []
     for kappa0 in kappa_scale * np.logspace(-1.0, 3.0, 41):

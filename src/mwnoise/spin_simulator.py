@@ -29,6 +29,8 @@ from .noise_models import (
     RandomWalkNoise,
     WhiteNoise,
     _psd_track_layout,
+    _track_chunks,
+    _track_rng,
     _walk_step_variances,
     philox_rng,
     sample_pulse_phases_batch,
@@ -92,25 +94,67 @@ def monte_carlo_sigma_phi(
     """Empirical std of phi_tot over independent noise realizations.
 
     Pulses are treated as instantaneous at the sequence's pulse centers and
-    the final readout pulse at tau_tot.  For the PSD-driven process the
-    source phase at t = 0 is subtracted from every sample, referencing the
-    errors to the initial pulse's frame; the white and random-walk processes
-    are frame-referenced by construction.
+    the final readout pulse at tau_tot.  White and random-walk phases are
+    sampled pulse by pulse and are frame-referenced by construction.  For
+    the PSD-driven process, phi_tot is that of the tracks
+    :func:`~mwnoise.noise_models.sample_pulse_phases_batch` synthesizes,
+    with the source phase at t = 0 subtracted from every sample to
+    reference the errors to the initial pulse's frame.  It is computed from
+    the same synthesis draws read through the comb transfer of the sample
+    times (:func:`_psd_phi_tot`), without building the tracks.
     """
     if n_realizations < 100:
         raise ValueError("need at least 100 realizations for a usable std estimate")
-    times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
     if isinstance(process, PsdDrivenNoise):
-        times = np.concatenate(([0.0], times))
-        samples = sample_pulse_phases_batch(process, times, n_realizations, seed=seed)
-        samples = samples[:, 1:] - samples[:, :1]
+        phi_tot = _psd_phi_tot(seq, process, n_realizations, seed)
     else:
-        samples = sample_pulse_phases_batch(process, times, n_realizations, seed=seed)
-    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
-    phi_tot = samples @ weights
+        times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
+        weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+        phi_tot = sample_pulse_phases_batch(process, times, n_realizations, seed=seed) @ weights
     sigma = float(np.std(phi_tot, ddof=1))
     std_err = sigma / math.sqrt(2.0 * (n_realizations - 1))
     return MonteCarloResult(n_realizations, sigma, std_err, seed)
+
+
+# Normal draws per block of the PSD Monte Carlo: 8 MB of float64.
+_DRAW_BLOCK = 1 << 20
+
+
+def _psd_phi_tot(
+    seq: PulseSequence, process: PsdDrivenNoise, n_realizations: int, seed: int
+) -> np.ndarray:
+    """Frame-referenced phi_tot of ``n_realizations`` synthesized tracks.
+
+    A track is the irfft of coefficients c_k = s_k (re_k + i im_k) with
+    s_k = sqrt(S_k n / (4 dt)), and phi_tot = sum_j w_j track[idx_j] is
+    linear in them.  With F the rfft of the weighted comb, the irfft's
+    weight 2/n on interior bins gives phi_tot = re @ u + im @ v, where
+    u_k = sqrt(S_k / (n dt)) Re(F_k) and v_k = sqrt(S_k / (n dt)) Im(F_k);
+    S is zero at DC.  The draws are those of :func:`synthesize_phase_track`
+    under the chunk layout of :func:`sample_pulse_phases_batch`, made block
+    by block into one buffer.
+    """
+    n, dt, psd, transfer = _psd_comb_transfer(process, seq)
+    gain = np.sqrt(psd / (n * dt))
+    u = gain * transfer.real
+    v = gain * transfer.imag
+    if n % 2 == 0:
+        # The Nyquist coefficient is re * sqrt(2) s and enters the track once.
+        u[-1] /= math.sqrt(2.0)
+        v[-1] = 0.0
+
+    phi_tot = np.zeros(n_realizations)
+    rows = max(1, min(_DRAW_BLOCK // transfer.size, n_realizations))
+    buf = np.empty((rows, transfer.size))
+    for start, stop in _track_chunks(n, n_realizations):
+        rng = _track_rng(seed, start)
+        for coef in (u, v):
+            for lo in range(start, stop, rows):
+                hi = min(lo + rows, stop)
+                block = buf[: hi - lo]
+                rng.standard_normal(out=block)
+                phi_tot[lo:hi] += block @ coef
+    return phi_tot
 
 
 def phi_tot_batch(
@@ -132,8 +176,8 @@ def phi_tot_batch(
     phi_tot is a fixed linear combination of Gaussian source phases, so it is
     Gaussian with a variance every process fixes in closed form.  Each
     sequence is one draw at that std, which costs O(n_realizations) whatever
-    the pulse count; :func:`monte_carlo_sigma_phi` keeps the per-pulse
-    time-domain path as the check.
+    the pulse count; :func:`monte_carlo_sigma_phi` keeps per-realization
+    sampling as the check.
     """
     sigma = _phi_tot_sigma(seq, process)
     rng = philox_rng(seed, 0x70736453)
@@ -156,27 +200,41 @@ def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:
     raise TypeError(f"unknown noise process type: {type(process).__name__}")
 
 
-def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
-    """Per-sequence phase std implied by the discrete synthesis grid.
+def _psd_comb_transfer(
+    process: PsdDrivenNoise, seq: PulseSequence
+) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """(n, dt, one-sided PSD per rfft bin, F) of the PSD Monte Carlo's track.
 
-    This is the exact std of phi_tot for tracks generated by
-    :func:`synthesize_phase_track` with the layout used in the Monte Carlo,
-    computed from the track's frequency comb instead of by sampling.
+    The track layout is that of :func:`sample_pulse_phases_batch` for the
+    sample times 0, the pulse centers and tau_tot; the PSD is zero at DC.
+    The weights of those samples in phi_tot include the frame reference at
+    t = 0, w_0 = -sum of the others.  Samples sit on the track grid
+    (idx * dt) and line k is at k / (n dt), so the transfer function
+    H_k = sum_j w_j exp(2 pi i k idx_j / n) is the conjugate of F, the
+    rfft of the weighted comb: O(n log n) time and O(n) memory.
     """
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
     n = int(round(duration / dt))
-    freqs = np.fft.rfftfreq(n, dt)[1:]
-    s_vals = ssb_to_psd(process.spectrum, freqs)
+    psd = np.zeros(n // 2 + 1)
+    psd[1:] = ssb_to_psd(process.spectrum, np.fft.rfftfreq(n, dt)[1:])
     weights = np.concatenate(([1.0], _alternating_weights(seq.n_pi), [-1.0]))
-    weights[0] = -np.sum(weights[1:])  # frame reference at t = 0
-    # Transfer function of the weighted sample combination at the comb lines.
-    # Samples sit on the track grid (idx * dt) and line k is at k / (n dt), so
-    # H_k = sum_j w_j exp(2 pi i k idx_j / n) is the conjugate of the rfft of
-    # the weighted comb: O(n log n) time and O(n) memory.
+    weights[0] = -np.sum(weights[1:])
     comb = np.zeros(n)
     np.add.at(comb, idx, weights)
-    contrib = s_vals * np.abs(np.fft.rfft(comb)[1:]) ** 2
+    return n, dt, psd, np.fft.rfft(comb)
+
+
+def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
+    """Per-sequence phase std implied by the discrete synthesis grid.
+
+    This is the exact std of the phi_tot that :func:`monte_carlo_sigma_phi`
+    samples for the PSD-driven process: the variance of the same synthesis
+    draws read through the same comb transfer, summed over the comb lines
+    instead of sampled.
+    """
+    n, dt, psd, transfer = _psd_comb_transfer(process, seq)
+    contrib = psd[1:] * np.abs(transfer[1:]) ** 2
     if n % 2 == 0:
         contrib[-1] *= 0.5  # the real Nyquist bin enters the track once, not twice
     var = float(np.sum(contrib) / (n * dt))

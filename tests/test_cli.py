@@ -545,16 +545,40 @@ def test_exit_code_numeric_probes(tmp_path, body):
     "body, extra",
     [
         ("[sweep]\naxis = n_r\nvalues = 1, abc\n", []),
+        ("[sweep]\naxis = n_r\nvalues = 1.5, 2\n", []),
         ("[run]\nworkers = 0\n", []),
         ("", ["--workers", "0"]),
         ("[readout]\ncontrast = 1.5\nn_photons = 0.05\n", []),
     ],
-    ids=["sweep-value", "workers-ini", "workers-flag", "contrast"],
+    ids=["sweep-value", "sweep-non-integer", "workers-ini", "workers-flag", "contrast"],
 )
 def test_exit_code_config_probes(tmp_path, body, extra):
     cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
     out = tmp_path / "predict.csv"
     assert main(["predict", "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "montecarlo", "pipeline"])
+@pytest.mark.parametrize(
+    "readout",
+    ["shot_sigma = -1", "shot_sigma = nan", "contrast = 1.5\nn_photons = 0.05"],
+    ids=["negative-shot-sigma", "nan-shot-sigma", "contrast"],
+)
+def test_exit_code_readout_probes(tmp_path, command, readout):
+    # Every command that reads the config rejects a bad [readout], including
+    # montecarlo, whose table does not use it.
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + "[noise]\nsource = white\nsigma_wh = 0.005\n[pipeline]\nduration_s = 1\n"
+        + "[readout]\n"
+        + readout
+        + "\n",
+    )
+    out = tmp_path / "table.csv"
+    extra = ["--n-realizations", "100"] if command == "montecarlo" else []
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
     assert not out.exists()
 
 

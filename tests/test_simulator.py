@@ -9,10 +9,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
-from mwnoise.noise_models import _psd_track_layout, sample_pulse_phases_batch
+from mwnoise.noise_models import _psd_track_layout, _track_chunks, sample_pulse_phases_batch
 from mwnoise.spin_simulator import (
     _alternating_weights,
     _phi_tot_sigma,
+    _psd_phi_tot,
+    monte_carlo_sigma_phi,
     phi_tot_batch,
     psd_sigma_phi_grid,
 )
@@ -177,6 +179,26 @@ def test_psd_grid_matches_outer_product_reference():
         assert psd_sigma_phi_grid(proc, seq) == pytest.approx(want, rel=1e-12)
 
 
+def test_psd_monte_carlo_matches_time_domain_tracks():
+    # The frequency-domain Monte Carlo reads the same draws as the tracks of
+    # the time-domain sampler, chunk by chunk, so each realization agrees.
+    proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    for n_r in (1, 8):
+        seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+        times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+        duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
+        n = int(round(duration / dt))
+        first_stop = next(_track_chunks(n, 10**9))[1]
+        count = first_stop + 37
+        assert len(list(_track_chunks(n, count))) == 2
+        samples = sample_pulse_phases_batch(proc, times, count, seed=43)
+        weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+        want = (samples[:, 1:] - samples[:, :1]) @ weights
+        got = _psd_phi_tot(seq, proc, count, seed=43)
+        sigma = psd_sigma_phi_grid(proc, seq)
+        assert np.max(np.abs(got - want)) <= 1e-12 * sigma, n_r
+
+
 def _peak_alloc_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -194,6 +216,14 @@ def test_stream_draws_bounded_memory_at_xy8_64():
     assert _peak_alloc_mb(lambda: psd_sigma_phi_grid(psd, seq)) < 64.0
     for proc in (mw.WhiteNoise(0.01), psd):
         assert _peak_alloc_mb(lambda: phi_tot_batch(seq, proc, 1_000_000, seed=41)) < 64.0
+
+
+def test_psd_monte_carlo_bounded_memory_at_xy8_64():
+    # Synthesized tracks would take 18 x 894 000 samples per chunk here, and
+    # their complex coefficients and normal draws several times that.
+    seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
+    psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    assert _peak_alloc_mb(lambda: monte_carlo_sigma_phi(seq, psd, 100, seed=47)) < 64.0
 
 
 # --- double-quantum readout -------------------------------------------------------
