@@ -13,8 +13,19 @@ with T the total interrogation time and g(f) = cos(pi f t_pi) the
 finite-pulse-width correction (g = 1 for delta pulses).  F(0) = 0, the
 first passband sits at N/(2T) and peaks at 4 N^2 for delta pulses.
 
-The inner sum is geometric, so F is evaluated in closed form per frequency;
-integrals use a trapezoid rule on a frequency lattice anchored at integer
+The inner sum is geometric, and its phases cancel against those of the
+boundary terms, so F has a real closed form.  With z = 2 pi f T,
+
+    F(f) = 4 (g r - h)^2,    r = h / cos(z / (2N)),
+
+where h = sin(z/2) for even N and h = cos(z/2) for odd N: three real trig
+calls per frequency.  At the passband harmonics, where cos(z / (2N)) = 0,
+r takes its analytic limit
+
+    even N:  r = -N cos(z/2) / sin(z / (2N))
+    odd N:   r =  N sin(z/2) / sin(z / (2N))
+
+(|r| = N there).  Integrals use a trapezoid rule on a frequency lattice anchored at integer
 multiples of a fixed step (1 / (tau_tot * oversample)).  The lattice both
 resolves every oscillation of F (period 1/tau_tot) and makes integrals
 exactly additive over adjacent intervals, because the integrand is the
@@ -57,10 +68,10 @@ class PulseSequence:
     def __post_init__(self) -> None:
         if self.n_pi < 1:
             raise ValueError("n_pi must be at least 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.t_pi < 0 or self.t_dead < 0:
-            raise ValueError("t_pi and t_dead must be nonnegative")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not (0 <= self.t_pi < math.inf and 0 <= self.t_dead < math.inf):
+            raise ValueError("t_pi and t_dead must be nonnegative and finite")
         if self.kind is SequenceKind.XY8 and self.n_pi % 8 != 0:
             raise ValueError("an XY8 sequence needs a multiple of 8 pi pulses")
 
@@ -107,8 +118,8 @@ def make_xy8(
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be at least 1")
-    if f_xy8 <= 0:
-        raise ValueError("f_xy8 must be positive")
+    if not 0 < f_xy8 < math.inf:
+        raise ValueError("f_xy8 must be positive and finite")
     period = 1.0 / (2.0 * f_xy8)
     if t_pi >= period:
         raise ValueError("t_pi too long for the requested passband center")
@@ -125,6 +136,8 @@ def make_xy8_fixed_duration(
     """XY8-n sequence with prescribed total interrogation time."""
     if n_repeats < 1:
         raise ValueError("n_repeats must be at least 1")
+    if not 0 < tau_tot < math.inf:
+        raise ValueError("tau_tot must be positive and finite")
     n_pi = 8 * n_repeats
     period = tau_tot / n_pi
     if t_pi >= period:
@@ -142,8 +155,8 @@ def make_cpmg(
     """CPMG train of ``n_pi`` pulses with passband center ``f_center``."""
     if n_pi < 1:
         raise ValueError("n_pi must be at least 1")
-    if f_center <= 0:
-        raise ValueError("f_center must be positive")
+    if not 0 < f_center < math.inf:
+        raise ValueError("f_center must be positive and finite")
     period = 1.0 / (2.0 * f_center)
     if t_pi >= period:
         raise ValueError("t_pi too long for the requested passband center")
@@ -165,42 +178,37 @@ class FilterFunction:
 def filter_function_value(ff: FilterFunction, f) -> np.ndarray:
     """Evaluate F(f); accepts a scalar or array of frequencies in Hz.
 
-    Uses the closed form of the alternating geometric sum (a Dirichlet
-    kernel), which is exact and O(1) per frequency for any pulse count.
+    Uses the real closed form of the module docstring, exact and O(1) per
+    frequency for any pulse count: with z = 2 pi f tau_tot and
+    g = cos(pi f t_pi) (g = 1 for delta pulses or t_pi = 0),
+
+        F = 4 (g r - h)^2,    r = h / cos(z / (2N)),
+
+    where h = sin(z/2) for even N and cos(z/2) for odd N.  Where
+    |cos(z / (2N))| < 1e-9 (the passband harmonics) r takes its analytic
+    limit, -N cos(z/2) / sin(z/(2N)) for even N and N sin(z/2) / sin(z/(2N))
+    for odd N, computed on those frequencies only.
     """
     seq = ff.sequence
     n = seq.n_pi
     f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr < 0):
-        raise ValueError("frequency must be nonnegative")
-    z = 2.0 * np.pi * f_arr * seq.tau_tot
-
-    # sum_{j=1..N} (-1)^j e^{i (j - 1/2) z / N}
-    #   = e^{-i z / (2N)} * sum_j r^j            with r = -e^{i z / N}
-    #   = e^{-i z / (2N)} * e^{i theta (N+1)/2} * sin(N theta / 2) / sin(theta / 2)
-    # with r = e^{i theta}, theta = pi + z / N.  The ratio of sines needs its
-    # analytic limit N * cos(N theta / 2) / cos(theta / 2) where sin(theta/2)
-    # vanishes, i.e. exactly at the passband harmonics.
-    theta = np.pi + z / n
-    den = np.sin(0.5 * theta)
-    num = np.sin(0.5 * n * theta)
-    near_pole = np.abs(den) < 1e-9
-    safe_den = np.where(near_pole, 1.0, den)
-    ratio = np.where(
-        near_pole,
-        n * np.cos(0.5 * n * theta) / np.cos(0.5 * theta),
-        num / safe_den,
-    )
-    pulse_sum = np.exp(-0.5j * z / n) * np.exp(0.5j * theta * (n + 1)) * ratio
-
+    if not np.all((f_arr >= 0) & (f_arr < math.inf)):
+        raise ValueError("frequency must be nonnegative and finite")
+    f_flat = f_arr.ravel()
+    half_z = np.pi * f_flat * seq.tau_tot
+    h = np.sin(half_z) if n % 2 == 0 else np.cos(half_z)
+    r = np.cos(half_z / n)
+    pole = np.flatnonzero(np.abs(r) < 1e-9)
+    r[pole] = 1.0
+    np.divide(h, r, out=r)
+    half_zp = half_z[pole]
+    r[pole] = n * (np.sin(half_zp) if n % 2 else -np.cos(half_zp)) / np.sin(half_zp / n)
     if ff.finite_pulse_correction and seq.t_pi > 0:
-        gain = np.cos(np.pi * f_arr * seq.t_pi)
-    else:
-        gain = 1.0
-
-    total = 1.0 + (-1.0) ** (n + 1) * np.exp(1j * z) + 2.0 * gain * pulse_sum
-    result = np.abs(total) ** 2
-    return result if result.ndim else float(result)
+        r *= np.cos(np.pi * f_flat * seq.t_pi)
+    r -= h
+    r *= r
+    r *= 4.0
+    return r.reshape(f_arr.shape) if f_arr.ndim else float(r[0])
 
 
 def _lattice_points(step: float, f_lo: float, f_hi: float) -> tuple[int, np.ndarray]:

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, tables, sweeps, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 import mwnoise as mw
 from mwnoise.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+
+SRC = Path(mw.__file__).resolve().parent.parent
 
 BASE_SEQUENCE = """\
 [sequence]
@@ -559,6 +564,21 @@ def test_exit_code_config_probes(tmp_path, body, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("t_dead_us", "nan"), ("t_dead_us", "inf"), ("f_xy8_khz", "nan"), ("t_pi_ns", "nan")],
+)
+def test_exit_code_non_finite_timing(tmp_path, key, value):
+    body = "\n".join(
+        f"{key} = {value}" if line.startswith(f"{key} =") else line
+        for line in BASE_SEQUENCE.splitlines()
+    )
+    cfg = _write_config(tmp_path, body + "\n[noise]\nsource = preset\npreset = g1-2.5ghz\n")
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "montecarlo", "pipeline"])
 @pytest.mark.parametrize(
     "readout",
@@ -591,3 +611,17 @@ def test_provenance_headers(tmp_path):
     assert "# command=predict" in meta
     assert "# sequence.f_xy8_khz=458.0" in meta
     assert "# run.seed=77" in meta
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported lazily by the one command that fits (calibrate), so
+    # every other command starts without paying for it.
+    probe = (
+        "import sys, mwnoise.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

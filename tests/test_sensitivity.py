@@ -42,6 +42,31 @@ def test_sigma_phi_goldens_g1_at_5ghz():
     assert finite < delta
 
 
+# sigma_phi_filter at XY8-n, 458 kHz, 48 ns pulses, default 100 MHz cutoff,
+# frozen from the complex-phasor evaluation of the filter function.
+SIGMA_PHI_GOLDENS = {
+    ("g1-2.5ghz", 1, True): 0.03029399608363118,
+    ("g1-2.5ghz", 1, False): 0.030956894492693964,
+    ("g1-2.5ghz", 8, True): 0.0845915821932596,
+    ("g1-2.5ghz", 8, False): 0.08648272421189088,
+    ("g1-2.5ghz", 64, True): 0.2388669547761185,
+    ("g1-2.5ghz", 64, False): 0.24422185337764385,
+    ("g2-2.1ghz", 1, True): 0.003249990983349474,
+    ("g2-2.1ghz", 1, False): 0.0044500778047933025,
+    ("g2-2.1ghz", 8, True): 0.008747262557927162,
+    ("g2-2.1ghz", 8, False): 0.012263494337163859,
+    ("g2-2.1ghz", 64, True): 0.024579094485325095,
+    ("g2-2.1ghz", 64, False): 0.034570333369735425,
+}
+
+
+@pytest.mark.parametrize("preset, n_r, finite", sorted(SIGMA_PHI_GOLDENS))
+def test_sigma_phi_goldens_presets(preset, n_r, finite):
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    got = mw.sigma_phi_filter(mw.preset_spectrum(preset), seq, finite_pulse_correction=finite)
+    assert got == pytest.approx(SIGMA_PHI_GOLDENS[preset, n_r, finite], rel=1e-12, abs=0)
+
+
 def test_sigma_phi_scales_with_level():
     spec = mw.preset_spectrum("g1-2.5ghz")
     seq = _table_seq()

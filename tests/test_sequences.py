@@ -104,6 +104,24 @@ def test_sequence_validation():
         mw.make_cpmg(4, 500e3, t_pi=1.1e-6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sequence_rejects_non_finite_timing(bad):
+    for kwargs in ({"tau": bad}, {"t_pi": bad}, {"t_dead": bad}):
+        timing = {"tau": 1e-6, **kwargs}
+        with pytest.raises(ValueError, match="finite"):
+            mw.PulseSequence(mw.SequenceKind.CPMG, 8, **timing)
+    for make, arg in ((mw.make_xy8, 1), (mw.make_cpmg, 8), (mw.make_xy8_fixed_duration, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            make(arg, bad)
+        with pytest.raises(ValueError):
+            make(arg, 1e-5 if make is mw.make_xy8_fixed_duration else 458e3, t_pi=bad)
+    ff = mw.FilterFunction(mw.PulseSequence(mw.SequenceKind.CPMG, 8, 1e-6))
+    with pytest.raises(ValueError, match="finite"):
+        mw.filter_function_value(ff, bad)
+    with pytest.raises(ValueError, match="finite"):
+        mw.filter_function_value(ff, np.array([0.0, 1e5, bad]))
+
+
 # --- filter function ----------------------------------------------------------
 
 def test_filter_dc_insensitivity():
@@ -125,26 +143,60 @@ def test_filter_first_harmonic_value():
         )
 
 
-def test_filter_matches_literal_phasor_sum():
-    # Oracle: phase-accumulation weights +-2 at the pulse instants plus the
-    # boundary terms, summed literally as complex phasors.
-    def literal(seq, f):
-        times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
-        n = seq.n_pi
-        w = np.concatenate(
-            ([0.0], [2.0 * (-1) ** (n - i) for i in range(1, n + 1)], [-1.0])
-        )
-        w[0] = -np.sum(w[1:])
-        return abs(np.sum(w * np.exp(2j * np.pi * f * times))) ** 2
+def _literal_filter(seq, f, finite=False):
+    """Oracle: phase-accumulation weights +-2 at the pulse instants plus the
+    boundary terms, summed literally as complex phasors; with ``finite`` the
+    pulse phasors carry the gain cos(pi f t_pi)."""
+    f = np.asarray(f, dtype=float)[:, None]
+    times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+    n = seq.n_pi
+    w = np.concatenate(([0.0], [2.0 * (-1) ** (n - i) for i in range(1, n + 1)], [-1.0]))
+    w[0] = -np.sum(w[1:])
+    w = w * np.ones_like(f)
+    if finite:
+        w[:, 1:-1] *= np.cos(np.pi * f * seq.t_pi)
+    return np.abs(np.sum(w * np.exp(2j * np.pi * f * times), axis=1)) ** 2
 
+
+def test_filter_matches_literal_phasor_sum():
     rng = np.random.default_rng(4)
     for n_pi in (1, 2, 8, 33):
         seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 69.9e-6 / (2 * n_pi))
         ff = mw.FilterFunction(seq, finite_pulse_correction=False)
         for f in rng.uniform(1e3, 5e6, 25):
-            want = literal(seq, float(f))
+            want = float(_literal_filter(seq, [float(f)])[0])
             got = float(mw.filter_function_value(ff, float(f)))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_pi", [1, 3, 5, 8, 33, 64])
+@pytest.mark.parametrize("finite", [False, True], ids=["delta", "finite"])
+def test_filter_matches_literal_phasor_sum_on_lattice(n_pi, finite):
+    # Odd and even pulse counts, finite pulses, and integration-lattice
+    # frequencies up to 1e8 Hz, including the exact passband harmonics
+    # k = 16 N (2m + 1) of the 32x lattice, where the closed form takes its
+    # analytic limit.
+    seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 69.9e-6 / (2 * n_pi), T_PI)
+    ff = mw.FilterFunction(seq, finite_pulse_correction=finite)
+    step = 1.0 / (seq.tau_tot * 32)
+    k_max = int(1e8 / step)
+    rng = np.random.default_rng(n_pi)
+    k = np.concatenate(
+        (
+            rng.integers(1, k_max, 200),
+            16 * n_pi * (2 * np.arange(20) + 1),
+            16 * n_pi * (2 * rng.integers(0, k_max // (32 * n_pi), 20) + 1),
+        )
+    )
+    f = k * step
+    got = mw.filter_function_value(ff, f)
+    assert_allclose(got, _literal_filter(seq, f, finite), rtol=1e-9, atol=1e-6)
+    poles = f[200:]
+    gain = np.cos(np.pi * poles * seq.t_pi) if finite else 1.0
+    assert_allclose(got[200:], 4.0 * n_pi**2 * gain**2, rtol=1e-9, atol=1e-6)
+    # A scalar call at a pole gives the same limit.
+    f1 = float(16 * n_pi * step)
+    assert mw.filter_function_value(ff, f1) == float(got[200])
 
 
 def test_filter_fine_grid_peak_golden():
