@@ -291,14 +291,17 @@ def build_noise_spectrum(cfg: dict) -> PhaseNoiseSpectrum | None:
             spectrum = load_spectrum(path)
         except ValueError as exc:
             raise ConfigError(f"cannot parse spectrum file: {exc}") from None
-    elif source == "flat":
-        spectrum = flat_spectrum(noise_cfg["l_dbc"])
-    else:
+    elif source != "flat":
         return None
-    if noise_cfg["carrier_ghz"] is not None:
-        spectrum = spectrum.scaled_to_carrier(noise_cfg["carrier_ghz"] * 1e9)
-    if noise_cfg["shift_db"] is not None:
-        spectrum = spectrum.shifted_db(noise_cfg["shift_db"])
+    try:
+        if source == "flat":
+            spectrum = flat_spectrum(noise_cfg["l_dbc"])
+        if noise_cfg["carrier_ghz"] is not None:
+            spectrum = spectrum.scaled_to_carrier(noise_cfg["carrier_ghz"] * 1e9)
+        if noise_cfg["shift_db"] is not None:
+            spectrum = spectrum.shifted_db(noise_cfg["shift_db"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid [noise] parameters: {exc}") from None
     return spectrum
 
 
@@ -307,12 +310,15 @@ def build_process(cfg: dict, seed: int) -> NoiseProcess | None:
     source = _check_single_source(noise_cfg)
     if source == "none":
         return None
-    if source == "white":
-        return WhiteNoise(noise_cfg["sigma_wh"], seed=seed)
-    if source == "random-walk":
-        return RandomWalkNoise(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"], seed=seed)
     spectrum = build_noise_spectrum(cfg)
-    return PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"], seed=seed)
+    try:
+        if source == "white":
+            return WhiteNoise(noise_cfg["sigma_wh"], seed=seed)
+        if source == "random-walk":
+            return RandomWalkNoise(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"], seed=seed)
+        return PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"], seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [noise] parameters: {exc}") from None
 
 
 def build_readout(cfg: dict) -> "ReadoutModel | float":
@@ -483,8 +489,9 @@ def cmd_filter_fn(cfg: dict, args) -> None:
 def _predict_point(cfg):
     seq = build_sequence(cfg)
     noise_cfg = cfg["noise"]
-    source = _check_single_source(noise_cfg)
     spectrum = build_noise_spectrum(cfg)
+    # A sample-based source is built for its validated parameters.
+    process = build_process(cfg, cfg["run"]["seed"]) if spectrum is None else None
 
     sigma_phi = float("nan")
     eta_filter = float("nan")
@@ -497,13 +504,13 @@ def _predict_point(cfg):
         )
         eta_filter = eta_phi(sigma_phi, seq)
     eta_wh = (
-        eta_white(noise_cfg["sigma_wh"], seq.f_center, seq.duty)
-        if source == "white"
+        eta_white(process.sigma_wh, seq.f_center, seq.duty)
+        if isinstance(process, WhiteNoise)
         else float("nan")
     )
     eta_rw = (
-        eta_random_walk(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"], seq.duty)
-        if source == "random-walk"
+        eta_random_walk(process.sigma_rw, process.r_samp, seq.duty)
+        if isinstance(process, RandomWalkNoise)
         else float("nan")
     )
     readout = build_readout(cfg)

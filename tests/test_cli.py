@@ -509,7 +509,7 @@ def test_exit_code_negative_sigma(tmp_path):
         sigma_wh = -0.01
         """,
     )
-    assert main(["montecarlo", "--config", cfg, "--n-realizations", "200"]) == EXIT_NUMERIC
+    assert main(["montecarlo", "--config", cfg, "--n-realizations", "200"]) == EXIT_CONFIG
 
 
 def test_exit_code_nan_sigma_writes_no_table(tmp_path):
@@ -526,7 +526,7 @@ def test_exit_code_nan_sigma_writes_no_table(tmp_path):
         """,
     )
     out = tmp_path / "nan.csv"
-    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
 
 
@@ -576,6 +576,31 @@ def test_exit_code_non_finite_timing(tmp_path, key, value):
     cfg = _write_config(tmp_path, body + "\n[noise]\nsource = preset\npreset = g1-2.5ghz\n")
     out = tmp_path / "predict.csv"
     assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "montecarlo", "pipeline"])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        "source = white\nsigma_wh = nan",
+        "source = white\nsigma_wh = -0.01",
+        "source = random-walk\nsigma_rw = 0.01\nr_samp_hz = inf",
+        "source = preset\npreset = g1-2.5ghz\nshift_db = nan",
+        "source = preset\npreset = g1-2.5ghz\ncarrier_ghz = nan",
+        "source = flat\nl_dbc = nan",
+    ],
+    ids=["nan-sigma-wh", "negative-sigma-wh", "inf-r-samp", "nan-shift", "nan-carrier", "nan-flat"],
+)
+def test_exit_code_noise_probes(tmp_path, command, noise):
+    # A noise parameter the noise classes reject is a configuration error
+    # for every command, whether or not it samples the process.
+    cfg = _write_config(
+        tmp_path, BASE_SEQUENCE + "[noise]\n" + noise + "\n[pipeline]\nduration_s = 1\n"
+    )
+    out = tmp_path / "table.csv"
+    extra = ["--n-realizations", "100"] if command == "montecarlo" else []
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
     assert not out.exists()
 
 
