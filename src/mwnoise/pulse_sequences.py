@@ -25,12 +25,12 @@ r takes its analytic limit
     even N:  r = -N cos(z/2) / sin(z / (2N))
     odd N:   r =  N sin(z/2) / sin(z / (2N))
 
-(|r| = N there).  Integrals use a trapezoid rule on a frequency lattice anchored at integer
-multiples of a fixed step (1 / (tau_tot * oversample)).  The lattice both
-resolves every oscillation of F (period 1/tau_tot) and makes integrals
-exactly additive over adjacent intervals, because the integrand is the
-piecewise-linear interpolant on a grid that does not depend on the query
-interval.
+(|r| = N there).  Integrals use a trapezoid rule on a frequency lattice
+anchored at integer multiples of a fixed step (1 / (tau_tot * oversample)).
+The lattice both resolves every oscillation of F (period 1/tau_tot) and
+makes integrals exactly additive over adjacent intervals, because the
+integrand is the piecewise-linear interpolant on a grid that does not
+depend on the query interval.
 """
 
 from __future__ import annotations
@@ -197,10 +197,10 @@ def filter_function_value(ff: FilterFunction, f) -> np.ndarray:
     f_flat = f_arr.ravel()
     half_z = np.pi * f_flat * seq.tau_tot
     h = np.sin(half_z) if n % 2 == 0 else np.cos(half_z)
-    r = np.cos(half_z / n)
-    pole = np.flatnonzero(np.abs(r) < 1e-9)
-    r[pole] = 1.0
-    np.divide(h, r, out=r)
+    den = np.cos(half_z / n)
+    pole = np.flatnonzero(np.abs(den) < 1e-9)
+    den[pole] = 1.0
+    r = np.divide(h, den, out=den)
     half_zp = half_z[pole]
     r[pole] = n * (np.sin(half_zp) if n % 2 else -np.cos(half_zp)) / np.sin(half_zp / n)
     if ff.finite_pulse_correction and seq.t_pi > 0:
