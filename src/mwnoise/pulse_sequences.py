@@ -211,48 +211,77 @@ def filter_function_value(ff: FilterFunction, f) -> np.ndarray:
     return r.reshape(f_arr.shape) if f_arr.ndim else float(r[0])
 
 
-def _lattice_points(step: float, f_lo: float, f_hi: float) -> tuple[int, np.ndarray]:
-    """(k0, points): the integer multiples k*step, k = k0, k0 + 1, ...,
-    bracketing [f_lo, f_hi] from both sides, at least two of them."""
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise ValueError("integration bounds must be finite")
-    k_lo = math.floor(f_lo / step)
-    k_hi = math.ceil(f_hi / step)
-    k0 = max(k_lo, 0)
-    return k0, np.arange(k0, max(k_hi, k_lo + 1) + 1) * step
+# Lattice points per block of the quadrature: blocks start at absolute
+# multiples of _BLOCK, so the integrand at a lattice point does not depend on
+# the interval being integrated.
+_BLOCK = 1 << 16
 
 
-def _interpolant_integral(
-    values_fn, step: float, f_lo: float, f_hi: float | np.ndarray
+def _lattice_integral(
+    ff: FilterFunction, weight_fn, f_lo: float, f_hi: float | np.ndarray, oversample: int
 ) -> float | np.ndarray:
     """Integral from ``f_lo`` to ``f_hi`` of the piecewise-linear interpolant
-    of ``values_fn`` sampled on the absolute lattice k*step; ``f_hi`` may be
-    an array of upper bounds, each getting its own integral.
+    of weight_fn(f) * F(f) (F alone when ``weight_fn`` is None) sampled on
+    the absolute lattice f_k = k * step, step = 1 / (oversample tau_tot);
+    ``f_hi`` may be an array of upper bounds, each getting its own integral.
 
-    Because the interpolant is defined on a lattice independent of the query
-    interval, integrals are exactly additive over adjacent intervals.
+    The lattice spans the integer multiples of step bracketing [f_lo,
+    max(f_hi)], at least two points.  It is walked block by block, carrying
+    the running trapezoid sum, so memory does not grow with its length;
+    each bound is read off the block holding its panel.  Because the
+    interpolant is defined on a lattice independent of the query interval,
+    integrals are exactly additive over adjacent intervals.
     """
     f_hi = np.asarray(f_hi, dtype=float)
-    k0, grid = _lattice_points(step, f_lo, float(np.max(f_hi)))
-    vals = values_fn(grid)
-    # Cumulative trapezoid along the lattice, then correct the partial end
-    # panel of each query point using the same linear interpolant.
-    inner = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)))
+    if not (math.isfinite(f_lo) and np.all(np.isfinite(f_hi))):
+        raise ValueError("integration bounds must be finite")
+    if oversample < 2:
+        raise ValueError("oversample must be at least 2")
+    step = 1.0 / (ff.sequence.tau_tot * oversample)
+    k_lo = math.floor(f_lo / step)
+    k0 = max(k_lo, 0)
+    k_end = max(math.ceil(float(np.max(f_hi)) / step), k_lo + 1)
 
-    def cumulative(x: np.ndarray, last_panel) -> np.ndarray:
-        idx = np.minimum(((x - grid[0]) // step).astype(int), last_panel)
-        x0 = grid[idx]
-        frac = (x - x0) / step
-        v0 = vals[idx]
-        v1 = vals[idx + 1]
-        vx = v0 + (v1 - v0) * frac
-        return np.where(x <= grid[0], 0.0, inner[idx] + 0.5 * (v0 + vx) * (x - x0))
+    # Panel (k, k + 1) of each bound, f_lo last.  Each upper bound is read
+    # off no later panel than the last one of the lattice a scalar call up to
+    # that bound builds, so a bound on a lattice point gives the same bits in
+    # an array as alone.
+    x = np.append(f_hi, f_lo)
+    last = np.append(np.maximum(np.ceil(f_hi / step) - k0 - 1, 0), k_end - k0 - 1)
+    panel = k0 + np.clip((x - k0 * step) // step, 0, last).astype(int)
+    inner = np.empty_like(x)  # trapezoid sum from k0 * step to panel * step
+    v0 = np.empty_like(x)
+    v1 = np.empty_like(x)
 
-    # Each upper bound is read off no later panel than the last one of the
-    # lattice a scalar call up to that bound builds, so a bound on a lattice
-    # point gives the same bits in an array as alone.
-    last_hi = np.maximum(np.ceil(f_hi / step) - k0 - 1, 0).astype(int)
-    result = cumulative(f_hi, last_hi) - cumulative(np.asarray(float(f_lo)), len(grid) - 2)
+    carry = last_val = 0.0
+    k_start = k0
+    while k_start <= k_end:
+        k_stop = min((k_start // _BLOCK + 1) * _BLOCK, k_end + 1)
+        f = np.arange(k_start, k_stop) * step
+        vals = filter_function_value(ff, f)
+        if weight_fn is not None:
+            vals = weight_fn(f) * vals
+        # acc[i + 1] is the running sum at point k_start + i: the carry, the
+        # panel from the previous block's last point, then this block's panels.
+        acc = np.empty(vals.size + 1)
+        acc[0] = carry
+        acc[1] = 0.0 if k_start == k0 else 0.5 * (last_val + vals[0]) * step
+        np.add(vals[1:], vals[:-1], out=acc[2:])
+        acc[2:] *= 0.5
+        acc[2:] *= step
+        np.cumsum(acc, out=acc)
+        here = np.flatnonzero((panel >= k_start) & (panel < k_stop))
+        inner[here] = acc[panel[here] - k_start + 1]
+        v0[here] = vals[panel[here] - k_start]
+        here = np.flatnonzero((panel + 1 >= k_start) & (panel + 1 < k_stop))
+        v1[here] = vals[panel[here] + 1 - k_start]
+        carry, last_val = acc[-1], vals[-1]
+        k_start = k_stop
+
+    x0 = panel * step
+    vx = v0 + (v1 - v0) * ((x - x0) / step)
+    cumulative = np.where(x <= k0 * step, 0.0, inner + 0.5 * (v0 + vx) * (x - x0))
+    result = (cumulative[:-1] - cumulative[-1]).reshape(f_hi.shape)
     return result if result.ndim else float(result)
 
 
@@ -279,11 +308,7 @@ def filter_function_integral(
     """
     if f_lo < 0 or np.any(np.asarray(f_hi) < f_lo):
         raise ValueError("need 0 <= f_lo <= f_hi")
-    if oversample < 2:
-        raise ValueError("oversample must be at least 2")
-    step = 1.0 / (ff.sequence.tau_tot * oversample)
-    value = _interpolant_integral(lambda g: filter_function_value(ff, g), step, f_lo, f_hi)
-    return 2.0 * math.pi * value
+    return 2.0 * math.pi * _lattice_integral(ff, None, f_lo, f_hi, oversample)
 
 
 def band_integral_weighted(
@@ -295,12 +320,8 @@ def band_integral_weighted(
 ) -> float:
     """Integral of weight(f) * F(f) df over [f_lo, f_hi] (ordinary frequency
     measure, no 2 pi).  Shares the anchored lattice with
-    :func:`filter_function_integral`."""
+    :func:`filter_function_integral`; ``weight_fn`` is called on ascending
+    blocks of lattice frequencies."""
     if f_lo < 0 or f_hi < f_lo:
         raise ValueError("need 0 <= f_lo <= f_hi")
-    step = 1.0 / (ff.sequence.tau_tot * oversample)
-
-    def integrand(grid: np.ndarray) -> np.ndarray:
-        return weight_fn(grid) * filter_function_value(ff, grid)
-
-    return _interpolant_integral(integrand, step, f_lo, f_hi)
+    return _lattice_integral(ff, weight_fn, f_lo, f_hi, oversample)
