@@ -196,19 +196,74 @@ def filter_function_value(ff: FilterFunction, f) -> np.ndarray:
         raise ValueError("frequency must be nonnegative and finite")
     f_flat = f_arr.ravel()
     half_z = np.pi * f_flat * seq.tau_tot
-    h = np.sin(half_z) if n % 2 == 0 else np.cos(half_z)
-    den = np.cos(half_z / n)
-    pole = np.flatnonzero(np.abs(den) < 1e-9)
-    den[pole] = 1.0
-    r = np.divide(h, den, out=den)
-    half_zp = half_z[pole]
-    r[pole] = n * (np.sin(half_zp) if n % 2 else -np.cos(half_zp)) / np.sin(half_zp / n)
+    h = _h(half_z, n)
+    r = _ratio(h, np.cos(half_z / n), half_z, n)
     if ff.finite_pulse_correction and seq.t_pi > 0:
         r *= np.cos(np.pi * f_flat * seq.t_pi)
     r -= h
     r *= r
     r *= 4.0
     return r.reshape(f_arr.shape) if f_arr.ndim else float(r[0])
+
+
+def _h(half_z: np.ndarray, n: int) -> np.ndarray:
+    """h at half_z = z/2: sin(z/2) for even N, cos(z/2) for odd N."""
+    return np.sin(half_z) if n % 2 == 0 else np.cos(half_z)
+
+
+def _ratio(h: np.ndarray, den: np.ndarray, half_z: np.ndarray, n: int) -> np.ndarray:
+    """r = h / den, den = cos(z / (2N)) at half_z = z/2, taking its analytic
+    limit where |den| < 1e-9, computed on those entries only.  Overwrites
+    ``den``."""
+    pole = np.flatnonzero(np.abs(den) < 1e-9)
+    den[pole] = 1.0
+    r = np.divide(h, den, out=den)
+    half_zp = half_z[pole]
+    r[pole] = n * (np.sin(half_zp) if n % 2 else -np.cos(half_zp)) / np.sin(half_zp / n)
+    return r
+
+
+def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
+    """F on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
+    as a function of a contiguous run of k inside one aligned block.
+
+    At f_k, z/2 = pi k / oversample, so h repeats every 2 oversample points
+    and cos(z / (2N)) every 2 oversample N: r and h are read from tables
+    over one such period, built here (shorter when the lattice is).  With
+    M = oversample N the table of cos(z / (2N)) = cos(pi j / M) is
+    (-1)^(j // M) sin(pi (M - 2 (j mod M)) / (2M)), whose argument is
+    exact up to one rounding next to its zeros, so r keeps its full
+    relative precision beside the poles.  The pulse gain g = cos(a k),
+    a = pi t_pi / (oversample tau_tot), advances by a fixed angle per point:
+    in the block starting at b, g is the table of cos(a j), sin(a j),
+    j = k - b, rotated by the angle a b.
+    """
+    seq = ff.sequence
+    n = seq.n_pi
+    m = oversample * n
+    j = np.arange(min(2 * m, n_points))
+    h = _h((np.pi / oversample) * (j % (2 * oversample)), n)
+    den = np.sin((np.pi / (2 * m)) * (m - 2 * (j % m)))
+    den[m:] *= -1.0
+    r = _ratio(h, den, (np.pi / oversample) * j, n)
+    gain = ff.finite_pulse_correction and seq.t_pi > 0
+    if gain:
+        angle = np.pi * seq.t_pi / (oversample * seq.tau_tot)
+        turns = angle * np.arange(min(_BLOCK, n_points))
+        cos_j, sin_j = np.cos(turns), np.sin(turns)
+
+    def values(k: np.ndarray) -> np.ndarray:
+        out = np.take(r, k, mode="wrap")
+        if gain:
+            base = int(k[0]) - int(k[0]) % _BLOCK
+            j = slice(int(k[0]) - base, int(k[-1]) + 1 - base)
+            out *= math.cos(angle * base) * cos_j[j] - math.sin(angle * base) * sin_j[j]
+        out -= np.take(h, k, mode="wrap")
+        out *= out
+        out *= 4.0
+        return out
+
+    return values
 
 
 # Lattice points per block of the quadrature: blocks start at absolute
@@ -235,8 +290,9 @@ def _lattice_integral(
     f_hi = np.asarray(f_hi, dtype=float)
     if not (math.isfinite(f_lo) and np.all(np.isfinite(f_hi))):
         raise ValueError("integration bounds must be finite")
-    if oversample < 2:
-        raise ValueError("oversample must be at least 2")
+    if oversample < 2 or oversample != int(oversample):
+        raise ValueError("oversample must be an integer of at least 2")
+    oversample = int(oversample)
     step = 1.0 / (ff.sequence.tau_tot * oversample)
     k_lo = math.floor(f_lo / step)
     k0 = max(k_lo, 0)
@@ -253,14 +309,15 @@ def _lattice_integral(
     v0 = np.empty_like(x)
     v1 = np.empty_like(x)
 
+    filter_on = _lattice_filter(ff, oversample, k_end + 1)
     carry = last_val = 0.0
     k_start = k0
     while k_start <= k_end:
         k_stop = min((k_start // _BLOCK + 1) * _BLOCK, k_end + 1)
-        f = np.arange(k_start, k_stop) * step
-        vals = filter_function_value(ff, f)
+        k = np.arange(k_start, k_stop)
+        vals = filter_on(k)
         if weight_fn is not None:
-            vals = weight_fn(f) * vals
+            vals *= weight_fn(k * step)
         # acc[i + 1] is the running sum at point k_start + i: the carry, the
         # panel from the previous block's last point, then this block's panels.
         acc = np.empty(vals.size + 1)

@@ -1,6 +1,7 @@
 """Analytic sensitivity formulas: pulsed eta family and the cw model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ def test_sigma_phi_goldens_presets(preset, n_r, finite):
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
     got = mw.sigma_phi_filter(mw.preset_spectrum(preset), seq, finite_pulse_correction=finite)
     assert got == pytest.approx(SIGMA_PHI_GOLDENS[preset, n_r, finite], rel=1e-12, abs=0)
+
+
+def test_sigma_phi_bounded_memory_at_xy8_512():
+    # The XY8-512 lattice has 14.3 M points; holding it whole took several
+    # 114 MB arrays at once.
+    seq = mw.make_xy8(512, 458e3, T_PI, T_DEAD)
+    tracemalloc.start()
+    try:
+        sigma = mw.sigma_phi_filter(mw.preset_spectrum("g1-2.5ghz"), seq)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(sigma)
+    assert peak_mb < 32.0
 
 
 def test_sigma_phi_scales_with_level():

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mwnoise as mw
-from mwnoise.pulse_sequences import band_integral_weighted
+from mwnoise.pulse_sequences import _BLOCK, _lattice_filter, band_integral_weighted
 
 T_PI = 48e-9
 T_DEAD = 15e-6
@@ -199,6 +199,30 @@ def test_filter_matches_literal_phasor_sum_on_lattice(n_pi, finite):
     assert mw.filter_function_value(ff, f1) == float(got[200])
 
 
+@pytest.mark.parametrize("n_pi", [1, 3, 8, 64])
+@pytest.mark.parametrize("finite", [False, True], ids=["delta", "finite"])
+def test_lattice_filter_tables_match_direct_evaluation(n_pi, finite):
+    # The quadrature reads F on its lattice from per-call tables of r and h
+    # and a rotated table of the pulse gain.  Check runs in several blocks,
+    # and runs around exact passband harmonics k = 16 N (2m + 1), against
+    # the direct evaluation and the literal phasor sum.
+    seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 69.9e-6 / (2 * n_pi), T_PI)
+    ff = mw.FilterFunction(seq, finite_pulse_correction=finite)
+    step = 1.0 / (seq.tau_tot * 32)
+    harmonics = 16 * n_pi * (2 * np.array([0, 3, 40, 2000]) + 1)
+    runs = [(b * _BLOCK, b * _BLOCK + 500) for b in (0, 1, 7)]
+    runs += [(max(k - 9, k - k % _BLOCK), min(k + 10, k - k % _BLOCK + _BLOCK)) for k in harmonics]
+    values = _lattice_filter(ff, 32, 8 * _BLOCK)
+    k = np.concatenate([np.arange(a, b) for a, b in runs])
+    got = np.concatenate([values(np.arange(a, b)) for a, b in runs])
+    f = k * step
+    assert_allclose(got, mw.filter_function_value(ff, f), rtol=1e-9, atol=1e-9)
+    assert_allclose(got, _literal_filter(seq, f, finite), rtol=1e-9, atol=1e-6)
+    at_pole = np.isin(k, harmonics)
+    gain = np.cos(np.pi * f[at_pole] * seq.t_pi) if finite else 1.0
+    assert_allclose(got[at_pole], 4.0 * n_pi**2 * gain**2, rtol=1e-12)
+
+
 def test_filter_fine_grid_peak_golden():
     # Brute-force maximum of the N=8 delta-pulse response near the first
     # harmonic, frozen from a 10^6-point scan.  The true maximum sits a few
@@ -255,6 +279,31 @@ def test_filter_integral_additivity():
     f_hi = np.array([1e5, seq.f_center, 2.34e6, 5e6, 0.0])
     running = mw.filter_function_integral(ff, 0.0, f_hi)
     assert running.tolist() == [mw.filter_function_integral(ff, 0.0, f) for f in f_hi]
+
+
+def test_filter_integral_array_bounds_across_block_edge():
+    # The lattice is walked in blocks; bounds on both sides of a block edge,
+    # on it, on the lattice points next to it and on the last lattice point
+    # give the same bits in one array call as in one scalar call each, from
+    # zero and from a lower bound inside the first block.
+    seq = mw.PulseSequence(mw.SequenceKind.XY8, 16, 521.85e-9, T_PI)
+    ff = mw.FilterFunction(seq)
+    step = 1.0 / (seq.tau_tot * 32)
+    edge = _BLOCK * step
+    f_hi = np.array(
+        [edge - 0.3 * step, (_BLOCK - 1) * step, edge, edge + 1e-3 * step,
+         (_BLOCK + 1) * step, 1.7 * edge, 2.5 * edge, (3 * _BLOCK + 17) * step]
+    )
+    for f_lo in (0.0, edge - 5.5 * step):
+        bounds = f_hi[f_hi >= f_lo]
+        running = mw.filter_function_integral(ff, f_lo, bounds)
+        assert running.tolist() == [mw.filter_function_integral(ff, f_lo, f) for f in bounds]
+    # Splitting at the block edge is additive.
+    whole = mw.filter_function_integral(ff, 0.0, 2.5 * edge)
+    parts = mw.filter_function_integral(ff, 0.0, edge) + mw.filter_function_integral(
+        ff, edge, 2.5 * edge
+    )
+    assert parts == pytest.approx(whole, rel=1e-12)
 
 
 def test_filter_integral_degenerate_and_validation():
