@@ -225,11 +225,12 @@ def _ratio(h: np.ndarray, den: np.ndarray, half_z: np.ndarray, n: int) -> np.nda
 
 def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     """F on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
-    as a function of a contiguous run of k inside one aligned block.
+    as a function of (k_start, k_stop), a run of k inside one aligned block.
 
     At f_k, z/2 = pi k / oversample, so h repeats every 2 oversample points
-    and cos(z / (2N)) every 2 oversample N: r and h are read from tables
-    over one such period, built here (shorter when the lattice is).  With
+    and cos(z / (2N)) every 2 oversample N: r and h are sliced from tables
+    over one such period, built here (shorter when the lattice is), and
+    extended by one block so that every run is a single slice.  With
     M = oversample N the table of cos(z / (2N)) = cos(pi j / M) is
     (-1)^(j // M) sin(pi (M - 2 (j mod M)) / (2M)), whose argument is
     exact up to one rounding next to its zeros, so r keeps its full
@@ -241,24 +242,31 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     seq = ff.sequence
     n = seq.n_pi
     m = oversample * n
-    j = np.arange(min(2 * m, n_points))
+    period = 2 * m
+    j = np.arange(min(period, n_points))
     h = _h((np.pi / oversample) * (j % (2 * oversample)), n)
     den = np.sin((np.pi / (2 * m)) * (m - 2 * (j % m)))
     den[m:] *= -1.0
     r = _ratio(h, den, (np.pi / oversample) * j, n)
+    if n_points > period:
+        r, h = np.resize(r, period + _BLOCK), np.resize(h, period + _BLOCK)
     gain = ff.finite_pulse_correction and seq.t_pi > 0
     if gain:
         angle = np.pi * seq.t_pi / (oversample * seq.tau_tot)
         turns = angle * np.arange(min(_BLOCK, n_points))
         cos_j, sin_j = np.cos(turns), np.sin(turns)
 
-    def values(k: np.ndarray) -> np.ndarray:
-        out = np.take(r, k, mode="wrap")
+    def values(k_start: int, k_stop: int) -> np.ndarray:
+        at = slice(k_start % period, k_start % period + k_stop - k_start)
         if gain:
-            base = int(k[0]) - int(k[0]) % _BLOCK
-            j = slice(int(k[0]) - base, int(k[-1]) + 1 - base)
-            out *= math.cos(angle * base) * cos_j[j] - math.sin(angle * base) * sin_j[j]
-        out -= np.take(h, k, mode="wrap")
+            base = k_start - k_start % _BLOCK
+            j = slice(k_start - base, k_stop - base)
+            out = math.cos(angle * base) * cos_j[j]
+            out -= math.sin(angle * base) * sin_j[j]
+            out *= r[at]
+        else:
+            out = r[at].copy()
+        out -= h[at]
         out *= out
         out *= 4.0
         return out
@@ -314,10 +322,9 @@ def _lattice_integral(
     k_start = k0
     while k_start <= k_end:
         k_stop = min((k_start // _BLOCK + 1) * _BLOCK, k_end + 1)
-        k = np.arange(k_start, k_stop)
-        vals = filter_on(k)
+        vals = filter_on(k_start, k_stop)
         if weight_fn is not None:
-            vals *= weight_fn(k * step)
+            vals *= weight_fn(np.arange(k_start, k_stop) * step)
         # acc[i + 1] is the running sum at point k_start + i: the carry, the
         # panel from the previous block's last point, then this block's panels.
         acc = np.empty(vals.size + 1)
