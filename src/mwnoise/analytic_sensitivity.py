@@ -101,10 +101,11 @@ def sigma_phi_filter(
     ff = FilterFunction(seq, finite_pulse_correction=finite_pulse_correction)
 
     def weight(f: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(f)
-        positive = f > 0
-        out[positive] = ssb_to_psd(spectrum, f[positive])
-        return out
+        # Lattice blocks ascend, so only leading points can sit at f = 0,
+        # where S(0) counts as 0.
+        zeros = int(np.searchsorted(f, 0.0, side="right"))
+        psd = ssb_to_psd(spectrum, f[zeros:])
+        return np.concatenate((np.zeros(zeros), psd)) if zeros else psd
 
     var = band_integral_weighted(ff, weight, 0.0, f_cutoff, oversample=oversample)
     if not math.isfinite(var) or var < 0:

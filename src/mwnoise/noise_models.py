@@ -126,10 +126,49 @@ class PhaseNoiseSpectrum:
 
 
 def ssb_to_psd(spectrum: PhaseNoiseSpectrum, f) -> np.ndarray:
-    """One-sided phase PSD S_phi(f) = 2 * 10^(L(f)/10), rad^2/Hz."""
-    l_val = spectrum.l_at(f)
-    out = 2.0 * np.power(10.0, np.asarray(l_val) / 10.0)
-    return out if out.ndim else float(out)
+    """One-sided phase PSD S_phi(f) = 2 * 10^(L(f)/10), rad^2/Hz, with L
+    from :meth:`PhaseNoiseSpectrum.l_at`'s rules.
+
+    L is linear in ln f on each segment of the table (the hold below the
+    first offset, each span between offsets, the extrapolation above the
+    last), so S is one power law exp(a_i + b_i ln f) per segment.  The
+    segments' bounds come from one search of the offsets in the sorted
+    frequencies, so each segment is a slice with scalar a_i, b_i.
+    """
+    f_arr = np.asarray(f, dtype=float)
+    if np.any(f_arr <= 0):
+        raise ValueError("offset frequency must be positive")
+    flat = f_arr.ravel()
+    order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else None
+    if order is not None:
+        flat = flat[order]
+    out = np.log(flat)
+    bounds = [0, *np.searchsorted(flat, spectrum.offsets_hz), flat.size]
+    for i, (a, b) in enumerate(_power_laws(spectrum)):
+        segment = out[bounds[i] : bounds[i + 1]]
+        segment *= b
+        segment += a
+    np.exp(out, out=out)
+    np.maximum(out, 2.0 * 10.0 ** (L_FLOOR_DBC / 10.0), out=out)
+    if order is not None:
+        out[order] = out.copy()
+    return out.reshape(f_arr.shape) if f_arr.ndim else float(out[0])
+
+
+def _power_laws(spectrum: PhaseNoiseSpectrum) -> list[tuple[float, float]]:
+    """(a_i, b_i) with S = exp(a_i + b_i ln f) on each segment of the table:
+    below the first offset, between consecutive offsets, above the last."""
+    x = [math.log(f_off) for f_off in spectrum.offsets_hz]
+    l_tab = spectrum.l_dbc
+    db = math.log(10.0) / 10.0  # d ln S / d L
+    # Segment i runs from knot i - 1 (clamped to the table) with slope s_i.
+    slopes = [0.0] + [(l_tab[i + 1] - l_tab[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    slopes.append(slopes[-1])
+    laws = []
+    for i, slope in enumerate(slopes):
+        knot = min(max(i - 1, 0), len(x) - 1)
+        laws.append((math.log(2.0) + db * (l_tab[knot] - slope * x[knot]), db * slope))
+    return laws
 
 
 def mix_spectra(

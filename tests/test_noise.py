@@ -80,6 +80,35 @@ def test_ssb_to_psd_examples():
         assert float(mw.ssb_to_psd(flat, f)) == pytest.approx(2e-10, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        mw.preset_spectrum("g1-2.5ghz"),
+        mw.preset_spectrum("g2-2.1ghz"),
+        _two_point(),
+        # Steep enough to reach the -200 dBc/Hz floor at about 13 kHz.
+        mw.PhaseNoiseSpectrum(1e9, (1e3, 1e4), (-100.0, -190.0)),
+        mw.PhaseNoiseSpectrum(1e9, (1e3,), (-100.0,)),
+    ],
+    ids=["g1", "g2", "two-point", "floor", "one-knot"],
+)
+def test_ssb_to_psd_power_laws_match_l_at(spec):
+    # ssb_to_psd evaluates each segment as a power law; l_at is the dBc
+    # oracle.  1 Hz to 1e12 Hz covers the hold below the first knot, every
+    # span, the extrapolation above the last knot and the floor.
+    f = np.geomspace(1.0, 1e12, 20_001)
+    f = np.concatenate((f, spec.offsets_hz))
+    got = mw.ssb_to_psd(spec, f)
+    assert_allclose(got, 2.0 * 10.0 ** (spec.l_at(f) / 10.0), rtol=1e-13, atol=0)
+    # Unsorted and scalar inputs give the same values.
+    order = np.random.default_rng(3).permutation(f.size)
+    assert_array_equal(mw.ssb_to_psd(spec, f[order]), got[order])
+    scalar = mw.ssb_to_psd(spec, float(f[-1]))
+    assert isinstance(scalar, float) and scalar == got[-1]
+    with pytest.raises(ValueError):
+        mw.ssb_to_psd(spec, np.array([1e3, 0.0]))
+
+
 def test_shift_and_carrier_scaling():
     spec = _two_point()
     up = spec.shifted_db(3.0103)
