@@ -533,11 +533,8 @@ def test_exit_code_nan_sigma_writes_no_table(tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize(
     "body",
-    [
-        "[noise]\nsource = flat\nl_dbc = 4000\n",
-        "[noise]\nsource = preset\npreset = g1-2.5ghz\nf_cutoff_hz = inf\n",
-    ],
-    ids=["overflowing-spectrum", "infinite-cutoff"],
+    ["[noise]\nsource = flat\nl_dbc = 4000\n"],
+    ids=["overflowing-spectrum"],
 )
 def test_exit_code_numeric_probes(tmp_path, body):
     cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
@@ -554,8 +551,12 @@ def test_exit_code_numeric_probes(tmp_path, body):
         ("[run]\nworkers = 0\n", []),
         ("", ["--workers", "0"]),
         ("[readout]\ncontrast = 1.5\nn_photons = 0.05\n", []),
+        ("[noise]\nsource = preset\npreset = g1-2.5ghz\nf_cutoff_hz = inf\n", []),
     ],
-    ids=["sweep-value", "sweep-non-integer", "workers-ini", "workers-flag", "contrast"],
+    ids=[
+        "sweep-value", "sweep-non-integer", "workers-ini", "workers-flag", "contrast",
+        "infinite-cutoff",
+    ],
 )
 def test_exit_code_config_probes(tmp_path, body, extra):
     cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
@@ -589,12 +590,18 @@ def test_exit_code_non_finite_timing(tmp_path, key, value):
         "source = preset\npreset = g1-2.5ghz\nshift_db = nan",
         "source = preset\npreset = g1-2.5ghz\ncarrier_ghz = nan",
         "source = flat\nl_dbc = nan",
+        "source = preset\npreset = g1-2.5ghz\nf_cutoff_hz = nan",
+        "source = preset\npreset = g1-2.5ghz\nf_cutoff_hz = 0",
     ],
-    ids=["nan-sigma-wh", "negative-sigma-wh", "inf-r-samp", "nan-shift", "nan-carrier", "nan-flat"],
+    ids=[
+        "nan-sigma-wh", "negative-sigma-wh", "inf-r-samp", "nan-shift", "nan-carrier", "nan-flat",
+        "nan-cutoff", "zero-cutoff",
+    ],
 )
 def test_exit_code_noise_probes(tmp_path, command, noise):
-    # A noise parameter the noise classes reject is a configuration error
-    # for every command, whether or not it samples the process.
+    # A noise parameter the noise classes or the config reader reject is a
+    # configuration error for every command, whether or not it samples the
+    # process.
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE + "[noise]\n" + noise + "\n[pipeline]\nduration_s = 1\n"
     )
