@@ -160,15 +160,11 @@ def _power_laws(spectrum: PhaseNoiseSpectrum) -> list[tuple[float, float]]:
     below the first offset, between consecutive offsets, above the last."""
     x = [math.log(f_off) for f_off in spectrum.offsets_hz]
     l_tab = spectrum.l_dbc
+    spans = [(l_tab[i + 1] - l_tab[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    # (knot, slope of L in dB per unit of ln f) through which each segment runs.
+    segments = [(0, 0.0), *enumerate(spans), (len(x) - 1, spans[-1] if spans else 0.0)]
     db = math.log(10.0) / 10.0  # d ln S / d L
-    # Segment i runs from knot i - 1 (clamped to the table) with slope s_i.
-    slopes = [0.0] + [(l_tab[i + 1] - l_tab[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
-    slopes.append(slopes[-1])
-    laws = []
-    for i, slope in enumerate(slopes):
-        knot = min(max(i - 1, 0), len(x) - 1)
-        laws.append((math.log(2.0) + db * (l_tab[knot] - slope * x[knot]), db * slope))
-    return laws
+    return [(math.log(2.0) + db * (l_tab[i] - slope * x[i]), db * slope) for i, slope in segments]
 
 
 def mix_spectra(
