@@ -4,7 +4,10 @@ Single-sideband noise L(f) in dBc/Hz converts to a one-sided phase PSD
 S_phi(f) = 2 * 10^(L(f)/10) in rad^2/Hz.  Tabulated spectra are
 interpolated linearly in (log10 f, L); below the first tabulated offset the
 first value is held, above the last the final slope is extrapolated with a
-floor of -200 dBc/Hz.
+floor of -200 dBc/Hz.  Each of these segments is a power law in f, so
+:func:`ssb_to_psd` evaluates S as exp(a_i + b_i ln f) segment by segment,
+one log and one exp per frequency, while ``PhaseNoiseSpectrum.l_at``
+keeps the dBc form and serves as its reference.
 
 Three stochastic processes generate per-pulse phase samples for the time
 domain simulator: white (independent per pulse), random walk (independent
@@ -136,8 +139,8 @@ def ssb_to_psd(spectrum: PhaseNoiseSpectrum, f) -> np.ndarray:
     frequencies, so each segment is a slice with scalar a_i, b_i.
     """
     f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr <= 0):
-        raise ValueError("offset frequency must be positive")
+    if not (np.all(f_arr > 0) and np.max(f_arr, initial=1.0) < math.inf):
+        raise ValueError("offset frequency must be positive and finite")
     flat = f_arr.ravel()
     order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else None
     if order is not None:

@@ -105,8 +105,9 @@ def test_ssb_to_psd_power_laws_match_l_at(spec):
     assert_array_equal(mw.ssb_to_psd(spec, f[order]), got[order])
     scalar = mw.ssb_to_psd(spec, float(f[-1]))
     assert isinstance(scalar, float) and scalar == got[-1]
-    with pytest.raises(ValueError):
-        mw.ssb_to_psd(spec, np.array([1e3, 0.0]))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mw.ssb_to_psd(spec, np.array([1e3, bad]))
 
 
 def test_shift_and_carrier_scaling():
