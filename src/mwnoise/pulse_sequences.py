@@ -31,6 +31,18 @@ The lattice both resolves every oscillation of F (period 1/tau_tot) and
 makes integrals exactly additive over adjacent intervals, because the
 integrand is the piecewise-linear interpolant on a grid that does not
 depend on the query interval.
+
+The lattice is never built whole.  The quadrature walks it in blocks of
+2^16 points, aligned to absolute multiples of the block size, and carries
+the running trapezoid sum from block to block, so its memory does not grow
+with the lattice (14.3 M points at XY8-512 up to 100 MHz).  On the lattice
+z/2 = pi k / oversample, so no trig call is needed per point: h repeats
+every 2 oversample points and cos(z / (2N)) every 2 oversample N, so r and
+h are sliced from tables over one period, built once per integral, and
+g = cos(pi f t_pi) turns by a fixed angle per point, so each block's g is
+a table of cos and sin of that angle's multiples rotated by the block's
+start angle.  The tables share the division and pole-limit code with
+:func:`filter_function_value`, which evaluates F at any other frequency.
 """
 
 from __future__ import annotations
