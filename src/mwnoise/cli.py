@@ -207,10 +207,9 @@ def load_config(path: str | Path | None) -> dict:
             if key not in _DEFAULTS[section]:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
             cfg[section][key] = _coerce(section, key, parser.get(section, key))
-    if not 0 < cfg["noise"]["f_cutoff_hz"] < math.inf:
-        raise ConfigError(
-            f"[noise] f_cutoff_hz must be positive and finite, got {cfg['noise']['f_cutoff_hz']!r}"
-        )
+    cutoff = cfg["noise"]["f_cutoff_hz"]
+    if not 0 < cutoff < math.inf:
+        raise ConfigError(f"[noise] f_cutoff_hz must be positive and finite, got {cutoff!r}")
     return cfg
 
 

@@ -235,6 +235,12 @@ def _ratio(h: np.ndarray, den: np.ndarray, half_z: np.ndarray, n: int) -> np.nda
     return r
 
 
+# Lattice points per block of the quadrature: blocks start at absolute
+# multiples of _BLOCK, so the integrand at a lattice point does not depend on
+# the interval being integrated.
+_BLOCK = 1 << 16
+
+
 def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     """F on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
     as a function of (k_start, k_stop), a run of k inside one aligned block.
@@ -284,12 +290,6 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
         return out
 
     return values
-
-
-# Lattice points per block of the quadrature: blocks start at absolute
-# multiples of _BLOCK, so the integrand at a lattice point does not depend on
-# the interval being integrated.
-_BLOCK = 1 << 16
 
 
 def _lattice_integral(
