@@ -61,15 +61,15 @@ from .pulse_sequences import (
 )
 from .signal_pipeline import (
     FitError,
-    amplitude_spectrum,
     estimate_noise_floor,
     excess_noise,
     fit_calibration,
+    gradiometer_spectra,
     save_amplitude_spectrum,
     shot_sigma_from_readout,
-    synthesize_stream,
+    stream_spectra,
 )
-from .spin_simulator import monte_carlo_sigma_phi, simulate_gradiometer
+from .spin_simulator import monte_carlo_sigma_phi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -517,9 +517,12 @@ def _predict_point(cfg):
         else float("nan")
     )
     readout = build_readout(cfg)
-    eta_shot = (
-        eta_shot_noise(readout, seq) if isinstance(readout, ReadoutModel) else float("nan")
-    )
+    if isinstance(readout, ReadoutModel):
+        eta_shot = eta_shot_noise(readout, seq)
+    elif cfg["readout"]["shot_sigma"] is not None:
+        eta_shot = eta_phi(readout, seq)
+    else:
+        eta_shot = float("nan")
     eta_johnson = eta_johnson_pulsed(noise_cfg["l_johnson_dbc"], seq.n_pi, seq.tau_tot)
     row = [
         float(seq.tau_tot),
@@ -602,9 +605,22 @@ def cmd_montecarlo(cfg: dict, args) -> None:
 
 # --- pipeline -------------------------------------------------------------------
 
+def _check_pipeline_params(p: dict) -> None:
+    for key in ("duration_s", "interval_s"):
+        if not 0 < p[key] < math.inf:
+            raise ConfigError(f"[pipeline] {key} must be positive and finite, got {p[key]!r}")
+    for key in ("test_field_pt", "uniform_pt", "gradient_pt"):
+        if not math.isfinite(p[key]):
+            raise ConfigError(f"[pipeline] {key} must be finite, got {p[key]!r}")
+    for key in ("f_test_khz", "f_uniform_khz", "f_gradient_khz"):
+        if p[key] is not None and not 0 <= p[key] < math.inf:
+            raise ConfigError(f"[pipeline] {key} must be nonnegative and finite, got {p[key]!r}")
+
+
 def _pipeline_point(cfg):
     seq = build_sequence(cfg)
     p = cfg["pipeline"]
+    _check_pipeline_params(p)
     seed = cfg["run"]["seed"]
     process = build_process(cfg, seed)
     readout = build_readout(cfg)
@@ -615,18 +631,18 @@ def _pipeline_point(cfg):
         n_seq = int(round(p["duration_s"] * seq.f_samp))
         if process is None:
             raise ConfigError("gradiometer mode needs a noise source")
-        ch1, ch2, diff = simulate_gradiometer(
+        spectra = gradiometer_spectra(
             seq,
             process,
             uniform_signal=p["uniform_pt"] * 1e-12,
             gradient_signal=p["gradient_pt"] * 1e-12,
             shot_sigma=shot_sigma,
             n_sequences=n_seq,
+            interval=interval,
             seed=seed,
             f_uniform=khz_to_hz(p["f_uniform_khz"]),
             f_gradient=khz_to_hz(p["f_gradient_khz"]),
         )
-        spectra = [amplitude_spectrum(s, interval) for s in (ch1, ch2, diff)]
         f_excl = khz_to_hz(p["f_uniform_khz"]) if p["uniform_pt"] else khz_to_hz(p["f_gradient_khz"])
         floors = [estimate_noise_floor(s, f_excl)[0] for s in spectra]
         row = [
@@ -638,18 +654,12 @@ def _pipeline_point(cfg):
         return [row], spectra[2]
 
     f_test = khz_to_hz(p["f_test_khz"]) if p["f_test_khz"] is not None else None
-    stream_on = synthesize_stream(
-        seq, process, p["test_field_pt"] * 1e-12, f_test or 0.0, readout, p["duration_s"], seed
+    spectrum_on, spectrum_off = stream_spectra(
+        seq, process, p["test_field_pt"] * 1e-12, f_test or 0.0, readout, p["duration_s"],
+        interval, seed,
     )
-    spectrum_on = amplitude_spectrum(stream_on, interval)
     floor_on, _ = estimate_noise_floor(spectrum_on, f_test)
-    if process is None:
-        floor_off = floor_on
-    else:
-        stream_off = synthesize_stream(
-            seq, None, p["test_field_pt"] * 1e-12, f_test or 0.0, readout, p["duration_s"], seed
-        )
-        floor_off, _ = estimate_noise_floor(amplitude_spectrum(stream_off, interval), f_test)
+    floor_off = floor_on if spectrum_off is None else estimate_noise_floor(spectrum_off, f_test)[0]
     return [[floor_on, floor_off, excess_noise(floor_on, floor_off)]], spectrum_on
 
 

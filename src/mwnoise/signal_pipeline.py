@@ -11,13 +11,27 @@ floor of sqrt(pi/2) * eta ~= 1.253 * eta (the mean of a Rayleigh magnitude),
 independent of the interval length.  Floors quoted by this module are such
 spectrum floors; divide by 1.253 to recover the Gaussian-equivalent
 sensitivity, multiply analytic sensitivities by 1.253 to compare with them.
+
+Streams are synthesized and transformed in one walk, a block of whole chunks
+at a time (``_BLOCK_SAMPLES``, 2^19 samples, rounded down to whole chunks but
+at least one): each block draws its share of the phase-noise and shot-noise
+terms and evaluates its test tones, and the block's chunk spectra are added
+one by one, in stream order, into one running sum.  Consecutive draws on one
+Philox generator equal one draw of the total size, and numpy reduces a stack
+of chunk spectra along its first axis one row after another, so the spectra
+equal those of the whole stream transformed at once, bit for bit, while
+memory depends on the interval and the block, not on the duration.
+:func:`stream_spectra` and :func:`gradiometer_spectra` run the walk;
+:func:`synthesize_stream`, :func:`amplitude_spectrum` and
+:func:`~mwnoise.spin_simulator.simulate_gradiometer` are wrappers over it that
+join the blocks or split a given stream.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +44,12 @@ from .core import (
     SensitivityTeslaSqrtS,
     Tesla,
     TimeSeconds,
-    read_csv,
     write_csv,
 )
 from .analytic_sensitivity import ReadoutModel
 from .noise_models import NoiseProcess, philox_rng
 from .pulse_sequences import PulseSequence
-from .spin_simulator import phi_tot_batch
+from .spin_simulator import _phi_tot_draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +80,7 @@ class AmplitudeSpectrum:
     """Chunk-averaged one-sided amplitude spectrum of a readout stream.
 
     ``asd`` is in T*s^(1/2): the per-bin rms amplitude times the square root
-    of the chunk interval.  ``noise_floor`` and ``spike_bins`` are filled in
-    by :func:`estimate_noise_floor` (via :func:`with_floor`); both are None
-    on a freshly computed spectrum.
+    of the chunk interval.
     """
 
     freqs: np.ndarray
@@ -77,8 +88,6 @@ class AmplitudeSpectrum:
     interval: TimeSeconds
     n_chunks: int
     f_samp: FrequencyHz
-    noise_floor: SensitivityTeslaSqrtS | None = None
-    spike_bins: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         freqs = np.asarray(self.freqs, dtype=float)
@@ -129,6 +138,122 @@ def shot_sigma_from_readout(readout: "ReadoutModel | float") -> Radians:
     return sigma
 
 
+# Samples per block of the chunked stream walk, rounded down to whole chunks:
+# 4 MiB of float64.  numpy plans every rfft call afresh, and at the Bluestein
+# lengths of 1 s intervals (n = 42 134 = 2 * 21 067, n = 11 783 prime) a plan
+# costs as much as transforming two or three rows, so a block keeps about a
+# dozen rows per call at XY8-1 and 44 at XY8-8.
+_BLOCK_SAMPLES = 1 << 19
+
+
+def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws):
+    """Yield (sequence start times, *terms) over ``n_seq`` sequences, in
+    blocks of max(1, _BLOCK_SAMPLES // n) whole n-sample chunks.
+
+    The last block holds what is left, a trailing partial chunk included.
+    Each of ``draws`` is None or a function returning the next ``size``
+    values of a term; it is called once per block, in order, so a term's
+    values are those of one call of size n_seq.
+    """
+    step = max(1, _BLOCK_SAMPLES // n) * n
+    for lo in range(0, n_seq, step):
+        size = min(step, n_seq - lo)
+        terms = (None if draw is None else draw(size) for draw in draws)
+        yield (np.arange(lo, lo + size) / f_samp, *terms)
+
+
+def _shot_draws(sigma: Radians, rng: np.random.Generator):
+    return lambda size: sigma * rng.standard_normal(size)
+
+
+def _sequence_count(duration: TimeSeconds, f_samp: FrequencyHz) -> int:
+    n_seq = int(round(duration * f_samp))
+    if n_seq < 10:
+        raise ValueError("duration must cover at least 10 sequences")
+    return n_seq
+
+
+def _readout_blocks(
+    seq: PulseSequence,
+    process: NoiseProcess | None,
+    test_field_amp: Tesla,
+    f_test: FrequencyHz,
+    shot_sigma: Radians,
+    n_seq: int,
+    n: int,
+    seed: int,
+    constants: Constants,
+):
+    """Yield (on, off) tesla readouts per block of :func:`_stream_blocks`.
+
+    ``on`` is tone + phase noise + shot noise, ``off`` the same tone and shot
+    draws without the phase noise, or None when ``process`` is None.
+    """
+    scale = 4.0 * constants.gamma_nv * seq.tau_tot
+    phase = None if process is None else _phi_tot_draws(seq, process, seed)
+    shot = _shot_draws(shot_sigma, philox_rng(seed, 0x73686F74)) if shot_sigma > 0 else None
+    for t, phi, z in _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)):
+        tone = test_field_amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * t)
+        z = None if z is None else z / scale
+        off = tone if z is None else tone + z
+        if phi is None:
+            yield off, None
+            continue
+        on = tone + phi / scale
+        if z is not None:
+            on += z
+        yield on, off
+
+
+def _gradiometer_blocks(
+    seq: PulseSequence,
+    process: NoiseProcess,
+    uniform_signal: Tesla,
+    gradient_signal: Tesla,
+    shot_sigma: Radians,
+    n_sequences: int,
+    n: int,
+    seed: int,
+    f_uniform: FrequencyHz,
+    f_gradient: FrequencyHz,
+    channel_gains: tuple[float, float],
+    constants: Constants,
+):
+    """Checked arguments, then a generator of (ch1, ch2, ch1 - ch2) tesla
+    readouts per block of :func:`_stream_blocks`.
+
+    The two channels' shot draws are the first and second n_sequences
+    normals of one Philox stream; channel 2 reads them from a second
+    generator on that stream that first discards channel 1's, in blocks.
+    """
+    if n_sequences < 2:
+        raise ValueError("need at least 2 sequences")
+    if shot_sigma < 0:
+        raise ValueError("shot_sigma must be nonnegative")
+    scale = 4.0 * constants.gamma_nv * seq.tau_tot
+    rng_1, rng_2 = philox_rng(seed, 0x67726164), philox_rng(seed, 0x67726164)
+    discard = np.empty(min(n_sequences, _BLOCK_SAMPLES))
+    for lo in range(0, n_sequences, discard.size):
+        rng_2.standard_normal(out=discard[: n_sequences - lo])
+    draws = (
+        _phi_tot_draws(seq, process, seed),
+        _shot_draws(shot_sigma, rng_1),
+        _shot_draws(shot_sigma, rng_2),
+    )
+
+    def blocks():
+        for t, common, *shots in _stream_blocks(seq.f_samp, n_sequences, n, draws):
+            uniform = uniform_signal * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_uniform * t)
+            gradient = gradient_signal * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_gradient * t)
+            ch = [
+                gain * (scale * (uniform + sign * gradient) + common + shot) / scale
+                for gain, sign, shot in zip(channel_gains, (+1.0, -1.0), shots)
+            ]
+            yield ch[0], ch[1], ch[0] - ch[1]
+
+    return blocks()
+
+
 def synthesize_stream(
     seq: PulseSequence,
     process: NoiseProcess | None,
@@ -146,24 +271,70 @@ def synthesize_stream(
     Nyquist zone automatically.  Source phase noise enters through the
     per-sequence accumulated phase and is scaled to tesla by
     1/(4 gamma tau_tot), as is the independent Gaussian shot term.
-    ``process`` may be None for a noiseless source.
+    ``process`` may be None for a noiseless source.  The samples are those
+    :func:`stream_spectra` transforms, joined from its blocks.
     """
-    f_samp = seq.f_samp
-    n_seq = int(round(duration * f_samp))
-    if n_seq < 10:
-        raise ValueError("duration must cover at least 10 sequences")
-    shot_sigma = shot_sigma_from_readout(readout)
+    n_seq = _sequence_count(duration, seq.f_samp)
+    blocks = _readout_blocks(
+        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, 1,
+        seed, constants,
+    )
+    return ReadoutStream(np.concatenate([on for on, _ in blocks]), seq.f_samp)
 
-    t_start = np.arange(n_seq) / f_samp
-    samples = test_field_amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * t_start)
 
-    scale = 4.0 * constants.gamma_nv * seq.tau_tot
-    if process is not None:
-        samples = samples + phi_tot_batch(seq, process, n_seq, seed) / scale
-    if shot_sigma > 0:
-        rng = philox_rng(seed, 0x73686F74)
-        samples = samples + shot_sigma * rng.standard_normal(n_seq) / scale
-    return ReadoutStream(samples, f_samp)
+def _chunk_length(interval: TimeSeconds, f_samp: FrequencyHz, n_samples: int) -> int:
+    n = int(round(interval * f_samp))
+    if n < 2:
+        raise ValueError("interval too short: each chunk needs at least 2 samples")
+    if n_samples < n:
+        raise ValueError("interval exceeds the stream duration")
+    return n
+
+
+class _SpectrumSum:
+    """Running sum of the amplitude-normalized magnitude spectra of n-sample
+    chunks, added one chunk after another in stream order.
+
+    numpy reduces a C-ordered matrix along axis 0 one row after another, so
+    this sum, divided by the chunk count, equals ``mean(axis=0)`` of the
+    stacked chunk spectra bit for bit.
+    """
+
+    def __init__(self, n: int, f_samp: FrequencyHz, window: str | None = None) -> None:
+        if window not in (None, "hann"):
+            raise ValueError(f"unknown window {window!r}; use None or 'hann'")
+        self.n = n
+        self.f_samp = f_samp
+        self.weights = None
+        if window == "hann":
+            w = np.hanning(n)
+            self.weights = w / np.mean(w)
+        self.total = np.zeros(n // 2 + 1)
+        self.n_chunks = 0
+
+    def add(self, samples: np.ndarray) -> None:
+        """Add the whole chunks of ``samples``; a trailing partial chunk is dropped."""
+        n = self.n
+        data = samples[: samples.size // n * n].reshape(-1, n)
+        rows = max(1, _BLOCK_SAMPLES // n)
+        for lo in range(0, data.shape[0], rows):
+            block = data[lo : lo + rows]
+            if self.weights is not None:
+                block = block * self.weights
+            spectra = np.abs(np.fft.rfft(block, axis=1))
+            spectra *= math.sqrt(2.0) / n
+            spectra[:, 0] /= math.sqrt(2.0)
+            if n % 2 == 0:
+                spectra[:, -1] /= math.sqrt(2.0)
+            for row in spectra:
+                self.total += row
+            self.n_chunks += spectra.shape[0]
+
+    def spectrum(self) -> AmplitudeSpectrum:
+        chunk_seconds = self.n / self.f_samp
+        asd = self.total / self.n_chunks * math.sqrt(chunk_seconds)
+        freqs = np.fft.rfftfreq(self.n, 1.0 / self.f_samp)
+        return AmplitudeSpectrum(freqs, asd, chunk_seconds, self.n_chunks, self.f_samp)
 
 
 def amplitude_spectrum(
@@ -180,29 +351,73 @@ def amplitude_spectrum(
     an amplitude-corrected Hann window for unsynchronized data at the cost
     of wider peaks.
     """
-    n = int(round(interval * stream.f_samp))
-    if n < 2:
-        raise ValueError("interval too short: each chunk needs at least 2 samples")
-    n_chunks = stream.samples.size // n
-    if n_chunks < 1:
-        raise ValueError("interval exceeds the stream duration")
-    data = stream.samples[: n_chunks * n].reshape(n_chunks, n)
-    if window is not None:
-        if window != "hann":
-            raise ValueError(f"unknown window {window!r}; use None or 'hann'")
-        w = np.hanning(n)
-        data = data * (w / np.mean(w))
+    n = _chunk_length(interval, stream.f_samp, stream.samples.size)
+    total = _SpectrumSum(n, stream.f_samp, window)
+    total.add(stream.samples)
+    return total.spectrum()
 
-    spectra = np.abs(np.fft.rfft(data, axis=1))
-    spectra *= math.sqrt(2.0) / n
-    spectra[:, 0] /= math.sqrt(2.0)
-    if n % 2 == 0:
-        spectra[:, -1] /= math.sqrt(2.0)
 
-    chunk_seconds = n / stream.f_samp
-    asd = spectra.mean(axis=0) * math.sqrt(chunk_seconds)
-    freqs = np.fft.rfftfreq(n, 1.0 / stream.f_samp)
-    return AmplitudeSpectrum(freqs, asd, chunk_seconds, n_chunks, stream.f_samp)
+def stream_spectra(
+    seq: PulseSequence,
+    process: NoiseProcess | None,
+    test_field_amp: Tesla,
+    f_test: FrequencyHz,
+    readout: "ReadoutModel | float",
+    duration: TimeSeconds,
+    interval: TimeSeconds,
+    seed: int = 0,
+    constants: Constants = DEFAULT_CONSTANTS,
+) -> tuple[AmplitudeSpectrum, AmplitudeSpectrum | None]:
+    """(noise-on, noise-off) amplitude spectra of a synthesized readout stream.
+
+    The noise-on spectrum is ``amplitude_spectrum(synthesize_stream(...),
+    interval)`` and the noise-off one that of the same stream without the
+    phase-noise term (same tone, same shot draws); it is None when
+    ``process`` is None.  Both are computed one block of chunks at a time,
+    so memory depends on the interval, not on the duration.
+    """
+    n_seq = _sequence_count(duration, seq.f_samp)
+    n = _chunk_length(interval, seq.f_samp, n_seq)
+    on = _SpectrumSum(n, seq.f_samp)
+    off = None if process is None else _SpectrumSum(n, seq.f_samp)
+    for on_block, off_block in _readout_blocks(
+        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, n,
+        seed, constants,
+    ):
+        on.add(on_block)
+        if off is not None:
+            off.add(off_block)
+    return on.spectrum(), None if off is None else off.spectrum()
+
+
+def gradiometer_spectra(
+    seq: PulseSequence,
+    process: NoiseProcess,
+    uniform_signal: Tesla,
+    gradient_signal: Tesla,
+    shot_sigma: Radians,
+    n_sequences: int,
+    interval: TimeSeconds,
+    seed: int = 0,
+    *,
+    f_uniform: FrequencyHz = 394e3,
+    f_gradient: FrequencyHz = 394e3,
+    channel_gains: tuple[float, float] = (1.0, 1.0),
+    constants: Constants = DEFAULT_CONSTANTS,
+) -> tuple[AmplitudeSpectrum, AmplitudeSpectrum, AmplitudeSpectrum]:
+    """Amplitude spectra of the channels of
+    :func:`~mwnoise.spin_simulator.simulate_gradiometer` (same arguments),
+    computed one block of chunks at a time: (channel 1, channel 2, difference).
+    """
+    n = _chunk_length(interval, seq.f_samp, n_sequences)
+    sums = [_SpectrumSum(n, seq.f_samp) for _ in range(3)]
+    for channels in _gradiometer_blocks(
+        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, n, seed,
+        f_uniform, f_gradient, channel_gains, constants,
+    ):
+        for total, samples in zip(sums, channels):
+            total.add(samples)
+    return tuple(total.spectrum() for total in sums)
 
 
 @dataclass(frozen=True)
@@ -257,16 +472,6 @@ def estimate_noise_floor(
     return floor, np.nonzero(spike_mask)[0]
 
 
-def with_floor(
-    spectrum: AmplitudeSpectrum,
-    f_test: FrequencyHz | None = None,
-    params: FloorParams = FloorParams(),
-) -> AmplitudeSpectrum:
-    """Copy of the spectrum with noise_floor and spike_bins filled in."""
-    floor, spikes = estimate_noise_floor(spectrum, f_test, params)
-    return replace(spectrum, noise_floor=floor, spike_bins=spikes)
-
-
 def excess_noise(
     eta_on: SensitivityTeslaSqrtS, eta_off: SensitivityTeslaSqrtS
 ) -> SensitivityTeslaSqrtS:
@@ -285,21 +490,6 @@ def excess_noise(
         )
         return 0.0
     return math.sqrt(eta_on**2 - eta_off**2)
-
-
-def sensitivity_from_floor(
-    floor: Tesla, f_bin_width: FrequencyHz
-) -> SensitivityTeslaSqrtS:
-    """Convert a per-bin rms amplitude floor (tesla) to T*s^(1/2).
-
-    Dividing by the square root of the bin width makes floors from
-    different interval lengths comparable; for 1 Hz bins (1 s intervals)
-    this is the identity.  Spectra from :func:`amplitude_spectrum` already
-    carry this factor.
-    """
-    if f_bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    return floor / math.sqrt(f_bin_width)
 
 
 # --- test-field calibration ---------------------------------------------------
@@ -391,30 +581,7 @@ def fit_calibration(
     return CalibrationFit(v_max_fit, kappa_fit, residual_rms)
 
 
-# --- stream / spectrum file I/O ------------------------------------------------
-
-def save_stream(stream: ReadoutStream, path: str | Path, metadata: dict | None = None) -> None:
-    """Write ``t_s,readout_t`` CSV with reproducibility metadata comments."""
-    path = Path(path)
-    meta = {"f_samp_hz": repr(float(stream.f_samp)), "n_samples": stream.samples.size}
-    meta.update(metadata or {})
-    times = stream.times()
-    rows = (
-        f"{float(times[i])!r},{float(stream.samples[i])!r}"
-        for i in range(stream.samples.size)
-    )
-    write_csv(path, meta, "t_s,readout_t", rows)
-
-
-def load_stream(path: str | Path) -> ReadoutStream:
-    path = Path(path)
-    metadata, data = read_csv(path, 2)
-    if "f_samp_hz" not in metadata:
-        raise ValueError(f"{path}: missing '# f_samp_hz=' metadata")
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    return ReadoutStream(data[:, 1], float(metadata["f_samp_hz"]))
-
+# --- spectrum file I/O ---------------------------------------------------------
 
 def save_amplitude_spectrum(
     spectrum: AmplitudeSpectrum, path: str | Path, metadata: dict | None = None
@@ -426,30 +593,8 @@ def save_amplitude_spectrum(
         "interval_s": repr(float(spectrum.interval)),
         "n_chunks": spectrum.n_chunks,
     }
-    if spectrum.noise_floor is not None:
-        meta["noise_floor_t_sqrts"] = repr(float(spectrum.noise_floor))
     meta.update(metadata or {})
     rows = (
         f"{float(f)!r},{float(a)!r}" for f, a in zip(spectrum.freqs, spectrum.asd)
     )
     write_csv(path, meta, "f_hz,asd_t_sqrts", rows)
-
-
-def load_amplitude_spectrum(path: str | Path) -> AmplitudeSpectrum:
-    path = Path(path)
-    metadata, data = read_csv(path, 2)
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    required = ("f_samp_hz", "interval_s", "n_chunks")
-    missing = [key for key in required if key not in metadata]
-    if missing:
-        raise ValueError(f"{path}: missing metadata {missing}")
-    floor = metadata.get("noise_floor_t_sqrts")
-    return AmplitudeSpectrum(
-        data[:, 0],
-        data[:, 1],
-        float(metadata["interval_s"]),
-        int(metadata["n_chunks"]),
-        float(metadata["f_samp_hz"]),
-        noise_floor=None if floor is None else float(floor),
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -179,9 +179,21 @@ def phi_tot_batch(
     the pulse count; :func:`monte_carlo_sigma_phi` keeps per-realization
     sampling as the check.
     """
+    return _phi_tot_draws(seq, process, seed)(n_realizations)
+
+
+def _phi_tot_draws(
+    seq: PulseSequence, process: NoiseProcess, seed: int
+) -> Callable[[int], np.ndarray]:
+    """Function returning the next ``size`` phi_tot samples of one stream.
+
+    Consecutive calls continue one Philox stream, so the samples of calls of
+    sizes a, b, ... equal those of one call of size a + b + ...; the chunked
+    readout-stream walk of :mod:`mwnoise.signal_pipeline` relies on that.
+    """
     sigma = _phi_tot_sigma(seq, process)
     rng = philox_rng(seed, 0x70736453)
-    return sigma * rng.standard_normal(n_realizations)
+    return lambda size: sigma * rng.standard_normal(size)
 
 
 def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:
@@ -337,35 +349,20 @@ def simulate_gradiometer(
     ch1 - ch2: common phase noise and the uniform field cancel while the
     gradient peak doubles, at the cost of a sqrt(2) larger shot floor.
 
-    Returns (channel_1, channel_2, difference) as readout streams in tesla.
+    Returns (channel_1, channel_2, difference) as readout streams in tesla,
+    joined from the blocks of the stream walk of
+    :mod:`mwnoise.signal_pipeline`, whose
+    :func:`~mwnoise.signal_pipeline.gradiometer_spectra` transforms the same
+    samples.  The shot draws of channels 1 and 2 are the first and second
+    ``n_sequences`` normals of one Philox stream.
     """
-    from .signal_pipeline import ReadoutStream
+    from .signal_pipeline import ReadoutStream, _gradiometer_blocks
 
-    if n_sequences < 2:
-        raise ValueError("need at least 2 sequences")
-    if shot_sigma < 0:
-        raise ValueError("shot_sigma must be nonnegative")
-    f_samp = seq.f_samp
-    t_start = np.arange(n_sequences) / f_samp
-
-    common_phase = phi_tot_batch(seq, process, n_sequences, seed)
-    rng = philox_rng(seed, 0x67726164)
-    shot = shot_sigma * rng.standard_normal((2, n_sequences))
-
-    scale = 4.0 * constants.gamma_nv * seq.tau_tot
-    uniform = uniform_signal * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_uniform * t_start)
-    gradient = gradient_signal * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_gradient * t_start)
-
-    ch = []
-    for i, sign in enumerate((+1.0, -1.0)):
-        phase = scale * (uniform + sign * gradient) + common_phase + shot[i]
-        ch.append(channel_gains[i] * phase / scale)
-    diff = ch[0] - ch[1]
-    return (
-        ReadoutStream(ch[0], f_samp),
-        ReadoutStream(ch[1], f_samp),
-        ReadoutStream(diff, f_samp),
+    blocks = _gradiometer_blocks(
+        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, 1, seed,
+        f_uniform, f_gradient, channel_gains, constants,
     )
+    return tuple(ReadoutStream(np.concatenate(ch), seq.f_samp) for ch in zip(*blocks))
 
 
 # --- cw magnetometry ---------------------------------------------------------

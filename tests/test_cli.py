@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mwnoise as mw
+from mwnoise import signal_pipeline
 from mwnoise.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from mwnoise.core import read_csv
 
 SRC = Path(mw.__file__).resolve().parent.parent
 
@@ -116,6 +119,23 @@ def test_predict_matches_library(tmp_path):
     assert math.isnan(row["eta_white_t_sqrts"])
     assert math.isnan(row["eta_rw_t_sqrts"])
     assert math.isnan(row["eta_shot_t_sqrts"])
+
+
+def test_predict_shot_from_bare_shot_sigma(tmp_path):
+    # An explicit per-sequence shot sigma gives the shot floor of any
+    # readout model with that sigma.
+    model = mw.ReadoutModel(0.013, 1.23e9, 1.5e-6, 4e-6)
+    sigma = model.overhead_factor / (model.contrast * math.sqrt(model.n_photons))
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + f"[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = {sigma!r}\n",
+    )
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, columns, rows = _read_table(out)
+    eta_shot = rows[0][columns.index("eta_shot_t_sqrts")]
+    assert eta_shot == pytest.approx(mw.eta_shot_noise(model, _seq_from_base()), rel=1e-10)
 
 
 def test_predict_sweep_order_and_linearity(tmp_path):
@@ -316,9 +336,9 @@ def test_pipeline_matches_library(tmp_path):
     want_on, _ = mw.estimate_noise_floor(mw.amplitude_spectrum(stream_on, 1.0))
     assert floor_on == pytest.approx(want_on, rel=1e-9)
 
-    saved = mw.load_amplitude_spectrum(spectrum_out)
-    assert saved.f_samp == pytest.approx(seq.f_samp, rel=1e-9)
-    assert saved.freqs.size > 1000
+    meta, saved = read_csv(spectrum_out, 2)
+    assert float(meta["f_samp_hz"]) == pytest.approx(seq.f_samp, rel=1e-9)
+    assert saved.shape[0] > 1000
 
 
 def test_pipeline_gradiometer_table(tmp_path):
@@ -382,8 +402,67 @@ def test_pipeline_sweep_writes_last_spectrum(tmp_path):
             ["pipeline", "--config", cfg, "--out", str(tmp_path / "t.csv"),
              "--spectrum-out", str(spectrum_out)]
         ) == EXIT_OK
-    assert mw.load_amplitude_spectrum(swept).freqs.size > 1000
+    assert read_csv(swept, 2)[1].shape[0] > 1000
     assert swept.read_bytes() == single.read_bytes()
+
+
+PIPELINE_BYTES_BODIES = {
+    "on-off": "[noise]\nsource = white\nsigma_wh = 0.004\n[readout]\nshot_sigma = 0.002\n"
+    "[pipeline]\nduration_s = 7\nf_test_khz = 457.9\ntest_field_pt = 90\n",
+    "gradiometer": "[noise]\nsource = white\nsigma_wh = 0.008\n[readout]\nshot_sigma = 0.0004\n"
+    "[pipeline]\nduration_s = 7\ngradiometer = true\ngradient_pt = 70\nuniform_pt = 30\n"
+    "f_uniform_khz = 3\n",
+}
+
+
+@pytest.mark.parametrize(
+    "body", list(PIPELINE_BYTES_BODIES.values()), ids=list(PIPELINE_BYTES_BODIES)
+)
+def test_pipeline_bytes_independent_of_block_size(tmp_path, monkeypatch, body):
+    # 7 chunks of n = 42 134 and 2 samples more, walked by default blocks,
+    # one chunk per block and three chunks per block.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
+    outputs = []
+    for block in (signal_pipeline._BLOCK_SAMPLES, 1000, 3 * 42134):
+        monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+        table, spectrum = tmp_path / f"t{block}.csv", tmp_path / f"s{block}.csv"
+        assert main(
+            ["pipeline", "--config", cfg, "--out", str(table), "--spectrum-out", str(spectrum)]
+        ) == EXIT_OK
+        outputs.append((table.read_bytes(), spectrum.read_bytes()))
+    assert "# n_chunks=7" in outputs[0][1].decode()
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "n_r, body",
+    [
+        (
+            1,
+            "[noise]\nsource = white\nsigma_wh = 0.004\n[readout]\nshot_sigma = 0.004\n"
+            "[pipeline]\nduration_s = 600\n",
+        ),
+        (
+            8,
+            "[noise]\nsource = white\nsigma_wh = 0.008\n[readout]\nshot_sigma = 0.0004\n"
+            "[pipeline]\nduration_s = 600\ngradiometer = true\ngradient_pt = 70\n",
+        ),
+    ],
+    ids=["on-off-xy8-1", "gradiometer-xy8-8"],
+)
+def test_pipeline_bounded_memory_at_600_s(tmp_path, n_r, body):
+    # Whole-stream arrays peaked at about 770 MB (on/off, 25 M sequences)
+    # and 540 MB (gradiometer, 7 M sequences) here; a block of chunks takes
+    # a few MB per stream.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE.replace("n_r = 1", f"n_r = {n_r}") + body)
+    tracemalloc.start()
+    try:
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == EXIT_OK
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 64.0
 
 
 # --- calibrate ------------------------------------------------------------------
@@ -631,6 +710,50 @@ def test_exit_code_readout_probes(tmp_path, command, readout):
     out = tmp_path / "table.csv"
     extra = ["--n-realizations", "100"] if command == "montecarlo" else []
     assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [
+        "duration_s = 0",
+        "duration_s = -5",
+        "duration_s = nan",
+        "duration_s = inf",
+        "interval_s = 0",
+        "interval_s = nan",
+        "interval_s = inf",
+        "test_field_pt = nan",
+        "test_field_pt = inf",
+        "f_test_khz = -1",
+        "f_test_khz = nan",
+        "gradiometer = true\nuniform_pt = nan",
+        "gradiometer = true\ngradient_pt = nan",
+        "gradiometer = true\nf_uniform_khz = -3",
+        "gradiometer = true\nf_gradient_khz = inf",
+        "[sweep]\naxis = test_field_pt\nvalues = 1, nan",
+    ],
+    ids=[
+        "zero-duration", "negative-duration", "nan-duration", "inf-duration", "zero-interval",
+        "nan-interval", "inf-interval", "nan-test-field", "inf-test-field", "negative-f-test",
+        "nan-f-test", "nan-uniform", "nan-gradient", "negative-f-uniform", "inf-f-gradient",
+        "swept-nan-test-field",
+    ],
+)
+def test_exit_code_pipeline_probes(tmp_path, pipeline):
+    # A pipeline parameter that is out of range or not finite is a
+    # configuration error, swept values included, and writes no table.
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
+        + "[pipeline]\n"
+        + ("" if pipeline.startswith("duration_s") else "duration_s = 1\n")
+        + pipeline
+        + "\n",
+    )
+    out = tmp_path / "table.csv"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
 
 

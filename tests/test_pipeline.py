@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 import mwnoise as mw
+from mwnoise import signal_pipeline
+from mwnoise.core import read_csv
+from mwnoise.noise_models import philox_rng
 from mwnoise.signal_pipeline import shot_sigma_from_readout
+from mwnoise.spin_simulator import phi_tot_batch
 
 T_PI = 48e-9
 T_DEAD = 15e-6
@@ -193,6 +197,101 @@ def test_spectrum_validation():
         mw.amplitude_spectrum(mw.ReadoutStream(np.zeros(10), 1e3), 1.0)
 
 
+# --- chunked stream walk -----------------------------------------------------------
+# The stream path walks blocks of _BLOCK_SAMPLES samples (whole chunks); the
+# references below build each stream in one piece and average the stacked
+# chunk spectra with mean(axis=0), as the one-shot implementation did.
+
+XY8_1 = mw.make_xy8(1, 458e3, T_PI, T_DEAD)  # n = 42 134 samples per 1 s chunk
+
+
+def _block_sizes(n):
+    # Default, one chunk per block, and three chunks per block (a count
+    # that divides none of the chunk totals used below).
+    return (signal_pipeline._BLOCK_SAMPLES, 1000, 3 * n)
+
+
+def _reference_asd(samples, n, f_samp, window=None):
+    data = samples[: samples.size // n * n].reshape(-1, n)
+    if window == "hann":
+        w = np.hanning(n)
+        data = data * (w / np.mean(w))
+    spectra = np.abs(np.fft.rfft(data, axis=1))
+    spectra *= math.sqrt(2.0) / n
+    spectra[:, 0] /= math.sqrt(2.0)
+    if n % 2 == 0:
+        spectra[:, -1] /= math.sqrt(2.0)
+    return spectra.mean(axis=0) * math.sqrt(n / f_samp)
+
+
+def _reference_stream(seq, process, amp, f_test, shot_sigma, n_seq, seed):
+    scale = _tesla_scale(seq)
+    samples = amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * (np.arange(n_seq) / seq.f_samp))
+    if process is not None:
+        samples = samples + phi_tot_batch(seq, process, n_seq, seed) / scale
+    rng = philox_rng(seed, 0x73686F74)
+    return samples + shot_sigma * rng.standard_normal(n_seq) / scale
+
+
+@pytest.mark.parametrize("window", [None, "hann"])
+@pytest.mark.parametrize("f_samp, n", [(1000.0, 250), (997.0, 333)])
+def test_spectrum_sum_equals_stacked_mean(monkeypatch, window, f_samp, n):
+    rng = np.random.default_rng(19)
+    samples = rng.standard_normal(11 * n + 7) * 1e-12  # 11 chunks and a partial one
+    stream = mw.ReadoutStream(samples, f_samp)
+    want = _reference_asd(samples, n, f_samp, window)
+    for block in (signal_pipeline._BLOCK_SAMPLES, 1, 4 * n):
+        monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+        spectrum = mw.amplitude_spectrum(stream, n / f_samp, window=window)
+        assert spectrum.n_chunks == 11
+        assert_array_equal(spectrum.asd, want)
+
+
+def test_stream_blocks_keep_every_sample_and_draw(monkeypatch):
+    proc = mw.WhiteNoise(4e-3)
+    n_seq = round(7.0 * XY8_1.f_samp)  # 7 chunks of 42 134 and 2 samples more
+    assert n_seq % 42134 == 2
+    want = _reference_stream(XY8_1, proc, 90e-12, 457.9e3, 2e-3, n_seq, 23)
+    for block in _block_sizes(42134):
+        monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+        stream = mw.synthesize_stream(XY8_1, proc, 90e-12, 457.9e3, 2e-3, 7.0, seed=23)
+        assert_array_equal(stream.samples, want)
+        on, off = mw.stream_spectra(XY8_1, proc, 90e-12, 457.9e3, 2e-3, 7.0, 1.0, seed=23)
+        assert on.n_chunks == off.n_chunks == 7
+        assert_array_equal(on.asd, _reference_asd(want, 42134, XY8_1.f_samp))
+        quiet = _reference_stream(XY8_1, None, 90e-12, 457.9e3, 2e-3, n_seq, 23)
+        assert_array_equal(off.asd, _reference_asd(quiet, 42134, XY8_1.f_samp))
+    on, off = mw.stream_spectra(XY8_1, None, 90e-12, 457.9e3, 2e-3, 7.0, 1.0, seed=23)
+    assert off is None
+
+
+def test_gradiometer_blocks_keep_every_sample_and_shot_draw(monkeypatch):
+    # Channel 2's shot draws are the second row of one (2, n) draw.
+    proc = mw.WhiteNoise(6e-3)
+    n_seq = 5 * 42134 + 11
+    scale = _tesla_scale(XY8_1)
+    t = np.arange(n_seq) / XY8_1.f_samp
+    uniform = 40e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 3e3 * t)
+    gradient = 70e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 5e3 * t)
+    common = phi_tot_batch(XY8_1, proc, n_seq, 29)
+    shot = 4e-4 * philox_rng(29, 0x67726164).standard_normal((2, n_seq))
+    want = [
+        gain * (scale * (uniform + sign * gradient) + common + shot[i]) / scale
+        for i, (gain, sign) in enumerate(((1.0, 1.0), (0.95, -1.0)))
+    ]
+    want.append(want[0] - want[1])
+    args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, n_seq)
+    kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.0, 0.95)}
+    for block in _block_sizes(42134):
+        monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+        streams = mw.simulate_gradiometer(*args, 29, **kwargs)
+        spectra = mw.gradiometer_spectra(*args, 1.0, 29, **kwargs)
+        for stream, spectrum, samples in zip(streams, spectra, want):
+            assert_array_equal(stream.samples, samples)
+            assert spectrum.n_chunks == 5
+            assert_array_equal(spectrum.asd, _reference_asd(samples, 42134, XY8_1.f_samp))
+
+
 # --- noise-floor estimation -------------------------------------------------------
 
 def _flat_fixture(level=6.0e-12, spikes=()):
@@ -249,14 +348,6 @@ def test_floor_custom_params_and_errors():
         )
 
 
-def test_with_floor_attaches_results():
-    spectrum = _flat_fixture(spikes=[(4200, 12.0)])
-    annotated = mw.with_floor(spectrum)
-    assert annotated.noise_floor == pytest.approx(6.0e-12, rel=0.02)
-    assert 4200 in annotated.spike_bins.tolist()
-    assert spectrum.noise_floor is None  # original untouched
-
-
 def test_excess_noise_examples():
     assert mw.excess_noise(13.3e-12, 6.0e-12) == pytest.approx(11.9e-12, rel=0.01)
     assert mw.excess_noise(7.6e-12, 6.0e-12) == pytest.approx(4.7e-12, rel=0.01)
@@ -268,13 +359,6 @@ def test_excess_noise_flags_fluctuation():
         assert mw.excess_noise(5.5e-12, 6.0e-12) == 0.0
     with pytest.raises(ValueError):
         mw.excess_noise(-1e-12, 6.0e-12)
-
-
-def test_sensitivity_from_floor():
-    assert mw.sensitivity_from_floor(6e-12, 1.0) == 6e-12
-    assert mw.sensitivity_from_floor(26e-12, 4.0) == pytest.approx(13e-12, rel=1e-12)
-    with pytest.raises(ValueError):
-        mw.sensitivity_from_floor(6e-12, 0.0)
 
 
 # --- calibration ----------------------------------------------------------------
@@ -330,43 +414,32 @@ def test_calibration_validation():
 
 # --- CSV round trips -------------------------------------------------------------
 
-def test_stream_csv_round_trip(tmp_path):
-    seq = _table_seq()
-    stream = mw.synthesize_stream(seq, mw.WhiteNoise(2e-3), 0.0, 0.0, 1e-3, 1.0, seed=7)
-    path = tmp_path / "stream.csv"
-    mw.save_stream(stream, path, metadata={"seed": 7})
-    back = mw.load_stream(path)
-    assert back.f_samp == pytest.approx(stream.f_samp, rel=1e-12)
-    assert_allclose(back.samples, stream.samples, rtol=1e-12)
-    head = path.read_text().splitlines()
-    assert "t_s,readout_t" in head[:6]
-    assert any(line.startswith("# f_samp_hz=") for line in head[:6])
-
-
 def test_stream_csv_rejects_malformed_rows(tmp_path):
     head = "# f_samp_hz=1000.0\nt_s,readout_t\n0.0,1e-12\n"
     path = tmp_path / "stream.csv"
     for bad in ("0.001,abc\n", "0.001\n", "t_s,readout_t\n"):
         path.write_text(head + bad + "0.002,3e-12\n")
         with pytest.raises(ValueError, match="line 4"):
-            mw.load_stream(path)
+            read_csv(path, 2)
     # At most one header line, and only before the first data row.
     path.write_text("# f_samp_hz=1000.0\nt_s,readout_t\nsecond,header\n0.0,1e-12\n")
     with pytest.raises(ValueError, match="line 3"):
-        mw.load_stream(path)
+        read_csv(path, 2)
 
 
 def test_spectrum_csv_round_trip(tmp_path):
     seq = _table_seq()
     stream = mw.synthesize_stream(seq, None, 0.0, 0.0, 3e-3, 30.0, seed=8)
-    spectrum = mw.with_floor(mw.amplitude_spectrum(stream, 1.0))
+    spectrum = mw.amplitude_spectrum(stream, 1.0)
     path = tmp_path / "spectrum.csv"
     mw.save_amplitude_spectrum(spectrum, path, metadata={"seed": 8})
-    back = mw.load_amplitude_spectrum(path)
-    assert_allclose(back.freqs, spectrum.freqs, rtol=1e-12)
-    assert_allclose(back.asd, spectrum.asd, rtol=1e-12)
-    assert back.noise_floor == pytest.approx(spectrum.noise_floor, rel=1e-12)
-    assert back.n_chunks == spectrum.n_chunks
+    meta, data = read_csv(path, 2)
+    assert_array_equal(data[:, 0], spectrum.freqs)
+    assert_array_equal(data[:, 1], spectrum.asd)
+    assert float(meta["f_samp_hz"]) == spectrum.f_samp
+    assert float(meta["interval_s"]) == spectrum.interval
+    assert int(meta["n_chunks"]) == spectrum.n_chunks
+    assert meta["seed"] == "8"
     head = path.read_text().splitlines()
     assert any(line == "f_hz,asd_t_sqrts" for line in head[:8])
 
