@@ -185,14 +185,18 @@ def load_config(path: str | Path | None) -> dict:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section == "sweep":
-            axis = parser.get(section, "axis", fallback=None)
-            values = parser.get(section, "values", fallback=None)
-            for key in parser.options(section):
+            axis = items.get("axis")
+            values = items.get("values")
+            for key in items:
                 if key not in ("axis", "values"):
                     raise ConfigError(f"[sweep] has unknown key {key!r}")
             cfg["sweep"]["axis"] = axis
@@ -203,10 +207,10 @@ def load_config(path: str | Path | None) -> dict:
             continue
         if section not in _DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser.options(section):
+        for key, raw in items.items():
             if key not in _DEFAULTS[section]:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
-            cfg[section][key] = _coerce(section, key, parser.get(section, key))
+            cfg[section][key] = _coerce(section, key, raw)
     cutoff = cfg["noise"]["f_cutoff_hz"]
     if not 0 < cutoff < math.inf:
         raise ConfigError(f"[noise] f_cutoff_hz must be positive and finite, got {cutoff!r}")

@@ -18,11 +18,15 @@ so runs are reproducible and realizations can be generated independently in
 any order.
 
 Only the Monte Carlo draws per-realization noise: it is the check of the
-closed forms.  It samples white and random-walk noise pulse by pulse, and
-reads the PSD-driven process's synthesis draws through the comb transfer
-of its sample times, which gives the same phi_tot as the tracks without
-building them (``spin_simulator.monte_carlo_sigma_phi``); the PSD branch
-of :func:`sample_pulse_phases_batch` stays as its time-domain oracle.
+closed forms.  It samples white and random-walk noise pulse by pulse, one
+block of realizations at a time, and reduces each block to phi_tot before
+drawing the next, so its memory is set by the block, not by the
+realization count; :func:`sample_pulse_phases_batch` fills its matrix from
+the same blocks.  It reads the PSD-driven process's synthesis draws through
+the comb transfer of its sample times, which gives the same phi_tot as the
+tracks without building them (``spin_simulator.monte_carlo_sigma_phi``);
+the PSD branch of :func:`sample_pulse_phases_batch` stays as its
+time-domain oracle.
 Readout streams and the gradiometer draw each sequence's phi_tot directly
 from its exact variance, which every process fixes in closed form (see
 ``spin_simulator.phi_tot_batch``).
@@ -453,6 +457,41 @@ def _walk_step_variances(process: RandomWalkNoise, times: np.ndarray) -> np.ndar
     return sigma**2 * process.r_samp * np.diff(bounds)
 
 
+# Normal draws per block of the blocked samplers: 512 KB of float64, which
+# stays in cache between the draw and its reduction.
+_DRAW_BLOCK = 1 << 16
+
+
+def _pulse_phase_blocks(
+    process: WhiteNoise | RandomWalkNoise,
+    times: np.ndarray,
+    n_realizations: int,
+    seed: int,
+):
+    """Yield (first row, block) of the white or random-walk realizations at
+    ``times``, about ``_DRAW_BLOCK`` samples per block.
+
+    The rows come in order from the process's one Philox stream, so the
+    blocks joined are the matrix a single draw would give.  Each block is a
+    view of one buffer that the next block overwrites.
+    """
+    if isinstance(process, WhiteNoise):
+        rng = philox_rng(seed, 0x7768697465, 1)
+        scale = process.effective_sigma
+    else:
+        rng = philox_rng(seed, 0x77616C6B, 1)
+        scale = np.sqrt(_walk_step_variances(process, times))
+    rows = max(1, min(_DRAW_BLOCK // max(times.size, 1), n_realizations))
+    buf = np.empty((rows, times.size))
+    for lo in range(0, n_realizations, rows):
+        block = buf[: min(rows, n_realizations - lo)]
+        rng.standard_normal(out=block)
+        block *= scale
+        if isinstance(process, RandomWalkNoise):
+            np.cumsum(block, axis=1, out=block)
+        yield lo, block
+
+
 def sample_pulse_phases_batch(
     process: NoiseProcess,
     pulse_times,
@@ -475,15 +514,11 @@ def sample_pulse_phases_batch(
         raise ValueError("n_realizations must be at least 1")
     base_seed = process.seed if seed is None else seed
 
-    if isinstance(process, WhiteNoise):
-        rng = philox_rng(base_seed, 0x7768697465, 1)
-        return process.effective_sigma * rng.standard_normal((n_realizations, times.size))
-
-    if isinstance(process, RandomWalkNoise):
-        rng = philox_rng(base_seed, 0x77616C6B, 1)
-        step_var = _walk_step_variances(process, times)
-        steps = np.sqrt(step_var) * rng.standard_normal((n_realizations, times.size))
-        return np.cumsum(steps, axis=1)
+    if isinstance(process, (WhiteNoise, RandomWalkNoise)):
+        out = np.empty((n_realizations, times.size))
+        for lo, block in _pulse_phase_blocks(process, times, n_realizations, base_seed):
+            out[lo : lo + len(block)] = block
+        return out
 
     if isinstance(process, PsdDrivenNoise):
         duration, dt, idx = _psd_track_layout(times, process.f_cutoff)

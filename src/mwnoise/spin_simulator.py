@@ -28,12 +28,13 @@ from .noise_models import (
     PsdDrivenNoise,
     RandomWalkNoise,
     WhiteNoise,
+    _DRAW_BLOCK,
     _psd_track_layout,
+    _pulse_phase_blocks,
     _track_chunks,
     _track_rng,
     _walk_step_variances,
     philox_rng,
-    sample_pulse_phases_batch,
     ssb_to_psd,
     synthesize_phase_track,
 )
@@ -41,21 +42,6 @@ from .pulse_sequences import PulseSequence
 
 if TYPE_CHECKING:
     from .signal_pipeline import ReadoutStream
-
-
-@dataclass(frozen=True)
-class SequenceRealization:
-    """Phase errors of one simulated sequence run."""
-
-    pulse_phase_errors: tuple[float, ...]
-    final_pulse_error: float
-    field_phase: Radians = 0.0
-
-    @property
-    def phi_tot(self) -> Radians:
-        return self.field_phase + propagate_phase(
-            self.pulse_phase_errors, self.final_pulse_error
-        )
 
 
 def propagate_phase(alphas, alpha_f: Radians) -> Radians:
@@ -95,7 +81,10 @@ def monte_carlo_sigma_phi(
 
     Pulses are treated as instantaneous at the sequence's pulse centers and
     the final readout pulse at tau_tot.  White and random-walk phases are
-    sampled pulse by pulse and are frame-referenced by construction.  For
+    sampled pulse by pulse and are frame-referenced by construction; they
+    are drawn and reduced to phi_tot a block of realizations at a time
+    (:func:`_pulse_phi_tot`), so memory is set by the draw block, not by
+    the realization count.  For
     the PSD-driven process, phi_tot is that of the tracks
     :func:`~mwnoise.noise_models.sample_pulse_phases_batch` synthesizes,
     with the source phase at t = 0 subtracted from every sample to
@@ -108,16 +97,28 @@ def monte_carlo_sigma_phi(
     if isinstance(process, PsdDrivenNoise):
         phi_tot = _psd_phi_tot(seq, process, n_realizations, seed)
     else:
-        times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
-        weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
-        phi_tot = sample_pulse_phases_batch(process, times, n_realizations, seed=seed) @ weights
+        phi_tot = _pulse_phi_tot(seq, process, n_realizations, seed)
     sigma = float(np.std(phi_tot, ddof=1))
     std_err = sigma / math.sqrt(2.0 * (n_realizations - 1))
     return MonteCarloResult(n_realizations, sigma, std_err, seed)
 
 
-# Normal draws per block of the PSD Monte Carlo: 8 MB of float64.
-_DRAW_BLOCK = 1 << 20
+def _pulse_phi_tot(
+    seq: PulseSequence,
+    process: WhiteNoise | RandomWalkNoise,
+    n_realizations: int,
+    seed: int,
+) -> np.ndarray:
+    """phi_tot of the rows of
+    :func:`~mwnoise.noise_models.sample_pulse_phases_batch` at the pulse
+    centers and tau_tot, reduced one draw block at a time so that no
+    realization-by-pulse matrix is built."""
+    times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
+    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+    phi_tot = np.empty(n_realizations)
+    for lo, block in _pulse_phase_blocks(process, times, n_realizations, seed):
+        phi_tot[lo : lo + len(block)] = block @ weights
+    return phi_tot
 
 
 def _psd_phi_tot(

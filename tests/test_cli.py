@@ -524,6 +524,13 @@ def test_exit_code_missing_config():
     assert main(["predict", "--config", "/nonexistent/run.ini"]) == EXIT_CONFIG
 
 
+def test_exit_code_missing_section_header(tmp_path):
+    cfg = _write_config(tmp_path, "kind = xy8\n" + BASE_SEQUENCE)
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_exit_code_two_noise_sources(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -631,10 +638,11 @@ def test_exit_code_numeric_probes(tmp_path, body):
         ("", ["--workers", "0"]),
         ("[readout]\ncontrast = 1.5\nn_photons = 0.05\n", []),
         ("[noise]\nsource = preset\npreset = g1-2.5ghz\nf_cutoff_hz = inf\n", []),
+        ("[pipeline]\nduration_s = 1\nduration_s = 2\n", []),
     ],
     ids=[
         "sweep-value", "sweep-non-integer", "workers-ini", "workers-flag", "contrast",
-        "infinite-cutoff",
+        "infinite-cutoff", "duplicate-option",
     ],
 )
 def test_exit_code_config_probes(tmp_path, body, extra):

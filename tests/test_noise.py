@@ -11,6 +11,7 @@ from mwnoise.noise_models import (
     INJECTION_GAIN_RANDOM_WALK,
     INJECTION_GAIN_WHITE,
     MAX_TRACK_SAMPLES,
+    _DRAW_BLOCK,
     philox_rng,
     sample_pulse_phases_batch,
 )
@@ -402,6 +403,28 @@ def test_process_determinism():
         assert not np.array_equal(
             batch, sample_pulse_phases_batch(proc, times, 50, seed=4)
         )
+
+
+def test_blocked_draws_match_one_matrix_draw():
+    # Blocks are drawn in row order from one Philox stream, so the first k
+    # rows of a call that spans several blocks are those of a k-row call,
+    # and all rows are those of one matrix draw from that stream.
+    times = np.linspace(1e-6, 7e-5, 65)
+    rows = _DRAW_BLOCK // times.size
+    n = 3 * rows + 17
+    white = mw.WhiteNoise(0.01)
+    walk = mw.RandomWalkNoise(1e-3, 1e6)
+    for proc in (white, walk, mw.RandomWalkNoise(1e-3, 3e5, discrete_jumps=True)):
+        full = sample_pulse_phases_batch(proc, times, n, seed=19)
+        for k in (1, rows - 1, rows + 1, 2 * rows + 5):
+            assert_array_equal(full[:k], sample_pulse_phases_batch(proc, times, k, seed=19))
+        if proc is white:
+            normals = philox_rng(19, 0x7768697465, 1).standard_normal(full.shape)
+            assert_array_equal(full, 0.01 * normals)
+        if proc is walk:
+            normals = philox_rng(19, 0x77616C6B, 1).standard_normal(full.shape)
+            step_std = np.sqrt(1e-3**2 * 1e6 * np.diff(times, prepend=0.0))
+            assert_array_equal(full, np.cumsum(step_std * normals, axis=1))
 
 
 def test_batch_matches_single_draw_statistics():

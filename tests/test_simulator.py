@@ -9,11 +9,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
-from mwnoise.noise_models import _psd_track_layout, _track_chunks, sample_pulse_phases_batch
+from mwnoise.noise_models import (
+    _DRAW_BLOCK,
+    _psd_track_layout,
+    _track_chunks,
+    sample_pulse_phases_batch,
+)
 from mwnoise.spin_simulator import (
     _alternating_weights,
     _phi_tot_sigma,
     _psd_phi_tot,
+    _pulse_phi_tot,
     monte_carlo_sigma_phi,
     phi_tot_batch,
     psd_sigma_phi_grid,
@@ -50,12 +56,6 @@ def test_propagate_phase_matches_closed_form():
         assert mw.propagate_phase(alphas, alpha_f) == pytest.approx(
             closed, rel=1e-12, abs=1e-12
         )
-
-
-def test_sequence_realization_total():
-    real = mw.SequenceRealization((0.1, -0.2), 0.05, field_phase=0.7)
-    expected = 0.7 + mw.propagate_phase([0.1, -0.2], 0.05)
-    assert real.phi_tot == pytest.approx(expected, rel=1e-15)
 
 
 # --- Monte Carlo ---------------------------------------------------------------
@@ -199,6 +199,24 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
         assert np.max(np.abs(got - want)) <= 1e-12 * sigma, n_r
 
 
+def test_pulse_monte_carlo_matches_time_domain_sampler():
+    # The blocked Monte Carlo reduces the sampler's rows block by block, so
+    # each realization agrees with the full matrix times the weights.
+    seq = _table_seq()
+    times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
+    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
+    count = 2 * (_DRAW_BLOCK // times.size) + 37
+    for proc in (
+        mw.WhiteNoise(0.01),
+        mw.RandomWalkNoise(1e-3, 1e6),
+        mw.RandomWalkNoise(1e-3, 1e6, discrete_jumps=True),
+    ):
+        want = sample_pulse_phases_batch(proc, times, count, seed=53) @ weights
+        got = _pulse_phi_tot(seq, proc, count, seed=53)
+        sigma = _phi_tot_sigma(seq, proc)
+        assert np.max(np.abs(got - want)) <= 1e-12 * sigma, type(proc).__name__
+
+
 def _peak_alloc_mb(fn) -> float:
     tracemalloc.start()
     try:
@@ -224,6 +242,14 @@ def test_psd_monte_carlo_bounded_memory_at_xy8_64():
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     assert _peak_alloc_mb(lambda: monte_carlo_sigma_phi(seq, psd, 100, seed=47)) < 64.0
+
+
+def test_pulse_monte_carlo_bounded_memory_at_xy8_64():
+    # The realization-by-pulse matrix would take 10^5 x 513 x 8 bytes = 410 MB.
+    seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
+    for proc in (mw.WhiteNoise(0.01), mw.RandomWalkNoise(1e-3, 1e6)):
+        mc = lambda: monte_carlo_sigma_phi(seq, proc, 100_000, seed=59)  # noqa: E731
+        assert _peak_alloc_mb(mc) < 16.0, type(proc).__name__
 
 
 # --- double-quantum readout -------------------------------------------------------
