@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS,
-    Constants,
+    GAMMA_NV,
     DbcPerHz,
     FrequencyHz,
     Radians,
@@ -46,6 +45,11 @@ FFT_FLOOR_FACTOR = math.sqrt(math.pi / 2.0)
 # broadband noise far above the passband, the cw lock-in does not.
 DEFAULT_F_CUTOFF_PULSED: FrequencyHz = 1e8
 DEFAULT_F_CUTOFF_CW: FrequencyHz = 1e6
+
+# cw_sigma_f's uniform grid: points per 1/tau oscillation, and a cap on the
+# grid length.
+_CW_OVERSAMPLE = 16
+_CW_MAX_POINTS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,6 @@ def sigma_phi_filter(
     seq: PulseSequence,
     f_cutoff: FrequencyHz = DEFAULT_F_CUTOFF_PULSED,
     finite_pulse_correction: bool = True,
-    oversample: int = 32,
 ) -> Radians:
     """Per-sequence phase noise sqrt(int_0^fc S_phi(f) F(f) df)."""
     if f_cutoff <= 0:
@@ -107,7 +110,7 @@ def sigma_phi_filter(
         psd = ssb_to_psd(spectrum, f[zeros:])
         return np.concatenate((np.zeros(zeros), psd)) if zeros else psd
 
-    var = band_integral_weighted(ff, weight, 0.0, f_cutoff, oversample=oversample)
+    var = band_integral_weighted(ff, weight, 0.0, f_cutoff)
     if not math.isfinite(var) or var < 0:
         raise ArithmeticError("phase-noise integral did not converge to a finite value")
     return math.sqrt(var)
@@ -116,21 +119,19 @@ def sigma_phi_filter(
 def eta_phi(
     sigma_phi: Radians,
     seq: PulseSequence,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SensitivityTeslaSqrtS:
     """Sensitivity from a per-sequence phase std, including dead-time cost."""
     if sigma_phi < 0:
         raise ValueError("sigma_phi must be nonnegative")
     tau_tot = seq.tau_tot
     dead_penalty = math.sqrt(1.0 + seq.t_dead / tau_tot)
-    return sigma_phi / (4.0 * constants.gamma_nv * math.sqrt(tau_tot)) * dead_penalty
+    return sigma_phi / (4.0 * GAMMA_NV * math.sqrt(tau_tot)) * dead_penalty
 
 
 def eta_white(
     sigma_wh: Radians,
     f_xy8: FrequencyHz,
     duty: float,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SensitivityTeslaSqrtS:
     """White per-pulse phase noise: eta = (sigma_wh / gamma) sqrt(f_xy8 / 2) sqrt(1/duty).
 
@@ -143,14 +144,13 @@ def eta_white(
         raise ValueError("f_xy8 must be positive")
     if not 0 < duty <= 1:
         raise ValueError("duty must be in (0, 1]")
-    return sigma_wh / constants.gamma_nv * math.sqrt(f_xy8 / 2.0) * math.sqrt(1.0 / duty)
+    return sigma_wh / GAMMA_NV * math.sqrt(f_xy8 / 2.0) * math.sqrt(1.0 / duty)
 
 
 def eta_random_walk(
     sigma_rw: Radians,
     r_samp: FrequencyHz,
     duty: float,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SensitivityTeslaSqrtS:
     """Random-walk phase noise: eta = sigma_rw sqrt(r_samp) / (4 gamma) sqrt(1/duty).
 
@@ -163,20 +163,19 @@ def eta_random_walk(
         raise ValueError("r_samp must be positive")
     if not 0 < duty <= 1:
         raise ValueError("duty must be in (0, 1]")
-    return sigma_rw * math.sqrt(r_samp) / (4.0 * constants.gamma_nv) * math.sqrt(1.0 / duty)
+    return sigma_rw * math.sqrt(r_samp) / (4.0 * GAMMA_NV) * math.sqrt(1.0 / duty)
 
 
 def eta_shot_noise(
     model: ReadoutModel,
     seq: PulseSequence,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SensitivityTeslaSqrtS:
     """Photon-shot-noise-limited sensitivity of the pulsed readout."""
     tau_tot = seq.tau_tot
     return (
         model.overhead_factor
         / math.sqrt(seq.duty)
-        / (4.0 * constants.gamma_nv * model.contrast * math.sqrt(tau_tot * model.n_photons))
+        / (4.0 * GAMMA_NV * model.contrast * math.sqrt(tau_tot * model.n_photons))
     )
 
 
@@ -185,7 +184,6 @@ def eta_johnson_pulsed(
     n_pi: int,
     tau_tot: TimeSeconds,
     f_cutoff: FrequencyHz = DEFAULT_F_CUTOFF_PULSED,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SensitivityTeslaSqrtS:
     """Pulsed sensitivity floor for a flat thermal spectrum at ``l_min``.
 
@@ -198,15 +196,13 @@ def eta_johnson_pulsed(
     if tau_tot <= 0 or f_cutoff <= 0:
         raise ValueError("tau_tot and f_cutoff must be positive")
     s_lin = 10.0 ** (l_min / 10.0)
-    return math.sqrt(math.pi * f_cutoff * (n_pi + 1) * s_lin / (2.0 * tau_tot)) / constants.gamma_nv
+    return math.sqrt(math.pi * f_cutoff * (n_pi + 1) * s_lin / (2.0 * tau_tot)) / GAMMA_NV
 
 
 def cw_sigma_f(
     spectrum: PhaseNoiseSpectrum,
     tau: TimeSeconds,
     f_cutoff: FrequencyHz = DEFAULT_F_CUTOFF_CW,
-    oversample: int = 16,
-    max_points: int = 20_000_000,
 ) -> float:
     """Std of the drive frequency deviation averaged over a window ``tau``.
 
@@ -219,7 +215,7 @@ def cw_sigma_f(
         raise ValueError("tau must be positive")
     if f_cutoff <= 0:
         raise ValueError("f_cutoff must be positive")
-    n_points = int(min(max(f_cutoff * tau * oversample, 2048), max_points))
+    n_points = int(min(max(f_cutoff * tau * _CW_OVERSAMPLE, 2048), _CW_MAX_POINTS))
     freqs = np.linspace(0.0, f_cutoff, n_points)
     integrand = np.zeros_like(freqs)
     pos = freqs > 0
@@ -237,7 +233,6 @@ def cw_sigma_f(
 def cw_eta_f(
     sigma_f: float,
     tau: TimeSeconds,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SensitivityTeslaSqrtS:
     """Sensitivity of a cw measurement whose frequency std over a window
     ``tau`` is ``sigma_f``: eta = (sigma_f / gamma) sqrt(tau)."""
@@ -245,4 +240,4 @@ def cw_eta_f(
         raise ValueError("sigma_f must be nonnegative")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return sigma_f / constants.gamma_nv * math.sqrt(tau)
+    return sigma_f / GAMMA_NV * math.sqrt(tau)

@@ -473,6 +473,8 @@ def _filter_fn_point(cfg, f_min: float, f_max: float | None, n_points: int):
     seq = build_sequence(cfg)
     ff = FilterFunction(seq, finite_pulse_correction=cfg["sequence"]["finite_pulses"])
     top = f_max if f_max is not None else 2.2 * seq.f_center
+    if not (math.isfinite(f_min) and math.isfinite(top)):
+        raise ConfigError("f-min and f-max must be finite")
     if not 0 <= f_min < top:
         raise ConfigError("need 0 <= f-min < f-max")
     if n_points < 2:
@@ -527,7 +529,9 @@ def _predict_point(cfg):
         eta_shot = eta_phi(readout, seq)
     else:
         eta_shot = float("nan")
-    eta_johnson = eta_johnson_pulsed(noise_cfg["l_johnson_dbc"], seq.n_pi, seq.tau_tot)
+    eta_johnson = eta_johnson_pulsed(
+        noise_cfg["l_johnson_dbc"], seq.n_pi, seq.tau_tot, f_cutoff=noise_cfg["f_cutoff_hz"]
+    )
     row = [
         float(seq.tau_tot),
         float(seq.f_center),

@@ -1,13 +1,13 @@
-"""Shared physical constants, scalar aliases, unit helpers and CSV file I/O.
+"""Shared physical constants, scalar aliases, config-unit helpers and CSV I/O.
 
-Everything internal to the package is SI: seconds, hertz, tesla, radians,
-watts.  Display units (pT*s^1/2, kHz, us) only appear at the CLI boundary
-via the converters below.
+Everything internal to the package is SI: seconds, hertz, tesla, radians.
+Display units (pT*s^1/2, kHz, us, ns) only appear at the CLI boundary: the
+helpers below read config values into SI.  Every phase-to-field conversion
+uses the one NV gyromagnetic ratio ``GAMMA_NV``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,11 +30,11 @@ ZERO_FIELD_SPLITTING_D: float = 2.87e9
 
 @dataclass(frozen=True)
 class Constants:
-    """Physical constants used across the package.
+    """The NV constants as one validated record.
 
-    A frozen instance keeps the defaults in one place while still letting a
-    caller carry modified values through explicitly (e.g. a different
-    gyromagnetic ratio for another spin species).
+    ``DEFAULT_CONSTANTS`` holds the values the package computes with,
+    ``GAMMA_NV`` and ``ZERO_FIELD_SPLITTING_D``; no function takes another
+    instance.
     """
 
     gamma_nv: float = GAMMA_NV
@@ -50,68 +50,20 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
-def resonance_frequencies(
-    b0: Tesla, constants: Constants = DEFAULT_CONSTANTS
-) -> tuple[FrequencyHz, FrequencyHz]:
-    """Spin-transition frequencies (f_minus, f_plus) at bias field ``b0``.
-
-    f_pm = D +- gamma * b0.  Raises ValueError if the Zeeman shift exceeds D,
-    which would put f_minus at or below zero.
-    """
-    if b0 < 0:
-        raise ValueError("bias field must be nonnegative")
-    zeeman = constants.gamma_nv * b0
-    f_minus = constants.zero_field_splitting_d - zeeman
-    f_plus = constants.zero_field_splitting_d + zeeman
-    if f_minus <= 0:
-        raise ValueError("bias field too large: lower transition at or below 0 Hz")
-    return f_minus, f_plus
-
-
 # --- unit conversions ------------------------------------------------------
-# Kept as explicit named pairs rather than a generic factor table so that a
-# caller reading "pt_to_tesla" never has to guess direction.
-
-def pt_to_tesla(value_pt: float) -> Tesla:
-    return value_pt * 1e-12
-
-
-def tesla_to_pt(value_t: Tesla) -> float:
-    return value_t * 1e12
-
+# Config files give display units; each helper names the one direction the
+# CLI needs, into SI.
 
 def khz_to_hz(value_khz: float) -> FrequencyHz:
     return value_khz * 1e3
-
-
-def hz_to_khz(value_hz: FrequencyHz) -> float:
-    return value_hz * 1e-3
 
 
 def us_to_s(value_us: float) -> TimeSeconds:
     return value_us * 1e-6
 
 
-def s_to_us(value_s: TimeSeconds) -> float:
-    return value_s * 1e6
-
-
 def ns_to_s(value_ns: float) -> TimeSeconds:
     return value_ns * 1e-9
-
-
-def s_to_ns(value_s: TimeSeconds) -> float:
-    return value_s * 1e9
-
-
-def dbm_to_watts(value_dbm: float) -> float:
-    return 1e-3 * 10.0 ** (value_dbm / 10.0)
-
-
-def watts_to_dbm(value_w: float) -> float:
-    if value_w <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(value_w / 1e-3)
 
 
 # --- CSV files -------------------------------------------------------------

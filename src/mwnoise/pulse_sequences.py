@@ -240,6 +240,9 @@ def _ratio(h: np.ndarray, den: np.ndarray, half_z: np.ndarray, n: int) -> np.nda
 # the interval being integrated.
 _BLOCK = 1 << 16
 
+# Lattice points per 1/tau_tot, the period of F's oscillation.
+_OVERSAMPLE = 32
+
 
 def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     """F on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
@@ -365,7 +368,7 @@ def filter_function_integral(
     ff: FilterFunction,
     f_lo: FrequencyHz,
     f_hi: FrequencyHz | np.ndarray,
-    oversample: int = 32,
+    oversample: int = _OVERSAMPLE,
 ) -> float | np.ndarray:
     """Band integral of the filter function in angular-frequency measure,
     i.e. the integral of F over [f_lo, f_hi] with d(omega) = 2 pi df.
@@ -392,12 +395,11 @@ def band_integral_weighted(
     weight_fn,
     f_lo: FrequencyHz,
     f_hi: FrequencyHz,
-    oversample: int = 32,
 ) -> float:
     """Integral of weight(f) * F(f) df over [f_lo, f_hi] (ordinary frequency
-    measure, no 2 pi).  Shares the anchored lattice with
-    :func:`filter_function_integral`; ``weight_fn`` is called on ascending
-    blocks of lattice frequencies."""
+    measure, no 2 pi).  Shares the anchored lattice, at the default
+    resolution, with :func:`filter_function_integral`; ``weight_fn`` is
+    called on ascending blocks of lattice frequencies."""
     if f_lo < 0 or f_hi < f_lo:
         raise ValueError("need 0 <= f_lo <= f_hi")
-    return _lattice_integral(ff, weight_fn, f_lo, f_hi, oversample)
+    return _lattice_integral(ff, weight_fn, f_lo, f_hi, _OVERSAMPLE)

@@ -37,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS,
-    Constants,
+    GAMMA_NV,
     FrequencyHz,
     Radians,
     SensitivityTeslaSqrtS,
@@ -182,14 +181,13 @@ def _readout_blocks(
     n_seq: int,
     n: int,
     seed: int,
-    constants: Constants,
 ):
     """Yield (on, off) tesla readouts per block of :func:`_stream_blocks`.
 
     ``on`` is tone + phase noise + shot noise, ``off`` the same tone and shot
     draws without the phase noise, or None when ``process`` is None.
     """
-    scale = 4.0 * constants.gamma_nv * seq.tau_tot
+    scale = 4.0 * GAMMA_NV * seq.tau_tot
     phase = None if process is None else _phi_tot_draws(seq, process, seed)
     shot = _shot_draws(shot_sigma, philox_rng(seed, 0x73686F74)) if shot_sigma > 0 else None
     for t, phi, z in _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)):
@@ -217,7 +215,6 @@ def _gradiometer_blocks(
     f_uniform: FrequencyHz,
     f_gradient: FrequencyHz,
     channel_gains: tuple[float, float],
-    constants: Constants,
 ):
     """Checked arguments, then a generator of (ch1, ch2, ch1 - ch2) tesla
     readouts per block of :func:`_stream_blocks`.
@@ -230,7 +227,7 @@ def _gradiometer_blocks(
         raise ValueError("need at least 2 sequences")
     if shot_sigma < 0:
         raise ValueError("shot_sigma must be nonnegative")
-    scale = 4.0 * constants.gamma_nv * seq.tau_tot
+    scale = 4.0 * GAMMA_NV * seq.tau_tot
     rng_1, rng_2 = philox_rng(seed, 0x67726164), philox_rng(seed, 0x67726164)
     discard = np.empty(min(n_sequences, _BLOCK_SAMPLES))
     for lo in range(0, n_sequences, discard.size):
@@ -262,7 +259,6 @@ def synthesize_stream(
     readout: "ReadoutModel | float",
     duration: TimeSeconds,
     seed: int = 0,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> ReadoutStream:
     """Simulated readout stream: aliased test field + phase noise + shot noise.
 
@@ -276,8 +272,7 @@ def synthesize_stream(
     """
     n_seq = _sequence_count(duration, seq.f_samp)
     blocks = _readout_blocks(
-        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, 1,
-        seed, constants,
+        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, 1, seed
     )
     return ReadoutStream(np.concatenate([on for on, _ in blocks]), seq.f_samp)
 
@@ -366,7 +361,6 @@ def stream_spectra(
     duration: TimeSeconds,
     interval: TimeSeconds,
     seed: int = 0,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[AmplitudeSpectrum, AmplitudeSpectrum | None]:
     """(noise-on, noise-off) amplitude spectra of a synthesized readout stream.
 
@@ -381,8 +375,7 @@ def stream_spectra(
     on = _SpectrumSum(n, seq.f_samp)
     off = None if process is None else _SpectrumSum(n, seq.f_samp)
     for on_block, off_block in _readout_blocks(
-        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, n,
-        seed, constants,
+        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, n, seed
     ):
         on.add(on_block)
         if off is not None:
@@ -403,7 +396,6 @@ def gradiometer_spectra(
     f_uniform: FrequencyHz = 394e3,
     f_gradient: FrequencyHz = 394e3,
     channel_gains: tuple[float, float] = (1.0, 1.0),
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[AmplitudeSpectrum, AmplitudeSpectrum, AmplitudeSpectrum]:
     """Amplitude spectra of the channels of
     :func:`~mwnoise.spin_simulator.simulate_gradiometer` (same arguments),
@@ -413,7 +405,7 @@ def gradiometer_spectra(
     sums = [_SpectrumSum(n, seq.f_samp) for _ in range(3)]
     for channels in _gradiometer_blocks(
         seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, n, seed,
-        f_uniform, f_gradient, channel_gains, constants,
+        f_uniform, f_gradient, channel_gains,
     ):
         for total, samples in zip(sums, channels):
             total.add(samples)
@@ -515,7 +507,6 @@ def fit_calibration(
     v_test,
     v_nv,
     seq: PulseSequence,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> CalibrationFit:
     """Fit v_nv = v_max * |sin(4 sqrt(2) kappa v_test gamma tau_tot)|.
 
@@ -538,7 +529,7 @@ def fit_calibration(
     if v_span <= 0:
         raise ValueError("v_test must contain positive amplitudes")
 
-    arg_scale = 4.0 * math.sqrt(2.0) * constants.gamma_nv * seq.tau_tot
+    arg_scale = 4.0 * math.sqrt(2.0) * GAMMA_NV * seq.tau_tot
     # First |sin| maximum at arg = pi/2; kappa placing it at the largest
     # applied voltage is the natural scale of the problem.
     kappa_scale = 0.5 * math.pi / (arg_scale * v_span)

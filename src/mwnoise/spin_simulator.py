@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import DEFAULT_CONSTANTS, Constants, FrequencyHz, Radians, Tesla, TimeSeconds
+from .core import GAMMA_NV, FrequencyHz, Radians, Tesla, TimeSeconds
 from .noise_models import (
     NoiseProcess,
     PhaseNoiseSpectrum,
@@ -261,7 +261,6 @@ def dq_ramsey_probability(
     delta_alpha_prime: Radians,
     b_z: Tesla,
     tau: TimeSeconds,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Bright-state probability of a double-quantum Ramsey measurement.
 
@@ -273,7 +272,7 @@ def dq_ramsey_probability(
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    arg = 0.5 * (delta_alpha_prime - delta_alpha) - 2.0 * math.pi * constants.gamma_nv * b_z * tau
+    arg = 0.5 * (delta_alpha_prime - delta_alpha) - 2.0 * math.pi * GAMMA_NV * b_z * tau
     return math.cos(arg) ** 2
 
 
@@ -284,7 +283,6 @@ def dq_ramsey_probability_tones(
     alpha_high_prime: Radians,
     b_z: Tesla,
     tau: TimeSeconds,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Same, from the four individual tone phases.
 
@@ -293,11 +291,7 @@ def dq_ramsey_probability_tones(
     (LO) source contributes.
     """
     return dq_ramsey_probability(
-        alpha_high - alpha_low,
-        alpha_high_prime - alpha_low_prime,
-        b_z,
-        tau,
-        constants,
+        alpha_high - alpha_low, alpha_high_prime - alpha_low_prime, b_z, tau
     )
 
 
@@ -306,7 +300,6 @@ def dq_noise_suppression(
     carrier_spectrum: PhaseNoiseSpectrum,
     seq: PulseSequence,
     f_cutoff: FrequencyHz = 1e8,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple[float, float]:
     """(eta_dq, eta_single): sensitivity with the two-tone scheme vs a
     single mixed tone.
@@ -317,9 +310,9 @@ def dq_noise_suppression(
     from .analytic_sensitivity import eta_phi, sigma_phi_filter
     from .noise_models import mix_spectra
 
-    eta_dq = eta_phi(sigma_phi_filter(lo_spectrum, seq, f_cutoff), seq, constants)
+    eta_dq = eta_phi(sigma_phi_filter(lo_spectrum, seq, f_cutoff), seq)
     mixed = mix_spectra(carrier_spectrum, lo_spectrum, mode="sum")
-    eta_single = eta_phi(sigma_phi_filter(mixed, seq, f_cutoff), seq, constants)
+    eta_single = eta_phi(sigma_phi_filter(mixed, seq, f_cutoff), seq)
     return eta_dq, eta_single
 
 
@@ -337,7 +330,6 @@ def simulate_gradiometer(
     f_uniform: FrequencyHz = 394e3,
     f_gradient: FrequencyHz = 394e3,
     channel_gains: tuple[float, float] = (1.0, 1.0),
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> tuple["ReadoutStream", "ReadoutStream", "ReadoutStream"]:
     """Two magnetometer channels driven by one microwave source, plus their
     difference channel.
@@ -361,7 +353,7 @@ def simulate_gradiometer(
 
     blocks = _gradiometer_blocks(
         seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, 1, seed,
-        f_uniform, f_gradient, channel_gains, constants,
+        f_uniform, f_gradient, channel_gains,
     )
     return tuple(ReadoutStream(np.concatenate(ch), seq.f_samp) for ch in zip(*blocks))
 
@@ -375,7 +367,6 @@ def simulate_cw_trace(
     dt: TimeSeconds,
     duration: TimeSeconds,
     seed: int = 0,
-    constants: Constants = DEFAULT_CONSTANTS,
 ) -> np.ndarray:
     """Fluorescence trace of a cw (ODMR) magnetometer on the slope.
 
@@ -395,7 +386,7 @@ def simulate_cw_trace(
     # One extra phase sample so the finite difference covers n intervals.
     track = synthesize_phase_track(spectrum, (n + 1) * dt, dt, seed)
     delta_f = np.diff(track) / (2.0 * math.pi * dt)
-    detuning = constants.gamma_nv * b_arr + delta_f
+    detuning = GAMMA_NV * b_arr + delta_f
     slope = model.contrast * (3.0 * math.sqrt(3.0) / 4.0) / model.linewidth
     return 1.0 - slope * detuning
 

@@ -81,6 +81,14 @@ def test_filter_fn_matches_library(tmp_path):
     assert rows[:, 2].tolist() == want
 
 
+@pytest.mark.parametrize("flag", ["--f-max", "--f-min"])
+def test_exit_code_filter_fn_infinite_bound(tmp_path, flag):
+    cfg = _write_config(tmp_path, BASE_SEQUENCE)
+    out = tmp_path / "ff.csv"
+    assert main(["filter-fn", "--config", cfg, "--out", str(out), flag, "inf"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_filter_fn_rerun_is_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, BASE_SEQUENCE)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -92,33 +100,39 @@ def test_filter_fn_rerun_is_byte_identical(tmp_path):
 # --- predict --------------------------------------------------------------------
 
 def test_predict_matches_library(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        BASE_SEQUENCE
-        + """
-        [noise]
-        source = preset
-        preset = g1-2.5ghz
-        """,
-    )
-    out = tmp_path / "predict.csv"
-    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    _, columns, rows = _read_table(out)
     seq = _seq_from_base()
     spec = mw.preset_spectrum("g1-2.5ghz")
-    row = dict(zip(columns, rows[0]))
-    assert row["tau_tot_s"] == pytest.approx(seq.tau_tot, rel=1e-9)
-    assert row["f_center_hz"] == pytest.approx(458e3, rel=1e-9)
-    sigma = mw.sigma_phi_filter(spec, seq, 1e8, finite_pulse_correction=True)
-    assert row["sigma_phi_rad"] == pytest.approx(sigma, rel=1e-9)
-    assert row["eta_filter_t_sqrts"] == pytest.approx(mw.eta_phi(sigma, seq), rel=1e-9)
-    assert row["eta_johnson_t_sqrts"] == pytest.approx(
-        mw.eta_johnson_pulsed(-177.0, seq.n_pi, seq.tau_tot), rel=1e-9
-    )
-    # No white/random-walk/shot parameters were configured.
-    assert math.isnan(row["eta_white_t_sqrts"])
-    assert math.isnan(row["eta_rw_t_sqrts"])
-    assert math.isnan(row["eta_shot_t_sqrts"])
+    # The default cutoff, then one set in the config: the filter and Johnson
+    # columns both integrate up to it.
+    for f_cutoff, line in ((1e8, ""), (1e7, "f_cutoff_hz = 1e7")):
+        cfg = _write_config(
+            tmp_path,
+            BASE_SEQUENCE
+            + f"""
+            [noise]
+            source = preset
+            preset = g1-2.5ghz
+            {line}
+            """,
+        )
+        out = tmp_path / "predict.csv"
+        assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        _, columns, rows = _read_table(out)
+        row = dict(zip(columns, rows[0]))
+        assert row["tau_tot_s"] == pytest.approx(seq.tau_tot, rel=1e-9)
+        assert row["f_center_hz"] == pytest.approx(458e3, rel=1e-9)
+        sigma = mw.sigma_phi_filter(spec, seq, f_cutoff, finite_pulse_correction=True)
+        assert row["sigma_phi_rad"] == pytest.approx(sigma, rel=1e-9)
+        # abs=0: both floors sit below approx's default absolute tolerance.
+        eta_filter = mw.eta_phi(sigma, seq)
+        assert row["eta_filter_t_sqrts"] == pytest.approx(eta_filter, rel=1e-9, abs=0)
+        assert row["eta_johnson_t_sqrts"] == pytest.approx(
+            mw.eta_johnson_pulsed(-177.0, seq.n_pi, seq.tau_tot, f_cutoff), rel=1e-9, abs=0
+        )
+        # No white/random-walk/shot parameters were configured.
+        assert math.isnan(row["eta_white_t_sqrts"])
+        assert math.isnan(row["eta_rw_t_sqrts"])
+        assert math.isnan(row["eta_shot_t_sqrts"])
 
 
 def test_predict_shot_from_bare_shot_sigma(tmp_path):

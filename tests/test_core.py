@@ -1,8 +1,8 @@
-"""Constants, resonance arithmetic and unit converters."""
+"""Constants, config-unit converters and the package's public names."""
 
 import math
+import types
 
-import numpy as np
 import pytest
 
 import mwnoise as mw
@@ -23,64 +23,20 @@ def test_constants_validation():
         mw.Constants(zero_field_splitting_d=-1.0)
 
 
-def test_resonance_zero_field_degenerate():
-    f_minus, f_plus = mw.resonance_frequencies(0.0)
-    assert f_minus == 2.87e9
-    assert f_plus == 2.87e9
-
-
-def test_resonance_81_mt():
-    f_minus, f_plus = mw.resonance_frequencies(0.081)
-    assert f_plus == pytest.approx(5.14e9, rel=0.01)
-    assert f_minus == pytest.approx(0.60e9, rel=0.01)
-
-
-def test_resonance_76_mt():
-    _, f_plus = mw.resonance_frequencies(0.076)
-    assert f_plus == pytest.approx(5.00e9, rel=0.01)
-
-
-def test_resonance_sum_rule():
-    rng = np.random.default_rng(1)
-    d = mw.ZERO_FIELD_SPLITTING_D
-    for b0 in rng.uniform(0.0, d / mw.GAMMA_NV * 0.999, 50):
-        f_minus, f_plus = mw.resonance_frequencies(float(b0))
-        assert f_plus >= f_minus
-        assert f_plus + f_minus == pytest.approx(2.0 * d, rel=1e-14)
-
-
-def test_resonance_rejects_bad_field():
-    with pytest.raises(ValueError):
-        mw.resonance_frequencies(-1e-3)
-    # Zeeman shift beyond D pushes the lower transition through zero.
-    with pytest.raises(ValueError):
-        mw.resonance_frequencies(0.2)
-
-
 def test_unit_conversion_round_trips():
-    rng = np.random.default_rng(2)
-    pairs = [
-        (core.pt_to_tesla, core.tesla_to_pt),
-        (core.khz_to_hz, core.hz_to_khz),
-        (core.us_to_s, core.s_to_us),
-        (core.ns_to_s, core.s_to_ns),
-    ]
-    for fwd, back in pairs:
-        for value in rng.uniform(1e-3, 1e3, 20):
-            assert back(fwd(float(value))) == pytest.approx(float(value), rel=1e-12)
-    for dbm in rng.uniform(-120.0, 40.0, 20):
-        assert core.watts_to_dbm(core.dbm_to_watts(float(dbm))) == pytest.approx(
-            float(dbm), abs=1e-10
-        )
+    assert core.khz_to_hz(394.0) == pytest.approx(394e3, rel=1e-15)
+    assert core.us_to_s(15.0) == pytest.approx(15e-6, rel=1e-15)
+    assert core.ns_to_s(40.0) == pytest.approx(40e-9, rel=1e-15)
 
 
-def test_dbm_known_points():
-    assert core.dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert core.dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
-    assert core.dbm_to_watts(10.0) == pytest.approx(1e-2, rel=1e-12)
-    assert core.watts_to_dbm(1e-3) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        core.watts_to_dbm(0.0)
+def test_all_is_sorted_and_matches_the_package_namespace():
+    public = {
+        name
+        for name, obj in vars(mw).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert mw.__all__ == sorted(mw.__all__)
+    assert mw.__all__ == sorted(public)
 
 
 def test_fft_floor_factor_is_sqrt_pi_over_two():
