@@ -69,7 +69,7 @@ from .signal_pipeline import (
     shot_sigma_from_readout,
     stream_spectra,
 )
-from .spin_simulator import monte_carlo_sigma_phi
+from .spin_simulator import _MIN_REALIZATIONS, _phi_tot_sigma, monte_carlo_sigma_phi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,22 +135,15 @@ _INT_KEYS = {("sequence", "n_r"), ("run", "seed"), ("run", "n_realizations"), ("
 _BOOL_KEYS = {("sequence", "finite_pulses"), ("pipeline", "gradiometer")}
 _STR_KEYS = {("sequence", "kind"), ("noise", "source"), ("noise", "preset"), ("noise", "file")}
 
-# Sweepable parameters, by the name used in [sweep] axis = ...
-_SWEEP_AXES: dict[str, tuple[str, str]] = {
-    "n_r": ("sequence", "n_r"),
-    "t_pi_ns": ("sequence", "t_pi_ns"),
-    "t_dead_us": ("sequence", "t_dead_us"),
-    "f_xy8_khz": ("sequence", "f_xy8_khz"),
-    "tau_ns": ("sequence", "tau_ns"),
-    "tau_tot_us": ("sequence", "tau_tot_us"),
-    "sigma_wh": ("noise", "sigma_wh"),
-    "sigma_rw": ("noise", "sigma_rw"),
-    "r_samp_hz": ("noise", "r_samp_hz"),
-    "carrier_ghz": ("noise", "carrier_ghz"),
-    "shift_db": ("noise", "shift_db"),
-    "l_dbc": ("noise", "l_dbc"),
-    "test_field_pt": ("pipeline", "test_field_pt"),
-}
+# Sweepable parameters, by the name used in [sweep] axis = ...; key names are
+# unique across the sections of _DEFAULTS, so the name finds its section.
+_SWEEP_AXES = frozenset(
+    {
+        "n_r", "t_pi_ns", "t_dead_us", "f_xy8_khz", "tau_ns", "tau_tot_us",
+        "sigma_wh", "sigma_rw", "r_samp_hz", "carrier_ghz", "shift_db", "l_dbc",
+        "test_field_pt",
+    }
+)
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -261,7 +254,13 @@ _SOURCE_KEYS = {
 }
 
 
-def _check_single_source(noise_cfg: dict) -> str:
+def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | None]:
+    """(L(f) spectrum, process) of the configured noise source.
+
+    The spectrum is None for the sample-based sources (white, random walk)
+    and for ``none``, whose process is None too.
+    """
+    noise_cfg = cfg["noise"]
     source = noise_cfg["source"].lower()
     if source not in _SOURCE_KEYS:
         raise ConfigError(
@@ -271,59 +270,36 @@ def _check_single_source(noise_cfg: dict) -> str:
     for key in _SOURCE_KEYS[source]:
         if noise_cfg[key] is None:
             raise ConfigError(f"noise source {source!r} requires [noise] {key}")
-    owners = {k: s for s, keys in _SOURCE_KEYS.items() for k in keys}
-    for key, owner in owners.items():
-        if noise_cfg[key] is not None and owner != source and key not in _SOURCE_KEYS[source]:
-            raise ConfigError(
-                f"[noise] {key} belongs to source {owner!r} but source is {source!r}; "
-                "configure exactly one noise source"
-            )
-    return source
-
-
-def build_noise_spectrum(cfg: dict) -> PhaseNoiseSpectrum | None:
-    """The L(f) spectrum of the configured source, or None for sample-based ones."""
-    noise_cfg = cfg["noise"]
-    source = _check_single_source(noise_cfg)
-    if source == "preset":
-        try:
-            spectrum = preset_spectrum(noise_cfg["preset"])
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
-    elif source == "file":
-        path = Path(noise_cfg["file"])
-        if not path.exists():
-            raise ConfigError(f"spectrum file not found: {path}")
-        try:
-            spectrum = load_spectrum(path)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse spectrum file: {exc}") from None
-    elif source != "flat":
-        return None
+    for owner, keys in _SOURCE_KEYS.items():
+        for key in keys:
+            if noise_cfg[key] is not None and key not in _SOURCE_KEYS[source]:
+                raise ConfigError(
+                    f"[noise] {key} belongs to source {owner!r} but source is {source!r}; "
+                    "configure exactly one noise source"
+                )
+    if source == "file" and not Path(noise_cfg["file"]).is_file():
+        raise ConfigError(f"spectrum file not found: {noise_cfg['file']}")
+    seed = cfg["run"]["seed"]
     try:
-        if source == "flat":
+        if source == "none":
+            return None, None
+        if source == "white":
+            return None, WhiteNoise(noise_cfg["sigma_wh"], seed=seed)
+        if source == "random-walk":
+            return None, RandomWalkNoise(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"], seed=seed)
+        if source == "preset":
+            spectrum = preset_spectrum(noise_cfg["preset"])
+        elif source == "file":
+            spectrum = load_spectrum(noise_cfg["file"])
+        else:
             spectrum = flat_spectrum(noise_cfg["l_dbc"])
         if noise_cfg["carrier_ghz"] is not None:
             spectrum = spectrum.scaled_to_carrier(noise_cfg["carrier_ghz"] * 1e9)
         if noise_cfg["shift_db"] is not None:
             spectrum = spectrum.shifted_db(noise_cfg["shift_db"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid [noise] parameters: {exc}") from None
-    return spectrum
-
-
-def build_process(cfg: dict, seed: int) -> NoiseProcess | None:
-    noise_cfg = cfg["noise"]
-    source = _check_single_source(noise_cfg)
-    if source == "none":
-        return None
-    spectrum = build_noise_spectrum(cfg)
-    try:
-        if source == "white":
-            return WhiteNoise(noise_cfg["sigma_wh"], seed=seed)
-        if source == "random-walk":
-            return RandomWalkNoise(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"], seed=seed)
-        return PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"], seed=seed)
+        return spectrum, PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"], seed=seed)
+    except KeyError as exc:  # an unknown preset name
+        raise ConfigError(str(exc.args[0])) from None
     except ValueError as exc:
         raise ConfigError(f"invalid [noise] parameters: {exc}") from None
 
@@ -347,6 +323,40 @@ def build_readout(cfg: dict) -> "ReadoutModel | float":
     if any(v is not None for v in model_keys):
         raise ConfigError("[readout] contrast and n_photons must be given together")
     return 0.0
+
+
+def _check_pipeline_params(p: dict) -> None:
+    for key in ("duration_s", "interval_s"):
+        if not 0 < p[key] < math.inf:
+            raise ConfigError(f"[pipeline] {key} must be positive and finite, got {p[key]!r}")
+    for key in ("test_field_pt", "uniform_pt", "gradient_pt"):
+        if not math.isfinite(p[key]):
+            raise ConfigError(f"[pipeline] {key} must be finite, got {p[key]!r}")
+    for key in ("f_test_khz", "f_uniform_khz", "f_gradient_khz"):
+        if p[key] is not None and not 0 <= p[key] < math.inf:
+            raise ConfigError(f"[pipeline] {key} must be nonnegative and finite, got {p[key]!r}")
+
+
+def build_point(
+    cfg: dict,
+) -> tuple[PulseSequence, PhaseNoiseSpectrum | None, NoiseProcess | None, "ReadoutModel | float"]:
+    """(sequence, spectrum, process, readout) of one sweep point.
+
+    Every command builds each of its points here, once, so every config
+    section is checked whether or not the command uses it: a bad value is a
+    configuration error under every command.  ``spectrum`` and ``process``
+    are those of :func:`build_noise`.
+    """
+    seq = build_sequence(cfg)
+    spectrum, process = build_noise(cfg)
+    readout = build_readout(cfg)
+    _check_pipeline_params(cfg["pipeline"])
+    if cfg["run"]["n_realizations"] < _MIN_REALIZATIONS:
+        raise ConfigError(
+            f"[run] n_realizations must be at least {_MIN_REALIZATIONS}, "
+            f"got {cfg['run']['n_realizations']}"
+        )
+    return seq, spectrum, process, readout
 
 
 # --- units ------------------------------------------------------------------
@@ -431,13 +441,13 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; known: {', '.join(sorted(_SWEEP_AXES))}"
         )
-    section, key = _SWEEP_AXES[axis]
+    section = next(name for name, keys in _DEFAULTS.items() if axis in keys)
     points = []
     for value in values:
         point = copy.deepcopy(cfg)
-        if (section, key) in _INT_KEYS:
+        if (section, axis) in _INT_KEYS:
             value = _integer(f"[sweep] {axis}", value, value)
-        point[section][key] = value
+        point[section][axis] = value
         points.append((float(value), point))
     return points
 
@@ -454,7 +464,9 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
     configs = [point for _, point in points]
     workers = cfg["run"]["workers"]
     if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # At most one process per point: with the fork start method the pool
+        # starts all its workers at once, however few points there are.
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             results = list(pool.map(point_fn, configs))
     else:
         results = [point_fn(point) for point in configs]
@@ -470,7 +482,7 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
 # --- filter-fn ----------------------------------------------------------------
 
 def _filter_fn_point(cfg, f_min: float, f_max: float | None, n_points: int):
-    seq = build_sequence(cfg)
+    seq = build_point(cfg)[0]
     ff = FilterFunction(seq, finite_pulse_correction=cfg["sequence"]["finite_pulses"])
     top = f_max if f_max is not None else 2.2 * seq.f_center
     if not (math.isfinite(f_min) and math.isfinite(top)):
@@ -496,12 +508,8 @@ def cmd_filter_fn(cfg: dict, args) -> None:
 # --- predict ------------------------------------------------------------------
 
 def _predict_point(cfg):
-    seq = build_sequence(cfg)
+    seq, spectrum, process, readout = build_point(cfg)
     noise_cfg = cfg["noise"]
-    spectrum = build_noise_spectrum(cfg)
-    # A sample-based source is built for its validated parameters.
-    process = build_process(cfg, cfg["run"]["seed"]) if spectrum is None else None
-
     sigma_phi = float("nan")
     eta_filter = float("nan")
     if spectrum is not None:
@@ -522,7 +530,6 @@ def _predict_point(cfg):
         if isinstance(process, RandomWalkNoise)
         else float("nan")
     )
-    readout = build_readout(cfg)
     if isinstance(readout, ReadoutModel):
         eta_shot = eta_shot_noise(readout, seq)
     elif cfg["readout"]["shot_sigma"] is not None:
@@ -563,29 +570,19 @@ def cmd_predict(cfg: dict, args) -> None:
 # --- montecarlo -----------------------------------------------------------------
 
 def _montecarlo_point(cfg):
-    seq = build_sequence(cfg)
-    build_readout(cfg)  # validated only: the table has no readout column
+    seq, spectrum, process, _ = build_point(cfg)
     seed = cfg["run"]["seed"]
-    process = build_process(cfg, seed)
     if process is None:
         process = WhiteNoise(0.0, seed=seed)
     result = monte_carlo_sigma_phi(seq, process, cfg["run"]["n_realizations"], seed=seed)
-
-    source = cfg["noise"]["source"].lower()
-    if source == "white":
-        analytic = 2.0 * cfg["noise"]["sigma_wh"] * math.sqrt(seq.n_pi + 0.25)
-    elif source == "random-walk":
-        analytic = cfg["noise"]["sigma_rw"] * math.sqrt(seq.tau_tot * cfg["noise"]["r_samp_hz"])
-    elif source == "none":
-        analytic = 0.0
+    if spectrum is None:
+        # White, random walk and none: the exact std of the sampled phi_tot.
+        analytic = _phi_tot_sigma(seq, process)
     else:
         # The Monte Carlo treats pulses as instantaneous, so the matching
         # frequency-domain reference is the delta-pulse filter function.
         analytic = sigma_phi_filter(
-            build_noise_spectrum(cfg),
-            seq,
-            f_cutoff=cfg["noise"]["f_cutoff_hz"],
-            finite_pulse_correction=False,
+            spectrum, seq, f_cutoff=cfg["noise"]["f_cutoff_hz"], finite_pulse_correction=False
         )
     row = [
         result.n_realizations,
@@ -613,25 +610,10 @@ def cmd_montecarlo(cfg: dict, args) -> None:
 
 # --- pipeline -------------------------------------------------------------------
 
-def _check_pipeline_params(p: dict) -> None:
-    for key in ("duration_s", "interval_s"):
-        if not 0 < p[key] < math.inf:
-            raise ConfigError(f"[pipeline] {key} must be positive and finite, got {p[key]!r}")
-    for key in ("test_field_pt", "uniform_pt", "gradient_pt"):
-        if not math.isfinite(p[key]):
-            raise ConfigError(f"[pipeline] {key} must be finite, got {p[key]!r}")
-    for key in ("f_test_khz", "f_uniform_khz", "f_gradient_khz"):
-        if p[key] is not None and not 0 <= p[key] < math.inf:
-            raise ConfigError(f"[pipeline] {key} must be nonnegative and finite, got {p[key]!r}")
-
-
 def _pipeline_point(cfg):
-    seq = build_sequence(cfg)
+    seq, _, process, readout = build_point(cfg)
     p = cfg["pipeline"]
-    _check_pipeline_params(p)
     seed = cfg["run"]["seed"]
-    process = build_process(cfg, seed)
-    readout = build_readout(cfg)
     interval = p["interval_s"]
 
     if p["gradiometer"]:
@@ -692,9 +674,9 @@ def cmd_pipeline(cfg: dict, args) -> None:
 # --- calibrate ------------------------------------------------------------------
 
 def cmd_calibrate(cfg: dict, args) -> None:
-    seq = build_sequence(cfg)
+    seq = build_point(cfg)[0]
     path = Path(args.data)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"calibration data file not found: {path}")
     try:
         _, data = read_csv(path, 2)

@@ -22,9 +22,9 @@ of chunk spectra along its first axis one row after another, so the spectra
 equal those of the whole stream transformed at once, bit for bit, while
 memory depends on the interval and the block, not on the duration.
 :func:`stream_spectra` and :func:`gradiometer_spectra` run the walk;
-:func:`synthesize_stream`, :func:`amplitude_spectrum` and
-:func:`~mwnoise.spin_simulator.simulate_gradiometer` are wrappers over it that
-join the blocks or split a given stream.
+:func:`synthesize_stream`, :func:`simulate_gradiometer` and
+:func:`amplitude_spectrum` are wrappers over it that join the blocks or split
+a given stream.
 """
 
 from __future__ import annotations
@@ -277,6 +277,42 @@ def synthesize_stream(
     return ReadoutStream(np.concatenate([on for on, _ in blocks]), seq.f_samp)
 
 
+def simulate_gradiometer(
+    seq: PulseSequence,
+    process: NoiseProcess,
+    uniform_signal: Tesla,
+    gradient_signal: Tesla,
+    shot_sigma: Radians,
+    n_sequences: int,
+    seed: int = 0,
+    *,
+    f_uniform: FrequencyHz = 394e3,
+    f_gradient: FrequencyHz = 394e3,
+    channel_gains: tuple[float, float] = (1.0, 1.0),
+) -> tuple[ReadoutStream, ReadoutStream, ReadoutStream]:
+    """Two magnetometer channels driven by one microwave source, plus their
+    difference channel.
+
+    Both channels share each sequence's source phase error (common mode).  A
+    uniform AC test field (rms amplitude ``uniform_signal`` at ``f_uniform``)
+    enters both channels with the same sign; a gradient test field
+    (``gradient_signal`` at ``f_gradient``) enters with opposite signs.  Shot
+    noise is drawn independently per channel.  The difference channel is
+    ch1 - ch2: common phase noise and the uniform field cancel while the
+    gradient peak doubles, at the cost of a sqrt(2) larger shot floor.
+
+    Returns (channel_1, channel_2, difference) as readout streams in tesla,
+    the samples :func:`gradiometer_spectra` transforms, joined from its
+    blocks.  The shot draws of channels 1 and 2 are the first and second
+    ``n_sequences`` normals of one Philox stream.
+    """
+    blocks = _gradiometer_blocks(
+        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, 1, seed,
+        f_uniform, f_gradient, channel_gains,
+    )
+    return tuple(ReadoutStream(np.concatenate(ch), seq.f_samp) for ch in zip(*blocks))
+
+
 def _chunk_length(interval: TimeSeconds, f_samp: FrequencyHz, n_samples: int) -> int:
     n = int(round(interval * f_samp))
     if n < 2:
@@ -397,9 +433,9 @@ def gradiometer_spectra(
     f_gradient: FrequencyHz = 394e3,
     channel_gains: tuple[float, float] = (1.0, 1.0),
 ) -> tuple[AmplitudeSpectrum, AmplitudeSpectrum, AmplitudeSpectrum]:
-    """Amplitude spectra of the channels of
-    :func:`~mwnoise.spin_simulator.simulate_gradiometer` (same arguments),
-    computed one block of chunks at a time: (channel 1, channel 2, difference).
+    """Amplitude spectra of the channels of :func:`simulate_gradiometer`
+    (same arguments), computed one block of chunks at a time: (channel 1,
+    channel 2, difference).
     """
     n = _chunk_length(interval, seq.f_samp, n_sequences)
     sums = [_SpectrumSum(n, seq.f_samp) for _ in range(3)]

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from .analytic_sensitivity import eta_phi, sigma_phi_filter
 from .core import GAMMA_NV, FrequencyHz, Radians, Tesla, TimeSeconds
 from .noise_models import (
     NoiseProcess,
@@ -34,14 +35,12 @@ from .noise_models import (
     _track_chunks,
     _track_rng,
     _walk_step_variances,
+    mix_spectra,
     philox_rng,
     ssb_to_psd,
     synthesize_phase_track,
 )
 from .pulse_sequences import PulseSequence
-
-if TYPE_CHECKING:
-    from .signal_pipeline import ReadoutStream
 
 
 def propagate_phase(alphas, alpha_f: Radians) -> Radians:
@@ -61,6 +60,10 @@ def _alternating_weights(n_pi: int) -> np.ndarray:
     """Coefficients of alpha_1..alpha_N in the closed form of the recursion."""
     signs = np.where((n_pi - np.arange(1, n_pi + 1)) % 2 == 0, 1.0, -1.0)
     return 2.0 * signs
+
+
+# Fewest realizations whose sample std is a usable estimate.
+_MIN_REALIZATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,10 @@ def monte_carlo_sigma_phi(
     the same synthesis draws read through the comb transfer of the sample
     times (:func:`_psd_phi_tot`), without building the tracks.
     """
-    if n_realizations < 100:
-        raise ValueError("need at least 100 realizations for a usable std estimate")
+    if n_realizations < _MIN_REALIZATIONS:
+        raise ValueError(
+            f"need at least {_MIN_REALIZATIONS} realizations for a usable std estimate"
+        )
     if isinstance(process, PsdDrivenNoise):
         phi_tot = _psd_phi_tot(seq, process, n_realizations, seed)
     else:
@@ -307,55 +312,10 @@ def dq_noise_suppression(
     The double-quantum drive sees only the LO's phase noise; a conventional
     single-tone drive built by mixing sees the sum of carrier and LO noise.
     """
-    from .analytic_sensitivity import eta_phi, sigma_phi_filter
-    from .noise_models import mix_spectra
-
     eta_dq = eta_phi(sigma_phi_filter(lo_spectrum, seq, f_cutoff), seq)
     mixed = mix_spectra(carrier_spectrum, lo_spectrum, mode="sum")
     eta_single = eta_phi(sigma_phi_filter(mixed, seq, f_cutoff), seq)
     return eta_dq, eta_single
-
-
-# --- gradiometer -------------------------------------------------------------
-
-def simulate_gradiometer(
-    seq: PulseSequence,
-    process: NoiseProcess,
-    uniform_signal: Tesla,
-    gradient_signal: Tesla,
-    shot_sigma: Radians,
-    n_sequences: int,
-    seed: int = 0,
-    *,
-    f_uniform: FrequencyHz = 394e3,
-    f_gradient: FrequencyHz = 394e3,
-    channel_gains: tuple[float, float] = (1.0, 1.0),
-) -> tuple["ReadoutStream", "ReadoutStream", "ReadoutStream"]:
-    """Two magnetometer channels driven by one microwave source, plus their
-    difference channel.
-
-    Both channels share each sequence's source phase error (common mode).  A
-    uniform AC test field (rms amplitude ``uniform_signal`` at ``f_uniform``)
-    enters both channels with the same sign; a gradient test field
-    (``gradient_signal`` at ``f_gradient``) enters with opposite signs.  Shot
-    noise is drawn independently per channel.  The difference channel is
-    ch1 - ch2: common phase noise and the uniform field cancel while the
-    gradient peak doubles, at the cost of a sqrt(2) larger shot floor.
-
-    Returns (channel_1, channel_2, difference) as readout streams in tesla,
-    joined from the blocks of the stream walk of
-    :mod:`mwnoise.signal_pipeline`, whose
-    :func:`~mwnoise.signal_pipeline.gradiometer_spectra` transforms the same
-    samples.  The shot draws of channels 1 and 2 are the first and second
-    ``n_sequences`` normals of one Philox stream.
-    """
-    from .signal_pipeline import ReadoutStream, _gradiometer_blocks
-
-    blocks = _gradiometer_blocks(
-        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, 1, seed,
-        f_uniform, f_gradient, channel_gains,
-    )
-    return tuple(ReadoutStream(np.concatenate(ch), seq.f_samp) for ch in zip(*blocks))
 
 
 # --- cw magnetometry ---------------------------------------------------------

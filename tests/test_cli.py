@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mwnoise as mw
-from mwnoise import signal_pipeline
+from mwnoise import cli, signal_pipeline
 from mwnoise.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from mwnoise.core import read_csv
 
@@ -46,6 +46,33 @@ def _read_table(path):
 
 def _seq_from_base():
     return mw.make_xy8(1, 458e3, 48e-9, 15e-6)
+
+
+COMMANDS = ["filter-fn", "predict", "montecarlo", "pipeline", "calibrate"]
+
+
+def _calibration_csv(tmp_path, kappa=3e-6, v_max=0.83):
+    """A v_test,v_nv file of the base sequence's response with 1 % noise."""
+    arg_scale = 4.0 * math.sqrt(2.0) * mw.GAMMA_NV * _seq_from_base().tau_tot
+    v_quarter = (0.5 * math.pi) / (arg_scale * kappa)
+    v_test = np.linspace(0.0, 2.4 * v_quarter, 25)
+    v_nv = v_max * np.abs(np.sin(arg_scale * kappa * v_test))
+    v_nv *= 1.0 + 0.01 * np.random.default_rng(6).standard_normal(v_test.size)
+    data = tmp_path / "cal.csv"
+    data.write_text(
+        "v_test,v_nv\n"
+        + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(v_test, v_nv))
+        + "\n"
+    )
+    return data
+
+
+def _argv(tmp_path, command, cfg, out, *extra):
+    """Arguments of ``command`` on ``cfg``; calibrate also gets a valid data file."""
+    argv = [command, "--config", cfg, "--out", str(out), *extra]
+    if command == "calibrate":
+        argv += ["--data", str(_calibration_csv(tmp_path))]
+    return argv
 
 
 # --- filter-fn -------------------------------------------------------------------
@@ -149,7 +176,7 @@ def test_predict_shot_from_bare_shot_sigma(tmp_path):
     assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
     _, columns, rows = _read_table(out)
     eta_shot = rows[0][columns.index("eta_shot_t_sqrts")]
-    assert eta_shot == pytest.approx(mw.eta_shot_noise(model, _seq_from_base()), rel=1e-10)
+    assert eta_shot == pytest.approx(mw.eta_shot_noise(model, _seq_from_base()), rel=1e-10, abs=0)
 
 
 def test_predict_sweep_order_and_linearity(tmp_path):
@@ -235,6 +262,32 @@ def test_predict_workers_give_identical_bytes(tmp_path, command, body, extra):
     assert serial_rows == parallel_rows
 
 
+def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    # With the fork start method a pool starts all its workers at once, so
+    # --workers above the point count must not ask for more.  A stand-in
+    # pool records the request and maps in this process: no process starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n")
+    out = tmp_path / "ff.csv"
+    assert main(["filter-fn", "--config", cfg, "--out", str(out), "--workers", "64"]) == EXIT_OK
+    assert sizes == [3]
+
+
 def test_units_paper_scaling(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -308,7 +361,7 @@ def test_montecarlo_white_tracks_analytic(tmp_path):
     )
     seq = _seq_from_base()
     assert row["eta_empirical_t_sqrts"] == pytest.approx(
-        mw.eta_phi(row["sigma_phi_rad"], seq), rel=1e-9
+        mw.eta_phi(row["sigma_phi_rad"], seq), rel=1e-9, abs=0
     )
 
 
@@ -340,7 +393,7 @@ def test_pipeline_matches_library(tmp_path):
     assert columns == ["floor_on_t_sqrts", "floor_off_t_sqrts", "excess_t_sqrts"]
     floor_on, floor_off, excess = rows[0]
     assert excess == pytest.approx(
-        math.sqrt(max(floor_on**2 - floor_off**2, 0.0)), rel=1e-9
+        math.sqrt(max(floor_on**2 - floor_off**2, 0.0)), rel=1e-9, abs=0
     )
 
     seq = _seq_from_base()
@@ -348,7 +401,7 @@ def test_pipeline_matches_library(tmp_path):
         seq, mw.WhiteNoise(0.005, seed=5), 0.0, 0.0, 0.002, 20.0, seed=5
     )
     want_on, _ = mw.estimate_noise_floor(mw.amplitude_spectrum(stream_on, 1.0))
-    assert floor_on == pytest.approx(want_on, rel=1e-9)
+    assert floor_on == pytest.approx(want_on, rel=1e-9, abs=0)
 
     meta, saved = read_csv(spectrum_out, 2)
     assert float(meta["f_samp_hz"]) == pytest.approx(seq.f_samp, rel=1e-9)
@@ -482,20 +535,8 @@ def test_pipeline_bounded_memory_at_600_s(tmp_path, n_r, body):
 # --- calibrate ------------------------------------------------------------------
 
 def test_calibrate_round_trip(tmp_path):
-    seq = _seq_from_base()
     kappa_true, v_max_true = 3e-6, 0.83
-    arg_scale = 4.0 * math.sqrt(2.0) * mw.GAMMA_NV * seq.tau_tot
-    v_quarter = (0.5 * math.pi) / (arg_scale * kappa_true)
-    v_test = np.linspace(0.0, 2.4 * v_quarter, 25)
-    rng = np.random.default_rng(6)
-    v_nv = v_max_true * np.abs(np.sin(arg_scale * kappa_true * v_test))
-    v_nv *= 1.0 + 0.01 * rng.standard_normal(v_test.size)
-    data = tmp_path / "cal.csv"
-    data.write_text(
-        "v_test,v_nv\n"
-        + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(v_test, v_nv))
-        + "\n"
-    )
+    data = _calibration_csv(tmp_path, kappa_true, v_max_true)
     cfg = _write_config(tmp_path, BASE_SEQUENCE)
     out = tmp_path / "fit.csv"
     assert main(
@@ -504,7 +545,7 @@ def test_calibrate_round_trip(tmp_path):
     meta, columns, rows = _read_table(out)
     assert columns == ["v_max", "kappa_t_per_v", "residual_rms"]
     row = dict(zip(columns, rows[0]))
-    assert row["kappa_t_per_v"] == pytest.approx(kappa_true, rel=0.01)
+    assert row["kappa_t_per_v"] == pytest.approx(kappa_true, rel=0.01, abs=0)
     assert row["v_max"] == pytest.approx(v_max_true, rel=0.01)
     assert any(line.startswith("# n_points=25") for line in meta)
 
@@ -523,6 +564,15 @@ def test_calibrate_malformed_row_is_config_error(tmp_path, bad_row):
     out = tmp_path / "fit.csv"
     assert main(
         ["calibrate", "--config", cfg, "--data", str(data), "--out", str(out)]
+    ) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_calibrate_data_directory_is_config_error(tmp_path):
+    cfg = _write_config(tmp_path, BASE_SEQUENCE)
+    out = tmp_path / "fit.csv"
+    assert main(
+        ["calibrate", "--config", cfg, "--data", str(tmp_path), "--out", str(out)]
     ) == EXIT_CONFIG
     assert not out.exists()
 
@@ -681,10 +731,11 @@ def test_exit_code_non_finite_timing(tmp_path, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["predict", "montecarlo", "pipeline"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
     "noise",
     [
+        "source = bogus",
         "source = white\nsigma_wh = nan",
         "source = white\nsigma_wh = -0.01",
         "source = random-walk\nsigma_rw = 0.01\nr_samp_hz = inf",
@@ -693,34 +744,40 @@ def test_exit_code_non_finite_timing(tmp_path, key, value):
         "source = flat\nl_dbc = nan",
         "source = preset\npreset = g1-2.5ghz\nf_cutoff_hz = nan",
         "source = preset\npreset = g1-2.5ghz\nf_cutoff_hz = 0",
+        "source = file\nfile = .",
     ],
     ids=[
-        "nan-sigma-wh", "negative-sigma-wh", "inf-r-samp", "nan-shift", "nan-carrier", "nan-flat",
-        "nan-cutoff", "zero-cutoff",
+        "unknown-source", "nan-sigma-wh", "negative-sigma-wh", "inf-r-samp", "nan-shift",
+        "nan-carrier", "nan-flat", "nan-cutoff", "zero-cutoff", "file-is-directory",
     ],
 )
 def test_exit_code_noise_probes(tmp_path, command, noise):
     # A noise parameter the noise classes or the config reader reject is a
-    # configuration error for every command, whether or not it samples the
-    # process.
+    # configuration error for every command, whether or not it uses the
+    # noise source.
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE + "[noise]\n" + noise + "\n[pipeline]\nduration_s = 1\n"
     )
     out = tmp_path / "table.csv"
     extra = ["--n-realizations", "100"] if command == "montecarlo" else []
-    assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+    assert main(_argv(tmp_path, command, cfg, out, *extra)) == EXIT_CONFIG
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["predict", "montecarlo", "pipeline"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
     "readout",
-    ["shot_sigma = -1", "shot_sigma = nan", "contrast = 1.5\nn_photons = 0.05"],
-    ids=["negative-shot-sigma", "nan-shot-sigma", "contrast"],
+    [
+        "shot_sigma = -1",
+        "shot_sigma = nan",
+        "contrast = 1.5\nn_photons = 0.05",
+        "contrast = 1.5\nn_photons = 1e4",
+    ],
+    ids=["negative-shot-sigma", "nan-shot-sigma", "contrast", "contrast-above-one"],
 )
 def test_exit_code_readout_probes(tmp_path, command, readout):
-    # Every command that reads the config rejects a bad [readout], including
-    # montecarlo, whose table does not use it.
+    # Every command rejects a bad [readout], including those whose table
+    # does not use it.
     cfg = _write_config(
         tmp_path,
         BASE_SEQUENCE
@@ -731,8 +788,36 @@ def test_exit_code_readout_probes(tmp_path, command, readout):
     )
     out = tmp_path / "table.csv"
     extra = ["--n-realizations", "100"] if command == "montecarlo" else []
-    assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+    assert main(_argv(tmp_path, command, cfg, out, *extra)) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "section, body, code",
+    [
+        ("run", "n_realizations = 200", EXIT_OK),
+        ("pipeline", "duration_s = -1", EXIT_CONFIG),
+        ("run", "n_realizations = 0", EXIT_CONFIG),
+    ],
+    ids=["valid", "negative-duration", "zero-realizations"],
+)
+def test_exit_code_every_section_under_every_command(tmp_path, command, section, body, code):
+    # Each command checks [pipeline] and [run] too, whether or not it uses
+    # them, and a valid config runs under all five.
+    sections = {
+        "noise": "source = white\nsigma_wh = 0.005",
+        "readout": "shot_sigma = 0.002",
+        "pipeline": "duration_s = 1",
+        "run": "n_realizations = 200",
+        section: body,
+    }
+    cfg = _write_config(
+        tmp_path, BASE_SEQUENCE + "".join(f"[{k}]\n{v}\n" for k, v in sections.items())
+    )
+    out = tmp_path / "table.csv"
+    assert main(_argv(tmp_path, command, cfg, out)) == code
+    assert out.exists() == (code == EXIT_OK)
 
 
 @pytest.mark.parametrize(

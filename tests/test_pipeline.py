@@ -99,7 +99,7 @@ def test_stream_constant_at_exact_multiple():
     seq = _table_seq()
     stream = mw.synthesize_stream(seq, None, 300e-12, 3 * seq.f_samp, 0.0, 2.0, seed=0)
     assert stream.samples.max() == stream.samples.min()
-    assert stream.samples[0] == pytest.approx(300e-12 * math.sqrt(2.0), rel=1e-12)
+    assert stream.samples[0] == pytest.approx(300e-12 * math.sqrt(2.0), rel=1e-12, abs=0)
 
 
 def test_stream_determinism():
@@ -120,7 +120,7 @@ def test_stream_tone_readback():
     spectrum = mw.amplitude_spectrum(stream, 1.0)
     k = int(np.argmin(np.abs(spectrum.freqs - 1400.0)))
     assert spectrum.freqs[k] == pytest.approx(1400.0, abs=1.0)
-    assert float(spectrum.asd[k]) == pytest.approx(212e-12, rel=0.02)
+    assert float(spectrum.asd[k]) == pytest.approx(212e-12, rel=0.02, abs=0)
 
 
 # --- amplitude spectra -----------------------------------------------------------
@@ -141,7 +141,7 @@ def test_spectrum_sine_reads_rms_amplitude():
         spectrum = mw.amplitude_spectrum(stream, interval)
         k = int(np.argmin(np.abs(spectrum.freqs - 50.0)))
         assert float(spectrum.asd[k]) == pytest.approx(
-            a_rms * math.sqrt(interval), rel=1e-9
+            a_rms * math.sqrt(interval), rel=1e-9, abs=0
         )
 
 
@@ -153,7 +153,7 @@ def test_spectrum_parseval_single_chunk():
     spectrum = mw.amplitude_spectrum(stream, stream.duration)
     assert spectrum.n_chunks == 1
     total = float(np.sum(spectrum.asd**2) * spectrum.delta_f)
-    assert total == pytest.approx(float(x.var()), rel=1e-6)
+    assert total == pytest.approx(float(x.var()), rel=1e-6, abs=0)
 
 
 def test_spectrum_floor_independent_of_interval():
@@ -163,7 +163,7 @@ def test_spectrum_floor_independent_of_interval():
     for interval in (0.25, 1.0):
         spectrum = mw.amplitude_spectrum(stream, interval)
         floors.append(mw.estimate_noise_floor(spectrum)[0])
-    assert floors[0] == pytest.approx(floors[1], rel=0.05)
+    assert floors[0] == pytest.approx(floors[1], rel=0.05, abs=0)
 
 
 def test_spectrum_scale_equivariance():
@@ -172,7 +172,7 @@ def test_spectrum_scale_equivariance():
     scaled = mw.ReadoutStream(stream.samples * 7.0, stream.f_samp)
     base, _ = mw.estimate_noise_floor(mw.amplitude_spectrum(stream, 1.0))
     big, _ = mw.estimate_noise_floor(mw.amplitude_spectrum(scaled, 1.0))
-    assert big == pytest.approx(7.0 * base, rel=1e-12)
+    assert big == pytest.approx(7.0 * base, rel=1e-12, abs=0)
 
 
 def test_spectrum_hann_window_reads_sine():
@@ -183,7 +183,7 @@ def test_spectrum_hann_window_reads_sine():
     spectrum = mw.amplitude_spectrum(stream, 2.0, window="hann")
     k = int(np.argmin(np.abs(spectrum.freqs - 100.0)))
     assert float(spectrum.asd[k]) == pytest.approx(
-        a_rms * math.sqrt(2.0), rel=0.01
+        a_rms * math.sqrt(2.0), rel=0.01, abs=0
     )
 
 
@@ -310,7 +310,7 @@ def _flat_fixture(level=6.0e-12, spikes=()):
 def test_floor_flat_fixture_with_spike():
     spectrum = _flat_fixture(spikes=[(3000, 10.0)])
     floor, spike_bins = mw.estimate_noise_floor(spectrum)
-    assert floor == pytest.approx(6.0e-12, rel=0.02)
+    assert floor == pytest.approx(6.0e-12, rel=0.02, abs=0)
     assert 3000 in spike_bins.tolist()
 
 
@@ -318,7 +318,7 @@ def test_floor_without_spikes_is_plain_median():
     spectrum = _flat_fixture()
     floor, spike_bins = mw.estimate_noise_floor(spectrum)
     include = spectrum.freqs >= 1e3
-    assert floor == pytest.approx(float(np.median(spectrum.asd[include])), rel=1e-9)
+    assert floor == pytest.approx(float(np.median(spectrum.asd[include])), rel=1e-9, abs=0)
     assert spike_bins.size == 0
 
 
@@ -326,20 +326,20 @@ def test_floor_dc_exclusion():
     spectrum = _flat_fixture()
     spectrum.asd[:900] = 1e-9  # huge low-frequency clutter, all below 1 kHz
     floor, _ = mw.estimate_noise_floor(spectrum)
-    assert floor == pytest.approx(6.0e-12, rel=0.02)
+    assert floor == pytest.approx(6.0e-12, rel=0.02, abs=0)
 
 
 def test_floor_test_tone_exclusion():
     spectrum = _flat_fixture(spikes=[(2500, 40.0)])
     floor, _ = mw.estimate_noise_floor(spectrum, f_test=2500.0)
-    assert floor == pytest.approx(6.0e-12, rel=0.02)
+    assert floor == pytest.approx(6.0e-12, rel=0.02, abs=0)
 
 
 def test_floor_custom_params_and_errors():
     spectrum = _flat_fixture()
     params = mw.FloorParams(dc_exclude_hz=2e3, test_halfwidth_hz=100.0)
     floor, _ = mw.estimate_noise_floor(spectrum, params=params)
-    assert floor == pytest.approx(6.0e-12, rel=0.02)
+    assert floor == pytest.approx(6.0e-12, rel=0.02, abs=0)
     with pytest.raises(ValueError):
         mw.FloorParams(trim_fraction=1.5)
     with pytest.raises(ValueError):
@@ -349,8 +349,8 @@ def test_floor_custom_params_and_errors():
 
 
 def test_excess_noise_examples():
-    assert mw.excess_noise(13.3e-12, 6.0e-12) == pytest.approx(11.9e-12, rel=0.01)
-    assert mw.excess_noise(7.6e-12, 6.0e-12) == pytest.approx(4.7e-12, rel=0.01)
+    assert mw.excess_noise(13.3e-12, 6.0e-12) == pytest.approx(11.9e-12, rel=0.01, abs=0)
+    assert mw.excess_noise(7.6e-12, 6.0e-12) == pytest.approx(4.7e-12, rel=0.01, abs=0)
     assert mw.excess_noise(6.0e-12, 6.0e-12) == 0.0
 
 
@@ -376,7 +376,7 @@ def test_calibration_round_trip():
     seq = _table_seq()
     v_test, v_nv = _calibration_data(seq, 0.83, 3e-6)
     fit = mw.fit_calibration(v_test, v_nv, seq)
-    assert fit.kappa == pytest.approx(3e-6, rel=1e-6)
+    assert fit.kappa == pytest.approx(3e-6, rel=1e-6, abs=0)
     assert fit.v_max == pytest.approx(0.83, rel=1e-6)
     assert fit.residual_rms < 1e-9
 
@@ -386,7 +386,7 @@ def test_calibration_with_noise():
     for kappa in (3e-7, 3e-6, 3e-5):
         v_test, v_nv = _calibration_data(seq, 0.83, kappa, noise=0.01)
         fit = mw.fit_calibration(v_test, v_nv, seq)
-        assert fit.kappa == pytest.approx(kappa, rel=0.01)
+        assert fit.kappa == pytest.approx(kappa, rel=0.01, abs=0)
 
 
 def test_calibration_peak_value_is_v_max():
@@ -457,7 +457,7 @@ def test_white_chain_reproduces_analytic_floor():
             seq, mw.WhiteNoise(sigma_wh), 0.0, 0.0, 0.0, 30.0, seed=25
         )
         floor, _ = mw.estimate_noise_floor(mw.amplitude_spectrum(stream, 1.0))
-        assert floor == pytest.approx(want, rel=0.10)
+        assert floor == pytest.approx(want, rel=0.10, abs=0)
 
 
 def test_shot_floor_matches_conversion():
@@ -472,4 +472,4 @@ def test_shot_floor_matches_conversion():
         * (sigma_shot / _tesla_scale(seq))
         / math.sqrt(seq.f_samp)
     )
-    assert floor == pytest.approx(want, rel=0.05)
+    assert floor == pytest.approx(want, rel=0.05, abs=0)

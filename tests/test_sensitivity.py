@@ -95,7 +95,7 @@ def test_sigma_phi_scales_with_level():
 def test_eta_phi_zero_and_example():
     seq70 = mw.make_xy8_fixed_duration(8, 70e-6, 0.0, 0.0)
     assert mw.eta_phi(0.0, seq70) == 0.0
-    assert mw.eta_phi(8.37e-3, seq70) == pytest.approx(8.9e-12, rel=0.01)
+    assert mw.eta_phi(8.37e-3, seq70) == pytest.approx(8.9e-12, rel=0.01, abs=0)
 
 
 def test_eta_phi_formula():
@@ -113,7 +113,7 @@ def test_eta_phi_formula():
             / (4.0 * GAMMA * math.sqrt(seq.tau_tot))
             * math.sqrt(1.0 + seq.t_dead / seq.tau_tot)
         )
-        assert mw.eta_phi(sigma, seq) == pytest.approx(want, rel=1e-12)
+        assert mw.eta_phi(sigma, seq) == pytest.approx(want, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         mw.eta_phi(-1e-3, seq)
 
@@ -121,7 +121,7 @@ def test_eta_phi_formula():
 # --- white / random-walk eta -----------------------------------------------------
 
 def test_eta_white_example():
-    assert mw.eta_white(0.01, 458e3, 1.0) == pytest.approx(171e-12, rel=0.01)
+    assert mw.eta_white(0.01, 458e3, 1.0) == pytest.approx(171e-12, rel=0.01, abs=0)
     assert mw.eta_white(0.0, 458e3, 1.0) == 0.0
 
 
@@ -139,18 +139,18 @@ def test_eta_white_matches_phase_chain():
         seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 521.85e-9, T_PI, t_dead)
         direct = mw.eta_white(sigma_wh, seq.f_center, seq.duty)
         chained = mw.eta_phi(2.0 * sigma_wh * math.sqrt(n_pi), seq)
-        assert direct == pytest.approx(chained, rel=1e-12)
+        assert direct == pytest.approx(chained, rel=1e-12, abs=0)
 
 
 def test_eta_random_walk_example_and_chain():
-    assert mw.eta_random_walk(1e-3, 1e6, 1.0) == pytest.approx(8.9e-12, rel=0.01)
+    assert mw.eta_random_walk(1e-3, 1e6, 1.0) == pytest.approx(8.9e-12, rel=0.01, abs=0)
     assert mw.eta_random_walk(0.0, 1e6, 1.0) == 0.0
     sigma_rw, r_samp = 2.3e-3, 4e5
     for n_pi in (8, 64):
         seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 521.85e-9, T_PI, T_DEAD)
         direct = mw.eta_random_walk(sigma_rw, r_samp, seq.duty)
         chained = mw.eta_phi(sigma_rw * math.sqrt(seq.tau_tot * r_samp), seq)
-        assert direct == pytest.approx(chained, rel=1e-12)
+        assert direct == pytest.approx(chained, rel=1e-12, abs=0)
 
 
 def test_eta_random_walk_independent_of_sequence():
@@ -163,10 +163,10 @@ def test_eta_random_walk_independent_of_sequence():
 def test_duty_cycle_law():
     for duty in (0.25, 0.5, 0.9):
         assert mw.eta_white(0.01, 458e3, duty) == pytest.approx(
-            mw.eta_white(0.01, 458e3, 1.0) / math.sqrt(duty), rel=1e-12
+            mw.eta_white(0.01, 458e3, 1.0) / math.sqrt(duty), rel=1e-12, abs=0
         )
         assert mw.eta_random_walk(1e-3, 1e6, duty) == pytest.approx(
-            mw.eta_random_walk(1e-3, 1e6, 1.0) / math.sqrt(duty), rel=1e-12
+            mw.eta_random_walk(1e-3, 1e6, 1.0) / math.sqrt(duty), rel=1e-12, abs=0
         )
     # For the sequence-based etas the duty enters through t_dead.
     tau_tot = 69.9e-6
@@ -175,10 +175,10 @@ def test_duty_cycle_law():
     model = mw.ReadoutModel(0.013, 1.23e9, 1.5e-6, 4e-6)
     factor = 1.0 / math.sqrt(idle.duty)
     assert mw.eta_phi(0.1, idle) == pytest.approx(
-        mw.eta_phi(0.1, busy) * factor, rel=1e-12
+        mw.eta_phi(0.1, busy) * factor, rel=1e-12, abs=0
     )
     assert mw.eta_shot_noise(model, idle) == pytest.approx(
-        mw.eta_shot_noise(model, busy) * factor, rel=1e-12
+        mw.eta_shot_noise(model, busy) * factor, rel=1e-12, abs=0
     )
 
 
@@ -213,10 +213,10 @@ def test_eta_shot_golden():
         mw.SequenceKind.XY8, 64, (69.9e-6 / 64 - T_PI) / 2, T_PI, T_DEAD
     )
     eta = mw.eta_shot_noise(model, seq)
-    assert eta == pytest.approx(4.3e-12, rel=0.03)
-    assert eta * mw.FFT_FLOOR_FACTOR == pytest.approx(5.4e-12, rel=0.03)
+    assert eta == pytest.approx(4.3e-12, rel=0.03, abs=0)
+    assert eta * mw.FFT_FLOOR_FACTOR == pytest.approx(5.4e-12, rel=0.03, abs=0)
     # Frozen regression value.
-    assert eta == pytest.approx(4.276259176719905e-12, rel=1e-12)
+    assert eta == pytest.approx(4.276259176719905e-12, rel=1e-12, abs=0)
 
 
 def test_eta_shot_formula_and_scalings():
@@ -228,14 +228,14 @@ def test_eta_shot_formula_and_scalings():
         / math.sqrt(seq.duty)
         / (4.0 * GAMMA * model.contrast * math.sqrt(seq.tau_tot * model.n_photons))
     )
-    assert mw.eta_shot_noise(model, seq) == pytest.approx(want, rel=1e-12)
+    assert mw.eta_shot_noise(model, seq) == pytest.approx(want, rel=1e-12, abs=0)
     double_c = mw.ReadoutModel(0.026, 1.23e9, 1.5e-6, 4e-6)
     assert mw.eta_shot_noise(double_c, seq) == pytest.approx(
-        mw.eta_shot_noise(model, seq) / 2.0, rel=1e-12
+        mw.eta_shot_noise(model, seq) / 2.0, rel=1e-12, abs=0
     )
     quad_ph = mw.ReadoutModel(0.013, 4 * 1.23e9, 1.5e-6, 4e-6)
     assert mw.eta_shot_noise(quad_ph, seq) == pytest.approx(
-        mw.eta_shot_noise(model, seq) / 2.0, rel=1e-12
+        mw.eta_shot_noise(model, seq) / 2.0, rel=1e-12, abs=0
     )
 
 
@@ -252,17 +252,17 @@ def test_readout_model_validation():
 
 def test_eta_johnson_pulsed_example():
     eta = mw.eta_johnson_pulsed(-177.0, 40, 50e-6, 1e7)
-    assert eta == pytest.approx(1.8e-13, rel=0.01)
+    assert eta == pytest.approx(1.8e-13, rel=0.01, abs=0)
 
 
 def test_eta_johnson_pulsed_scalings():
     base = mw.eta_johnson_pulsed(-177.0, 40, 50e-6, 1e7)
     assert mw.eta_johnson_pulsed(-177.0, 40, 50e-6, 1e8) == pytest.approx(
-        base * math.sqrt(10.0), rel=1e-12
+        base * math.sqrt(10.0), rel=1e-12, abs=0
     )
     # (N+1) quadrupled: 4 * 41 - 1 = 163 pulses.
     assert mw.eta_johnson_pulsed(-177.0, 163, 50e-6, 1e7) == pytest.approx(
-        base * 2.0, rel=1e-12
+        base * 2.0, rel=1e-12, abs=0
     )
     with pytest.raises(ValueError):
         mw.eta_johnson_pulsed(-177.0, 0, 50e-6)
@@ -295,7 +295,7 @@ def test_cw_eta_f_identity():
         sigma_f = float(rng.uniform(1.0, 1e4))
         tau = float(rng.uniform(1e-5, 1e-2))
         assert mw.cw_eta_f(sigma_f, tau) == pytest.approx(
-            sigma_f * math.sqrt(tau) / GAMMA, rel=1e-12
+            sigma_f * math.sqrt(tau) / GAMMA, rel=1e-12, abs=0
         )
 
 
@@ -317,7 +317,7 @@ def test_cw_johnson_floor():
     eta = mw.cw_eta_f(sigma_f, tau)
     s0 = 2.0 * 10.0 ** (-17.7)
     closed = (1.0 / (math.pi * GAMMA)) * math.sqrt(s0 * fc / (2.0 * tau))
-    assert eta == pytest.approx(closed, rel=0.05)
+    assert eta == pytest.approx(closed, rel=0.05, abs=0)
     # Within a factor 3 of the 10 fT*s^1/2 scale.
     assert 10e-15 / 3.0 < eta < 10e-15 * 3.0
 
