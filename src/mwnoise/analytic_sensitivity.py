@@ -64,10 +64,10 @@ class ReadoutModel:
     def __post_init__(self) -> None:
         if not 0 < self.contrast <= 1:
             raise ValueError("contrast must be in (0, 1]")
-        if self.n_photons <= 0:
-            raise ValueError("n_photons must be positive")
-        if self.t_read <= 0 or self.t_norm <= 0:
-            raise ValueError("readout and normalization windows must be positive")
+        if not 0 < self.n_photons < math.inf:
+            raise ValueError("n_photons must be positive and finite")
+        if not (0 < self.t_read < math.inf and 0 < self.t_norm < math.inf):
+            raise ValueError("readout and normalization windows must be positive and finite")
 
     @property
     def overhead_factor(self) -> float:

@@ -277,6 +277,17 @@ def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | No
                     f"[noise] {key} belongs to source {owner!r} but source is {source!r}; "
                     "configure exactly one noise source"
                 )
+    # carrier_ghz and shift_db modify an L(f) spectrum, which these sources lack.
+    if source in ("none", "white", "random-walk"):
+        for key in ("carrier_ghz", "shift_db"):
+            if noise_cfg[key] is not None:
+                raise ConfigError(
+                    f"[noise] {key} applies to a spectrum source, but source is {source!r}"
+                )
+    if not math.isfinite(noise_cfg["l_johnson_dbc"]):
+        raise ConfigError(
+            f"[noise] l_johnson_dbc must be finite, got {noise_cfg['l_johnson_dbc']!r}"
+        )
     if source == "file" and not Path(noise_cfg["file"]).is_file():
         raise ConfigError(f"spectrum file not found: {noise_cfg['file']}")
     seed = cfg["run"]["seed"]

@@ -8,6 +8,7 @@ uses the one NV gyromagnetic ratio ``GAMMA_NV``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def read_csv(path: Path, expected_columns: int) -> tuple[dict, np.ndarray]:
     Blank lines are skipped and '#' lines are comments; a '# key=value'
     comment sets metadata[key].  One non-numeric line before the first data
     row is the column header.  Any other line must hold
-    ``expected_columns`` numbers, or ValueError names it.
+    ``expected_columns`` finite numbers, or ValueError names it.
     """
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
@@ -109,5 +110,7 @@ def read_csv(path: Path, expected_columns: int) -> tuple[dict, np.ndarray]:
             raise ValueError(
                 f"{path}, line {number}: expected {expected_columns} columns, got {line!r}"
             )
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}, line {number}: not a finite row: {line!r}")
         rows.append(row)
     return metadata, np.asarray(rows, dtype=float)

@@ -535,8 +535,14 @@ class CalibrationFit:
     residual_rms: float
 
 
-def _calibration_model(v_test: np.ndarray, v_max: float, kappa: float, arg_scale: float) -> np.ndarray:
-    return v_max * np.abs(np.sin(arg_scale * kappa * v_test))
+# The calibration cost is evaluated on this many log-spaced kappa (0.23 %
+# apart), and each local minimum there is refined by this many bisection
+# steps, which shrink its bracket of two grid cells below rounding.  The
+# kappa-by-point arrays are built at most this many elements at a time, so
+# memory does not grow with the data length; a 25-point fit is one block.
+_CAL_GRID_POINTS = 4000
+_CAL_BISECTIONS = 60
+_CAL_BLOCK = 2**17
 
 
 def fit_calibration(
@@ -548,9 +554,19 @@ def fit_calibration(
 
     ``v_test`` are applied test-coil voltage amplitudes, ``v_nv`` the
     measured sensor response; ``kappa`` converts volts to tesla (rms).  The
-    rectified sine has many local minima in kappa, so the least-squares fit
-    is restarted over a log grid of kappa guesses and the lowest-cost
-    solution kept.  Raises :class:`FitError` when the best residual rms
+    model is linear in v_max, so the fit is a variable projection (Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 1973): at each kappa the best
+    amplitude is v_max = <s, v_nv> / <s, s> with s = |sin(a kappa v_test)|,
+    which leaves the cost ||v_nv||^2 - <s, v_nv>^2 / <s, s> in kappa alone.
+    The rectified sine gives that cost many local minima, so it is evaluated
+    on a log grid of kappa over four decades, from 0.1 to 1000 times the
+    kappa that puts the first |sin| maximum at the largest voltage, and each
+    local minimum of the grid is refined between its two grid neighbours by
+    bisection on the sign of the cost's slope.  Among the refined minima
+    whose cost is within 1e-6 * sum(v_nv^2) of the lowest, the smallest
+    kappa is kept.
+    Raises ValueError unless the data are finite, nonnegative 1-D arrays of
+    at least 6 points, and :class:`FitError` when the best residual rms
     exceeds 10% of the fitted v_max.
     """
     v_test = np.asarray(v_test, dtype=float)
@@ -559,47 +575,59 @@ def fit_calibration(
         raise ValueError("v_test and v_nv must be 1-D arrays of equal length")
     if v_test.size < 6:
         raise ValueError("need at least 6 calibration points")
+    if not np.all(np.isfinite((v_test, v_nv))):
+        raise ValueError("calibration data must be finite")
     if np.any(v_test < 0) or np.any(v_nv < 0):
         raise ValueError("calibration data must be nonnegative amplitudes")
     v_span = float(np.max(v_test))
     if v_span <= 0:
         raise ValueError("v_test must contain positive amplitudes")
+    if float(np.max(v_nv)) <= 0:
+        raise FitError("all responses are zero; nothing to fit")
 
     arg_scale = 4.0 * math.sqrt(2.0) * GAMMA_NV * seq.tau_tot
     # First |sin| maximum at arg = pi/2; kappa placing it at the largest
     # applied voltage is the natural scale of the problem.
     kappa_scale = 0.5 * math.pi / (arg_scale * v_span)
-    v_max0 = float(np.max(v_nv))
-    if v_max0 <= 0:
-        raise FitError("all responses are zero; nothing to fit")
 
-    def residuals(log_params: np.ndarray) -> np.ndarray:
-        # Clamp so wild LM steps cannot overflow exp and poison the solver.
-        v_max, kappa = np.exp(np.clip(log_params, -50.0, 50.0))
-        return _calibration_model(v_test, v_max, kappa, arg_scale) - v_nv
+    rows = max(1, _CAL_BLOCK // v_test.size)
 
-    # scipy.optimize takes most of the package's import time; only this fit uses it.
-    from scipy.optimize import least_squares
+    def project(kappa: np.ndarray) -> np.ndarray:
+        """Rows (best v_max, cost, slope of the cost / (2a)) at each kappa."""
+        out = np.empty((3, kappa.size))
+        for start in range(0, kappa.size, rows):
+            arg = arg_scale * kappa[start : start + rows, None] * v_test
+            sin = np.sin(arg)
+            s = np.abs(sin)
+            v_max = np.sum(s * v_nv, axis=1) / np.sum(s * s, axis=1)
+            residuals = v_max[:, None] * s - v_nv
+            # At the best v_max the slope is 2 v_max <ds/dkappa, residuals>,
+            # and ds/dkappa = a v_test sign(sin(arg)) cos(arg).
+            slope = v_max * np.sum(residuals * v_test * np.sign(sin) * np.cos(arg), axis=1)
+            out[:, start : start + rows] = v_max, np.sum(residuals**2, axis=1), slope
+        return out
 
-    candidates = []
-    for kappa0 in kappa_scale * np.logspace(-1.0, 3.0, 41):
-        result = least_squares(
-            residuals,
-            x0=[math.log(v_max0), math.log(kappa0)],
-            method="lm",
-            max_nfev=400,
-        )
-        candidates.append(result)
-    best_cost = min(result.cost for result in candidates)
+    grid = kappa_scale * np.logspace(-1.0, 3.0, _CAL_GRID_POINTS)
+    cost = project(grid)[1]
+    padded = np.concatenate(([np.inf], cost, [np.inf]))
+    minima = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
+    lo = grid[np.maximum(minima - 1, 0)]
+    hi = grid[np.minimum(minima + 1, grid.size - 1)]
+    for _ in range(_CAL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        rising = project(mid)[2] > 0
+        hi = np.where(rising, mid, hi)
+        lo = np.where(rising, lo, mid)
+    kappa = 0.5 * (lo + hi)
+    v_max, cost, _ = project(kappa)
     # A rectified sine sampled on a grid aliases: kappa values whose argument
     # spacing agrees modulo pi reproduce the same points exactly, so several
-    # starts can converge to equal-cost solutions.  The fundamental is the
-    # smallest such kappa; prefer it among near-ties.
-    tie_tol = 1e-6 * float(np.sum(v_nv**2))
-    tied = [r for r in candidates if r.cost <= best_cost + tie_tol]
-    best = min(tied, key=lambda r: r.x[1])
-    v_max_fit, kappa_fit = (float(v) for v in np.exp(best.x))
-    residual_rms = math.sqrt(float(np.mean(best.fun**2)))
+    # minima can have equal cost.  The fundamental is the smallest such
+    # kappa; prefer it among near-ties.
+    tied = np.flatnonzero(cost <= cost.min() + 1e-6 * float(np.sum(v_nv**2)))
+    best = tied[np.argmin(kappa[tied])]
+    v_max_fit, kappa_fit = float(v_max[best]), float(kappa[best])
+    residual_rms = math.sqrt(float(cost[best]) / v_nv.size)
     if residual_rms > 0.10 * v_max_fit:
         raise FitError(
             f"calibration residual rms {residual_rms:.3g} exceeds 10% of "

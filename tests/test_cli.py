@@ -552,8 +552,8 @@ def test_calibrate_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "bad_row",
-    ["0.1,abc", "0.1", "0.1,0.2,0.3"],
-    ids=["non-numeric", "one-column", "three-columns"],
+    ["0.1,abc", "0.1", "0.1,0.2,0.3", "0.1,nan", "inf,0.2"],
+    ids=["non-numeric", "one-column", "three-columns", "nan-cell", "inf-cell"],
 )
 def test_calibrate_malformed_row_is_config_error(tmp_path, bad_row):
     rows = [f"{0.01 * k!r},{abs(math.sin(0.1 * k))!r}" for k in range(25)]
@@ -745,10 +745,18 @@ def test_exit_code_non_finite_timing(tmp_path, key, value):
         "source = preset\npreset = g1-2.5ghz\nf_cutoff_hz = nan",
         "source = preset\npreset = g1-2.5ghz\nf_cutoff_hz = 0",
         "source = file\nfile = .",
+        "source = white\nsigma_wh = 0.005\nl_johnson_dbc = nan",
+        "source = white\nsigma_wh = 0.005\nl_johnson_dbc = inf",
+        "source = white\nsigma_wh = 0.005\ncarrier_ghz = nan\nshift_db = 30",
+        "source = white\nsigma_wh = 0.005\nshift_db = 30",
+        "source = random-walk\nsigma_rw = 0.01\nr_samp_hz = 50000\ncarrier_ghz = 2.5",
+        "source = none\nshift_db = 3",
     ],
     ids=[
         "unknown-source", "nan-sigma-wh", "negative-sigma-wh", "inf-r-samp", "nan-shift",
         "nan-carrier", "nan-flat", "nan-cutoff", "zero-cutoff", "file-is-directory",
+        "nan-johnson", "inf-johnson", "white-nan-carrier", "white-shift", "random-walk-carrier",
+        "none-shift",
     ],
 )
 def test_exit_code_noise_probes(tmp_path, command, noise):
@@ -772,8 +780,15 @@ def test_exit_code_noise_probes(tmp_path, command, noise):
         "shot_sigma = nan",
         "contrast = 1.5\nn_photons = 0.05",
         "contrast = 1.5\nn_photons = 1e4",
+        "contrast = 0.03\nn_photons = 1e5\nt_read_us = nan",
+        "contrast = 0.03\nn_photons = 1e5\nt_norm_us = inf",
+        "contrast = 0.03\nn_photons = inf",
+        "contrast = 0.03\nn_photons = nan",
     ],
-    ids=["negative-shot-sigma", "nan-shot-sigma", "contrast", "contrast-above-one"],
+    ids=[
+        "negative-shot-sigma", "nan-shot-sigma", "contrast", "contrast-above-one",
+        "nan-t-read", "inf-t-norm", "inf-photons", "nan-photons",
+    ],
 )
 def test_exit_code_readout_probes(tmp_path, command, readout):
     # Every command rejects a bad [readout], including those whose table
@@ -875,15 +890,19 @@ def test_provenance_headers(tmp_path):
     assert "# run.seed=77" in meta
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported lazily by the one command that fits (calibrate), so
-    # every other command starts without paying for it.
+def test_cli_import_loads_no_scipy(tmp_path):
+    # The package depends on numpy alone: importing the CLI and running the
+    # calibration fit, its one least-squares problem, load no scipy module.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE)
+    argv = ["calibrate", "--config", cfg, "--data", str(_calibration_csv(tmp_path)),
+            "--out", str(tmp_path / "fit.csv")]
     probe = (
-        "import sys, mwnoise.cli; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        "import sys; from mwnoise.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == f"{EXIT_OK} []"

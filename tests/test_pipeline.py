@@ -1,6 +1,7 @@
 """Readout-stream synthesis, spectra, floor estimation and calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,12 +413,39 @@ def test_calibration_validation():
         mw.fit_calibration(np.linspace(0.0, 1.0, 25), rng.uniform(0.0, 1.0, 25), seq)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_calibration_rejects_non_finite_data(column, bad):
+    seq = _table_seq()
+    data = np.array(_calibration_data(seq, 0.83, 3e-6))
+    data[column, 10] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mw.fit_calibration(data[0], data[1], seq)
+
+
+def test_calibration_memory_is_flat_in_data_length(monkeypatch):
+    # The kappa-by-point arrays are built a block at a time: the fit does
+    # not depend on the block, and 600 points stay far below the 19 MB one
+    # whole-grid array would take.
+    seq = _table_seq()
+    v_test, v_nv = _calibration_data(seq, 0.83, 3e-6, n=600, noise=0.01)
+    tracemalloc.start()
+    try:
+        fit = mw.fit_calibration(v_test, v_nv, seq)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 12.0
+    monkeypatch.setattr(signal_pipeline, "_CAL_BLOCK", 2**14)
+    assert mw.fit_calibration(v_test, v_nv, seq) == fit
+
+
 # --- CSV round trips -------------------------------------------------------------
 
 def test_stream_csv_rejects_malformed_rows(tmp_path):
     head = "# f_samp_hz=1000.0\nt_s,readout_t\n0.0,1e-12\n"
     path = tmp_path / "stream.csv"
-    for bad in ("0.001,abc\n", "0.001\n", "t_s,readout_t\n"):
+    for bad in ("0.001,abc\n", "0.001\n", "t_s,readout_t\n", "0.001,nan\n", "inf,1e-12\n"):
         path.write_text(head + bad + "0.002,3e-12\n")
         with pytest.raises(ValueError, match="line 4"):
             read_csv(path, 2)
