@@ -34,7 +34,7 @@ from .core import (
     SensitivityTeslaSqrtS,
     TimeSeconds,
 )
-from .noise_models import PhaseNoiseSpectrum, ssb_to_psd
+from .noise_models import PhaseNoiseSpectrum, _psd_power_law, ssb_to_psd
 from .pulse_sequences import FilterFunction, PulseSequence, band_integral_weighted
 
 # Mean of the magnitude of a complex-normal FFT bin relative to its rms:
@@ -104,10 +104,10 @@ def sigma_phi_filter(
     ff = FilterFunction(seq, finite_pulse_correction=finite_pulse_correction)
 
     def weight(f: np.ndarray) -> np.ndarray:
-        # Lattice blocks ascend, so only leading points can sit at f = 0,
-        # where S(0) counts as 0.
+        # Lattice blocks ascend and are finite, so only leading points can
+        # sit at f = 0, where S(0) counts as 0, and the rest need no check.
         zeros = int(np.searchsorted(f, 0.0, side="right"))
-        psd = ssb_to_psd(spectrum, f[zeros:])
+        psd = _psd_power_law(spectrum, f[zeros:])
         return np.concatenate((np.zeros(zeros), psd)) if zeros else psd
 
     var = band_integral_weighted(ff, weight, 0.0, f_cutoff)

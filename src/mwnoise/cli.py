@@ -317,6 +317,10 @@ def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | No
 
 def build_readout(cfg: dict) -> "ReadoutModel | float":
     r = cfg["readout"]
+    # Checked under every readout mode, including those that do not use them.
+    for key in ("t_read_us", "t_norm_us"):
+        if not 0 < r[key] < math.inf:
+            raise ConfigError(f"[readout] {key} must be positive and finite, got {r[key]!r}")
     model_keys = (r["contrast"], r["n_photons"])
     if r["shot_sigma"] is not None:
         if any(v is not None for v in model_keys):
@@ -399,10 +403,15 @@ def _apply_units(columns: list[str], rows: list[list], units: str) -> tuple[list
     return renamed, scaled_rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+@functools.cache
+def _row_template(types: tuple) -> str:
+    """CSV row template for cells of these types: %.12g for floats (the
+    same text as f"{v:.12g}", nan and inf included), %s for the rest."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
+
+
+def _format_row(row) -> str:
+    return _row_template(tuple(map(type, row))) % tuple(row)
 
 
 def _provenance(cfg: dict, command: str, extra: dict | None = None) -> list[str]:
@@ -412,7 +421,7 @@ def _provenance(cfg: dict, command: str, extra: dict | None = None) -> list[str]
             if value is None:
                 continue
             if isinstance(value, list):
-                value = ",".join(_format_cell(float(v)) for v in value)
+                value = _format_row([float(v) for v in value])
             lines.append(f"# {section}.{key}={value}")
     for key, value in (extra or {}).items():
         lines.append(f"# {key}={value}")
@@ -431,7 +440,7 @@ def _emit_table(
     columns, rows = _apply_units(columns, rows, units)
     lines = _provenance(cfg, command, extra_meta)
     lines.append(",".join(columns))
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    lines.extend(map(_format_row, rows))
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)

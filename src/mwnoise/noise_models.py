@@ -6,7 +6,9 @@ interpolated linearly in (log10 f, L); below the first tabulated offset the
 first value is held, above the last the final slope is extrapolated with a
 floor of -200 dBc/Hz.  Each of these segments is a power law in f, so
 :func:`ssb_to_psd` evaluates S as exp(a_i + b_i ln f) segment by segment,
-one log and one exp per frequency, while ``PhaseNoiseSpectrum.l_at``
+one log and one exp per frequency (its checks aside, in the private kernel
+``_psd_power_law``, which the quadrature's weight calls directly on its
+ascending, positive lattice blocks), while ``PhaseNoiseSpectrum.l_at``
 keeps the dBc form and serves as its reference.
 
 Three stochastic processes generate per-pulse phase samples for the time
@@ -136,30 +138,39 @@ def ssb_to_psd(spectrum: PhaseNoiseSpectrum, f) -> np.ndarray:
     """One-sided phase PSD S_phi(f) = 2 * 10^(L(f)/10), rad^2/Hz, with L
     from :meth:`PhaseNoiseSpectrum.l_at`'s rules.
 
-    L is linear in ln f on each segment of the table (the hold below the
-    first offset, each span between offsets, the extrapolation above the
-    last), so S is one power law exp(a_i + b_i ln f) per segment.  The
-    segments' bounds come from one search of the offsets in the sorted
-    frequencies, so each segment is a slice with scalar a_i, b_i.
+    Checks that every frequency is positive and finite, sorts them when
+    they are not ascending, and evaluates :func:`_psd_power_law`.
     """
     f_arr = np.asarray(f, dtype=float)
     if not (np.all(f_arr > 0) and np.max(f_arr, initial=1.0) < math.inf):
         raise ValueError("offset frequency must be positive and finite")
     flat = f_arr.ravel()
     order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else None
+    out = _psd_power_law(spectrum, flat if order is None else flat[order])
     if order is not None:
-        flat = flat[order]
-    out = np.log(flat)
-    bounds = [0, *np.searchsorted(flat, spectrum.offsets_hz), flat.size]
+        out[order] = out.copy()
+    return out.reshape(f_arr.shape) if f_arr.ndim else float(out[0])
+
+
+def _psd_power_law(spectrum: PhaseNoiseSpectrum, f: np.ndarray) -> np.ndarray:
+    """S_phi at ascending, positive, finite frequencies ``f`` (unchecked),
+    as a new array.
+
+    L is linear in ln f on each segment of the table (the hold below the
+    first offset, each span between offsets, the extrapolation above the
+    last), so S is one power law exp(a_i + b_i ln f) per segment.  The
+    segments' bounds come from one search of the offsets in the ascending
+    frequencies, so each segment is a slice with scalar a_i, b_i.
+    """
+    out = np.log(f)
+    bounds = [0, *np.searchsorted(f, spectrum.offsets_hz), f.size]
     for i, (a, b) in enumerate(_power_laws(spectrum)):
         segment = out[bounds[i] : bounds[i + 1]]
         segment *= b
         segment += a
     np.exp(out, out=out)
     np.maximum(out, 2.0 * 10.0 ** (L_FLOOR_DBC / 10.0), out=out)
-    if order is not None:
-        out[order] = out.copy()
-    return out.reshape(f_arr.shape) if f_arr.ndim else float(out[0])
+    return out
 
 
 def _power_laws(spectrum: PhaseNoiseSpectrum) -> list[tuple[float, float]]:

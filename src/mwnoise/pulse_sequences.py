@@ -33,15 +33,21 @@ integrand is the piecewise-linear interpolant on a grid that does not
 depend on the query interval.
 
 The lattice is never built whole.  The quadrature walks it in blocks of
-2^16 points, aligned to absolute multiples of the block size, and carries
-the running trapezoid sum from block to block, so its memory does not grow
-with the lattice (14.3 M points at XY8-512 up to 100 MHz).  On the lattice
+2^16 points, aligned to absolute multiples of the block size, so its memory
+does not grow with the lattice (14.3 M points at XY8-512 up to 100 MHz).
+Each block adds one pairwise sum of its values to a carry, and only a block
+that holds an integration bound takes a cumulative sum, up to that bound:
+the trapezoid rule is step times the sum of the values less half the two
+end values.  Pairwise sums round with the logarithm of the length, not the
+length, so the integral stays within a few ulps of the exactly rounded sum
+of its lattice terms, and they cost a tenth of a running sum.  On the lattice
 z/2 = pi k / oversample, so no trig call is needed per point: h repeats
 every 2 oversample points and cos(z / (2N)) every 2 oversample N, so r and
 h are sliced from tables over one period, built once per integral, and
 g = cos(pi f t_pi) turns by a fixed angle per point, so each block's g is
 a table of cos and sin of that angle's multiples rotated by the block's
-start angle.  The tables share the division and pole-limit code with
+start angle.  The walk reads F / 4 and scales each integral by 4 once,
+which is exact.  The tables share the division and pole-limit code with
 :func:`filter_function_value`, which evaluates F at any other frequency.
 """
 
@@ -245,8 +251,9 @@ _OVERSAMPLE = 32
 
 
 def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
-    """F on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
-    as a function of (k_start, k_stop), a run of k inside one aligned block.
+    """F / 4 on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
+    as a function of (k_start, k_stop, out), a run of k inside one aligned
+    block, written into the head of the buffer ``out`` and returned.
 
     At f_k, z/2 = pi k / oversample, so h repeats every 2 oversample points
     and cos(z / (2N)) every 2 oversample N: r and h are sliced from tables
@@ -258,7 +265,9 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     relative precision beside the poles.  The pulse gain g = cos(a k),
     a = pi t_pi / (oversample tau_tot), advances by a fixed angle per point:
     in the block starting at b, g is the table of cos(a j), sin(a j),
-    j = k - b, rotated by the angle a b.
+    j = k - b, rotated by the angle a b.  The factor 4 of F is left to the
+    caller: scaling by a power of two is exact, so it can be applied once
+    to a sum.
     """
     seq = ff.sequence
     n = seq.n_pi
@@ -276,20 +285,21 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
         angle = np.pi * seq.t_pi / (oversample * seq.tau_tot)
         turns = angle * np.arange(min(_BLOCK, n_points))
         cos_j, sin_j = np.cos(turns), np.sin(turns)
+        sin_part = np.empty_like(sin_j)
 
-    def values(k_start: int, k_stop: int) -> np.ndarray:
+    def values(k_start: int, k_stop: int, out: np.ndarray) -> np.ndarray:
+        out = out[: k_stop - k_start]
         at = slice(k_start % period, k_start % period + k_stop - k_start)
         if gain:
             base = k_start - k_start % _BLOCK
             j = slice(k_start - base, k_stop - base)
-            out = math.cos(angle * base) * cos_j[j]
-            out -= math.sin(angle * base) * sin_j[j]
+            np.multiply(cos_j[j], math.cos(angle * base), out=out)
+            out -= np.multiply(sin_j[j], math.sin(angle * base), out=sin_part[: out.size])
             out *= r[at]
         else:
-            out = r[at].copy()
+            out[:] = r[at]
         out -= h[at]
         out *= out
-        out *= 4.0
         return out
 
     return values
@@ -304,11 +314,18 @@ def _lattice_integral(
     ``f_hi`` may be an array of upper bounds, each getting its own integral.
 
     The lattice spans the integer multiples of step bracketing [f_lo,
-    max(f_hi)], at least two points.  It is walked block by block, carrying
-    the running trapezoid sum, so memory does not grow with its length;
-    each bound is read off the block holding its panel.  Because the
-    interpolant is defined on a lattice independent of the query interval,
-    integrals are exactly additive over adjacent intervals.
+    max(f_hi)], at least two points, k0 to k_end.  It is walked block by
+    block, so memory does not grow with its length.  Each block adds the
+    pairwise ``np.sum`` of its values to a carry; only a block that holds
+    the panel (p, p + 1) of a bound also takes a cumulative sum, up to its
+    last such panel.  The trapezoid sum from k0 to p is then
+    step (S_p - (v_k0 + v_p) / 2), with S_p the carry before the block plus
+    that cumulative sum at p.  Pairwise block sums round with log n rather
+    than n, so the result stays within a few ulps of the exactly rounded sum
+    of the lattice terms.  A block's sum does not depend on which bounds it
+    holds, so an array of bounds gives the same bits as one call per bound.
+    Because the interpolant is defined on a lattice independent of the query
+    interval, integrals are exactly additive over adjacent intervals.
     """
     f_hi = np.asarray(f_hi, dtype=float)
     if not (math.isfinite(f_lo) and np.all(np.isfinite(f_hi))):
@@ -328,39 +345,42 @@ def _lattice_integral(
     x = np.append(f_hi, f_lo)
     last = np.append(np.maximum(np.ceil(f_hi / step) - k0 - 1, 0), k_end - k0 - 1)
     panel = k0 + np.clip((x - k0 * step) // step, 0, last).astype(int)
-    inner = np.empty_like(x)  # trapezoid sum from k0 * step to panel * step
+    total = np.empty_like(x)  # sum of the lattice values from k0 through panel
     v0 = np.empty_like(x)
     v1 = np.empty_like(x)
 
     filter_on = _lattice_filter(ff, oversample, k_end + 1)
-    carry = last_val = 0.0
+    size = min(_BLOCK, k_end + 1 - k0)
+    vals_buf = np.empty(size)
+    if weight_fn is not None:
+        offsets = np.arange(size, dtype=float)
+        freqs_buf = np.empty(size)
+    carry = 0.0
     k_start = k0
     while k_start <= k_end:
         k_stop = min((k_start // _BLOCK + 1) * _BLOCK, k_end + 1)
-        vals = filter_on(k_start, k_stop)
+        vals = filter_on(k_start, k_stop, vals_buf)
         if weight_fn is not None:
-            vals *= weight_fn(np.arange(k_start, k_stop) * step)
-        # acc[i + 1] is the running sum at point k_start + i: the carry, the
-        # panel from the previous block's last point, then this block's panels.
-        acc = np.empty(vals.size + 1)
-        acc[0] = carry
-        acc[1] = 0.0 if k_start == k0 else 0.5 * (last_val + vals[0]) * step
-        np.add(vals[1:], vals[:-1], out=acc[2:])
-        acc[2:] *= 0.5
-        acc[2:] *= step
-        np.cumsum(acc, out=acc)
+            freqs = np.add(offsets[: vals.size], k_start, out=freqs_buf[: vals.size])
+            freqs *= step
+            vals *= weight_fn(freqs)
+        if k_start == k0:
+            first = vals[0]
         here = np.flatnonzero((panel >= k_start) & (panel < k_stop))
-        inner[here] = acc[panel[here] - k_start + 1]
-        v0[here] = vals[panel[here] - k_start]
+        if here.size:
+            at = panel[here] - k_start
+            total[here] = carry + np.cumsum(vals[: at.max() + 1])[at]
+            v0[here] = vals[at]
         here = np.flatnonzero((panel + 1 >= k_start) & (panel + 1 < k_stop))
         v1[here] = vals[panel[here] + 1 - k_start]
-        carry, last_val = acc[-1], vals[-1]
+        carry += float(np.sum(vals))
         k_start = k_stop
 
     x0 = panel * step
     vx = v0 + (v1 - v0) * ((x - x0) / step)
+    inner = step * (total - 0.5 * (first + v0))
     cumulative = np.where(x <= k0 * step, 0.0, inner + 0.5 * (v0 + vx) * (x - x0))
-    result = (cumulative[:-1] - cumulative[-1]).reshape(f_hi.shape)
+    result = 4.0 * (cumulative[:-1] - cumulative[-1]).reshape(f_hi.shape)
     return result if result.ndim else float(result)
 
 

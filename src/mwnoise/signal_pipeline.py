@@ -536,8 +536,9 @@ class CalibrationFit:
 
 
 # The calibration cost is evaluated on this many log-spaced kappa (0.23 %
-# apart), and each local minimum there is refined by this many bisection
-# steps, which shrink its bracket of two grid cells below rounding.  The
+# apart), and each local minimum there is refined by at most this many
+# bisection steps, which shrink its bracket of two grid cells below
+# rounding; the bisection stops early once no bracket moves.  The
 # kappa-by-point arrays are built at most this many elements at a time, so
 # memory does not grow with the data length; a 25-point fit is one block.
 _CAL_GRID_POINTS = 4000
@@ -616,8 +617,12 @@ def fit_calibration(
     for _ in range(_CAL_BISECTIONS):
         mid = 0.5 * (lo + hi)
         rising = project(mid)[2] > 0
-        hi = np.where(rising, mid, hi)
-        lo = np.where(rising, lo, mid)
+        new_lo, new_hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+        # A step that moves no bracket is a fixed point: every later step
+        # would recompute the same midpoints and slope signs.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     kappa = 0.5 * (lo + hi)
     v_max, cost, _ = project(kappa)
     # A rectified sine sampled on a grid aliases: kappa values whose argument

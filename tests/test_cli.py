@@ -784,15 +784,21 @@ def test_exit_code_noise_probes(tmp_path, command, noise):
         "contrast = 0.03\nn_photons = 1e5\nt_norm_us = inf",
         "contrast = 0.03\nn_photons = inf",
         "contrast = 0.03\nn_photons = nan",
+        "shot_sigma = 0.004\nt_read_us = nan",
+        "shot_sigma = 0.004\nt_norm_us = -1",
+        "t_read_us = 0",
+        "t_norm_us = inf",
     ],
     ids=[
         "negative-shot-sigma", "nan-shot-sigma", "contrast", "contrast-above-one",
-        "nan-t-read", "inf-t-norm", "inf-photons", "nan-photons",
+        "nan-t-read", "inf-t-norm", "inf-photons", "nan-photons", "shot-sigma-nan-t-read",
+        "shot-sigma-negative-t-norm", "no-readout-zero-t-read", "no-readout-inf-t-norm",
     ],
 )
 def test_exit_code_readout_probes(tmp_path, command, readout):
     # Every command rejects a bad [readout], including those whose table
-    # does not use it.
+    # does not use it, and checks the readout times under every readout
+    # mode: a bare shot_sigma or no readout at all.
     cfg = _write_config(
         tmp_path,
         BASE_SEQUENCE

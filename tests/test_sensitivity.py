@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mwnoise as mw
+from mwnoise.pulse_sequences import _BLOCK, _lattice_filter
 
 GAMMA = mw.GAMMA_NV
 T_PI = 48e-9
@@ -66,6 +67,38 @@ def test_sigma_phi_goldens_presets(preset, n_r, finite):
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
     got = mw.sigma_phi_filter(mw.preset_spectrum(preset), seq, finite_pulse_correction=finite)
     assert got == pytest.approx(SIGMA_PHI_GOLDENS[preset, n_r, finite], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_r", [8, 64])
+@pytest.mark.parametrize(
+    "spectrum",
+    [mw.preset_spectrum("g1-2.5ghz"), mw.flat_spectrum(-150.3)],
+    ids=["g1-2.5ghz", "flat"],
+)
+def test_sigma_phi_matches_exact_sum_of_lattice_terms(spectrum, n_r):
+    # The reference is the quadrature's own trapezoid over its lattice terms
+    # 4 (F / 4)(f_k) S(f_k), summed exactly rounded by math.fsum.  A running
+    # sum over the 0.22 M (XY8-8) and 1.79 M (XY8-64) terms drifted from it
+    # by up to 3.8e-14; block-wise pairwise sums stay within 1e-15.
+    seq = mw.make_xy8(n_r, 458e3, 47.3e-9, T_DEAD)
+    f_cutoff = 1e8
+    step = 1.0 / (32 * seq.tau_tot)
+    k_end = math.ceil(f_cutoff / step)
+    values = _lattice_filter(mw.FilterFunction(seq), 32, k_end + 1)
+    terms = []
+    for k in range(0, k_end + 1, _BLOCK):
+        f = np.arange(k, min(k + _BLOCK, k_end + 1)) * step
+        psd = np.zeros_like(f)
+        psd[f > 0] = mw.ssb_to_psd(spectrum, f[f > 0])
+        terms.append(4.0 * values(k, k + f.size, np.empty(f.size)) * psd)
+    t = np.concatenate(terms)
+    # Whole panels up to p, then the part of panel (p, p + 1) below f_cutoff.
+    p = k_end - 1
+    x0 = p * step
+    vx = t[p] + (t[p + 1] - t[p]) * ((f_cutoff - x0) / step)
+    var = step * (math.fsum(t[: p + 1]) - 0.5 * (t[0] + t[p])) + 0.5 * (t[p] + vx) * (f_cutoff - x0)
+    got = mw.sigma_phi_filter(spectrum, seq, f_cutoff)
+    assert got == pytest.approx(math.sqrt(var), rel=1e-15, abs=0)
 
 
 def test_sigma_phi_bounded_memory_at_xy8_512():

@@ -214,7 +214,8 @@ def test_lattice_filter_tables_match_direct_evaluation(n_pi, finite):
     runs += [(max(k - 9, k - k % _BLOCK), min(k + 10, k - k % _BLOCK + _BLOCK)) for k in harmonics]
     values = _lattice_filter(ff, 32, 8 * _BLOCK)
     k = np.concatenate([np.arange(a, b) for a, b in runs])
-    got = np.concatenate([values(a, b) for a, b in runs])
+    # The tables give F / 4; the quadrature applies the 4 once to its sum.
+    got = 4.0 * np.concatenate([values(a, b, np.empty(b - a)) for a, b in runs])
     f = k * step
     assert_allclose(got, mw.filter_function_value(ff, f), rtol=1e-9, atol=1e-9)
     assert_allclose(got, _literal_filter(seq, f, finite), rtol=1e-9, atol=1e-6)
