@@ -102,13 +102,16 @@ def sigma_phi_filter(
     if f_cutoff <= 0:
         raise ValueError("f_cutoff must be positive")
     ff = FilterFunction(seq, finite_pulse_correction=finite_pulse_correction)
+    psd = _psd_power_law(spectrum)
 
     def weight(f: np.ndarray) -> np.ndarray:
         # Lattice blocks ascend and are finite, so only leading points can
         # sit at f = 0, where S(0) counts as 0, and the rest need no check.
+        out = np.empty(f.size)
         zeros = int(np.searchsorted(f, 0.0, side="right"))
-        psd = _psd_power_law(spectrum, f[zeros:])
-        return np.concatenate((np.zeros(zeros), psd)) if zeros else psd
+        out[:zeros] = 0.0
+        psd(f[zeros:], out[zeros:])
+        return out
 
     var = band_integral_weighted(ff, weight, 0.0, f_cutoff)
     if not math.isfinite(var) or var < 0:

@@ -5,11 +5,13 @@ S_phi(f) = 2 * 10^(L(f)/10) in rad^2/Hz.  Tabulated spectra are
 interpolated linearly in (log10 f, L); below the first tabulated offset the
 first value is held, above the last the final slope is extrapolated with a
 floor of -200 dBc/Hz.  Each of these segments is a power law in f, so
-:func:`ssb_to_psd` evaluates S as exp(a_i + b_i ln f) segment by segment,
-one log and one exp per frequency (its checks aside, in the private kernel
-``_psd_power_law``, which the quadrature's weight calls directly on its
-ascending, positive lattice blocks), while ``PhaseNoiseSpectrum.l_at``
-keeps the dBc form and serves as its reference.
+:func:`ssb_to_psd` evaluates S as exp(a_i + b_i ln f) segment by segment:
+one log and one exp per frequency on a sloped segment, none on a flat one.
+Its checks aside, that is the private kernel ``_psd_power_law``, which
+builds the segments once per spectrum; the quadrature's weight builds it
+once per integral and calls it on each of its ascending, positive lattice
+blocks.  ``PhaseNoiseSpectrum.l_at`` keeps the dBc form and serves as the
+reference.
 
 Three stochastic processes generate per-pulse phase samples for the time
 domain simulator: white (independent per pulse), random walk (independent
@@ -146,31 +148,51 @@ def ssb_to_psd(spectrum: PhaseNoiseSpectrum, f) -> np.ndarray:
         raise ValueError("offset frequency must be positive and finite")
     flat = f_arr.ravel()
     order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else None
-    out = _psd_power_law(spectrum, flat if order is None else flat[order])
+    psd = _psd_power_law(spectrum)
+    out = psd(flat if order is None else flat[order], np.empty(flat.size))
     if order is not None:
         out[order] = out.copy()
     return out.reshape(f_arr.shape) if f_arr.ndim else float(out[0])
 
 
-def _psd_power_law(spectrum: PhaseNoiseSpectrum, f: np.ndarray) -> np.ndarray:
-    """S_phi at ascending, positive, finite frequencies ``f`` (unchecked),
-    as a new array.
+def _psd_power_law(spectrum: PhaseNoiseSpectrum):
+    """S_phi as a function of (f, out): ``f`` ascending, positive and finite
+    (unchecked), the values written into ``out``, of f's size, and returned.
 
     L is linear in ln f on each segment of the table (the hold below the
     first offset, each span between offsets, the extrapolation above the
-    last), so S is one power law exp(a_i + b_i ln f) per segment.  The
-    segments' bounds come from one search of the offsets in the ascending
-    frequencies, so each segment is a slice with scalar a_i, b_i.
+    last), so S is one power law exp(a_i + b_i ln f) per segment, built here
+    once.  Each call finds the segments' bounds by one search of the offsets
+    in the ascending frequencies, so each segment is a slice with scalar
+    a_i, b_i.  A segment of zero slope is filled with exp(a_i) and takes no
+    log.  A power law is monotone on its segment, so only a segment whose
+    end values fall below the floor of L is clamped.
     """
-    out = np.log(f)
-    bounds = [0, *np.searchsorted(f, spectrum.offsets_hz), f.size]
-    for i, (a, b) in enumerate(_power_laws(spectrum)):
-        segment = out[bounds[i] : bounds[i + 1]]
-        segment *= b
-        segment += a
-    np.exp(out, out=out)
-    np.maximum(out, 2.0 * 10.0 ** (L_FLOOR_DBC / 10.0), out=out)
-    return out
+    offsets = np.asarray(spectrum.offsets_hz)
+    laws = _power_laws(spectrum)
+    floor = 2.0 * 10.0 ** (L_FLOOR_DBC / 10.0)
+    # exp of each a_i by the same ufunc as the sloped segments; exp(a + 0 ln f)
+    # is exp(a).
+    levels = np.maximum(np.exp([a for a, _ in laws]), floor)
+
+    def psd(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        bounds = [0, *np.searchsorted(f, offsets), f.size]
+        for (a, b), level, lo, hi in zip(laws, levels, bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            segment = out[lo:hi]
+            if b == 0.0:
+                segment.fill(level)
+                continue
+            np.log(f[lo:hi], out=segment)
+            segment *= b
+            segment += a
+            np.exp(segment, out=segment)
+            if min(segment[0], segment[-1]) < floor:
+                np.maximum(segment, floor, out=segment)
+        return out
+
+    return psd
 
 
 def _power_laws(spectrum: PhaseNoiseSpectrum) -> list[tuple[float, float]]:

@@ -42,12 +42,14 @@ end values.  Pairwise sums round with the logarithm of the length, not the
 length, so the integral stays within a few ulps of the exactly rounded sum
 of its lattice terms, and they cost a tenth of a running sum.  On the lattice
 z/2 = pi k / oversample, so no trig call is needed per point: h repeats
-every 2 oversample points and cos(z / (2N)) every 2 oversample N, so r and
-h are sliced from tables over one period, built once per integral, and
-g = cos(pi f t_pi) turns by a fixed angle per point, so each block's g is
-a table of cos and sin of that angle's multiples rotated by the block's
-start angle.  The walk reads F / 4 and scales each integral by 4 once,
-which is exact.  The tables share the division and pole-limit code with
+every 2 oversample points and cos(z / (2N)) every 2 oversample N, so h is
+evaluated over its own period, cos(z / (2N)) over half of its period (the
+other half is its negation), and r and h are sliced from tables built
+once per integral.  The pulse gain g = cos(pi f t_pi) = cos(a k) comes from
+angle addition over k = 2^12 i + l: a table of the 2^12 fine turns a l per
+integral, and two trig calls per 2^12 points for the coarse turns
+2^12 a i.  The walk reads F / 4 and scales each integral by 4 once, which
+is exact.  The tables share the division and pole-limit code with
 :func:`filter_function_value`, which evaluates F at any other frequency.
 """
 
@@ -249,6 +251,9 @@ _BLOCK = 1 << 16
 # Lattice points per 1/tau_tot, the period of F's oscillation.
 _OVERSAMPLE = 32
 
+# Fine turns per coarse turn of the pulse gain (see _gain_turns).
+_TURN = 1 << 12
+
 
 def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     """F / 4 on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
@@ -256,46 +261,38 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     block, written into the head of the buffer ``out`` and returned.
 
     At f_k, z/2 = pi k / oversample, so h repeats every 2 oversample points
-    and cos(z / (2N)) every 2 oversample N: r and h are sliced from tables
-    over one such period, built here (shorter when the lattice is), and
-    extended by one block so that every run is a single slice.  With
-    M = oversample N the table of cos(z / (2N)) = cos(pi j / M) is
-    (-1)^(j // M) sin(pi (M - 2 (j mod M)) / (2M)), whose argument is
-    exact up to one rounding next to its zeros, so r keeps its full
-    relative precision beside the poles.  The pulse gain g = cos(a k),
-    a = pi t_pi / (oversample tau_tot), advances by a fixed angle per point:
-    in the block starting at b, g is the table of cos(a j), sin(a j),
-    j = k - b, rotated by the angle a b.  The factor 4 of F is left to the
-    caller: scaling by a power of two is exact, so it can be applied once
-    to a sum.
+    and cos(z / (2N)) every 2 oversample N.  h is evaluated over its own
+    period and tiled; with M = oversample N, cos(z / (2N)) = cos(pi j / M)
+    is (-1)^(j // M) sin(pi (M - 2 (j mod M)) / (2M)), evaluated for
+    j < M and negated for the second half.  The sine's argument is exact up
+    to one rounding next to its zeros, so r keeps its full relative
+    precision beside the poles.  r and h are tiled past their period by at
+    most one block, no further than the lattice, so every run is a single
+    slice.  The pulse gain g = cos(a k), a = pi t_pi / (oversample tau_tot),
+    comes from :func:`_gain_turns`.  The factor 4 of F is left to the caller:
+    scaling by a power of two is exact, so it can be applied once to a sum.
     """
     seq = ff.sequence
     n = seq.n_pi
     m = oversample * n
     period = 2 * m
-    j = np.arange(min(period, n_points))
-    h = _h((np.pi / oversample) * (j % (2 * oversample)), n)
-    den = np.sin((np.pi / (2 * m)) * (m - 2 * (j % m)))
-    den[m:] *= -1.0
-    r = _ratio(h, den, (np.pi / oversample) * j, n)
-    if n_points > period:
-        r, h = np.resize(r, period + _BLOCK), np.resize(h, period + _BLOCK)
+    length = min(n_points, period + _BLOCK)
+    h = _tile(_h((np.pi / oversample) * np.arange(2 * oversample), n), length)
+    j = np.arange(min(period, length))
+    den = np.empty(j.size)
+    half = min(m, j.size)
+    np.sin((np.pi / (2 * m)) * (m - 2 * j[:half]), out=den[:half])
+    np.negative(den[: j.size - half], out=den[half:])
+    r = _tile(_ratio(h[: j.size], den, (np.pi / oversample) * j, n), length)
     gain = ff.finite_pulse_correction and seq.t_pi > 0
     if gain:
-        angle = np.pi * seq.t_pi / (oversample * seq.tau_tot)
-        turns = angle * np.arange(min(_BLOCK, n_points))
-        cos_j, sin_j = np.cos(turns), np.sin(turns)
-        sin_part = np.empty_like(sin_j)
+        turns = _gain_turns(np.pi * seq.t_pi / (oversample * seq.tau_tot), min(_BLOCK, n_points))
 
     def values(k_start: int, k_stop: int, out: np.ndarray) -> np.ndarray:
         out = out[: k_stop - k_start]
         at = slice(k_start % period, k_start % period + k_stop - k_start)
         if gain:
-            base = k_start - k_start % _BLOCK
-            j = slice(k_start - base, k_stop - base)
-            np.multiply(cos_j[j], math.cos(angle * base), out=out)
-            out -= np.multiply(sin_j[j], math.sin(angle * base), out=sin_part[: out.size])
-            out *= r[at]
+            np.multiply(turns(k_start, k_stop), r[at], out=out)
         else:
             out[:] = r[at]
         out -= h[at]
@@ -303,6 +300,36 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
         return out
 
     return values
+
+
+def _gain_turns(angle: float, size: int):
+    """cos(angle k) as a function of (k_start, k_stop), a run of k inside
+    one aligned block of at most ``size`` points, returned as a view of a
+    buffer that the next call overwrites.
+
+    With k = T i + l, l < T = 2^12, angle addition gives
+    cos(angle k) = cos(T angle i) cos(angle l) - sin(T angle i) sin(angle l):
+    T fine turns per call and two coarse turns per T points of a run, not
+    one trig call per point.  Both float arguments round once, as angle k
+    would, and each value depends on k alone, not on the run.
+    """
+    fine = angle * np.arange(_TURN)
+    cos_fine, sin_fine = np.cos(fine), np.sin(fine)
+    buf = np.empty((2, -(-size // _TURN), _TURN))
+
+    def turns(k_start: int, k_stop: int) -> np.ndarray:
+        i_start, i_stop = k_start // _TURN, -(-k_stop // _TURN)
+        coarse = angle * (_TURN * np.arange(i_start, i_stop))
+        g = np.multiply.outer(np.cos(coarse), cos_fine, out=buf[0, : i_stop - i_start])
+        g -= np.multiply.outer(np.sin(coarse), sin_fine, out=buf[1, : i_stop - i_start])
+        return g.ravel()[k_start - i_start * _TURN : k_stop - i_start * _TURN]
+
+    return turns
+
+
+def _tile(a: np.ndarray, length: int) -> np.ndarray:
+    """``a`` repeated to ``length`` entries (cut short when shorter)."""
+    return np.tile(a, -(-length // a.size))[:length]
 
 
 def _lattice_integral(

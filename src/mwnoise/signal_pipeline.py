@@ -450,9 +450,15 @@ def gradiometer_spectra(
 
 @dataclass(frozen=True)
 class FloorParams:
-    """Thresholds of the spike-rejecting noise-floor estimator."""
+    """Thresholds of the spike-rejecting noise-floor estimator.
 
-    dc_exclude_hz: FrequencyHz = 1e3
+    ``dc_exclude_hz`` None, the default, excludes bins below
+    min(1 kHz, f_samp / 4): a stream sampled below 4 kHz keeps the upper
+    half of its spectrum, where a fixed 1 kHz cut leaves less, and below
+    2 kHz nothing.
+    """
+
+    dc_exclude_hz: FrequencyHz | None = None
     test_halfwidth_hz: FrequencyHz = 500.0
     trim_fraction: float = 0.10
     spike_nsigma: float = 4.0
@@ -471,14 +477,18 @@ def estimate_noise_floor(
 ) -> tuple[SensitivityTeslaSqrtS, np.ndarray]:
     """(noise floor, spike bin indices) of an amplitude spectrum.
 
-    Bins below ``dc_exclude_hz`` and within ``test_halfwidth_hz`` of the
-    (aliased) test frequency are excluded.  Of the remaining bins the top
-    ``trim_fraction`` are set aside, a median and std are computed from the
-    rest, bins above median + spike_nsigma*std are flagged as spikes, and
-    the floor is the median of the unflagged bins.  Indices refer to the
-    full spectrum arrays.
+    Bins below ``dc_exclude_hz`` (by default min(1 kHz, f_samp / 4)) and
+    within ``test_halfwidth_hz`` of the (aliased) test frequency are
+    excluded.  Of the remaining bins the top ``trim_fraction`` are set
+    aside, a median and std are computed from the rest, bins above
+    median + spike_nsigma*std are flagged as spikes, and the floor is the
+    median of the unflagged bins.  Indices refer to the full spectrum
+    arrays.
     """
-    include = spectrum.freqs >= params.dc_exclude_hz
+    dc_exclude = params.dc_exclude_hz
+    if dc_exclude is None:
+        dc_exclude = min(1e3, spectrum.f_samp / 4.0)
+    include = spectrum.freqs >= dc_exclude
     if f_test is not None:
         f_alias, _ = alias_frequency(f_test, spectrum.f_samp)
         include &= np.abs(spectrum.freqs - f_alias) > params.test_halfwidth_hz

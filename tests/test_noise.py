@@ -12,6 +12,9 @@ from mwnoise.noise_models import (
     INJECTION_GAIN_WHITE,
     MAX_TRACK_SAMPLES,
     _DRAW_BLOCK,
+    L_FLOOR_DBC,
+    _power_laws,
+    _psd_power_law,
     philox_rng,
     sample_pulse_phases_batch,
 )
@@ -109,6 +112,55 @@ def test_ssb_to_psd_power_laws_match_l_at(spec):
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             mw.ssb_to_psd(spec, np.array([1e3, bad]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [mw.preset_spectrum("g2-2.1ghz"), mw.flat_spectrum(-150.3), mw.flat_spectrum(-230.0)],
+    ids=["g2", "flat", "flat-below-floor"],
+)
+def test_psd_kernel_fills_flat_segments_with_the_power_law_value(spec):
+    # A segment of zero slope takes no log: its value is exp(a), which is
+    # exp(a + 0 ln f) bit for bit, clamped to the floor like any other.
+    laws = _power_laws(spec)
+    edges = [0.0, *spec.offsets_hz, math.inf]
+    f = np.geomspace(1e-3, 1e12, 30_001)
+    got = _psd_power_law(spec)(f, np.empty(f.size))
+    floor = 2.0 * 10.0 ** (L_FLOOR_DBC / 10.0)
+    flat = 0
+    for (a, b), lo, hi in zip(laws, edges[:-1], edges[1:]):
+        inside = (f >= lo) & (f < hi)
+        if b == 0.0 and inside.any():
+            flat += 1
+            want = np.maximum(np.exp(a + 0.0 * np.log(f[inside])), floor)
+            assert_array_equal(got[inside], want)
+    assert flat >= 1
+    assert_array_equal(mw.ssb_to_psd(spec, f), got)
+
+
+def test_psd_kernel_clamps_where_the_last_slope_crosses_the_floor():
+    # The last slope, -30 dB/decade from -180 dBc/Hz at 10 kHz, reaches
+    # -200 dBc/Hz at 46.4 kHz, inside the array: the segment is clamped past
+    # the crossing and left alone before it.
+    spec = mw.PhaseNoiseSpectrum(1e9, (1e3, 1e4), (-150.0, -180.0))
+    f = np.geomspace(1e3, 1e6, 5_001)
+    got = _psd_power_law(spec)(f, np.empty(f.size))
+    assert_allclose(got, 2.0 * 10.0 ** (spec.l_at(f) / 10.0), rtol=1e-13, atol=0)
+    crossing = 10.0 ** (4.0 + 20.0 / 30.0)
+    floor = 2.0 * 10.0 ** (L_FLOOR_DBC / 10.0)
+    assert np.all(got[f > crossing * (1 + 1e-12)] == floor)
+    assert np.all(got[f < crossing * (1 - 1e-12)] > floor)
+
+
+def test_psd_kernel_reused_buffer_gives_fresh_bits():
+    # The kernel writes into the array it is given: whatever an earlier call
+    # left there must not leak into the result.
+    psd = _psd_power_law(mw.preset_spectrum("g1-2.5ghz"))
+    f_big = np.geomspace(5.0, 1e8, 7_000)
+    f_small = np.geomspace(50.0, 2e5, 3_001)
+    buf = np.full(f_big.size, np.nan)
+    psd(f_big, buf)
+    assert_array_equal(psd(f_small, buf[: f_small.size]), psd(f_small, np.empty(f_small.size)))
 
 
 def test_shift_and_carrier_scaling():

@@ -349,6 +349,28 @@ def test_floor_custom_params_and_errors():
         )
 
 
+def test_floor_dc_exclusion_follows_slow_sample_rates():
+    # XY8-64 at 458 kHz samples its stream at about 1.74 kHz, so a fixed
+    # 1 kHz cut would exclude every bin up to the 0.87 kHz Nyquist
+    # frequency.  By default the cut is min(1 kHz, f_samp / 4); an explicit
+    # value is taken as given.
+    fs = 1742.0
+    freqs = np.arange(0.0, fs / 2, 0.5)
+    asd = np.full(freqs.size, 6.0e-12)
+    asd[freqs < 300.0] = 1e-9
+    slow = mw.AmplitudeSpectrum(freqs, asd, 2.0, 10, fs)
+    floor, _ = mw.estimate_noise_floor(slow)
+    assert floor == 6.0e-12
+    with pytest.raises(ValueError):
+        mw.estimate_noise_floor(slow, params=mw.FloorParams(dc_exclude_hz=1e3))
+    # From f_samp = 4 kHz up the default cut is 1 kHz, as before.
+    fast = _flat_fixture(spikes=[(2500, 40.0)])
+    floor, spikes = mw.estimate_noise_floor(fast)
+    floor_1k, spikes_1k = mw.estimate_noise_floor(fast, params=mw.FloorParams(dc_exclude_hz=1e3))
+    assert floor == floor_1k
+    assert_array_equal(spikes, spikes_1k)
+
+
 def test_excess_noise_examples():
     assert mw.excess_noise(13.3e-12, 6.0e-12) == pytest.approx(11.9e-12, rel=0.01, abs=0)
     assert mw.excess_noise(7.6e-12, 6.0e-12) == pytest.approx(4.7e-12, rel=0.01, abs=0)

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
-from mwnoise.pulse_sequences import _BLOCK, _lattice_filter, band_integral_weighted
+from mwnoise.pulse_sequences import _BLOCK, _gain_turns, _lattice_filter, band_integral_weighted
 
 T_PI = 48e-9
 T_DEAD = 15e-6
@@ -222,6 +222,52 @@ def test_lattice_filter_tables_match_direct_evaluation(n_pi, finite):
     at_pole = np.isin(k, harmonics)
     gain = np.cos(np.pi * f[at_pole] * seq.t_pi) if finite else 1.0
     assert_allclose(got[at_pole], 4.0 * n_pi**2 * gain**2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_r", [8, 64])
+def test_gain_turns_match_cos_across_blocks(n_r):
+    # The pulse gain cos(a k) comes from two-level angle addition.  Against
+    # cos of the exact product a k (a double-double argument), it may only
+    # carry the rounding of its largest float argument, half an ulp of
+    # a k_max, plus 4e-16 from its own trig values and products.
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    angle = np.pi * seq.t_pi / (32 * seq.tau_tot)
+    turns = _gain_turns(angle, _BLOCK)
+    k = np.arange(8 * _BLOCK)
+    got = np.concatenate([turns(b, b + _BLOCK).copy() for b in range(0, k.size, _BLOCK)])
+    t = angle * k
+    split = 2.0**27 + 1.0
+    a_hi = angle * split - (angle * split - angle)
+    k_float = k.astype(float)
+    k_hi = k_float * split - (k_float * split - k_float)
+    a_lo, k_lo = angle - a_hi, k_float - k_hi
+    err = ((a_hi * k_hi - t) + a_hi * k_lo + a_lo * k_hi) + a_lo * k_lo  # a k - t, exactly
+    exact = np.cos(t) - np.sin(t) * err
+    assert_allclose(got, exact, rtol=0, atol=0.5 * np.spacing(t[-1]) + 4e-16)
+    # Each value depends on k alone: a run inside a block gives the bits of
+    # the whole block's call.
+    b = 5 * _BLOCK
+    assert_array_equal(turns(b + 4093, b + 9000), got[b + 4093 : b + 9000])
+
+
+@pytest.mark.parametrize("n_r", [1, 8, 64])
+def test_lattice_filter_bits_do_not_depend_on_lattice_length(n_r):
+    # The tables cover one period of r and h, tiled no further than the
+    # lattice; F / 4 at a k must not depend on how long the lattice is:
+    # lattices of 3 blocks and a bit, of 8 blocks, and (below) shorter than
+    # one period of r, 2 oversample N points, one of them shorter than its
+    # first half.
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    ff = mw.FilterFunction(seq)
+    long = _lattice_filter(ff, 32, 8 * _BLOCK)
+    n_short = 3 * _BLOCK + 17
+    short = _lattice_filter(ff, 32, n_short)
+    for k0 in range(0, n_short, _BLOCK):
+        k1 = min(k0 + _BLOCK, n_short)
+        assert_array_equal(short(k0, k1, np.empty(k1 - k0)), long(k0, k1, np.empty(k1 - k0)))
+    period = 64 * seq.n_pi
+    for n in (period // 2 - 5, period - 3):
+        assert_array_equal(_lattice_filter(ff, 32, n)(0, n, np.empty(n)), long(0, n, np.empty(n)))
 
 
 def test_filter_fine_grid_peak_golden():
