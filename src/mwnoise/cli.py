@@ -8,11 +8,12 @@ Subcommands:
   pipeline     synthesize a readout stream, spectrum, floors and excess
   calibrate    fit the test-coil volts-to-tesla factor from a data file
 
-Runs are configured by an INI file (``--config``) plus flag overrides, and
-are deterministic in (config, seed): rerunning a command writes a
-byte-identical table.  Tables honor ``--units``; stream and spectrum CSV
-files are always SI because their column headers are part of the file
-format.  Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Runs are configured by an INI file (``--config``), one :data:`SCHEMA` row
+per key, plus flag overrides, and are deterministic in (config, seed):
+rerunning a command writes a byte-identical table.  Tables honor
+``--units``; stream and spectrum CSV files are always SI because their
+column headers are part of the file format.  Exit codes: 0 success, 2
+configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,7 @@ from .noise_models import (
     WhiteNoise,
     flat_spectrum,
     load_spectrum,
+    preset_names,
     preset_spectrum,
 )
 from .pulse_sequences import (
@@ -61,6 +64,8 @@ from .pulse_sequences import (
 )
 from .signal_pipeline import (
     FitError,
+    _chunk_length,
+    _sequence_count,
     estimate_noise_floor,
     excess_noise,
     fit_calibration,
@@ -80,89 +85,97 @@ class ConfigError(ValueError):
     """Bad configuration: unknown key, missing value, inconsistent request."""
 
 
-# Resolved-config schema: every key the INI file and sweeps may set, with its
-# default.  Sections/keys outside this schema are configuration errors.
-_DEFAULTS: dict[str, dict] = {
-    "sequence": {
-        "kind": "xy8",
-        "n_r": 1,
-        "t_pi_ns": 0.0,
-        "t_dead_us": 0.0,
-        "f_xy8_khz": None,
-        "tau_ns": None,
-        "tau_tot_us": None,
-        "finite_pulses": True,
-    },
-    "noise": {
-        "source": "none",
-        "preset": None,
-        "file": None,
-        "carrier_ghz": None,
-        "shift_db": None,
-        "l_dbc": None,
-        "sigma_wh": None,
-        "sigma_rw": None,
-        "r_samp_hz": None,
-        "f_cutoff_hz": 1e8,
-        "l_johnson_dbc": -177.0,
-    },
-    "readout": {
-        "shot_sigma": None,
-        "contrast": None,
-        "n_photons": None,
-        "t_read_us": 1.5,
-        "t_norm_us": 4.0,
-    },
-    "pipeline": {
-        "duration_s": 150.0,
-        "interval_s": 1.0,
-        "f_test_khz": None,
-        "test_field_pt": 0.0,
-        "gradiometer": False,
-        "uniform_pt": 0.0,
-        "gradient_pt": 0.0,
-        "f_uniform_khz": 394.0,
-        "f_gradient_khz": 394.0,
-    },
-    "run": {
-        "seed": 0,
-        "n_realizations": 10000,
-        "workers": 1,
-    },
-}
+@dataclass(frozen=True)
+class Key:
+    """One config key: ``[section] name``, its default, its type, the values
+    it may take, the noise sources that use it and whether ``[sweep]`` may
+    sweep it.
 
-_INT_KEYS = {("sequence", "n_r"), ("run", "seed"), ("run", "n_realizations"), ("run", "workers")}
-_BOOL_KEYS = {("sequence", "finite_pulses"), ("pipeline", "gradiometer")}
-_STR_KEYS = {("sequence", "kind"), ("noise", "source"), ("noise", "preset"), ("noise", "file")}
+    ``range`` is an interval such as ``"(0, inf)"`` for a number, a tuple of
+    lowercase choices for a string, or None for any value.  ``sources`` is
+    None for a key every source (or no source) uses.  A key whose value is
+    None is unset and unchecked.
+    """
 
-# Sweepable parameters, by the name used in [sweep] axis = ...; key names are
-# unique across the sections of _DEFAULTS, so the name finds its section.
-_SWEEP_AXES = frozenset(
-    {
-        "n_r", "t_pi_ns", "t_dead_us", "f_xy8_khz", "tau_ns", "tau_tot_us",
-        "sigma_wh", "sigma_rw", "r_samp_hz", "carrier_ghz", "shift_db", "l_dbc",
-        "test_field_pt",
-    }
+    section: str
+    name: str
+    default: object
+    type: type
+    range: str | tuple[str, ...] | None = None
+    sources: tuple[str, ...] | None = None
+    sweep: bool = False
+
+
+_SPECTRUM_SOURCES = ("preset", "file", "flat")
+
+# The resolved-config schema, in header order.  Sections and keys outside it
+# are configuration errors; build_point checks every row on every point.
+SCHEMA = (
+    Key("sequence", "kind", "xy8", str, ("xy8", "cpmg")),
+    Key("sequence", "n_r", 1, int, "[1, inf)", sweep=True),
+    Key("sequence", "t_pi_ns", 0.0, float, "[0, inf)", sweep=True),
+    Key("sequence", "t_dead_us", 0.0, float, "[0, inf)", sweep=True),
+    Key("sequence", "f_xy8_khz", None, float, "(0, inf)", sweep=True),
+    Key("sequence", "tau_ns", None, float, "(0, inf)", sweep=True),
+    Key("sequence", "tau_tot_us", None, float, "(0, inf)", sweep=True),
+    Key("sequence", "finite_pulses", True, bool),
+    Key("noise", "source", "none", str, ("none", "white", "random-walk", *_SPECTRUM_SOURCES)),
+    Key("noise", "preset", None, str, tuple(preset_names()), sources=("preset",)),
+    Key("noise", "file", None, str, sources=("file",)),
+    Key("noise", "carrier_ghz", None, float, "(0, inf)", _SPECTRUM_SOURCES, sweep=True),
+    Key("noise", "shift_db", None, float, "(-inf, inf)", _SPECTRUM_SOURCES, sweep=True),
+    Key("noise", "l_dbc", None, float, "(-inf, inf)", ("flat",), sweep=True),
+    Key("noise", "sigma_wh", None, float, "[0, inf)", ("white",), sweep=True),
+    Key("noise", "sigma_rw", None, float, "[0, inf)", ("random-walk",), sweep=True),
+    Key("noise", "r_samp_hz", None, float, "(0, inf)", ("random-walk",), sweep=True),
+    Key("noise", "f_cutoff_hz", 1e8, float, "(0, inf)"),
+    Key("noise", "l_johnson_dbc", -177.0, float, "(-inf, inf)"),
+    Key("readout", "shot_sigma", None, float, "[0, inf)"),
+    Key("readout", "contrast", None, float, "(0, 1]"),
+    Key("readout", "n_photons", None, float, "(0, inf)"),
+    Key("readout", "t_read_us", 1.5, float, "(0, inf)"),
+    Key("readout", "t_norm_us", 4.0, float, "(0, inf)"),
+    Key("pipeline", "duration_s", 150.0, float, "(0, inf)"),
+    Key("pipeline", "interval_s", 1.0, float, "(0, inf)"),
+    Key("pipeline", "f_test_khz", None, float, "[0, inf)"),
+    Key("pipeline", "test_field_pt", 0.0, float, "(-inf, inf)", sweep=True),
+    Key("pipeline", "gradiometer", False, bool),
+    Key("pipeline", "uniform_pt", 0.0, float, "(-inf, inf)"),
+    Key("pipeline", "gradient_pt", 0.0, float, "(-inf, inf)"),
+    Key("pipeline", "f_uniform_khz", 394.0, float, "[0, inf)"),
+    Key("pipeline", "f_gradient_khz", 394.0, float, "[0, inf)"),
+    Key("run", "seed", 0, int, "(-inf, inf)"),
+    Key("run", "n_realizations", 10000, int, f"[{_MIN_REALIZATIONS}, inf)"),
+    Key("run", "workers", 1, int, "[1, inf)"),
 )
 
+# Key names are unique across sections, so a name (a sweep axis too) finds its row.
+_KEYS = {key.name: key for key in SCHEMA}
 
-def _coerce(section: str, key: str, raw: str):
-    if (section, key) in _STR_KEYS:
+
+def _in_range(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like "[0, inf)"; NaN never does."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = lo < value or (interval[0] == "[" and value == lo)
+    below = value < hi or (interval[-1] == "]" and value == hi)
+    return above and below
+
+
+def _coerce(label: str, kind: type, raw: str):
+    if kind is str:
         return raw
-    if (section, key) in _BOOL_KEYS:
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"{label}: expected a boolean, got {raw!r}")
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-    if (section, key) in _INT_KEYS:
-        return _integer(f"[{section}] {key}", value, raw)
-    return value
+        raise ConfigError(f"{label}: expected a number, got {raw!r}") from None
+    return _integer(label, value, raw) if kind is int else value
 
 
 def _integer(label: str, value: float, raw) -> int:
@@ -173,7 +186,9 @@ def _integer(label: str, value: float, raw) -> int:
 
 def load_config(path: str | Path | None) -> dict:
     """Resolved configuration: schema defaults overlaid with the INI file."""
-    cfg = copy.deepcopy(_DEFAULTS)
+    cfg: dict[str, dict] = {}
+    for key in SCHEMA:
+        cfg.setdefault(key.section, {})[key.name] = key.default
     cfg["sweep"] = {"axis": None, "values": None}
     if path is None:
         return cfg
@@ -187,27 +202,45 @@ def load_config(path: str | Path | None) -> dict:
         raise ConfigError(f"cannot read config file {path}")
     for section, items in sections.items():
         if section == "sweep":
-            axis = items.get("axis")
-            values = items.get("values")
             for key in items:
                 if key not in ("axis", "values"):
                     raise ConfigError(f"[sweep] has unknown key {key!r}")
-            cfg["sweep"]["axis"] = axis
+            cfg["sweep"]["axis"] = items.get("axis")
+            values = items.get("values")
             if values is not None:
                 cfg["sweep"]["values"] = [
-                    _coerce(section, "values", v) for v in values.split(",") if v.strip()
+                    _coerce("[sweep] values", float, v) for v in values.split(",") if v.strip()
                 ]
             continue
-        if section not in _DEFAULTS:
+        if section not in cfg:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in items.items():
-            if key not in _DEFAULTS[section]:
-                raise ConfigError(f"[{section}] has unknown key {key!r}")
-            cfg[section][key] = _coerce(section, key, raw)
-    cutoff = cfg["noise"]["f_cutoff_hz"]
-    if not 0 < cutoff < math.inf:
-        raise ConfigError(f"[noise] f_cutoff_hz must be positive and finite, got {cutoff!r}")
+        for name, raw in items.items():
+            if name not in cfg[section]:
+                raise ConfigError(f"[{section}] has unknown key {name!r}")
+            cfg[section][name] = _coerce(f"[{section}] {name}", _KEYS[name].type, raw)
     return cfg
+
+
+def _check_keys(cfg: dict) -> None:
+    """Check every set key against its schema row: its range, and that the
+    configured noise source uses it."""
+    source = cfg["noise"]["source"].lower()
+    for key in SCHEMA:
+        value = cfg[key.section][key.name]
+        if value is None:
+            continue
+        label = f"[{key.section}] {key.name}"
+        if isinstance(key.range, tuple):
+            if value.lower() not in key.range:
+                raise ConfigError(f"{label} must be one of {', '.join(key.range)}, got {value!r}")
+        elif key.range is not None and not _in_range(value, key.range):
+            raise ConfigError(f"{label} must be in {key.range}, got {value!r}")
+        # The source row comes first in the schema, so ``source`` is valid here.
+        if key.sources is not None and source not in key.sources:
+            raise ConfigError(
+                f"{label} is used by source {' or '.join(key.sources)}, not by {source!r}; "
+                "configure exactly one noise source"
+            )
 
 
 def build_sequence(cfg: dict) -> PulseSequence:
@@ -230,28 +263,14 @@ def build_sequence(cfg: dict) -> PulseSequence:
                     SequenceKind.XY8, 8 * n_r, ns_to_s(seq_cfg["tau_ns"]), t_pi, t_dead
                 )
             return make_xy8_fixed_duration(n_r, us_to_s(seq_cfg["tau_tot_us"]), t_pi, t_dead)
-        if kind == "cpmg":
-            # For CPMG, n_r counts individual pi pulses.
-            if timing[0] == "f_xy8_khz":
-                return make_cpmg(n_r, khz_to_hz(seq_cfg["f_xy8_khz"]), t_pi, t_dead)
-            if timing[0] == "tau_ns":
-                return PulseSequence(
-                    SequenceKind.CPMG, n_r, ns_to_s(seq_cfg["tau_ns"]), t_pi, t_dead
-                )
-            raise ConfigError("cpmg timing must be given as f_xy8_khz or tau_ns")
+        # The schema allows cpmg otherwise, for which n_r counts individual pi pulses.
+        if timing[0] == "f_xy8_khz":
+            return make_cpmg(n_r, khz_to_hz(seq_cfg["f_xy8_khz"]), t_pi, t_dead)
+        if timing[0] == "tau_ns":
+            return PulseSequence(SequenceKind.CPMG, n_r, ns_to_s(seq_cfg["tau_ns"]), t_pi, t_dead)
     except ValueError as exc:
         raise ConfigError(f"invalid sequence parameters: {exc}") from None
-    raise ConfigError(f"unknown sequence kind {seq_cfg['kind']!r} (use xy8 or cpmg)")
-
-
-_SOURCE_KEYS = {
-    "none": (),
-    "white": ("sigma_wh",),
-    "random-walk": ("sigma_rw", "r_samp_hz"),
-    "preset": ("preset",),
-    "file": ("file",),
-    "flat": ("l_dbc",),
-}
+    raise ConfigError("cpmg timing must be given as f_xy8_khz or tau_ns")
 
 
 def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | None]:
@@ -262,32 +281,10 @@ def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | No
     """
     noise_cfg = cfg["noise"]
     source = noise_cfg["source"].lower()
-    if source not in _SOURCE_KEYS:
-        raise ConfigError(
-            f"unknown noise source {noise_cfg['source']!r}; "
-            f"use one of {', '.join(sorted(_SOURCE_KEYS))}"
-        )
-    for key in _SOURCE_KEYS[source]:
-        if noise_cfg[key] is None:
-            raise ConfigError(f"noise source {source!r} requires [noise] {key}")
-    for owner, keys in _SOURCE_KEYS.items():
-        for key in keys:
-            if noise_cfg[key] is not None and key not in _SOURCE_KEYS[source]:
-                raise ConfigError(
-                    f"[noise] {key} belongs to source {owner!r} but source is {source!r}; "
-                    "configure exactly one noise source"
-                )
-    # carrier_ghz and shift_db modify an L(f) spectrum, which these sources lack.
-    if source in ("none", "white", "random-walk"):
-        for key in ("carrier_ghz", "shift_db"):
-            if noise_cfg[key] is not None:
-                raise ConfigError(
-                    f"[noise] {key} applies to a spectrum source, but source is {source!r}"
-                )
-    if not math.isfinite(noise_cfg["l_johnson_dbc"]):
-        raise ConfigError(
-            f"[noise] l_johnson_dbc must be finite, got {noise_cfg['l_johnson_dbc']!r}"
-        )
+    # A key that this source alone uses is a parameter it needs.
+    for key in SCHEMA:
+        if key.sources == (source,) and noise_cfg[key.name] is None:
+            raise ConfigError(f"noise source {source!r} requires [noise] {key.name}")
     if source == "file" and not Path(noise_cfg["file"]).is_file():
         raise ConfigError(f"spectrum file not found: {noise_cfg['file']}")
     seed = cfg["run"]["seed"]
@@ -309,24 +306,16 @@ def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | No
         if noise_cfg["shift_db"] is not None:
             spectrum = spectrum.shifted_db(noise_cfg["shift_db"])
         return spectrum, PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"], seed=seed)
-    except KeyError as exc:  # an unknown preset name
-        raise ConfigError(str(exc.args[0])) from None
     except ValueError as exc:
         raise ConfigError(f"invalid [noise] parameters: {exc}") from None
 
 
 def build_readout(cfg: dict) -> "ReadoutModel | float":
     r = cfg["readout"]
-    # Checked under every readout mode, including those that do not use them.
-    for key in ("t_read_us", "t_norm_us"):
-        if not 0 < r[key] < math.inf:
-            raise ConfigError(f"[readout] {key} must be positive and finite, got {r[key]!r}")
     model_keys = (r["contrast"], r["n_photons"])
     if r["shot_sigma"] is not None:
         if any(v is not None for v in model_keys):
             raise ConfigError("[readout] give either shot_sigma or contrast/n_photons, not both")
-        if not 0 <= r["shot_sigma"] < math.inf:
-            raise ConfigError("[readout] shot_sigma must be nonnegative and finite")
         return r["shot_sigma"]
     if all(v is not None for v in model_keys):
         try:
@@ -340,16 +329,19 @@ def build_readout(cfg: dict) -> "ReadoutModel | float":
     return 0.0
 
 
-def _check_pipeline_params(p: dict) -> None:
-    for key in ("duration_s", "interval_s"):
-        if not 0 < p[key] < math.inf:
-            raise ConfigError(f"[pipeline] {key} must be positive and finite, got {p[key]!r}")
-    for key in ("test_field_pt", "uniform_pt", "gradient_pt"):
-        if not math.isfinite(p[key]):
-            raise ConfigError(f"[pipeline] {key} must be finite, got {p[key]!r}")
-    for key in ("f_test_khz", "f_uniform_khz", "f_gradient_khz"):
-        if p[key] is not None and not 0 <= p[key] < math.inf:
-            raise ConfigError(f"[pipeline] {key} must be nonnegative and finite, got {p[key]!r}")
+def _stream_sequences(seq: PulseSequence, p: dict) -> int:
+    """Sequences in the configured readout stream, checked by the pipeline's
+    own length rules: at least 10 (the gradiometer needs 2, which its chunk
+    of at least 2 samples implies) and one whole interval."""
+    try:
+        if p["gradiometer"]:
+            n_seq = int(round(p["duration_s"] * seq.f_samp))
+        else:
+            n_seq = _sequence_count(p["duration_s"], seq.f_samp)
+        _chunk_length(p["interval_s"], seq.f_samp, n_seq)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid [pipeline] stream length: {exc}") from None
+    return n_seq
 
 
 def build_point(
@@ -357,21 +349,16 @@ def build_point(
 ) -> tuple[PulseSequence, PhaseNoiseSpectrum | None, NoiseProcess | None, "ReadoutModel | float"]:
     """(sequence, spectrum, process, readout) of one sweep point.
 
-    Every command builds each of its points here, once, so every config
-    section is checked whether or not the command uses it: a bad value is a
-    configuration error under every command.  ``spectrum`` and ``process``
-    are those of :func:`build_noise`.
+    Every command builds each of its points here, once, so every set key is
+    checked against :data:`SCHEMA` and every section is built whether or not
+    the command uses it: a bad value is a configuration error under every
+    command.  ``spectrum`` and ``process`` are those of :func:`build_noise`.
     """
+    _check_keys(cfg)
     seq = build_sequence(cfg)
+    _stream_sequences(seq, cfg["pipeline"])
     spectrum, process = build_noise(cfg)
-    readout = build_readout(cfg)
-    _check_pipeline_params(cfg["pipeline"])
-    if cfg["run"]["n_realizations"] < _MIN_REALIZATIONS:
-        raise ConfigError(
-            f"[run] n_realizations must be at least {_MIN_REALIZATIONS}, "
-            f"got {cfg['run']['n_realizations']}"
-        )
-    return seq, spectrum, process, readout
+    return seq, spectrum, process, build_readout(cfg)
 
 
 # --- units ------------------------------------------------------------------
@@ -416,8 +403,8 @@ def _format_row(row) -> str:
 
 def _provenance(cfg: dict, command: str, extra: dict | None = None) -> list[str]:
     lines = [f"# mwnoise={__version__}", f"# command={command}"]
-    for section in list(_DEFAULTS) + ["sweep"]:
-        for key, value in cfg[section].items():
+    for section, keys in cfg.items():
+        for key, value in keys.items():
             if value is None:
                 continue
             if isinstance(value, list):
@@ -457,17 +444,16 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
         return [(None, cfg)]
     if axis is None or not values:
         raise ConfigError("[sweep] needs both axis and values")
-    if axis not in _SWEEP_AXES:
-        raise ConfigError(
-            f"unknown sweep axis {axis!r}; known: {', '.join(sorted(_SWEEP_AXES))}"
-        )
-    section = next(name for name, keys in _DEFAULTS.items() if axis in keys)
+    key = _KEYS.get(axis)
+    if key is None or not key.sweep:
+        known = sorted(row.name for row in SCHEMA if row.sweep)
+        raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(known)}")
     points = []
     for value in values:
         point = copy.deepcopy(cfg)
-        if (section, axis) in _INT_KEYS:
+        if key.type is int:
             value = _integer(f"[sweep] {axis}", value, value)
-        point[section][axis] = value
+        point[key.section][axis] = value
         points.append((float(value), point))
     return points
 
@@ -638,7 +624,7 @@ def _pipeline_point(cfg):
 
     if p["gradiometer"]:
         shot_sigma = shot_sigma_from_readout(readout)
-        n_seq = int(round(p["duration_s"] * seq.f_samp))
+        n_seq = _stream_sequences(seq, p)
         if process is None:
             raise ConfigError("gradiometer mode needs a noise source")
         spectra = gradiometer_spectra(
@@ -784,8 +770,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg["run"]["workers"] = args.workers
         if getattr(args, "n_realizations", None) is not None:
             cfg["run"]["n_realizations"] = args.n_realizations
-        if cfg["run"]["workers"] < 1:
-            raise ConfigError("[run] workers must be at least 1")
+        for out in (args.out, getattr(args, "spectrum_out", None)):
+            if out is not None and not Path(out).parent.is_dir():
+                raise ConfigError(f"output directory not found: {Path(out).parent}")
         _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"mwnoise: config error: {exc}", file=sys.stderr)

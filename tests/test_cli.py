@@ -885,6 +885,60 @@ def test_exit_code_pipeline_probes(tmp_path, pipeline):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "pipeline",
+    ["duration_s = 1e-6", "duration_s = 1\ninterval_s = 5", "interval_s = 1e-9"],
+    ids=["under-10-sequences", "interval-over-duration", "interval-under-2-samples"],
+)
+def test_exit_code_stream_length(tmp_path, command, pipeline):
+    # A stream the pipeline would reject is a configuration error under
+    # every command, whether or not it synthesizes the stream.
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE + "[noise]\nsource = white\nsigma_wh = 0.005\n[pipeline]\n" + pipeline + "\n",
+    )
+    out = tmp_path / "table.csv"
+    extra = ["--n-realizations", "100"] if command == "montecarlo" else []
+    assert main(_argv(tmp_path, command, cfg, out, *extra)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_gradiometer_stream_needs_two_sequences(tmp_path):
+    # The gradiometer path takes any stream of one whole interval of at
+    # least 2 sequences, fewer than the 10 the on/off path needs.
+    n_seq = 4
+    seconds = n_seq / _seq_from_base().f_samp
+    body = (
+        BASE_SEQUENCE
+        + "[noise]\nsource = white\nsigma_wh = 0.005\n[pipeline]\ngradiometer = true\n"
+    )
+    out = tmp_path / "table.csv"
+    for duration, code in ((seconds, EXIT_OK), (seconds / n_seq, EXIT_CONFIG)):
+        cfg = _write_config(
+            tmp_path, body + f"duration_s = {duration!r}\ninterval_s = {duration!r}\n"
+        )
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == code
+
+
+@pytest.mark.parametrize("flag", ["--out", "--spectrum-out"])
+def test_exit_code_missing_output_directory(tmp_path, flag):
+    # A missing output directory is found before any point runs, so neither
+    # file is written.
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + "[noise]\nsource = white\nsigma_wh = 0.005\n[pipeline]\nduration_s = 1\n",
+    )
+    paths = {"--out": tmp_path / "table.csv", "--spectrum-out": tmp_path / "asd.csv"}
+    paths[flag] = tmp_path / "missing" / paths[flag].name
+    argv = ["pipeline", "--config", cfg]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
 def test_provenance_headers(tmp_path):
     cfg = _write_config(tmp_path, BASE_SEQUENCE)
     out = tmp_path / "prov.csv"
