@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spin_simulator
 from .analytic_sensitivity import (
     ReadoutModel,
     eta_johnson_pulsed,
@@ -458,6 +458,12 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
     return points
 
 
+def _one_lane() -> None:
+    """Sweep worker initializer: one thread per PSD Monte Carlo, so the
+    pool's processes and a point's draw threads never multiply."""
+    spin_simulator._LANE_CAP = 1
+
+
 def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list[list], object]:
     """Evaluate ``point_fn(point_cfg) -> (rows, extra)`` at every sweep point,
     in a process pool when [run] workers > 1, keeping the input order.
@@ -472,7 +478,9 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
     if workers > 1 and len(points) > 1:
         # At most one process per point: with the fork start method the pool
         # starts all its workers at once, however few points there are.
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(points)), initializer=_one_lane
+        ) as pool:
             results = list(pool.map(point_fn, configs))
     else:
         results = [point_fn(point) for point in configs]
@@ -680,6 +688,8 @@ def cmd_pipeline(cfg: dict, args) -> None:
 # --- calibrate ------------------------------------------------------------------
 
 def cmd_calibrate(cfg: dict, args) -> None:
+    if cfg["sweep"]["axis"] is not None or cfg["sweep"]["values"] is not None:
+        raise ConfigError("calibrate fits one sequence and takes no [sweep]")
     seq = build_point(cfg)[0]
     path = Path(args.data)
     if not path.is_file():

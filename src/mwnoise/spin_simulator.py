@@ -16,6 +16,8 @@ pulse centers.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,6 +67,21 @@ def _alternating_weights(n_pi: int) -> np.ndarray:
 # Fewest realizations whose sample std is a usable estimate.
 _MIN_REALIZATIONS = 100
 
+# Most threads that draw one PSD Monte Carlo's chunks at once.  Each holds a
+# draw buffer of up to max(_DRAW_BLOCK, comb length) floats, so the cap keeps
+# that memory within a constant factor of the comb arrays on any host.  The
+# sweep's worker processes set it to 1, so processes and threads never
+# multiply.
+_LANE_CAP = 4
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class MonteCarloResult:
@@ -93,7 +110,11 @@ def monte_carlo_sigma_phi(
     with the source phase at t = 0 subtracted from every sample to
     reference the errors to the initial pulse's frame.  It is computed from
     the same synthesis draws read through the comb transfer of the sample
-    times (:func:`_psd_phi_tot`), without building the tracks.
+    times (:func:`_psd_phi_tot`), without building the tracks.  Those draws
+    come in chunks of realizations, each from its own Philox key, and the
+    chunks are drawn on up to four threads (no more than the usable CPUs);
+    the result does not depend on how many.  The white and
+    random-walk draws read one Philox stream, so they stay on one thread.
     """
     if n_realizations < _MIN_REALIZATIONS:
         raise ValueError(
@@ -138,7 +159,13 @@ def _psd_phi_tot(
     u_k = sqrt(S_k / (n dt)) Re(F_k) and v_k = sqrt(S_k / (n dt)) Im(F_k);
     S is zero at DC.  The draws are those of :func:`synthesize_phase_track`
     under the chunk layout of :func:`sample_pulse_phases_batch`, made block
-    by block into one buffer.
+    by block into a buffer per chunk.
+
+    Chunks have their own Philox keys, so they are drawn concurrently on
+    min(chunks, usable CPUs, ``_LANE_CAP``) threads, and inline when that is
+    one.  A chunk writes only its own realizations and adds its re @ u part
+    before its im @ v part, as on one thread, so every realization is
+    bit-identical whatever the thread count.
     """
     n, dt, psd, transfer = _psd_comb_transfer(process, seq)
     gain = np.sqrt(psd / (n * dt))
@@ -151,15 +178,36 @@ def _psd_phi_tot(
 
     phi_tot = np.zeros(n_realizations)
     rows = max(1, min(_DRAW_BLOCK // transfer.size, n_realizations))
-    buf = np.empty((rows, transfer.size))
-    for start, stop in _track_chunks(n, n_realizations):
-        rng = _track_rng(seed, start)
+
+    def draw(start: int, stop: int, rng: np.random.Generator) -> None:
+        # Runs on a lane thread, so it calls numpy only, which releases the
+        # GIL while it fills an out= array; it writes this chunk's rows alone.
+        buf = np.empty((min(rows, stop - start), transfer.size))
         for coef in (u, v):
             for lo in range(start, stop, rows):
                 hi = min(lo + rows, stop)
                 block = buf[: hi - lo]
                 rng.standard_normal(out=block)
                 phi_tot[lo:hi] += block @ coef
+
+    chunks = list(_track_chunks(n, n_realizations))
+    lanes = min(len(chunks), _LANE_CAP, _usable_cpus())
+    if lanes <= 1:
+        for start, stop in chunks:
+            draw(start, stop, _track_rng(seed, start))
+        return phi_tot
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        pending = set()
+        for start, stop in chunks:
+            if len(pending) == lanes:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+            # The generator is made here, not on the lane thread: package
+            # functions may be wrapped by tracers that are not thread-safe.
+            pending.add(pool.submit(draw, start, stop, _track_rng(seed, start)))
+        for future in pending:
+            future.result()
     return phi_tot
 
 

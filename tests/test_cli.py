@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mwnoise as mw
-from mwnoise import cli, signal_pipeline
+from mwnoise import cli, signal_pipeline, spin_simulator
 from mwnoise.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from mwnoise.core import read_csv
 
@@ -242,13 +242,21 @@ def test_predict_carrier_sweep_monotone(tmp_path):
             ["--n-realizations", "200"],
         ),
         (
+            # XY8-8 draws 400 realizations in three chunks: on several threads
+            # in this process, on one in each pool worker.
+            "montecarlo",
+            "[noise]\nsource = preset\npreset = g1-2.5ghz\n"
+            "[sweep]\naxis = n_r\nvalues = 1, 8\n",
+            ["--n-realizations", "400"],
+        ),
+        (
             "pipeline",
             "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
             "[pipeline]\nduration_s = 1\n[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.01\n",
             [],
         ),
     ],
-    ids=["filter-fn", "predict", "montecarlo", "pipeline"],
+    ids=["filter-fn", "predict", "montecarlo", "montecarlo-psd-chunks", "pipeline"],
 )
 def test_predict_workers_give_identical_bytes(tmp_path, command, body, extra):
     cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
@@ -269,8 +277,9 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
+            assert initializer is cli._one_lane
 
         def __enter__(self):
             return self
@@ -286,6 +295,23 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     out = tmp_path / "ff.csv"
     assert main(["filter-fn", "--config", cfg, "--out", str(out), "--workers", "64"]) == EXIT_OK
     assert sizes == [3]
+
+
+def _lane_cap_point(cfg):
+    return [[spin_simulator._LANE_CAP]], None
+
+
+def test_sweep_pool_workers_draw_on_one_lane(tmp_path):
+    # Each pool process draws a PSD Monte Carlo on one thread, so processes
+    # and threads do not multiply; this process keeps its own cap.
+    cap = spin_simulator._LANE_CAP
+    cfg = _write_config(
+        tmp_path, BASE_SEQUENCE + "[run]\nworkers = 2\n[sweep]\naxis = n_r\nvalues = 1, 2\n"
+    )
+    _, rows, _ = cli._run_sweep(cli.load_config(cfg), _lane_cap_point, ["lane_cap"])
+    assert rows == [[1.0, 1], [2.0, 1]]
+    assert cap > 1
+    assert spin_simulator._LANE_CAP == cap
 
 
 def test_units_paper_scaling(tmp_path):
@@ -565,6 +591,16 @@ def test_calibrate_malformed_row_is_config_error(tmp_path, bad_row):
     assert main(
         ["calibrate", "--config", cfg, "--data", str(data), "--out", str(out)]
     ) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["48, nan", "48, 40"], ids=["nan", "finite"])
+def test_calibrate_sweep_is_config_error(tmp_path, values):
+    # calibrate fits one sequence, so a [sweep] would be neither checked nor
+    # used: it is rejected, and no table is written.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + f"[sweep]\naxis = t_pi_ns\nvalues = {values}\n")
+    out = tmp_path / "fit.csv"
+    assert main(_argv(tmp_path, "calibrate", cfg, out)) == EXIT_CONFIG
     assert not out.exists()
 
 

@@ -2,13 +2,16 @@
 double-quantum readout, gradiometer channels and cw traces."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
+from mwnoise import spin_simulator
 from mwnoise.noise_models import (
     _DRAW_BLOCK,
     _psd_track_layout,
@@ -199,6 +202,56 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
         assert np.max(np.abs(got - want)) <= 1e-12 * sigma, n_r
 
 
+def _force_lanes(monkeypatch, cap):
+    """Let the PSD Monte Carlo draw on up to ``cap`` threads whatever the
+    host's CPU count; returns the list of pool sizes it asks for."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(spin_simulator, "_LANE_CAP", cap)
+    monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("n_r", [1, 8])
+@pytest.mark.parametrize("n_chunks", [1, 2, 5])
+def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
+    # Each chunk keeps its Philox key, its rows and its sum order on any
+    # thread, so every realization is bit-identical on one lane and on four,
+    # with more chunks than lanes too.  A short switch interval interleaves
+    # the lanes' Python code as often as it can.
+    proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+    duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
+    chunk = next(_track_chunks(int(round(duration / dt)), 10**9))[1]
+    count = max(100, (n_chunks - 1) * chunk + 37)
+    draws, results = [], []
+
+    def recording_draws(*args):
+        draws.append(_psd_phi_tot(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(spin_simulator, "_psd_phi_tot", recording_draws)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cap in (1, 4):
+            sizes = _force_lanes(monkeypatch, cap)
+            results.append(monte_carlo_sigma_phi(seq, proc, count, seed=61))
+            lanes = min(n_chunks, cap)
+            assert sizes == ([lanes] if lanes > 1 else [])
+    finally:
+        sys.setswitchinterval(switch)
+    assert_array_equal(draws[0], draws[1])
+    assert results[0] == results[1]
+
+
 def test_pulse_monte_carlo_matches_time_domain_sampler():
     # The blocked Monte Carlo reduces the sampler's rows block by block, so
     # each realization agrees with the full matrix times the weights.
@@ -242,6 +295,16 @@ def test_psd_monte_carlo_bounded_memory_at_xy8_64():
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     assert _peak_alloc_mb(lambda: monte_carlo_sigma_phi(seq, psd, 100, seed=47)) < 64.0
+
+
+def test_psd_monte_carlo_bounded_memory_on_four_lanes(monkeypatch):
+    # The same run drawn on four threads, each with its own draw buffer of
+    # one 447 162-bin row (3.6 MB), stays under the same bound.
+    seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
+    psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    sizes = _force_lanes(monkeypatch, 4)
+    assert _peak_alloc_mb(lambda: monte_carlo_sigma_phi(seq, psd, 100, seed=47)) < 64.0
+    assert sizes == [4]
 
 
 def test_pulse_monte_carlo_bounded_memory_at_xy8_64():
