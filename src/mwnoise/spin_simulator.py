@@ -165,7 +165,7 @@ def _psd_phi_tot(
     min(chunks, usable CPUs, ``_LANE_CAP``) threads, and inline when that is
     one.  A chunk writes only its own realizations and adds its re @ u part
     before its im @ v part, as on one thread, so every realization is
-    bit-identical whatever the thread count.
+    bit-identical whatever the number of threads.
     """
     n, dt, psd, transfer = _psd_comb_transfer(process, seq)
     gain = np.sqrt(psd / (n * dt))
@@ -180,8 +180,8 @@ def _psd_phi_tot(
     rows = max(1, min(_DRAW_BLOCK // transfer.size, n_realizations))
 
     def draw(start: int, stop: int, rng: np.random.Generator) -> None:
-        # Runs on a lane thread, so it calls numpy only, which releases the
-        # GIL while it fills an out= array; it writes this chunk's rows alone.
+        # Runs on a lane thread: numpy calls only, which release the GIL, and
+        # writes to this chunk's rows alone.
         buf = np.empty((min(rows, stop - start), transfer.size))
         for coef in (u, v):
             for lo in range(start, stop, rows):
@@ -196,6 +196,9 @@ def _psd_phi_tot(
         for start, stop in chunks:
             draw(start, stop, _track_rng(seed, start))
         return phi_tot
+    # At most ``lanes`` chunks are in flight, so at most that many buffers
+    # and generators exist at once (a generator takes about 1.3 KB, more than
+    # a chunk's phi_tot at long sequences).
     with ThreadPoolExecutor(max_workers=lanes) as pool:
         pending = set()
         for start, stop in chunks:
