@@ -22,14 +22,16 @@ so runs are reproducible and realizations can be generated independently in
 any order.
 
 Only the Monte Carlo draws per-realization noise: it is the check of the
-closed forms.  It samples white and random-walk noise pulse by pulse, one
-block of realizations at a time, and reduces each block to phi_tot before
-drawing the next, so its memory is set by the block, not by the
-realization count; :func:`sample_pulse_phases_batch` fills its matrix from
-the same blocks.  It reads the PSD-driven process's synthesis draws through
-the comb transfer of its sample times, which gives the same phi_tot as the
-tracks without building them (``spin_simulator.monte_carlo_sigma_phi``);
-the PSD branch of :func:`sample_pulse_phases_batch` stays as its
+closed forms (``spin_simulator.monte_carlo_sigma_phi``).  Every process
+goes through its one draw loop: blocks of standard normal rows from a
+Philox stream, each reduced to phi_tot by fixed coefficients before the
+next is drawn, so its memory is set by the block, not by the realization
+count.  White and random-walk rows are the pulse samples of
+:func:`sample_pulse_phases_batch`, made from the same stream by
+``_pulse_stream``.  PSD-driven rows are the synthesis draws of
+:func:`synthesize_phase_track`, read through the comb transfer of the
+sample times, which gives the same phi_tot as the tracks without building
+them; the PSD branch of :func:`sample_pulse_phases_batch` stays as the
 time-domain oracle.
 Readout streams and the gradiometer draw each sequence's phi_tot directly
 from its exact variance, which every process fixes in closed form (see
@@ -68,7 +70,7 @@ def _mix_key(*parts: int) -> list[int]:
     return [acc, (acc * 0xD6E8FEB86659FD93 ^ len(parts)) & _PHILOX_MASK]
 
 
-def philox_rng(*key_parts: int) -> np.random.Generator:
+def _philox_rng(*key_parts: int) -> np.random.Generator:
     """Counter-based generator for a (seed, stream, ...) tuple.
 
     Distinct tuples give statistically independent streams; the same tuple
@@ -76,6 +78,15 @@ def philox_rng(*key_parts: int) -> np.random.Generator:
     consumed before.
     """
     return np.random.Generator(np.random.Philox(key=_mix_key(*key_parts)))
+
+
+def _gaussian_stream(sigma: float, rng: np.random.Generator):
+    """Function returning ``sigma`` times the next ``size`` normals of ``rng``.
+
+    Consecutive calls continue the stream, so calls of sizes a, b, ... give
+    the values of one call of size a + b + ....
+    """
+    return lambda size: sigma * rng.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -443,7 +454,7 @@ def synthesize_phase_track(
 
 def _track_rng(seed: int, realization: int) -> np.random.Generator:
     """Philox stream of the synthesis draws of tracks from ``realization`` on."""
-    return philox_rng(seed, realization, 0x747261636B)
+    return _philox_rng(seed, realization, 0x747261636B)
 
 
 def _track_chunks(n: int, n_tracks: int):
@@ -490,39 +501,24 @@ def _walk_step_variances(process: RandomWalkNoise, times: np.ndarray) -> np.ndar
     return sigma**2 * process.r_samp * np.diff(bounds)
 
 
-# Normal draws per block of the blocked samplers: 512 KB of float64, which
-# stays in cache between the draw and its reduction.
-_DRAW_BLOCK = 1 << 16
+def _pulse_stream(process: WhiteNoise | RandomWalkNoise, times: np.ndarray, seed: int):
+    """(Philox key, in-place transform) of white or random-walk samples at
+    ``times``.
 
-
-def _pulse_phase_blocks(
-    process: WhiteNoise | RandomWalkNoise,
-    times: np.ndarray,
-    n_realizations: int,
-    seed: int,
-):
-    """Yield (first row, block) of the white or random-walk realizations at
-    ``times``, about ``_DRAW_BLOCK`` samples per block.
-
-    The rows come in order from the process's one Philox stream, so the
-    blocks joined are the matrix a single draw would give.  Each block is a
-    view of one buffer that the next block overwrites.
+    A realization is one row of standard normals, drawn in row order from
+    the key's one stream.  The transform scales a block of rows by each
+    sample's std (white) or each step's std, then sums the steps along the
+    row (random walk).
     """
-    if isinstance(process, WhiteNoise):
-        rng = philox_rng(seed, 0x7768697465, 1)
-        scale = process.effective_sigma
-    else:
-        rng = philox_rng(seed, 0x77616C6B, 1)
-        scale = np.sqrt(_walk_step_variances(process, times))
-    rows = max(1, min(_DRAW_BLOCK // max(times.size, 1), n_realizations))
-    buf = np.empty((rows, times.size))
-    for lo in range(0, n_realizations, rows):
-        block = buf[: min(rows, n_realizations - lo)]
-        rng.standard_normal(out=block)
+    white = isinstance(process, WhiteNoise)
+    scale = process.effective_sigma if white else np.sqrt(_walk_step_variances(process, times))
+
+    def transform(block: np.ndarray) -> None:
         block *= scale
-        if isinstance(process, RandomWalkNoise):
+        if not white:
             np.cumsum(block, axis=1, out=block)
-        yield lo, block
+
+    return (seed, 0x7768697465 if white else 0x77616C6B, 1), transform
 
 
 def sample_pulse_phases_batch(
@@ -548,9 +544,9 @@ def sample_pulse_phases_batch(
     base_seed = process.seed if seed is None else seed
 
     if isinstance(process, (WhiteNoise, RandomWalkNoise)):
-        out = np.empty((n_realizations, times.size))
-        for lo, block in _pulse_phase_blocks(process, times, n_realizations, base_seed):
-            out[lo : lo + len(block)] = block
+        key, transform = _pulse_stream(process, times, base_seed)
+        out = _philox_rng(*key).standard_normal((n_realizations, times.size))
+        transform(out)
         return out
 
     if isinstance(process, PsdDrivenNoise):

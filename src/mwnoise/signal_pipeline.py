@@ -46,7 +46,7 @@ from .core import (
     write_csv,
 )
 from .analytic_sensitivity import ReadoutModel
-from .noise_models import NoiseProcess, philox_rng
+from .noise_models import NoiseProcess, _gaussian_stream, _philox_rng
 from .pulse_sequences import PulseSequence
 from .spin_simulator import _phi_tot_draws
 
@@ -161,10 +161,6 @@ def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws):
         yield (np.arange(lo, lo + size) / f_samp, *terms)
 
 
-def _shot_draws(sigma: Radians, rng: np.random.Generator):
-    return lambda size: sigma * rng.standard_normal(size)
-
-
 def _sequence_count(duration: TimeSeconds, f_samp: FrequencyHz) -> int:
     n_seq = int(round(duration * f_samp))
     if n_seq < 10:
@@ -189,7 +185,9 @@ def _readout_blocks(
     """
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     phase = None if process is None else _phi_tot_draws(seq, process, seed)
-    shot = _shot_draws(shot_sigma, philox_rng(seed, 0x73686F74)) if shot_sigma > 0 else None
+    shot = None
+    if shot_sigma > 0:
+        shot = _gaussian_stream(shot_sigma, _philox_rng(seed, 0x73686F74))
     for t, phi, z in _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)):
         tone = test_field_amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * t)
         z = None if z is None else z / scale
@@ -228,14 +226,14 @@ def _gradiometer_blocks(
     if shot_sigma < 0:
         raise ValueError("shot_sigma must be nonnegative")
     scale = 4.0 * GAMMA_NV * seq.tau_tot
-    rng_1, rng_2 = philox_rng(seed, 0x67726164), philox_rng(seed, 0x67726164)
+    rng_1, rng_2 = _philox_rng(seed, 0x67726164), _philox_rng(seed, 0x67726164)
     discard = np.empty(min(n_sequences, _BLOCK_SAMPLES))
     for lo in range(0, n_sequences, discard.size):
         rng_2.standard_normal(out=discard[: n_sequences - lo])
     draws = (
         _phi_tot_draws(seq, process, seed),
-        _shot_draws(shot_sigma, rng_1),
-        _shot_draws(shot_sigma, rng_2),
+        _gaussian_stream(shot_sigma, rng_1),
+        _gaussian_stream(shot_sigma, rng_2),
     )
 
     def blocks():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,14 +31,14 @@ from .noise_models import (
     PsdDrivenNoise,
     RandomWalkNoise,
     WhiteNoise,
-    _DRAW_BLOCK,
+    _gaussian_stream,
+    _philox_rng,
     _psd_track_layout,
-    _pulse_phase_blocks,
+    _pulse_stream,
     _track_chunks,
     _track_rng,
     _walk_step_variances,
     mix_spectra,
-    philox_rng,
     ssb_to_psd,
     synthesize_phase_track,
 )
@@ -66,6 +66,10 @@ def _alternating_weights(n_pi: int) -> np.ndarray:
 
 # Fewest realizations whose sample std is a usable estimate.
 _MIN_REALIZATIONS = 100
+
+# Normal draws per block of the Monte Carlo: 512 KB of float64, which stays
+# in cache between the draw and its reduction.
+_DRAW_BLOCK = 1 << 16
 
 # Most threads that draw one PSD Monte Carlo's chunks at once.  Each holds a
 # draw buffer of up to max(_DRAW_BLOCK, comb length) floats, so the cap keeps
@@ -95,122 +99,105 @@ def monte_carlo_sigma_phi(
     seq: PulseSequence,
     process: NoiseProcess,
     n_realizations: int,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> MonteCarloResult:
     """Empirical std of phi_tot over independent noise realizations.
 
     Pulses are treated as instantaneous at the sequence's pulse centers and
-    the final readout pulse at tau_tot.  White and random-walk phases are
-    sampled pulse by pulse and are frame-referenced by construction; they
-    are drawn and reduced to phi_tot a block of realizations at a time
-    (:func:`_pulse_phi_tot`), so memory is set by the draw block, not by
-    the realization count.  For
-    the PSD-driven process, phi_tot is that of the tracks
-    :func:`~mwnoise.noise_models.sample_pulse_phases_batch` synthesizes,
-    with the source phase at t = 0 subtracted from every sample to
-    reference the errors to the initial pulse's frame.  It is computed from
-    the same synthesis draws read through the comb transfer of the sample
-    times (:func:`_psd_phi_tot`), without building the tracks.  Those draws
-    come in chunks of realizations, each from its own Philox key, and the
-    chunks are drawn on up to four threads (no more than the usable CPUs);
-    the result does not depend on how many.  The white and
-    random-walk draws read one Philox stream, so they stay on one thread.
+    the final readout pulse at tau_tot.  phi_tot is that of the samples
+    :func:`~mwnoise.noise_models.sample_pulse_phases_batch` draws at those
+    times; for the PSD-driven process the source phase at t = 0 is
+    subtracted from every sample to reference the errors to the initial
+    pulse's frame (white and random-walk samples are frame-referenced by
+    construction).  One draw loop, :func:`_monte_carlo_phi_tot`, reduces the
+    same normal draws to phi_tot a block at a time, without the sample
+    matrix or the PSD tracks, and draws PSD noise on up to four threads.  No
+    reduction calls BLAS, so the result depends neither on the number of
+    threads nor on ``OPENBLAS_NUM_THREADS``.  ``seed`` defaults to the
+    process's seed; the result records the seed used.
     """
     if n_realizations < _MIN_REALIZATIONS:
         raise ValueError(
             f"need at least {_MIN_REALIZATIONS} realizations for a usable std estimate"
         )
-    if isinstance(process, PsdDrivenNoise):
-        phi_tot = _psd_phi_tot(seq, process, n_realizations, seed)
-    else:
-        phi_tot = _pulse_phi_tot(seq, process, n_realizations, seed)
+    seed = process.seed if seed is None else seed
+    phi_tot = _monte_carlo_phi_tot(seq, process, n_realizations, seed)
     sigma = float(np.std(phi_tot, ddof=1))
     std_err = sigma / math.sqrt(2.0 * (n_realizations - 1))
     return MonteCarloResult(n_realizations, sigma, std_err, seed)
 
 
-def _pulse_phi_tot(
-    seq: PulseSequence,
-    process: WhiteNoise | RandomWalkNoise,
-    n_realizations: int,
-    seed: int,
+def _monte_carlo_phi_tot(
+    seq: PulseSequence, process: NoiseProcess, n_realizations: int, seed: int
 ) -> np.ndarray:
-    """phi_tot of the rows of
-    :func:`~mwnoise.noise_models.sample_pulse_phases_batch` at the pulse
-    centers and tau_tot, reduced one draw block at a time so that no
-    realization-by-pulse matrix is built."""
-    times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
-    weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
-    phi_tot = np.empty(n_realizations)
-    for lo, block in _pulse_phase_blocks(process, times, n_realizations, seed):
-        phi_tot[lo : lo + len(block)] = block @ weights
-    return phi_tot
+    """phi_tot of ``n_realizations`` realizations of ``process``.
 
+    A process is read as chunks of realizations, each drawn from its own
+    Philox generator, and passes of coefficients.  For each pass, a chunk
+    draws blocks of standard normal rows, transforms each block in place
+    and adds the block times the pass's coefficients to its realizations.
 
-def _psd_phi_tot(
-    seq: PulseSequence, process: PsdDrivenNoise, n_realizations: int, seed: int
-) -> np.ndarray:
-    """Frame-referenced phi_tot of ``n_realizations`` synthesized tracks.
+    - White and random walk: one chunk on the stream of
+      :func:`~mwnoise.noise_models.sample_pulse_phases_batch`, whose rows it
+      reads; one pass of the pulse weights.
+    - PSD: the chunks of :func:`sample_pulse_phases_batch`'s tracks, each on
+      ``_track_rng(seed, start)``; the passes (u, v) of
+      :func:`_psd_coefficients` read the real, then the imaginary, parts of
+      the synthesis coefficients.
 
-    A track is the irfft of coefficients c_k = s_k (re_k + i im_k) with
-    s_k = sqrt(S_k n / (4 dt)), and phi_tot = sum_j w_j track[idx_j] is
-    linear in them.  With F the rfft of the weighted comb, the irfft's
-    weight 2/n on interior bins gives phi_tot = re @ u + im @ v, where
-    u_k = sqrt(S_k / (n dt)) Re(F_k) and v_k = sqrt(S_k / (n dt)) Im(F_k);
-    S is zero at DC.  The draws are those of :func:`synthesize_phase_track`
-    under the chunk layout of :func:`sample_pulse_phases_batch`, made block
-    by block into a buffer per chunk.
-
-    Chunks have their own Philox keys, so they are drawn concurrently on
-    min(chunks, usable CPUs, ``_LANE_CAP``) threads, and inline when that is
-    one.  A chunk writes only its own realizations and adds its re @ u part
-    before its im @ v part, as on one thread, so every realization is
-    bit-identical whatever the number of threads.
+    Chunks are drawn on min(chunks, usable CPUs, ``_LANE_CAP``) threads, and
+    inline when that is one.  A chunk makes its generator and buffer on its
+    thread, writes only its own realizations and keeps its sum order, so
+    every realization is bit-identical whatever the number of threads.
     """
-    n, dt, psd, transfer = _psd_comb_transfer(process, seq)
-    gain = np.sqrt(psd / (n * dt))
-    u = gain * transfer.real
-    v = gain * transfer.imag
-    if n % 2 == 0:
-        # The Nyquist coefficient is re * sqrt(2) s and enters the track once.
-        u[-1] /= math.sqrt(2.0)
-        v[-1] = 0.0
+    if isinstance(process, PsdDrivenNoise):
+        n, u, v = _psd_coefficients(process, seq)
+        chunks = list(_track_chunks(n, n_realizations))
+        passes = (u, v)
+        transform = None
 
+        def generator(start: int) -> np.random.Generator:
+            return _track_rng(seed, start)
+    else:
+        times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
+        key, transform = _pulse_stream(process, times, seed)
+        chunks = [(0, n_realizations)]
+        passes = (np.concatenate((_alternating_weights(seq.n_pi), [-1.0])),)
+
+        def generator(start: int) -> np.random.Generator:
+            return _philox_rng(*key)
+
+    width = passes[0].size
+    rows = max(1, min(_DRAW_BLOCK // width, n_realizations))
     phi_tot = np.zeros(n_realizations)
-    rows = max(1, min(_DRAW_BLOCK // transfer.size, n_realizations))
 
-    def draw(start: int, stop: int, rng: np.random.Generator) -> None:
+    def draw(chunk: tuple[int, int]) -> None:
         # Runs on a lane thread: numpy calls only, which release the GIL, and
         # writes to this chunk's rows alone.
-        buf = np.empty((min(rows, stop - start), transfer.size))
-        for coef in (u, v):
+        start, stop = chunk
+        rng = generator(start)
+        buf = np.empty((min(rows, stop - start), width))
+        for coef in passes:
             for lo in range(start, stop, rows):
                 hi = min(lo + rows, stop)
                 block = buf[: hi - lo]
                 rng.standard_normal(out=block)
-                phi_tot[lo:hi] += block @ coef
+                if transform is not None:
+                    transform(block)
+                # einsum (not optimized) never calls BLAS, whose threads
+                # would make the sum's bits depend on their number.
+                phi_tot[lo:hi] += np.einsum("ij,j->i", block, coef)
 
-    chunks = list(_track_chunks(n, n_realizations))
     lanes = min(len(chunks), _LANE_CAP, _usable_cpus())
     if lanes <= 1:
-        for start, stop in chunks:
-            draw(start, stop, _track_rng(seed, start))
-        return phi_tot
-    # At most ``lanes`` chunks are in flight, so at most that many buffers
-    # and generators exist at once (a generator takes about 1.3 KB, more than
-    # a chunk's phi_tot at long sequences).
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
-        pending = set()
-        for start, stop in chunks:
-            if len(pending) == lanes:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-            # The generator is made here, not on the lane thread: package
-            # functions may be wrapped by tracers that are not thread-safe.
-            pending.add(pool.submit(draw, start, stop, _track_rng(seed, start)))
-        for future in pending:
-            future.result()
+        for chunk in chunks:
+            draw(chunk)
+    else:
+        # Each task makes its own generator and buffer, so at most ``lanes``
+        # of them exist at once.
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            for _ in pool.map(draw, chunks):
+                pass
     return phi_tot
 
 
@@ -248,9 +235,7 @@ def _phi_tot_draws(
     sizes a, b, ... equal those of one call of size a + b + ...; the chunked
     readout-stream walk of :mod:`mwnoise.signal_pipeline` relies on that.
     """
-    sigma = _phi_tot_sigma(seq, process)
-    rng = philox_rng(seed, 0x70736453)
-    return lambda size: sigma * rng.standard_normal(size)
+    return _gaussian_stream(_phi_tot_sigma(seq, process), _philox_rng(seed, 0x70736453))
 
 
 def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:
@@ -269,18 +254,23 @@ def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:
     raise TypeError(f"unknown noise process type: {type(process).__name__}")
 
 
-def _psd_comb_transfer(
+def _psd_coefficients(
     process: PsdDrivenNoise, seq: PulseSequence
-) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """(n, dt, one-sided PSD per rfft bin, F) of the PSD Monte Carlo's track.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, u, v) with phi_tot = re @ u + im @ v for the synthesis draws
+    (re, im) of one n-sample track of :func:`synthesize_phase_track`.
 
     The track layout is that of :func:`sample_pulse_phases_batch` for the
-    sample times 0, the pulse centers and tau_tot; the PSD is zero at DC.
-    The weights of those samples in phi_tot include the frame reference at
-    t = 0, w_0 = -sum of the others.  Samples sit on the track grid
-    (idx * dt) and line k is at k / (n dt), so the transfer function
-    H_k = sum_j w_j exp(2 pi i k idx_j / n) is the conjugate of F, the
-    rfft of the weighted comb: O(n log n) time and O(n) memory.
+    sample times 0, the pulse centers and tau_tot.  The weights of those
+    samples in phi_tot include the frame reference at t = 0, w_0 = -sum of
+    the others.  Samples sit on the track grid (idx * dt) and line k is at
+    k / (n dt), so F, the rfft of the weighted comb, gives the transfer of
+    every line in O(n log n) time and O(n) memory.  A track is the irfft of
+    c_k = s_k (re_k + i im_k) with s_k = sqrt(S_k n / (4 dt)), and the
+    irfft's weight 2/n on interior bins gives u_k = sqrt(S_k / (n dt))
+    Re(F_k) and v_k = sqrt(S_k / (n dt)) Im(F_k); S is zero at DC.  The
+    Nyquist coefficient of an even n is re sqrt(2) s and enters the track
+    once, so there u is divided by sqrt(2) and v is zero.
     """
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
@@ -291,23 +281,25 @@ def _psd_comb_transfer(
     weights[0] = -np.sum(weights[1:])
     comb = np.zeros(n)
     np.add.at(comb, idx, weights)
-    return n, dt, psd, np.fft.rfft(comb)
+    transfer = np.fft.rfft(comb)
+    gain = np.sqrt(psd / (n * dt))
+    u = gain * transfer.real
+    v = gain * transfer.imag
+    if n % 2 == 0:
+        u[-1] /= math.sqrt(2.0)
+        v[-1] = 0.0
+    return n, u, v
 
 
 def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
     """Per-sequence phase std implied by the discrete synthesis grid.
 
     This is the exact std of the phi_tot that :func:`monte_carlo_sigma_phi`
-    samples for the PSD-driven process: the variance of the same synthesis
-    draws read through the same comb transfer, summed over the comb lines
-    instead of sampled.
+    samples for the PSD-driven process: phi_tot = re @ u + im @ v of
+    independent standard normals, so its variance is sum u^2 + sum v^2.
     """
-    n, dt, psd, transfer = _psd_comb_transfer(process, seq)
-    contrib = psd[1:] * np.abs(transfer[1:]) ** 2
-    if n % 2 == 0:
-        contrib[-1] *= 0.5  # the real Nyquist bin enters the track once, not twice
-    var = float(np.sum(contrib) / (n * dt))
-    return math.sqrt(var)
+    _, u, v = _psd_coefficients(process, seq)
+    return math.sqrt(float(np.sum(u * u) + np.sum(v * v)))
 
 
 # --- double-quantum magnetometry -------------------------------------------

@@ -11,13 +11,13 @@ from mwnoise.noise_models import (
     INJECTION_GAIN_RANDOM_WALK,
     INJECTION_GAIN_WHITE,
     MAX_TRACK_SAMPLES,
-    _DRAW_BLOCK,
     L_FLOOR_DBC,
+    _philox_rng,
     _power_laws,
     _psd_power_law,
-    philox_rng,
     sample_pulse_phases_batch,
 )
+from mwnoise.spin_simulator import _DRAW_BLOCK
 
 
 def _two_point(l0=-100.0, l1=-120.0):
@@ -458,9 +458,10 @@ def test_process_determinism():
 
 
 def test_blocked_draws_match_one_matrix_draw():
-    # Blocks are drawn in row order from one Philox stream, so the first k
-    # rows of a call that spans several blocks are those of a k-row call,
-    # and all rows are those of one matrix draw from that stream.
+    # Rows are drawn in order from one Philox stream, so the first k rows of
+    # a call are those of a k-row call, on either side of the Monte Carlo's
+    # draw-block bounds, and all rows are those of one matrix draw from that
+    # stream.
     times = np.linspace(1e-6, 7e-5, 65)
     rows = _DRAW_BLOCK // times.size
     n = 3 * rows + 17
@@ -471,10 +472,10 @@ def test_blocked_draws_match_one_matrix_draw():
         for k in (1, rows - 1, rows + 1, 2 * rows + 5):
             assert_array_equal(full[:k], sample_pulse_phases_batch(proc, times, k, seed=19))
         if proc is white:
-            normals = philox_rng(19, 0x7768697465, 1).standard_normal(full.shape)
+            normals = _philox_rng(19, 0x7768697465, 1).standard_normal(full.shape)
             assert_array_equal(full, 0.01 * normals)
         if proc is walk:
-            normals = philox_rng(19, 0x77616C6B, 1).standard_normal(full.shape)
+            normals = _philox_rng(19, 0x77616C6B, 1).standard_normal(full.shape)
             step_std = np.sqrt(1e-3**2 * 1e6 * np.diff(times, prepend=0.0))
             assert_array_equal(full, np.cumsum(step_std * normals, axis=1))
 
@@ -491,8 +492,8 @@ def test_batch_matches_single_draw_statistics():
 
 
 def test_philox_rng_streams():
-    a = philox_rng(5, 0x7768697465).standard_normal(8)
-    b = philox_rng(5, 0x7768697465).standard_normal(8)
-    c = philox_rng(5, 0x77616C6B).standard_normal(8)
+    a = _philox_rng(5, 0x7768697465).standard_normal(8)
+    b = _philox_rng(5, 0x7768697465).standard_normal(8)
+    c = _philox_rng(5, 0x77616C6B).standard_normal(8)
     assert_array_equal(a, b)
     assert not np.array_equal(a, c)

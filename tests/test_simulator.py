@@ -2,9 +2,13 @@
 double-quantum readout, gradiometer channels and cw traces."""
 
 import math
+import os
+import pickle
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +17,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 import mwnoise as mw
 from mwnoise import spin_simulator
 from mwnoise.noise_models import (
-    _DRAW_BLOCK,
     _psd_track_layout,
     _track_chunks,
     sample_pulse_phases_batch,
 )
 from mwnoise.spin_simulator import (
+    _DRAW_BLOCK,
     _alternating_weights,
+    _monte_carlo_phi_tot,
     _phi_tot_sigma,
-    _psd_phi_tot,
-    _pulse_phi_tot,
     monte_carlo_sigma_phi,
     phi_tot_batch,
     psd_sigma_phi_grid,
@@ -91,6 +94,17 @@ def test_monte_carlo_zero_noise_and_validation():
     assert res.sigma_phi_empirical == 0.0
     with pytest.raises(ValueError):
         mw.monte_carlo_sigma_phi(seq, mw.WhiteNoise(0.01), 99, seed=0)
+
+
+def test_monte_carlo_seed_defaults_to_process_seed():
+    # Without a seed, the Monte Carlo draws with the process's seed, as
+    # sample_pulse_phases_batch does, and records that seed.
+    seq = _table_seq()
+    for proc in (mw.WhiteNoise(0.01, seed=7), mw.RandomWalkNoise(1e-3, 1e6, seed=7)):
+        res = mw.monte_carlo_sigma_phi(seq, proc, 200)
+        assert res.seed == 7
+        assert res == mw.monte_carlo_sigma_phi(seq, proc, 200, seed=7)
+        assert res != mw.monte_carlo_sigma_phi(seq, proc, 200, seed=0)
 
 
 def test_white_noise_pulse_count_scaling():
@@ -197,7 +211,7 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
         samples = sample_pulse_phases_batch(proc, times, count, seed=43)
         weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
         want = (samples[:, 1:] - samples[:, :1]) @ weights
-        got = _psd_phi_tot(seq, proc, count, seed=43)
+        got = _monte_carlo_phi_tot(seq, proc, count, seed=43)
         sigma = psd_sigma_phi_grid(proc, seq)
         assert np.max(np.abs(got - want)) <= 1e-12 * sigma, n_r
 
@@ -234,10 +248,10 @@ def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
     draws, results = [], []
 
     def recording_draws(*args):
-        draws.append(_psd_phi_tot(*args))
+        draws.append(_monte_carlo_phi_tot(*args))
         return draws[-1]
 
-    monkeypatch.setattr(spin_simulator, "_psd_phi_tot", recording_draws)
+    monkeypatch.setattr(spin_simulator, "_monte_carlo_phi_tot", recording_draws)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -250,6 +264,49 @@ def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
         sys.setswitchinterval(switch)
     assert_array_equal(draws[0], draws[1])
     assert results[0] == results[1]
+
+
+_DRAWS_SCRIPT = """
+import pickle, sys
+import numpy as np
+from mwnoise.spin_simulator import _monte_carlo_phi_tot
+with open(sys.argv[1], "rb") as f:
+    cases = pickle.load(f)
+np.savez(sys.argv[2], *[_monte_carlo_phi_tot(*case) for case in cases])
+"""
+
+
+def test_monte_carlo_bits_independent_of_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product into per-thread partial sums, so a
+    # reduction through BLAS changes its last bits with OPENBLAS_NUM_THREADS.
+    # No Monte Carlo reduction calls BLAS: the draws of a PSD XY8-8 run over
+    # two chunks (55 896-bin rows) and of a random walk at XY8-64 are
+    # bit-identical in processes with one and with two BLAS threads.
+    psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    xy8_8 = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    times = np.concatenate(([0.0], xy8_8.pulse_times(), [xy8_8.tau_tot]))
+    duration, dt, _ = _psd_track_layout(times, psd.f_cutoff)
+    count = next(_track_chunks(int(round(duration / dt)), 10**9))[1] + 37
+    cases = [
+        (xy8_8, psd, count, 67),
+        (_table_seq(), mw.RandomWalkNoise(1e-3, 1e6), 1000, 67),
+    ]
+    with open(tmp_path / "cases.pkl", "wb") as f:
+        pickle.dump(cases, f)
+    src = str(Path(mw.__file__).resolve().parents[1])
+    draws = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / f"draws-{threads}.npz"
+        subprocess.run(
+            [sys.executable, "-c", _DRAWS_SCRIPT, str(tmp_path / "cases.pkl"), str(out)],
+            env=env, check=True,
+        )
+        with np.load(out) as saved:
+            draws.append([saved[name] for name in saved.files])
+    for one, two in zip(*draws):
+        assert_array_equal(one, two)
 
 
 def test_pulse_monte_carlo_matches_time_domain_sampler():
@@ -265,7 +322,7 @@ def test_pulse_monte_carlo_matches_time_domain_sampler():
         mw.RandomWalkNoise(1e-3, 1e6, discrete_jumps=True),
     ):
         want = sample_pulse_phases_batch(proc, times, count, seed=53) @ weights
-        got = _pulse_phi_tot(seq, proc, count, seed=53)
+        got = _monte_carlo_phi_tot(seq, proc, count, seed=53)
         sigma = _phi_tot_sigma(seq, proc)
         assert np.max(np.abs(got - want)) <= 1e-12 * sigma, type(proc).__name__
 
