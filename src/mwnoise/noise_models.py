@@ -459,10 +459,16 @@ def _track_rng(seed: int, realization: int) -> np.random.Generator:
 
 def _track_chunks(n: int, n_tracks: int):
     """(start, stop) realization ranges of n-sample tracks synthesized
-    together, bounding each batch at a quarter of MAX_TRACK_SAMPLES.  A
-    range's draws come from ``_track_rng(seed, start)``: all real parts of
-    its coefficients, row by row, then all imaginary parts."""
-    chunk = max(1, MAX_TRACK_SAMPLES // (4 * n))
+    together, bounding each batch at 2^22 track samples.  A range's draws
+    come from ``_track_rng(seed, start)``: all real parts of its
+    coefficients, row by row, then all imaginary parts.
+
+    The Monte Carlo draws each range on its own thread, and the bound keeps
+    runs of a few thousand realizations on more than one: at 458 kHz,
+    XY8-1's 3 493-sample tracks come in ranges of 1 200 realizations and
+    XY8-8's 27 948-sample tracks in ranges of 150.
+    """
+    chunk = max(1, (1 << 22) // n)
     for start in range(0, n_tracks, chunk):
         yield start, min(start + chunk, n_tracks)
 
@@ -472,15 +478,23 @@ def _psd_track_layout(
 ) -> tuple[float, float, np.ndarray]:
     """(duration, dt, sample indices) for reading pulses off a track.
 
-    The track spans eight times the pulse window so its frequency comb
-    (spacing 1/duration) resolves the filter passband, and it is sampled at
-    the synthesis Nyquist rate of the cutoff.
+    The track spans twice the pulse window t_max and is sampled at the
+    synthesis Nyquist rate of the cutoff.  Fourier synthesis is periodic in
+    the span D, so the samples' covariance on the grid is the continuous
+    one plus copies aliased from lags of D - t_max and beyond, and the
+    filter passband is resolved by a comb of spacing 1/D.  From D = 2 t_max
+    on, both errors are below the one the grid already has: the grid std of
+    XY8-1 at 458 kHz (g1-2.5ghz, 100 MHz cutoff) is 0.097 % under the
+    filter-function value, against 1.39 % at D = t_max and 0.001 % at
+    D = 8 t_max, while rounding pulse times onto the grid alone reaches
+    0.83 % (g2-2.1ghz, XY8-2 at 3 MHz).  Each realization draws
+    about 4 t_max f_cutoff normals.
     """
     t_max = float(pulse_times[-1]) if pulse_times.size else 0.0
     if t_max <= 0:
         t_max = 1.0 / f_cutoff
     dt = 1.0 / (2.0 * f_cutoff)
-    duration = 8.0 * t_max
+    duration = 2.0 * t_max
     n = int(round(duration / dt))
     if n > MAX_TRACK_SAMPLES:
         raise ValueError("pulse window too long for the requested cutoff")

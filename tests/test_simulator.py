@@ -196,6 +196,21 @@ def test_psd_grid_matches_outer_product_reference():
         assert psd_sigma_phi_grid(proc, seq) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("preset", ["g1-2.5ghz", "g2-2.1ghz"])
+@pytest.mark.parametrize("n_r", [1, 2, 8, 64])
+def test_psd_grid_track_span_within_filter_accuracy(preset, n_r):
+    # The synthesis is periodic in the track span, so the grid misses the
+    # covariance aliased from lags of span - t_max and beyond.  A span of
+    # twice the pulse window keeps the grid std within 0.1 % of the filter
+    # value (worst: XY8-1 on g1-2.5ghz, -0.097 %); one pulse window is off
+    # by 1.39 % there.
+    spec = mw.preset_spectrum(preset)
+    proc = mw.PsdDrivenNoise(spec, f_cutoff=1e8)
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    want = mw.sigma_phi_filter(spec, seq, f_cutoff=1e8, finite_pulse_correction=False)
+    assert abs(psd_sigma_phi_grid(proc, seq) / want - 1.0) <= 2e-3
+
+
 def test_psd_monte_carlo_matches_time_domain_tracks():
     # The frequency-domain Monte Carlo reads the same draws as the tracks of
     # the time-domain sampler, chunk by chunk, so each realization agrees.
@@ -266,6 +281,16 @@ def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
     assert results[0] == results[1]
 
 
+def test_psd_monte_carlo_keeps_lanes_at_xy8_8(monkeypatch):
+    # 250 realizations of XY8-8 make two 150-realization chunks of its
+    # 27 948-sample tracks, so the run draws on two threads.
+    proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    sizes = _force_lanes(monkeypatch, 4)
+    monte_carlo_sigma_phi(seq, proc, 250, seed=71)
+    assert sizes == [2]
+
+
 _DRAWS_SCRIPT = """
 import pickle, sys
 import numpy as np
@@ -280,7 +305,7 @@ def test_monte_carlo_bits_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits a long dot product into per-thread partial sums, so a
     # reduction through BLAS changes its last bits with OPENBLAS_NUM_THREADS.
     # No Monte Carlo reduction calls BLAS: the draws of a PSD XY8-8 run over
-    # two chunks (55 896-bin rows) and of a random walk at XY8-64 are
+    # two chunks (13 975-bin rows) and of a random walk at XY8-64 are
     # bit-identical in processes with one and with two BLAS threads.
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     xy8_8 = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
@@ -347,7 +372,7 @@ def test_stream_draws_bounded_memory_at_xy8_64():
 
 
 def test_psd_monte_carlo_bounded_memory_at_xy8_64():
-    # Synthesized tracks would take 18 x 894 000 samples per chunk here, and
+    # Synthesized tracks would take 18 x 223 580 samples per chunk here, and
     # their complex coefficients and normal draws several times that.
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
@@ -356,8 +381,8 @@ def test_psd_monte_carlo_bounded_memory_at_xy8_64():
 
 def test_psd_monte_carlo_bounded_memory_on_four_lanes(monkeypatch):
     # The same run drawn on four threads, each with its own draw buffer of
-    # one 447 161-bin row (3.6 MB), stays under the same bound (about 34 MB
-    # peak against 25 MB on one thread).
+    # one 111 791-bin row (0.9 MB), stays under the same bound (about 7 MB
+    # peak, as on one thread).
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     sizes = _force_lanes(monkeypatch, 4)
