@@ -787,6 +787,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"mwnoise: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"mwnoise: config error: run too large for memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (FitError, ArithmeticError, ValueError) as exc:
         print(f"mwnoise: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

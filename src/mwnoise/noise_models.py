@@ -23,16 +23,18 @@ any order.
 
 Only the Monte Carlo draws per-realization noise: it is the check of the
 closed forms (``spin_simulator.monte_carlo_sigma_phi``).  Every process
-goes through its one draw loop: blocks of standard normal rows from a
-Philox stream, each reduced to phi_tot by fixed coefficients before the
-next is drawn, so its memory is set by the block, not by the realization
-count.  White and random-walk rows are the pulse samples of
-:func:`sample_pulse_phases_batch`, made from the same stream by
-``_pulse_stream``.  PSD-driven rows are the synthesis draws of
-:func:`synthesize_phase_track`, read through the comb transfer of the
-sample times, which gives the same phi_tot as the tracks without building
-them; the PSD branch of :func:`sample_pulse_phases_batch` stays as the
-time-domain oracle.
+goes through its one draw plan: chunks of realizations
+(``_track_chunks``), each drawn from its own Philox generator
+(``_chunk_rng``), as blocks of standard normal rows that are reduced to
+phi_tot by fixed coefficients before the next block is drawn, so memory is
+set by the block, not by the realization count.  White and random-walk rows
+are the standard normals of :func:`sample_pulse_phases_batch`, which scales
+them (and sums a walk's steps) into pulse samples; the Monte Carlo folds
+that scaling and sum into its coefficients.  PSD-driven rows are the
+synthesis draws of :func:`synthesize_phase_track`, read through the comb
+transfer of the sample times, which gives the same phi_tot as the tracks
+without building them.  :func:`sample_pulse_phases_batch` stays as the
+time-domain oracle of every process.
 Readout streams and the gradiometer draw each sequence's phi_tot directly
 from its exact variance, which every process fixes in closed form (see
 ``spin_simulator.phi_tot_batch``).
@@ -458,19 +460,34 @@ def _track_rng(seed: int, realization: int) -> np.random.Generator:
 
 
 def _track_chunks(n: int, n_tracks: int):
-    """(start, stop) realization ranges of n-sample tracks synthesized
-    together, bounding each batch at 2^22 track samples.  A range's draws
-    come from ``_track_rng(seed, start)``: all real parts of its
-    coefficients, row by row, then all imaginary parts.
+    """(start, stop) ranges of realizations of n samples each drawn
+    together, bounding each batch at 2^22 samples.  A range's draws come
+    from ``_chunk_rng(process, seed, start)``.
 
     The Monte Carlo draws each range on its own thread, and the bound keeps
-    runs of a few thousand realizations on more than one: at 458 kHz,
-    XY8-1's 3 493-sample tracks come in ranges of 1 200 realizations and
-    XY8-8's 27 948-sample tracks in ranges of 150.
+    large runs on more than one: at 458 kHz, XY8-1's 3 493-sample PSD tracks
+    come in ranges of 1 200 realizations and XY8-8's 27 948-sample tracks in
+    ranges of 150; white and random-walk samples at the 65 pulse times of
+    XY8-8 come in ranges of 64 527, and at the 513 of XY8-64 in ranges of
+    8 176.
     """
-    chunk = max(1, (1 << 22) // n)
+    chunk = max(1, (1 << 22) // max(n, 1))
     for start in range(0, n_tracks, chunk):
         yield start, min(start + chunk, n_tracks)
+
+
+def _chunk_rng(process: NoiseProcess, seed: int, start: int) -> np.random.Generator:
+    """Philox generator of the draws of ``process``'s realizations from
+    ``start`` on, the first of a range of :func:`_track_chunks`.
+
+    PSD-driven: the synthesis draws of the range's tracks, all real parts of
+    their coefficients, row by row, then all imaginary parts.  White and
+    random walk: one standard normal per sample time, row by row.
+    """
+    if isinstance(process, PsdDrivenNoise):
+        return _track_rng(seed, start)
+    tag = 0x7768697465 if isinstance(process, WhiteNoise) else 0x77616C6B
+    return _philox_rng(seed, tag, 1 + start)
 
 
 def _psd_track_layout(
@@ -515,26 +532,6 @@ def _walk_step_variances(process: RandomWalkNoise, times: np.ndarray) -> np.ndar
     return sigma**2 * process.r_samp * np.diff(bounds)
 
 
-def _pulse_stream(process: WhiteNoise | RandomWalkNoise, times: np.ndarray, seed: int):
-    """(Philox key, in-place transform) of white or random-walk samples at
-    ``times``.
-
-    A realization is one row of standard normals, drawn in row order from
-    the key's one stream.  The transform scales a block of rows by each
-    sample's std (white) or each step's std, then sums the steps along the
-    row (random walk).
-    """
-    white = isinstance(process, WhiteNoise)
-    scale = process.effective_sigma if white else np.sqrt(_walk_step_variances(process, times))
-
-    def transform(block: np.ndarray) -> None:
-        block *= scale
-        if not white:
-            np.cumsum(block, axis=1, out=block)
-
-    return (seed, 0x7768697465 if white else 0x77616C6B, 1), transform
-
-
 def sample_pulse_phases_batch(
     process: NoiseProcess,
     pulse_times,
@@ -558,9 +555,14 @@ def sample_pulse_phases_batch(
     base_seed = process.seed if seed is None else seed
 
     if isinstance(process, (WhiteNoise, RandomWalkNoise)):
-        key, transform = _pulse_stream(process, times, base_seed)
-        out = _philox_rng(*key).standard_normal((n_realizations, times.size))
-        transform(out)
+        out = np.empty((n_realizations, times.size))
+        for start, stop in _track_chunks(times.size, n_realizations):
+            _chunk_rng(process, base_seed, start).standard_normal(out=out[start:stop])
+        if isinstance(process, WhiteNoise):
+            out *= process.effective_sigma
+        else:
+            out *= np.sqrt(_walk_step_variances(process, times))
+            np.cumsum(out, axis=1, out=out)
         return out
 
     if isinstance(process, PsdDrivenNoise):

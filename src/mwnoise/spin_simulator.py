@@ -31,12 +31,11 @@ from .noise_models import (
     PsdDrivenNoise,
     RandomWalkNoise,
     WhiteNoise,
+    _chunk_rng,
     _gaussian_stream,
     _philox_rng,
     _psd_track_layout,
-    _pulse_stream,
     _track_chunks,
-    _track_rng,
     _walk_step_variances,
     mix_spectra,
     ssb_to_psd,
@@ -71,10 +70,10 @@ _MIN_REALIZATIONS = 100
 # in cache between the draw and its reduction.
 _DRAW_BLOCK = 1 << 16
 
-# Most threads that draw one PSD Monte Carlo's chunks at once.  Each holds a
-# draw buffer of up to max(_DRAW_BLOCK, comb length) floats, so the cap keeps
-# that memory within a constant factor of the comb arrays on any host.  The
-# sweep's worker processes set it to 1, so processes and threads never
+# Most threads that draw one Monte Carlo's chunks at once.  Each holds a
+# draw buffer of up to max(_DRAW_BLOCK, row width) floats, so the cap keeps
+# that memory within a constant factor of the coefficient arrays on any host.
+# The sweep's worker processes set it to 1, so processes and threads never
 # multiply.
 _LANE_CAP = 4
 
@@ -111,10 +110,10 @@ def monte_carlo_sigma_phi(
     pulse's frame (white and random-walk samples are frame-referenced by
     construction).  One draw loop, :func:`_monte_carlo_phi_tot`, reduces the
     same normal draws to phi_tot a block at a time, without the sample
-    matrix or the PSD tracks, and draws PSD noise on up to four threads.  No
-    reduction calls BLAS, so the result depends neither on the number of
-    threads nor on ``OPENBLAS_NUM_THREADS``.  ``seed`` defaults to the
-    process's seed; the result records the seed used.
+    matrix or the PSD tracks, and draws its chunks of realizations on up to
+    four threads.  No reduction calls BLAS, so the result depends neither on
+    the number of threads nor on ``OPENBLAS_NUM_THREADS``.  ``seed``
+    defaults to the process's seed; the result records the seed used.
     """
     if n_realizations < _MIN_REALIZATIONS:
         raise ValueError(
@@ -132,58 +131,38 @@ def _monte_carlo_phi_tot(
 ) -> np.ndarray:
     """phi_tot of ``n_realizations`` realizations of ``process``.
 
-    A process is read as chunks of realizations, each drawn from its own
-    Philox generator, and passes of coefficients.  For each pass, a chunk
-    draws blocks of standard normal rows, transforms each block in place
-    and adds the block times the pass's coefficients to its realizations.
-
-    - White and random walk: one chunk on the stream of
-      :func:`~mwnoise.noise_models.sample_pulse_phases_batch`, whose rows it
-      reads; one pass of the pulse weights.
-    - PSD: the chunks of :func:`sample_pulse_phases_batch`'s tracks, each on
-      ``_track_rng(seed, start)``; the passes (u, v) of
-      :func:`_psd_coefficients` read the real, then the imaginary, parts of
-      the synthesis coefficients.
+    The realizations come in the chunks of :func:`_track_chunks` of the
+    process's samples per realization, each drawn from its own
+    ``_chunk_rng(process, seed, start)``, which are the generators of
+    :func:`~mwnoise.noise_models.sample_pulse_phases_batch`.  For each pass
+    of :func:`_phi_tot_coefficients`, a chunk draws blocks of standard normal
+    rows and adds each block times the pass's coefficients to its
+    realizations.
 
     Chunks are drawn on min(chunks, usable CPUs, ``_LANE_CAP``) threads, and
     inline when that is one.  A chunk makes its generator and buffer on its
     thread, writes only its own realizations and keeps its sum order, so
     every realization is bit-identical whatever the number of threads.
     """
-    if isinstance(process, PsdDrivenNoise):
-        n, u, v = _psd_coefficients(process, seq)
-        chunks = list(_track_chunks(n, n_realizations))
-        passes = (u, v)
-        transform = None
-
-        def generator(start: int) -> np.random.Generator:
-            return _track_rng(seed, start)
-    else:
-        times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
-        key, transform = _pulse_stream(process, times, seed)
-        chunks = [(0, n_realizations)]
-        passes = (np.concatenate((_alternating_weights(seq.n_pi), [-1.0])),)
-
-        def generator(start: int) -> np.random.Generator:
-            return _philox_rng(*key)
-
+    samples, passes = _phi_tot_coefficients(seq, process)
+    # Allocated first: a count too large for memory fails here, before the
+    # chunk list is built.
+    phi_tot = np.zeros(n_realizations)
+    chunks = list(_track_chunks(samples, n_realizations))
     width = passes[0].size
     rows = max(1, min(_DRAW_BLOCK // width, n_realizations))
-    phi_tot = np.zeros(n_realizations)
 
     def draw(chunk: tuple[int, int]) -> None:
         # Runs on a lane thread: numpy calls only, which release the GIL, and
         # writes to this chunk's rows alone.
         start, stop = chunk
-        rng = generator(start)
+        rng = _chunk_rng(process, seed, start)
         buf = np.empty((min(rows, stop - start), width))
         for coef in passes:
             for lo in range(start, stop, rows):
                 hi = min(lo + rows, stop)
                 block = buf[: hi - lo]
                 rng.standard_normal(out=block)
-                if transform is not None:
-                    transform(block)
                 # einsum (not optimized) never calls BLAS, whose threads
                 # would make the sum's bits depend on their number.
                 phi_tot[lo:hi] += np.einsum("ij,j->i", block, coef)
@@ -239,48 +218,55 @@ def _phi_tot_draws(
 
 
 def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:
-    """Exact std of phi_tot for one sequence under ``process``."""
-    if isinstance(process, PsdDrivenNoise):
-        return psd_sigma_phi_grid(process, seq)
+    """Exact std of phi_tot for one sequence under ``process``: phi_tot is
+    the sum over :func:`_phi_tot_coefficients`' passes of independent
+    standard normals times the pass's coefficients."""
+    _, passes = _phi_tot_coefficients(seq, process)
+    return math.sqrt(float(sum(np.sum(coef * coef) for coef in passes)))
+
+
+def _phi_tot_coefficients(
+    seq: PulseSequence, process: NoiseProcess
+) -> tuple[int, tuple[np.ndarray, ...]]:
+    """(samples, passes): the samples each realization of ``process`` draws
+    for one sequence, and the coefficients with which phi_tot is
+    sum_p rows_p @ passes[p] for consecutive rows of standard normals.
+
+    - White: one normal per sample time (the pulse centers and tau_tot),
+      each scaled by sigma, so one pass of sigma times the pulse weights w.
+    - Random walk: one normal per step, scaled by the step's std s_k.
+      phi_tot = sum_i w_i sum_{k<=i} s_k z_k = sum_k s_k T_k z_k with the
+      tail weights T_k = sum_{i>=k} w_i, so one pass of s_k T_k.
+    - PSD-driven: the synthesis draws (re, im) of one n-sample track of
+      :func:`synthesize_phase_track`, with phi_tot = re @ u + im @ v.  The
+      track layout is that of :func:`sample_pulse_phases_batch` for the
+      sample times 0, the pulse centers and tau_tot.  The weights of those
+      samples in phi_tot include the frame reference at t = 0, w_0 = -sum
+      of the others.  Samples sit on the track grid (idx * dt) and line k is
+      at k / (n dt), so F, the rfft of the weighted comb, gives the transfer
+      of every line in O(n log n) time and O(n) memory.  A track is the
+      irfft of c_k = s_k (re_k + i im_k) with s_k = sqrt(S_k n / (4 dt)),
+      and the irfft's weight 2/n on interior bins gives u_k = sqrt(S_k /
+      (n dt)) Re(F_k) and v_k = sqrt(S_k / (n dt)) Im(F_k); S is zero at DC.
+      The Nyquist coefficient of an even n is re sqrt(2) s and enters the
+      track once, so there u is divided by sqrt(2) and v is zero.
+    """
     weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
     if isinstance(process, WhiteNoise):
-        return process.effective_sigma * math.sqrt(float(np.sum(weights**2)))
+        return weights.size, (process.effective_sigma * weights,)
     if isinstance(process, RandomWalkNoise):
-        # phi_tot = sum_i w_i sum_{k<=i} step_k = sum_k step_k T_k with
-        # T_k = sum_{i>=k} w_i, and the steps are independent.
         times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
         tail = np.cumsum(weights[::-1])[::-1]
-        return math.sqrt(float(np.sum(_walk_step_variances(process, times) * tail**2)))
-    raise TypeError(f"unknown noise process type: {type(process).__name__}")
-
-
-def _psd_coefficients(
-    process: PsdDrivenNoise, seq: PulseSequence
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, u, v) with phi_tot = re @ u + im @ v for the synthesis draws
-    (re, im) of one n-sample track of :func:`synthesize_phase_track`.
-
-    The track layout is that of :func:`sample_pulse_phases_batch` for the
-    sample times 0, the pulse centers and tau_tot.  The weights of those
-    samples in phi_tot include the frame reference at t = 0, w_0 = -sum of
-    the others.  Samples sit on the track grid (idx * dt) and line k is at
-    k / (n dt), so F, the rfft of the weighted comb, gives the transfer of
-    every line in O(n log n) time and O(n) memory.  A track is the irfft of
-    c_k = s_k (re_k + i im_k) with s_k = sqrt(S_k n / (4 dt)), and the
-    irfft's weight 2/n on interior bins gives u_k = sqrt(S_k / (n dt))
-    Re(F_k) and v_k = sqrt(S_k / (n dt)) Im(F_k); S is zero at DC.  The
-    Nyquist coefficient of an even n is re sqrt(2) s and enters the track
-    once, so there u is divided by sqrt(2) and v is zero.
-    """
+        return weights.size, (np.sqrt(_walk_step_variances(process, times)) * tail,)
+    if not isinstance(process, PsdDrivenNoise):
+        raise TypeError(f"unknown noise process type: {type(process).__name__}")
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
     n = int(round(duration / dt))
     psd = np.zeros(n // 2 + 1)
     psd[1:] = ssb_to_psd(process.spectrum, np.fft.rfftfreq(n, dt)[1:])
-    weights = np.concatenate(([1.0], _alternating_weights(seq.n_pi), [-1.0]))
-    weights[0] = -np.sum(weights[1:])
     comb = np.zeros(n)
-    np.add.at(comb, idx, weights)
+    np.add.at(comb, idx, np.concatenate(([-np.sum(weights)], weights)))
     transfer = np.fft.rfft(comb)
     gain = np.sqrt(psd / (n * dt))
     u = gain * transfer.real
@@ -288,7 +274,7 @@ def _psd_coefficients(
     if n % 2 == 0:
         u[-1] /= math.sqrt(2.0)
         v[-1] = 0.0
-    return n, u, v
+    return n, (u, v)
 
 
 def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
@@ -298,8 +284,7 @@ def psd_sigma_phi_grid(process: PsdDrivenNoise, seq: PulseSequence) -> Radians:
     samples for the PSD-driven process: phi_tot = re @ u + im @ v of
     independent standard normals, so its variance is sum u^2 + sum v^2.
     """
-    _, u, v = _psd_coefficients(process, seq)
-    return math.sqrt(float(np.sum(u * u) + np.sum(v * v)))
+    return _phi_tot_sigma(seq, process)
 
 
 # --- double-quantum magnetometry -------------------------------------------

@@ -391,6 +391,39 @@ def test_montecarlo_white_tracks_analytic(tmp_path):
     )
 
 
+_MEMORY_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mwnoise.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "noise",
+    ["source = white\nsigma_wh = 0.01", "source = preset\npreset = g1-2.5ghz"],
+    ids=["white", "psd"],
+)
+def test_montecarlo_too_large_for_memory_is_config_error(tmp_path, noise):
+    # 10^14 realizations need 728 TiB for phi_tot alone.  The run is a
+    # configuration error that writes nothing, and it fails on that
+    # allocation, before any list of chunks is built.  The child's address
+    # space is capped at 1 GiB, so a regression cannot exhaust the host.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE.replace("n_r = 1", "n_r = 8")
+                        + "[noise]\n" + noise)
+    out = tmp_path / "mc.csv"
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE, "montecarlo", "--config", cfg,
+         "--out", str(out), "--n-realizations", str(10**14)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "too large for memory" in done.stderr
+    assert not out.exists()
+
+
 # --- pipeline -------------------------------------------------------------------
 
 def test_pipeline_matches_library(tmp_path):

@@ -15,6 +15,7 @@ from mwnoise.noise_models import (
     _philox_rng,
     _power_laws,
     _psd_power_law,
+    _track_chunks,
     sample_pulse_phases_batch,
 )
 from mwnoise.spin_simulator import _DRAW_BLOCK
@@ -478,6 +479,29 @@ def test_blocked_draws_match_one_matrix_draw():
             normals = _philox_rng(19, 0x77616C6B, 1).standard_normal(full.shape)
             step_std = np.sqrt(1e-3**2 * 1e6 * np.diff(times, prepend=0.0))
             assert_array_equal(full, np.cumsum(step_std * normals, axis=1))
+
+
+def test_pulse_draws_beyond_the_first_chunk_use_their_own_key():
+    # Realizations come in chunks of at most 2^22 samples; chunk k of white
+    # or random-walk rows draws from the key (seed, tag, 1 + its first row),
+    # so the first chunk keeps the key of one whole-matrix draw.
+    times = np.linspace(1e-6, 7e-5, 65)
+    first_stop = next(_track_chunks(times.size, 10**9))[1]
+    assert first_stop == 64_527
+    full = sample_pulse_phases_batch(mw.WhiteNoise(0.01), times, first_stop + 5, seed=19)
+    head = _philox_rng(19, 0x7768697465, 1).standard_normal((first_stop, times.size))
+    tail = _philox_rng(19, 0x7768697465, 1 + first_stop).standard_normal((5, times.size))
+    assert_array_equal(full, 0.01 * np.concatenate((head, tail)))
+
+
+def test_empty_pulse_times_give_empty_rows():
+    for proc in (
+        mw.WhiteNoise(0.01),
+        mw.RandomWalkNoise(1e-3, 1e6),
+        mw.PsdDrivenNoise(mw.flat_spectrum(-120.0), 1e6),
+    ):
+        out = sample_pulse_phases_batch(proc, [], 7, seed=3)
+        assert out.shape == (7, 0), type(proc).__name__
 
 
 def test_batch_matches_single_draw_statistics():

@@ -22,7 +22,6 @@ from mwnoise.noise_models import (
     sample_pulse_phases_batch,
 )
 from mwnoise.spin_simulator import (
-    _DRAW_BLOCK,
     _alternating_weights,
     _monte_carlo_phi_tot,
     _phi_tot_sigma,
@@ -232,8 +231,8 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
 
 
 def _force_lanes(monkeypatch, cap):
-    """Let the PSD Monte Carlo draw on up to ``cap`` threads whatever the
-    host's CPU count; returns the list of pool sizes it asks for."""
+    """Let the Monte Carlo draw on up to ``cap`` threads whatever the host's
+    CPU count; returns the list of pool sizes it asks for."""
     sizes = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -247,18 +246,12 @@ def _force_lanes(monkeypatch, cap):
     return sizes
 
 
-@pytest.mark.parametrize("n_r", [1, 8])
-@pytest.mark.parametrize("n_chunks", [1, 2, 5])
-def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
+def _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks):
     # Each chunk keeps its Philox key, its rows and its sum order on any
     # thread, so every realization is bit-identical on one lane and on up to
     # four, with more chunks than lanes too.  A short switch interval interleaves
     # the lanes' Python code as often as it can.
-    proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
-    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
-    times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
-    duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
-    chunk = next(_track_chunks(int(round(duration / dt)), 10**9))[1]
+    chunk = next(_track_chunks(samples, 10**9))[1]
     count = max(100, (n_chunks - 1) * chunk + 37)
     draws, results = [], []
 
@@ -281,6 +274,30 @@ def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("n_r", [1, 8])
+@pytest.mark.parametrize("n_chunks", [1, 2, 5])
+def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
+    proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+    duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
+    samples = int(round(duration / dt))
+    _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks)
+
+
+@pytest.mark.parametrize(
+    "n_r, proc",
+    [(8, mw.WhiteNoise(0.01)), (64, mw.RandomWalkNoise(1e-3, 1e6))],
+    ids=["white-xy8-8", "random-walk-xy8-64"],
+)
+@pytest.mark.parametrize("n_chunks", [1, 2, 5])
+def test_pulse_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, proc, n_chunks):
+    # White and random-walk realizations draw one normal per pulse and one
+    # for the final pulse, in chunks keyed like the PSD tracks'.
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    _assert_bits_independent_of_lanes(monkeypatch, seq, proc, seq.n_pi + 1, n_chunks)
+
+
 def test_psd_monte_carlo_keeps_lanes_at_xy8_8(monkeypatch):
     # 250 realizations of XY8-8 make two 150-realization chunks of its
     # 27 948-sample tracks, so the run draws on two threads.
@@ -289,6 +306,24 @@ def test_psd_monte_carlo_keeps_lanes_at_xy8_8(monkeypatch):
     sizes = _force_lanes(monkeypatch, 4)
     monte_carlo_sigma_phi(seq, proc, 250, seed=71)
     assert sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "n_r, proc, count, lanes",
+    [
+        (8, mw.WhiteNoise(0.01), 100_000, 2),
+        (64, mw.RandomWalkNoise(1e-3, 1e6), 20_000, 3),
+    ],
+    ids=["white-xy8-8", "random-walk-xy8-64"],
+)
+def test_pulse_monte_carlo_keeps_lanes(monkeypatch, n_r, proc, count, lanes):
+    # Chunks bound a batch at 2^22 samples: 64 527 realizations of XY8-8's
+    # 65 pulse times, 8 176 of XY8-64's 513, so these runs draw on two and
+    # three threads.
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    sizes = _force_lanes(monkeypatch, 4)
+    monte_carlo_sigma_phi(seq, proc, count, seed=73)
+    assert sizes == [lanes]
 
 
 _DRAWS_SCRIPT = """
@@ -335,12 +370,16 @@ def test_monte_carlo_bits_independent_of_blas_threads(tmp_path):
 
 
 def test_pulse_monte_carlo_matches_time_domain_sampler():
-    # The blocked Monte Carlo reduces the sampler's rows block by block, so
-    # each realization agrees with the full matrix times the weights.
+    # The Monte Carlo draws the sampler's normals with the same chunk keys and
+    # reduces them by the scaled weights (white) or tail weights (random
+    # walk), so each realization, in the first chunk and in the second,
+    # agrees with the sampler's scaled samples or summed walk times the
+    # weights.
     seq = _table_seq()
     times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
     weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
-    count = 2 * (_DRAW_BLOCK // times.size) + 37
+    count = next(_track_chunks(times.size, 10**9))[1] + 37
+    assert len(list(_track_chunks(times.size, count))) == 2
     for proc in (
         mw.WhiteNoise(0.01),
         mw.RandomWalkNoise(1e-3, 1e6),
