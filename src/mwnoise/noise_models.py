@@ -17,14 +17,14 @@ Three stochastic processes generate per-pulse phase samples for the time
 domain simulator: white (independent per pulse), random walk (independent
 Gaussian increments at rate r_samp) and PSD-driven (samples read off a
 synthesized phase track with a prescribed spectrum).  All randomness comes
-from numpy's Philox counter-based generator keyed on (seed, realization),
-so runs are reproducible and realizations can be generated independently in
-any order.
+from one factory, ``_keyed_rng``: a numpy SFC64 generator seeded from a
+128-bit key of (seed, stream, ...) tuples, so runs are reproducible and
+realizations can be generated independently in any order.
 
 Only the Monte Carlo draws per-realization noise: it is the check of the
 closed forms (``spin_simulator.monte_carlo_sigma_phi``).  Every process
 goes through its one draw plan: chunks of realizations
-(``_track_chunks``), each drawn from its own Philox generator
+(``_track_chunks``), each drawn from its own keyed generator
 (``_chunk_rng``), as blocks of standard normal rows that are reduced to
 phi_tot by fixed coefficients before the next block is drawn, so memory is
 set by the block, not by the realization count.  White and random-walk rows
@@ -60,26 +60,34 @@ L_FLOOR_DBC = -200.0
 INJECTION_GAIN_WHITE = 0.8
 INJECTION_GAIN_RANDOM_WALK = 0.85
 
-_PHILOX_MASK = (1 << 64) - 1
+_KEY_MASK = (1 << 64) - 1
 
 
 def _mix_key(*parts: int) -> list[int]:
-    """Fold integer identifiers into a 2x64-bit Philox key (splitmix-style)."""
+    """Fold integer identifiers and their count into a 128-bit key, as two
+    64-bit words (splitmix-style).  Each part is taken modulo 2^64.
+
+    ``SeedSequence`` would merge some tuples if given them directly: it
+    splits ints into 32-bit words and pads its entropy with zero words, so
+    (5, 7), (5, 7, 0) and (2^32 * 7 + 5,) would all seed the same state.
+    """
     acc = 0x9E3779B97F4A7C15
     for p in parts:
-        acc = (acc ^ (p & _PHILOX_MASK)) * 0xBF58476D1CE4E5B9 & _PHILOX_MASK
-        acc = (acc ^ (acc >> 31)) * 0x94D049BB133111EB & _PHILOX_MASK
-    return [acc, (acc * 0xD6E8FEB86659FD93 ^ len(parts)) & _PHILOX_MASK]
+        acc = (acc ^ (p & _KEY_MASK)) * 0xBF58476D1CE4E5B9 & _KEY_MASK
+        acc = (acc ^ (acc >> 31)) * 0x94D049BB133111EB & _KEY_MASK
+    return [acc, (acc * 0xD6E8FEB86659FD93 ^ len(parts)) & _KEY_MASK]
 
 
-def _philox_rng(*key_parts: int) -> np.random.Generator:
-    """Counter-based generator for a (seed, stream, ...) tuple.
+def _keyed_rng(*key_parts: int) -> np.random.Generator:
+    """Generator for a (seed, stream, ...) tuple: SFC64 seeded by
+    ``SeedSequence`` from the tuple's 128-bit :func:`_mix_key` key.
 
     Distinct tuples give statistically independent streams; the same tuple
     always reproduces the same draws regardless of what other streams were
-    consumed before.
+    consumed before.  Every generator of the package comes from here.
     """
-    return np.random.Generator(np.random.Philox(key=_mix_key(*key_parts)))
+    low, high = _mix_key(*key_parts)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(low | high << 64)))
 
 
 def _gaussian_stream(sigma: float, rng: np.random.Generator):
@@ -455,8 +463,8 @@ def synthesize_phase_track(
 
 
 def _track_rng(seed: int, realization: int) -> np.random.Generator:
-    """Philox stream of the synthesis draws of tracks from ``realization`` on."""
-    return _philox_rng(seed, realization, 0x747261636B)
+    """Keyed stream of the synthesis draws of tracks from ``realization`` on."""
+    return _keyed_rng(seed, realization, 0x747261636B)
 
 
 def _track_chunks(n: int, n_tracks: int):
@@ -477,7 +485,7 @@ def _track_chunks(n: int, n_tracks: int):
 
 
 def _chunk_rng(process: NoiseProcess, seed: int, start: int) -> np.random.Generator:
-    """Philox generator of the draws of ``process``'s realizations from
+    """Keyed generator of the draws of ``process``'s realizations from
     ``start`` on, the first of a range of :func:`_track_chunks`.
 
     PSD-driven: the synthesis draws of the range's tracks, all real parts of
@@ -487,7 +495,7 @@ def _chunk_rng(process: NoiseProcess, seed: int, start: int) -> np.random.Genera
     if isinstance(process, PsdDrivenNoise):
         return _track_rng(seed, start)
     tag = 0x7768697465 if isinstance(process, WhiteNoise) else 0x77616C6B
-    return _philox_rng(seed, tag, 1 + start)
+    return _keyed_rng(seed, tag, 1 + start)
 
 
 def _psd_track_layout(

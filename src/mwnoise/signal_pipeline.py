@@ -17,7 +17,7 @@ at a time (``_BLOCK_SAMPLES``, 2^19 samples, rounded down to whole chunks but
 at least one): each block draws its share of the phase-noise and shot-noise
 terms and evaluates its test tones, and the block's chunk spectra are added
 one by one, in stream order, into one running sum.  Consecutive draws on one
-Philox generator equal one draw of the total size, and numpy reduces a stack
+keyed generator equal one draw of the total size, and numpy reduces a stack
 of chunk spectra along its first axis one row after another, so the spectra
 equal those of the whole stream transformed at once, bit for bit, while
 memory depends on the interval and the block, not on the duration.
@@ -46,7 +46,7 @@ from .core import (
     write_csv,
 )
 from .analytic_sensitivity import ReadoutModel
-from .noise_models import NoiseProcess, _gaussian_stream, _philox_rng
+from .noise_models import NoiseProcess, _gaussian_stream, _keyed_rng
 from .pulse_sequences import PulseSequence
 from .spin_simulator import _phi_tot_draws
 
@@ -187,7 +187,7 @@ def _readout_blocks(
     phase = None if process is None else _phi_tot_draws(seq, process, seed)
     shot = None
     if shot_sigma > 0:
-        shot = _gaussian_stream(shot_sigma, _philox_rng(seed, 0x73686F74))
+        shot = _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x73686F74))
     for t, phi, z in _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)):
         tone = test_field_amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * t)
         z = None if z is None else z / scale
@@ -218,7 +218,7 @@ def _gradiometer_blocks(
     readouts per block of :func:`_stream_blocks`.
 
     The two channels' shot draws are the first and second n_sequences
-    normals of one Philox stream; channel 2 reads them from a second
+    normals of one keyed stream; channel 2 reads them from a second
     generator on that stream that first discards channel 1's, in blocks.
     """
     if n_sequences < 2:
@@ -226,7 +226,7 @@ def _gradiometer_blocks(
     if shot_sigma < 0:
         raise ValueError("shot_sigma must be nonnegative")
     scale = 4.0 * GAMMA_NV * seq.tau_tot
-    rng_1, rng_2 = _philox_rng(seed, 0x67726164), _philox_rng(seed, 0x67726164)
+    rng_1, rng_2 = _keyed_rng(seed, 0x67726164), _keyed_rng(seed, 0x67726164)
     discard = np.empty(min(n_sequences, _BLOCK_SAMPLES))
     for lo in range(0, n_sequences, discard.size):
         rng_2.standard_normal(out=discard[: n_sequences - lo])
@@ -302,7 +302,7 @@ def simulate_gradiometer(
     Returns (channel_1, channel_2, difference) as readout streams in tesla,
     the samples :func:`gradiometer_spectra` transforms, joined from its
     blocks.  The shot draws of channels 1 and 2 are the first and second
-    ``n_sequences`` normals of one Philox stream.
+    ``n_sequences`` normals of one keyed stream.
     """
     blocks = _gradiometer_blocks(
         seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, 1, seed,

@@ -33,7 +33,7 @@ from .noise_models import (
     WhiteNoise,
     _chunk_rng,
     _gaussian_stream,
-    _philox_rng,
+    _keyed_rng,
     _psd_track_layout,
     _track_chunks,
     _walk_step_variances,
@@ -210,11 +210,11 @@ def _phi_tot_draws(
 ) -> Callable[[int], np.ndarray]:
     """Function returning the next ``size`` phi_tot samples of one stream.
 
-    Consecutive calls continue one Philox stream, so the samples of calls of
+    Consecutive calls continue one keyed stream, so the samples of calls of
     sizes a, b, ... equal those of one call of size a + b + ...; the chunked
     readout-stream walk of :mod:`mwnoise.signal_pipeline` relies on that.
     """
-    return _gaussian_stream(_phi_tot_sigma(seq, process), _philox_rng(seed, 0x70736453))
+    return _gaussian_stream(_phi_tot_sigma(seq, process), _keyed_rng(seed, 0x70736453))
 
 
 def _phi_tot_sigma(seq: PulseSequence, process: NoiseProcess) -> Radians:

@@ -12,7 +12,7 @@ from mwnoise.noise_models import (
     INJECTION_GAIN_WHITE,
     MAX_TRACK_SAMPLES,
     L_FLOOR_DBC,
-    _philox_rng,
+    _keyed_rng,
     _power_laws,
     _psd_power_law,
     _track_chunks,
@@ -459,7 +459,7 @@ def test_process_determinism():
 
 
 def test_blocked_draws_match_one_matrix_draw():
-    # Rows are drawn in order from one Philox stream, so the first k rows of
+    # Rows are drawn in order from one keyed stream, so the first k rows of
     # a call are those of a k-row call, on either side of the Monte Carlo's
     # draw-block bounds, and all rows are those of one matrix draw from that
     # stream.
@@ -473,10 +473,10 @@ def test_blocked_draws_match_one_matrix_draw():
         for k in (1, rows - 1, rows + 1, 2 * rows + 5):
             assert_array_equal(full[:k], sample_pulse_phases_batch(proc, times, k, seed=19))
         if proc is white:
-            normals = _philox_rng(19, 0x7768697465, 1).standard_normal(full.shape)
+            normals = _keyed_rng(19, 0x7768697465, 1).standard_normal(full.shape)
             assert_array_equal(full, 0.01 * normals)
         if proc is walk:
-            normals = _philox_rng(19, 0x77616C6B, 1).standard_normal(full.shape)
+            normals = _keyed_rng(19, 0x77616C6B, 1).standard_normal(full.shape)
             step_std = np.sqrt(1e-3**2 * 1e6 * np.diff(times, prepend=0.0))
             assert_array_equal(full, np.cumsum(step_std * normals, axis=1))
 
@@ -489,8 +489,8 @@ def test_pulse_draws_beyond_the_first_chunk_use_their_own_key():
     first_stop = next(_track_chunks(times.size, 10**9))[1]
     assert first_stop == 64_527
     full = sample_pulse_phases_batch(mw.WhiteNoise(0.01), times, first_stop + 5, seed=19)
-    head = _philox_rng(19, 0x7768697465, 1).standard_normal((first_stop, times.size))
-    tail = _philox_rng(19, 0x7768697465, 1 + first_stop).standard_normal((5, times.size))
+    head = _keyed_rng(19, 0x7768697465, 1).standard_normal((first_stop, times.size))
+    tail = _keyed_rng(19, 0x7768697465, 1 + first_stop).standard_normal((5, times.size))
     assert_array_equal(full, 0.01 * np.concatenate((head, tail)))
 
 
@@ -515,9 +515,35 @@ def test_batch_matches_single_draw_statistics():
     assert_allclose(batch.std(axis=0)[1:], singles.std(axis=0)[1:], rtol=0.08)
 
 
-def test_philox_rng_streams():
-    a = _philox_rng(5, 0x7768697465).standard_normal(8)
-    b = _philox_rng(5, 0x7768697465).standard_normal(8)
-    c = _philox_rng(5, 0x77616C6B).standard_normal(8)
+def test_keyed_rng_streams():
+    a = _keyed_rng(5, 0x7768697465).standard_normal(8)
+    b = _keyed_rng(5, 0x7768697465).standard_normal(8)
+    c = _keyed_rng(5, 0x77616C6B).standard_normal(8)
     assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_keyed_rng_keeps_distinct_tuples_distinct():
+    # SeedSequence alone seeds (5, 7), (5, 7, 0) and the one word
+    # 2^32 * 7 + 5 alike; the 128-bit key of the tuple and its length does not.
+    def draws(*key):
+        return _keyed_rng(*key).standard_normal(4)
+
+    for one, other in (((5, 7), (5, 7, 0)), ((2**32 * 7 + 5,), (5, 7)), ((5, 7), (7, 5))):
+        assert not np.array_equal(draws(*one), draws(*other)), (one, other)
+
+
+def test_keyed_rng_folds_parts_modulo_2_64():
+    assert_array_equal(
+        _keyed_rng(-1, 3).standard_normal(4), _keyed_rng(2**64 - 1, 3).standard_normal(4)
+    )
+
+
+def test_keyed_rng_golden_draws():
+    # Pins the generator and the keying: any change of either changes every
+    # stochastic output of the package.
+    assert _keyed_rng(0, 0x73686F74).standard_normal(3).tolist() == [
+        -1.1782297068869114,
+        1.1680156531651793,
+        0.2779729820734932,
+    ]

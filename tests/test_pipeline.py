@@ -10,7 +10,7 @@ from numpy.testing import assert_array_equal
 import mwnoise as mw
 from mwnoise import signal_pipeline
 from mwnoise.core import read_csv
-from mwnoise.noise_models import _philox_rng
+from mwnoise.noise_models import _keyed_rng
 from mwnoise.signal_pipeline import shot_sigma_from_readout
 from mwnoise.spin_simulator import phi_tot_batch
 
@@ -230,7 +230,7 @@ def _reference_stream(seq, process, amp, f_test, shot_sigma, n_seq, seed):
     samples = amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * (np.arange(n_seq) / seq.f_samp))
     if process is not None:
         samples = samples + phi_tot_batch(seq, process, n_seq, seed) / scale
-    rng = _philox_rng(seed, 0x73686F74)
+    rng = _keyed_rng(seed, 0x73686F74)
     return samples + shot_sigma * rng.standard_normal(n_seq) / scale
 
 
@@ -275,7 +275,7 @@ def test_gradiometer_blocks_keep_every_sample_and_shot_draw(monkeypatch):
     uniform = 40e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 3e3 * t)
     gradient = 70e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 5e3 * t)
     common = phi_tot_batch(XY8_1, proc, n_seq, 29)
-    shot = 4e-4 * _philox_rng(29, 0x67726164).standard_normal((2, n_seq))
+    shot = 4e-4 * _keyed_rng(29, 0x67726164).standard_normal((2, n_seq))
     want = [
         gain * (scale * (uniform + sign * gradient) + common + shot[i]) / scale
         for i, (gain, sign) in enumerate(((1.0, 1.0), (0.95, -1.0)))

@@ -247,7 +247,7 @@ def _force_lanes(monkeypatch, cap):
 
 
 def _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks):
-    # Each chunk keeps its Philox key, its rows and its sum order on any
+    # Each chunk keeps its key, its rows and its sum order on any
     # thread, so every realization is bit-identical on one lane and on up to
     # four, with more chunks than lanes too.  A short switch interval interleaves
     # the lanes' Python code as often as it can.
