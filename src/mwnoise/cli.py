@@ -459,8 +459,9 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
 
 
 def _one_lane() -> None:
-    """Sweep worker initializer: one thread per PSD Monte Carlo, so the
-    pool's processes and a point's draw threads never multiply."""
+    """Sweep worker initializer: one lane, so every Monte Carlo draws and
+    every stream block's spectrum sums transform on the worker's own thread,
+    and the pool's processes and a point's threads never multiply."""
     spin_simulator._LANE_CAP = 1
 
 

@@ -94,9 +94,16 @@ def _gaussian_stream(sigma: float, rng: np.random.Generator):
     """Function returning ``sigma`` times the next ``size`` normals of ``rng``.
 
     Consecutive calls continue the stream, so calls of sizes a, b, ... give
-    the values of one call of size a + b + ....
+    the values of one call of size a + b + ....  Each call scales its draw in
+    place, so it allocates one array of ``size``.
     """
-    return lambda size: sigma * rng.standard_normal(size)
+
+    def draw(size: int) -> np.ndarray:
+        out = rng.standard_normal(size)
+        out *= sigma
+        return out
+
+    return draw
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,16 @@ sensitivity, multiply analytic sensitivities by 1.253 to compare with them.
 Streams are synthesized and transformed in one walk, a block of whole chunks
 at a time (``_BLOCK_SAMPLES``, 2^19 samples, rounded down to whole chunks but
 at least one): each block draws its share of the phase-noise and shot-noise
-terms and evaluates its test tones, and the block's chunk spectra are added
-one by one, in stream order, into one running sum.  Consecutive draws on one
-keyed generator equal one draw of the total size, and numpy reduces a stack
-of chunk spectra along its first axis one row after another, so the spectra
-equal those of the whole stream transformed at once, bit for bit, while
-memory depends on the interval and the block, not on the duration.
+terms and builds its readouts in place in those draw arrays, and the block's
+chunk spectra are added one by one, in stream order, into one running sum per
+stream.  Consecutive draws on one keyed generator equal one draw of the total
+size, and numpy reduces a stack of chunk spectra along its first axis one row
+after another, so the spectra equal those of the whole stream transformed at
+once, bit for bit, while memory depends on the interval and the block, not on
+the duration.  The sums of one block (noise on and off, or the gradiometer's
+three channels) are transformed as tasks on the lanes of one
+:func:`~mwnoise.spin_simulator._lanes` pool per walk, and the next block is
+built once they are done, so every bit is the same on any number of lanes.
 :func:`stream_spectra` and :func:`gradiometer_spectra` run the walk;
 :func:`synthesize_stream`, :func:`simulate_gradiometer` and
 :func:`amplitude_spectrum` are wrappers over it that join the blocks or split
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +53,7 @@ from .core import (
 from .analytic_sensitivity import ReadoutModel
 from .noise_models import NoiseProcess, _gaussian_stream, _keyed_rng
 from .pulse_sequences import PulseSequence
-from .spin_simulator import _phi_tot_draws
+from .spin_simulator import _lanes, _phi_tot_draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +146,11 @@ def shot_sigma_from_readout(readout: "ReadoutModel | float") -> Radians:
 # 4 MiB of float64.  numpy plans every rfft call afresh, and at the Bluestein
 # lengths of 1 s intervals (n = 42 134 = 2 * 21 067, n = 11 783 prime) a plan
 # costs as much as transforming two or three rows, so a block keeps about a
-# dozen rows per call at XY8-1 and 44 at XY8-8.
+# dozen rows per call at XY8-1 and 44 at XY8-8.  A block's readouts are built
+# in its draw arrays, at most three of which are live while its sums
+# transform, and each lane adds the FFT of one block (1.5 block arrays of
+# complex and magnitude spectra): on two lanes the walk peaks at about six
+# block arrays, 24 MiB.
 _BLOCK_SAMPLES = 1 << 19
 
 
@@ -178,27 +187,38 @@ def _readout_blocks(
     n: int,
     seed: int,
 ):
-    """Yield (on, off) tesla readouts per block of :func:`_stream_blocks`.
+    """Iterator of (on, off) tesla readouts per block of
+    :func:`_stream_blocks`, or of (on,) when ``process`` is None.
 
     ``on`` is tone + phase noise + shot noise, ``off`` the same tone and shot
-    draws without the phase noise, or None when ``process`` is None.
+    draws without the phase noise.
     """
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     phase = None if process is None else _phi_tot_draws(seq, process, seed)
     shot = None
     if shot_sigma > 0:
         shot = _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x73686F74))
-    for t, phi, z in _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)):
-        tone = test_field_amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * t)
-        z = None if z is None else z / scale
-        off = tone if z is None else tone + z
-        if phi is None:
-            yield off, None
-            continue
-        on = tone + phi / scale
+
+    def readouts(t, phi, z):
+        # Built in the block's own arrays, in the operation order of
+        # tone + phi / scale + z / scale with tone = amp sqrt(2) cos(2 pi f t),
+        # so every bit is that of the expression: t becomes the tone, phi the
+        # noise-on readout and z the noise-off one.
+        tone = np.multiply(t, 2.0 * np.pi * f_test, out=t)
+        np.cos(tone, out=tone)
+        tone *= test_field_amp * math.sqrt(2.0)
         if z is not None:
-            on += z
-        yield on, off
+            z /= scale
+        if phi is not None:
+            phi /= scale
+            phi += tone
+            if z is not None:
+                phi += z
+        off = tone if z is None else np.add(z, tone, out=z)
+        return (off,) if phi is None else (phi, off)
+
+    # starmap keeps no reference to a block once it is built.
+    return starmap(readouts, _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)))
 
 
 def _gradiometer_blocks(
@@ -214,7 +234,7 @@ def _gradiometer_blocks(
     f_gradient: FrequencyHz,
     channel_gains: tuple[float, float],
 ):
-    """Checked arguments, then a generator of (ch1, ch2, ch1 - ch2) tesla
+    """Checked arguments, then an iterator of (ch1, ch2, ch1 - ch2) tesla
     readouts per block of :func:`_stream_blocks`.
 
     The two channels' shot draws are the first and second n_sequences
@@ -236,17 +256,28 @@ def _gradiometer_blocks(
         _gaussian_stream(shot_sigma, rng_2),
     )
 
-    def blocks():
-        for t, common, *shots in _stream_blocks(seq.f_samp, n_sequences, n, draws):
-            uniform = uniform_signal * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_uniform * t)
-            gradient = gradient_signal * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_gradient * t)
-            ch = [
-                gain * (scale * (uniform + sign * gradient) + common + shot) / scale
-                for gain, sign, shot in zip(channel_gains, (+1.0, -1.0), shots)
-            ]
-            yield ch[0], ch[1], ch[0] - ch[1]
+    def channels(t, common, shot_1, shot_2):
+        # Built in the block's own arrays, in the operation order of
+        # gain * (scale * (uniform + sign * gradient) + common + shot) / scale,
+        # so every bit is that of the expression: t becomes the uniform
+        # field, each channel its shot draws and the difference the gradient.
+        gradient = np.multiply(t, 2.0 * np.pi * f_gradient)
+        np.cos(gradient, out=gradient)
+        gradient *= gradient_signal * math.sqrt(2.0)
+        uniform = np.multiply(t, 2.0 * np.pi * f_uniform, out=t)
+        np.cos(uniform, out=uniform)
+        uniform *= uniform_signal * math.sqrt(2.0)
+        fields = (np.add(uniform, gradient), np.subtract(uniform, gradient, out=uniform))
+        for field, shot, gain in zip(fields, (shot_1, shot_2), channel_gains):
+            field *= scale
+            field += common
+            shot += field
+            shot *= gain
+            shot /= scale
+        return shot_1, shot_2, np.subtract(shot_1, shot_2, out=gradient)
 
-    return blocks()
+    # starmap keeps no reference to a block once it is built.
+    return starmap(channels, _stream_blocks(seq.f_samp, n_sequences, n, draws))
 
 
 def synthesize_stream(
@@ -272,7 +303,7 @@ def synthesize_stream(
     blocks = _readout_blocks(
         seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, 1, seed
     )
-    return ReadoutStream(np.concatenate([on for on, _ in blocks]), seq.f_samp)
+    return ReadoutStream(np.concatenate([block[0] for block in blocks]), seq.f_samp)
 
 
 def simulate_gradiometer(
@@ -366,6 +397,24 @@ class _SpectrumSum:
         return AmplitudeSpectrum(freqs, asd, chunk_seconds, self.n_chunks, self.f_samp)
 
 
+def _block_spectra(n: int, f_samp: FrequencyHz, count: int, blocks) -> list[AmplitudeSpectrum]:
+    """Spectra of ``count`` streams given as blocks of whole n-sample chunks.
+
+    Each item of ``blocks`` holds the next block of every stream.  A block's
+    ``count`` additions run as tasks on the lanes of one
+    :func:`~mwnoise.spin_simulator._lanes` pool, and the next block is built
+    once they are all done, so each sum takes its blocks in stream order on
+    any number of lanes and every bit is that of one lane.
+    """
+    sums = [_SpectrumSum(n, f_samp) for _ in range(count)]
+    with _lanes(count) as run:
+        for block in blocks:
+            run(_SpectrumSum.add, sums, block)
+            # Free this block's arrays before the next one is built.
+            del block
+    return [total.spectrum() for total in sums]
+
+
 def amplitude_spectrum(
     stream: ReadoutStream,
     interval: TimeSeconds,
@@ -406,15 +455,11 @@ def stream_spectra(
     """
     n_seq = _sequence_count(duration, seq.f_samp)
     n = _chunk_length(interval, seq.f_samp, n_seq)
-    on = _SpectrumSum(n, seq.f_samp)
-    off = None if process is None else _SpectrumSum(n, seq.f_samp)
-    for on_block, off_block in _readout_blocks(
+    blocks = _readout_blocks(
         seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, n, seed
-    ):
-        on.add(on_block)
-        if off is not None:
-            off.add(off_block)
-    return on.spectrum(), None if off is None else off.spectrum()
+    )
+    spectra = _block_spectra(n, seq.f_samp, 1 if process is None else 2, blocks)
+    return spectra[0], None if process is None else spectra[1]
 
 
 def gradiometer_spectra(
@@ -436,14 +481,11 @@ def gradiometer_spectra(
     channel 2, difference).
     """
     n = _chunk_length(interval, seq.f_samp, n_sequences)
-    sums = [_SpectrumSum(n, seq.f_samp) for _ in range(3)]
-    for channels in _gradiometer_blocks(
+    blocks = _gradiometer_blocks(
         seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, n, seed,
         f_uniform, f_gradient, channel_gains,
-    ):
-        for total, samples in zip(sums, channels):
-            total.add(samples)
-    return tuple(total.spectrum() for total in sums)
+    )
+    return tuple(_block_spectra(n, seq.f_samp, 3, blocks))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,11 +71,13 @@ _MIN_REALIZATIONS = 100
 # in cache between the draw and its reduction.
 _DRAW_BLOCK = 1 << 16
 
-# Most threads that draw one Monte Carlo's chunks at once.  Each holds a
-# draw buffer of up to max(_DRAW_BLOCK, row width) floats, so the cap keeps
-# that memory within a constant factor of the coefficient arrays on any host.
-# The sweep's worker processes set it to 1, so processes and threads never
-# multiply.
+# Most threads of one lane pool (:func:`_lanes`): those that draw one Monte
+# Carlo's chunks at once, or transform one stream block's spectrum sums.  A
+# Monte Carlo lane holds a draw buffer of up to max(_DRAW_BLOCK, row width)
+# floats and a spectrum lane the FFT of one block, so the cap keeps that
+# memory within a constant factor of the coefficient arrays or the block on
+# any host.  The sweep's worker processes set it to 1, so processes and
+# threads never multiply.
 _LANE_CAP = 4
 
 
@@ -84,6 +87,24 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@contextmanager
+def _lanes(tasks: int):
+    """Context of a ``run(fn, *iterables)`` that calls ``fn`` on the zipped
+    items, at most ``tasks`` per run, and returns the results in order.
+
+    The calls run on one pool of min(tasks, ``_LANE_CAP``, usable CPUs)
+    threads, kept for every ``run`` of the context, or inline, in order, when
+    that is one.  ``fn`` must release the GIL for the lanes to overlap and
+    must write nothing another call of the same ``run`` reads or writes.
+    """
+    lanes = min(tasks, _LANE_CAP, _usable_cpus())
+    if lanes <= 1:
+        yield lambda fn, *items: list(map(fn, *items))
+        return
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        yield lambda fn, *items: list(pool.map(fn, *items))
 
 
 @dataclass(frozen=True)
@@ -139,10 +160,11 @@ def _monte_carlo_phi_tot(
     rows and adds each block times the pass's coefficients to its
     realizations.
 
-    Chunks are drawn on min(chunks, usable CPUs, ``_LANE_CAP``) threads, and
-    inline when that is one.  A chunk makes its generator and buffer on its
-    thread, writes only its own realizations and keeps its sum order, so
-    every realization is bit-identical whatever the number of threads.
+    Chunks are drawn on the lanes of :func:`_lanes`: min(chunks, usable CPUs,
+    ``_LANE_CAP``) threads, and inline when that is one.  A chunk makes its
+    generator and buffer on its thread, writes only its own realizations and
+    keeps its sum order, so every realization is bit-identical whatever the
+    number of threads.
     """
     samples, passes = _phi_tot_coefficients(seq, process)
     # Allocated first: a count too large for memory fails here, before the
@@ -167,16 +189,10 @@ def _monte_carlo_phi_tot(
                 # would make the sum's bits depend on their number.
                 phi_tot[lo:hi] += np.einsum("ij,j->i", block, coef)
 
-    lanes = min(len(chunks), _LANE_CAP, _usable_cpus())
-    if lanes <= 1:
-        for chunk in chunks:
-            draw(chunk)
-    else:
-        # Each task makes its own generator and buffer, so at most ``lanes``
-        # of them exist at once.
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            for _ in pool.map(draw, chunks):
-                pass
+    # Each task makes its own generator and buffer, so at most one per lane
+    # exists at once.
+    with _lanes(len(chunks)) as run:
+        run(draw, chunks)
     return phi_tot
 
 

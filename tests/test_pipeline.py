@@ -1,6 +1,7 @@
 """Readout-stream synthesis, spectra, floor estimation and calibration."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -291,6 +292,78 @@ def test_gradiometer_blocks_keep_every_sample_and_shot_draw(monkeypatch):
             assert_array_equal(stream.samples, samples)
             assert spectrum.n_chunks == 5
             assert_array_equal(spectrum.asd, _reference_asd(samples, 42134, XY8_1.f_samp))
+
+
+def test_stream_spectra_bits_independent_of_lanes(monkeypatch, force_lanes):
+    # Each spectrum sum takes one lane task per block, and a block's tasks
+    # all finish before the next block is built, so every sum adds its chunk
+    # rows in stream order: the spectra of one, two and three lanes are
+    # bit-identical.  A short switch interval interleaves the lanes' Python
+    # code as often as it can.
+    proc = mw.WhiteNoise(4e-3)
+    grad_args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, 5 * 42134 + 11, 1.0, 29)
+    grad_kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.0, 0.95)}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block in _block_sizes(42134):
+            monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+            runs = []
+            for cap in (1, 2, 3):
+                sizes = force_lanes(cap)
+                on, off = mw.stream_spectra(XY8_1, proc, 90e-12, 457.9e3, 2e-3, 7.0, 1.0, seed=23)
+                channels = mw.gradiometer_spectra(*grad_args, **grad_kwargs)
+                # One pool per call: on/off takes two lanes, the gradiometer
+                # min(3 sums, cap).
+                assert sizes == ([] if cap == 1 else [2, cap])
+                assert on.n_chunks == 7 and channels[0].n_chunks == 5
+                runs.append([on.asd, off.asd, *(spectrum.asd for spectrum in channels)])
+            for run in runs[1:]:
+                for got, want in zip(run, runs[0]):
+                    assert_array_equal(got, want)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_stream_spectra_lane_counts(force_lanes):
+    # One lane per sum, up to the cap and the usable CPUs: none for a
+    # noiseless stream, whose one sum runs inline.
+    sizes = force_lanes(4)
+    mw.stream_spectra(XY8_1, mw.WhiteNoise(4e-3), 90e-12, 457.9e3, 2e-3, 3.0, 1.0, seed=23)
+    assert sizes == [2]
+    on, off = mw.stream_spectra(XY8_1, None, 90e-12, 457.9e3, 2e-3, 3.0, 1.0, seed=23)
+    assert off is None and sizes == [2]
+    sizes = force_lanes(4, cpus=2)
+    mw.gradiometer_spectra(XY8_1, mw.WhiteNoise(6e-3), 40e-12, 70e-12, 4e-4, 3 * 42134, 1.0)
+    assert sizes == [2]
+
+
+def test_stream_walk_peak_memory_in_block_arrays(force_lanes):
+    # A block array is the rows x n float64 of one default block.  Each
+    # block is built in its own draw arrays and freed before the next one is
+    # drawn, so on two lanes the walk peaks near six block arrays: three
+    # gradiometer channels and two lanes' complex and magnitude spectra, or
+    # the gradiometer's six arrays while it builds a block.  A walk that
+    # builds each term in new arrays, and keeps the last block while it
+    # draws the next, peaks at about 9 (XY8-1) and 10 (XY8-8) on one lane.
+    force_lanes(4, cpus=2)
+    xy8_8 = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    runs = [
+        (XY8_1, lambda: mw.stream_spectra(
+            XY8_1, mw.WhiteNoise(4e-3), 90e-12, 457.9e3, 2e-3, 20.0, 1.0, seed=3)),
+        (xy8_8, lambda: mw.gradiometer_spectra(
+            xy8_8, mw.WhiteNoise(8e-3), 40e-12, 70e-12, 4e-4, round(60.0 * xy8_8.f_samp), 1.0, 5)),
+    ]
+    for seq, run in runs:
+        n = round(seq.f_samp)  # samples per 1 s chunk
+        block_bytes = signal_pipeline._BLOCK_SAMPLES // n * n * 8
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * block_bytes, (seq.n_pi, peak / block_bytes)
 
 
 # --- noise-floor estimation -------------------------------------------------------

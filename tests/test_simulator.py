@@ -7,7 +7,6 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -230,23 +229,9 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
         assert np.max(np.abs(got - want)) <= 1e-12 * sigma, n_r
 
 
-def _force_lanes(monkeypatch, cap):
-    """Let the Monte Carlo draw on up to ``cap`` threads whatever the host's
-    CPU count; returns the list of pool sizes it asks for."""
-    sizes = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(spin_simulator, "_LANE_CAP", cap)
-    monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
-def _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks):
+def _assert_bits_independent_of_lanes(
+    monkeypatch, force_lanes, seq, proc, samples, n_chunks
+):
     # Each chunk keeps its key, its rows and its sum order on any
     # thread, so every realization is bit-identical on one lane and on up to
     # four, with more chunks than lanes too.  A short switch interval interleaves
@@ -264,7 +249,7 @@ def _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks)
     sys.setswitchinterval(1e-6)
     try:
         for cap in (1, 4):
-            sizes = _force_lanes(monkeypatch, cap)
+            sizes = force_lanes(cap)
             results.append(monte_carlo_sigma_phi(seq, proc, count, seed=61))
             lanes = min(n_chunks, cap)
             assert sizes == ([lanes] if lanes > 1 else [])
@@ -276,13 +261,13 @@ def _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks)
 
 @pytest.mark.parametrize("n_r", [1, 8])
 @pytest.mark.parametrize("n_chunks", [1, 2, 5])
-def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
+def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, force_lanes, n_r, n_chunks):
     proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
     samples = int(round(duration / dt))
-    _assert_bits_independent_of_lanes(monkeypatch, seq, proc, samples, n_chunks)
+    _assert_bits_independent_of_lanes(monkeypatch, force_lanes, seq, proc, samples, n_chunks)
 
 
 @pytest.mark.parametrize(
@@ -291,19 +276,21 @@ def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, n_chunks):
     ids=["white-xy8-8", "random-walk-xy8-64"],
 )
 @pytest.mark.parametrize("n_chunks", [1, 2, 5])
-def test_pulse_monte_carlo_bits_independent_of_lanes(monkeypatch, n_r, proc, n_chunks):
+def test_pulse_monte_carlo_bits_independent_of_lanes(
+    monkeypatch, force_lanes, n_r, proc, n_chunks
+):
     # White and random-walk realizations draw one normal per pulse and one
     # for the final pulse, in chunks keyed like the PSD tracks'.
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
-    _assert_bits_independent_of_lanes(monkeypatch, seq, proc, seq.n_pi + 1, n_chunks)
+    _assert_bits_independent_of_lanes(monkeypatch, force_lanes, seq, proc, seq.n_pi + 1, n_chunks)
 
 
-def test_psd_monte_carlo_keeps_lanes_at_xy8_8(monkeypatch):
+def test_psd_monte_carlo_keeps_lanes_at_xy8_8(force_lanes):
     # 250 realizations of XY8-8 make two 150-realization chunks of its
     # 27 948-sample tracks, so the run draws on two threads.
     proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
-    sizes = _force_lanes(monkeypatch, 4)
+    sizes = force_lanes(4)
     monte_carlo_sigma_phi(seq, proc, 250, seed=71)
     assert sizes == [2]
 
@@ -316,12 +303,12 @@ def test_psd_monte_carlo_keeps_lanes_at_xy8_8(monkeypatch):
     ],
     ids=["white-xy8-8", "random-walk-xy8-64"],
 )
-def test_pulse_monte_carlo_keeps_lanes(monkeypatch, n_r, proc, count, lanes):
+def test_pulse_monte_carlo_keeps_lanes(force_lanes, n_r, proc, count, lanes):
     # Chunks bound a batch at 2^22 samples: 64 527 realizations of XY8-8's
     # 65 pulse times, 8 176 of XY8-64's 513, so these runs draw on two and
     # three threads.
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
-    sizes = _force_lanes(monkeypatch, 4)
+    sizes = force_lanes(4)
     monte_carlo_sigma_phi(seq, proc, count, seed=73)
     assert sizes == [lanes]
 
@@ -418,13 +405,13 @@ def test_psd_monte_carlo_bounded_memory_at_xy8_64():
     assert _peak_alloc_mb(lambda: monte_carlo_sigma_phi(seq, psd, 100, seed=47)) < 64.0
 
 
-def test_psd_monte_carlo_bounded_memory_on_four_lanes(monkeypatch):
+def test_psd_monte_carlo_bounded_memory_on_four_lanes(force_lanes):
     # The same run drawn on four threads, each with its own draw buffer of
     # one 111 791-bin row (0.9 MB), stays under the same bound (about 7 MB
     # peak, as on one thread).
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 512, 521.85e-9, T_PI, T_DEAD)
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
-    sizes = _force_lanes(monkeypatch, 4)
+    sizes = force_lanes(4)
     assert _peak_alloc_mb(lambda: monte_carlo_sigma_phi(seq, psd, 100, seed=47)) < 64.0
     assert sizes == [4]
 
