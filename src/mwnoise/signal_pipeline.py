@@ -267,6 +267,7 @@ def _gradiometer_blocks(
         uniform = np.multiply(t, 2.0 * np.pi * f_uniform, out=t)
         np.cos(uniform, out=uniform)
         uniform *= uniform_signal * math.sqrt(2.0)
+        # u + g is taken into a new array before u - g overwrites u.
         fields = (np.add(uniform, gradient), np.subtract(uniform, gradient, out=uniform))
         for field, shot, gain in zip(fields, (shot_1, shot_2), channel_gains):
             field *= scale
