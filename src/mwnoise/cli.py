@@ -24,7 +24,6 @@ import copy
 import functools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -477,6 +476,9 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
     configs = [point for _, point in points]
     workers = cfg["run"]["workers"]
     if workers > 1 and len(points) > 1:
+        # Imported here: no other run needs the process pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         # At most one process per point: with the fork start method the pool
         # starts all its workers at once, however few points there are.
         with ProcessPoolExecutor(

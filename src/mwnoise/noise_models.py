@@ -90,16 +90,23 @@ def _keyed_rng(*key_parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(low | high << 64)))
 
 
-def _gaussian_stream(sigma: float, rng: np.random.Generator):
-    """Function returning ``sigma`` times the next ``size`` normals of ``rng``.
+def _gaussian_stream(sigma: float, rng: np.random.Generator, skip: int = 0):
+    """Function writing ``sigma`` times the next ``out.size`` normals of
+    ``rng`` into ``out``, and returning ``out``.
 
     Consecutive calls continue the stream, so calls of sizes a, b, ... give
-    the values of one call of size a + b + ....  Each call scales its draw in
-    place, so it allocates one array of ``size``.
+    the values of one call of size a + b + ....  The first call first
+    discards ``skip`` normals, drawn into ``out`` in pieces.  A call
+    allocates nothing, so a caller can draw every block into one buffer.
     """
 
-    def draw(size: int) -> np.ndarray:
-        out = rng.standard_normal(size)
+    def draw(out: np.ndarray) -> np.ndarray:
+        nonlocal skip
+        while skip and out.size:
+            piece = out[:skip]
+            rng.standard_normal(out=piece)
+            skip -= piece.size
+        rng.standard_normal(out=out)
         out *= sigma
         return out
 
@@ -480,9 +487,9 @@ def _track_chunks(n: int, n_tracks: int):
     from ``_chunk_rng(process, seed, start)``.
 
     The Monte Carlo draws each range on its own thread, and the bound keeps
-    large runs on more than one: at 458 kHz, XY8-1's 3 493-sample PSD tracks
-    come in ranges of 1 200 realizations and XY8-8's 27 948-sample tracks in
-    ranges of 150; white and random-walk samples at the 65 pulse times of
+    large runs on more than one: at 458 kHz, XY8-1's 3 500-sample PSD tracks
+    come in ranges of 1 198 realizations and XY8-8's 28 000-sample tracks in
+    ranges of 149; white and random-walk samples at the 65 pulse times of
     XY8-8 come in ranges of 64 527, and at the 513 of XY8-64 in ranges of
     8 176.
     """
@@ -519,21 +526,49 @@ def _psd_track_layout(
     XY8-1 at 458 kHz (g1-2.5ghz, 100 MHz cutoff) is 0.097 % under the
     filter-function value, against 1.39 % at D = t_max and 0.001 % at
     D = 8 t_max, while rounding pulse times onto the grid alone reaches
-    0.83 % (g2-2.1ghz, XY8-2 at 3 MHz).  Each realization draws
-    about 4 t_max f_cutoff normals.
+    0.83 % (g2-2.1ghz, XY8-2 at 3 MHz).  The sample count is then rounded
+    up by :func:`_fft_length` (XY8-1 at 458 kHz and 100 MHz: 3 493 -> 3 500
+    samples; XY8-8: 27 948 -> 28 000), so that no transform of the track,
+    the comb transfer's above all, needs Bluestein's algorithm: at XY8-16
+    the unrounded count's largest prime factor is 1 597.  Each realization
+    draws about 4 t_max f_cutoff normals.
     """
     t_max = float(pulse_times[-1]) if pulse_times.size else 0.0
     if t_max <= 0:
         t_max = 1.0 / f_cutoff
     dt = 1.0 / (2.0 * f_cutoff)
-    duration = 2.0 * t_max
-    n = int(round(duration / dt))
+    n = int(round(2.0 * t_max / dt))
     if n > MAX_TRACK_SAMPLES:
         raise ValueError("pulse window too long for the requested cutoff")
     if n < 2:
         raise ValueError("pulse window too short for the requested cutoff")
+    n = _fft_length(n)
     idx = np.clip(np.rint(pulse_times / dt).astype(int), 0, n - 1)
-    return duration, dt, idx
+    return n * dt, dt, idx
+
+
+def _fft_length(n: int) -> int:
+    """Smallest even length of at least ``n`` samples whose prime factors
+    are 2, 3, 5, 7 and 11 only, each of which numpy's pocketfft transforms
+    natively.  Such lengths lie at most 2.1 % apart from 3 500 on and 1.0 %
+    from 28 000 on."""
+    best = 2
+    while best < n:
+        best *= 2
+    odd = [1]  # the odd such numbers below best
+    for p in (3, 5, 7, 11):
+        more = []
+        for m in odd:
+            while m < best:
+                more.append(m)
+                m *= p
+        odd = more
+    for m in odd:
+        length = 2 * m
+        while length < n:
+            length *= 2
+        best = min(best, length)
+    return best
 
 
 def _walk_step_variances(process: RandomWalkNoise, times: np.ndarray) -> np.ndarray:

@@ -14,21 +14,24 @@ sensitivity, multiply analytic sensitivities by 1.253 to compare with them.
 
 Streams are synthesized and transformed in one walk, a block of whole chunks
 at a time (``_BLOCK_SAMPLES``, 2^19 samples, rounded down to whole chunks but
-at least one): each block draws its share of the phase-noise and shot-noise
-terms and builds its readouts in place in those draw arrays, and the block's
-chunk spectra are added one by one, in stream order, into one running sum per
+at least one), in buffers allocated once per walk and reused for every block:
+each block draws its share of the phase-noise and shot-noise terms into one
+buffer per term, builds its readouts in place in those buffers, and its chunk
+spectra are added one by one, in stream order, into one running sum per
 stream.  Consecutive draws on one keyed generator equal one draw of the total
 size, and numpy reduces a stack of chunk spectra along its first axis one row
 after another, so the spectra equal those of the whole stream transformed at
 once, bit for bit, while memory depends on the interval and the block, not on
-the duration.  The sums of one block (noise on and off, or the gradiometer's
-three channels) are transformed as tasks on the lanes of one
-:func:`~mwnoise.spin_simulator._lanes` pool per walk, and the next block is
-built once they are done, so every bit is the same on any number of lanes.
-:func:`stream_spectra` and :func:`gradiometer_spectra` run the walk;
-:func:`synthesize_stream`, :func:`simulate_gradiometer` and
-:func:`amplitude_spectrum` are wrappers over it that join the blocks or split
-a given stream.
+the duration.  Each step of a block runs as tasks on the lanes of one
+:func:`~mwnoise.spin_simulator._lanes` pool per walk: the draws one task per
+generator, the elementwise build over equal ranges of the block, and the
+transforms over equal shares of the block's chunks of every stream (see
+:func:`_block_spectra`).  Elementwise work is the same in any range and each
+sum still adds its chunks in stream order, so every bit is the same on any
+number of lanes.  :func:`stream_spectra` and :func:`gradiometer_spectra` run
+the walk; :func:`synthesize_stream`, :func:`simulate_gradiometer` and
+:func:`amplitude_spectrum` are wrappers over it that copy the blocks out or
+feed it a given stream.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +55,7 @@ from .core import (
 from .analytic_sensitivity import ReadoutModel
 from .noise_models import NoiseProcess, _gaussian_stream, _keyed_rng
 from .pulse_sequences import PulseSequence
-from .spin_simulator import _lanes, _phi_tot_draws
+from .spin_simulator import _lane_count, _lanes, _phi_tot_draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,28 +148,64 @@ def shot_sigma_from_readout(readout: "ReadoutModel | float") -> Radians:
 # 4 MiB of float64.  numpy plans every rfft call afresh, and at the Bluestein
 # lengths of 1 s intervals (n = 42 134 = 2 * 21 067, n = 11 783 prime) a plan
 # costs as much as transforming two or three rows, so a block keeps about a
-# dozen rows per call at XY8-1 and 44 at XY8-8.  A block's readouts are built
-# in its draw arrays, at most three of which are live while its sums
-# transform, and each lane adds the FFT of one block (1.5 block arrays of
-# complex and magnitude spectra): on two lanes the walk peaks at about six
-# block arrays, 24 MiB.
+# dozen rows per call at XY8-1 and 44 at XY8-8, and a lane transforms its
+# share of a block in one call per stream.  The walk allocates its buffers
+# once: one block array per stream (two for noise on and off, three for the
+# gradiometer) and per lane one complex spectrum of at most a block's rows,
+# about one block array.  On two lanes that is four block arrays, 16 MiB, for
+# noise on and off and five for the gradiometer.
 _BLOCK_SAMPLES = 1 << 19
 
+# Samples per strip of a block's elementwise build: each lane builds its range
+# of a block one strip at a time in three strips of its own (the times, which
+# become a tone, and the gradiometer's gradient tone and u + g), 128 KiB each.
+_STRIP = 1 << 14
 
-def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws):
-    """Yield (sequence start times, *terms) over ``n_seq`` sequences, in
-    blocks of max(1, _BLOCK_SAMPLES // n) whole n-sample chunks.
 
-    The last block holds what is left, a trailing partial chunk included.
-    Each of ``draws`` is None or a function returning the next ``size``
-    values of a term; it is called once per block, in order, so a term's
-    values are those of one call of size n_seq.
+def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws, build, run, lanes: int):
+    """Yield the streams of each block of max(1, _BLOCK_SAMPLES // n) whole
+    n-sample chunks of the ``n_seq`` sequences; the last block holds what is
+    left, a trailing partial chunk included.
+
+    There is one stream per item of ``draws``, each a view of one buffer
+    that every block reuses, so a block is gone once the walk moves on.  A
+    draw is None or a function that writes the next out.size values of its
+    term into ``out``; a block's draws run as tasks of ``run`` (of
+    :func:`~mwnoise.spin_simulator._lanes`), one per generator, which draws in
+    order, so a term's values are those of one call of size n_seq.  Unless
+    it is None, ``build(work, *streams)`` then turns the terms into the
+    streams in place, elementwise, over ``lanes`` equal ranges of the block
+    run as tasks, one strip at a time: ``work`` is three strips of the lane's
+    own, the first holding the strip's sequence start times.
     """
     step = max(1, _BLOCK_SAMPLES // n) * n
-    for lo in range(0, n_seq, step):
-        size = min(step, n_seq - lo)
-        terms = (None if draw is None else draw(size) for draw in draws)
-        yield (np.arange(lo, lo + size) / f_samp, *terms)
+    buffers = [np.empty(min(step, n_seq)) for _ in draws]
+    strip = min(_STRIP, step)
+    works = [np.empty((3, strip)) for _ in range(lanes)]
+    ramp = np.arange(strip, dtype=float)
+
+    def fill(draw, out):
+        if draw is not None:
+            draw(out)
+
+    def build_range(work, lo, hi):
+        # Runs on a lane: numpy calls on sequences lo to hi of every stream.
+        for a in range(lo, hi, strip):
+            b = min(a + strip, hi)
+            part = work[:, : b - a]
+            # a + k is exact in float64, so these are arange(a, b) / f_samp.
+            np.add(ramp[: b - a], a, out=part[0])
+            part[0] /= f_samp
+            build(part, *(stream[a - start : b - start] for stream in streams))
+
+    for start in range(0, n_seq, step):
+        size = min(step, n_seq - start)
+        streams = [buffer[:size] for buffer in buffers]
+        run(fill, draws, streams)
+        if build is not None:
+            bounds = [start + size * lane // lanes for lane in range(lanes + 1)]
+            run(build_range, works, bounds[:-1], bounds[1:])
+        yield streams
 
 
 def _sequence_count(duration: TimeSeconds, f_samp: FrequencyHz) -> int:
@@ -177,108 +215,120 @@ def _sequence_count(duration: TimeSeconds, f_samp: FrequencyHz) -> int:
     return n_seq
 
 
-def _readout_blocks(
+def _readout_terms(
     seq: PulseSequence,
     process: NoiseProcess | None,
     test_field_amp: Tesla,
     f_test: FrequencyHz,
     shot_sigma: Radians,
-    n_seq: int,
-    n: int,
     seed: int,
 ):
-    """Iterator of (on, off) tesla readouts per block of
-    :func:`_stream_blocks`, or of (on,) when ``process`` is None.
+    """(draws, build) of :func:`_stream_blocks` for the (on, off) tesla
+    readouts, or for (off,) when ``process`` is None.
 
     ``on`` is tone + phase noise + shot noise, ``off`` the same tone and shot
     draws without the phase noise.
     """
     scale = 4.0 * GAMMA_NV * seq.tau_tot
-    phase = None if process is None else _phi_tot_draws(seq, process, seed)
     shot = None
     if shot_sigma > 0:
         shot = _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x73686F74))
 
-    def readouts(t, phi, z):
-        # Built in the block's own arrays, in the operation order of
-        # tone + phi / scale + z / scale with tone = amp sqrt(2) cos(2 pi f t),
-        # so every bit is that of the expression: t becomes the tone, phi the
-        # noise-on readout and z the noise-off one.
-        tone = np.multiply(t, 2.0 * np.pi * f_test, out=t)
+    def readouts(work, *streams):
+        # In the operation order of tone + phi / scale + z / scale with
+        # tone = amp sqrt(2) cos(2 pi f t), so every bit is that of the
+        # expression: the tone is built over the times, or in the noise-off
+        # stream when there are no shot draws, phi becomes the noise-on
+        # readout and z the noise-off one.
+        z = streams[-1]
+        tone = np.multiply(work[0], 2.0 * np.pi * f_test, out=z if shot is None else work[0])
         np.cos(tone, out=tone)
         tone *= test_field_amp * math.sqrt(2.0)
-        if z is not None:
+        if shot is not None:
             z /= scale
-        if phi is not None:
+        if len(streams) == 2:
+            phi = streams[0]
             phi /= scale
             phi += tone
-            if z is not None:
+            if shot is not None:
                 phi += z
-        off = tone if z is None else np.add(z, tone, out=z)
-        return (off,) if phi is None else (phi, off)
+        if shot is not None:
+            z += tone
 
-    # starmap keeps no reference to a block once it is built.
-    return starmap(readouts, _stream_blocks(seq.f_samp, n_seq, n, (phase, shot)))
+    if process is None:
+        return (shot,), readouts
+    return (_phi_tot_draws(seq, process, seed), shot), readouts
 
 
-def _gradiometer_blocks(
+def _gradiometer_terms(
     seq: PulseSequence,
     process: NoiseProcess,
     uniform_signal: Tesla,
     gradient_signal: Tesla,
     shot_sigma: Radians,
     n_sequences: int,
-    n: int,
     seed: int,
     f_uniform: FrequencyHz,
     f_gradient: FrequencyHz,
     channel_gains: tuple[float, float],
 ):
-    """Checked arguments, then an iterator of (ch1, ch2, ch1 - ch2) tesla
-    readouts per block of :func:`_stream_blocks`.
+    """Checked arguments, then (draws, build) of :func:`_stream_blocks` for
+    the (ch1, ch2, ch1 - ch2) tesla readouts.
 
     The two channels' shot draws are the first and second n_sequences
     normals of one keyed stream; channel 2 reads them from a second
-    generator on that stream that first discards channel 1's, in blocks.
+    generator on that stream, whose first draw discards channel 1's.
     """
     if n_sequences < 2:
         raise ValueError("need at least 2 sequences")
     if shot_sigma < 0:
         raise ValueError("shot_sigma must be nonnegative")
     scale = 4.0 * GAMMA_NV * seq.tau_tot
-    rng_1, rng_2 = _keyed_rng(seed, 0x67726164), _keyed_rng(seed, 0x67726164)
-    discard = np.empty(min(n_sequences, _BLOCK_SAMPLES))
-    for lo in range(0, n_sequences, discard.size):
-        rng_2.standard_normal(out=discard[: n_sequences - lo])
     draws = (
+        _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x67726164)),
+        _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x67726164), skip=n_sequences),
         _phi_tot_draws(seq, process, seed),
-        _gaussian_stream(shot_sigma, rng_1),
-        _gaussian_stream(shot_sigma, rng_2),
     )
 
-    def channels(t, common, shot_1, shot_2):
-        # Built in the block's own arrays, in the operation order of
+    def channels(work, shot_1, shot_2, common):
+        # In the operation order of
         # gain * (scale * (uniform + sign * gradient) + common + shot) / scale,
-        # so every bit is that of the expression: t becomes the uniform
-        # field, each channel its shot draws and the difference the gradient.
-        gradient = np.multiply(t, 2.0 * np.pi * f_gradient)
+        # so every bit is that of the expression: the times become the
+        # uniform field and then u - g, each channel is built in its shot
+        # draws and the difference in the common term, which both have read.
+        t, gradient, plus = work
+        np.multiply(t, 2.0 * np.pi * f_gradient, out=gradient)
         np.cos(gradient, out=gradient)
         gradient *= gradient_signal * math.sqrt(2.0)
         uniform = np.multiply(t, 2.0 * np.pi * f_uniform, out=t)
         np.cos(uniform, out=uniform)
         uniform *= uniform_signal * math.sqrt(2.0)
-        # u + g is taken into a new array before u - g overwrites u.
-        fields = (np.add(uniform, gradient), np.subtract(uniform, gradient, out=uniform))
+        fields = (np.add(uniform, gradient, out=plus), np.subtract(uniform, gradient, out=uniform))
         for field, shot, gain in zip(fields, (shot_1, shot_2), channel_gains):
             field *= scale
             field += common
             shot += field
             shot *= gain
             shot /= scale
-        return shot_1, shot_2, np.subtract(shot_1, shot_2, out=gradient)
+        np.subtract(shot_1, shot_2, out=common)
 
-    # starmap keeps no reference to a block once it is built.
-    return starmap(channels, _stream_blocks(seq.f_samp, n_sequences, n, draws))
+    return draws, channels
+
+
+def _joined(f_samp: FrequencyHz, n_seq: int, draws, build, count: int) -> list[np.ndarray]:
+    """The first ``count`` streams of :func:`_stream_blocks` (same
+    arguments, one-sample chunks), each block copied out of the walk's
+    buffers into one new array per stream."""
+    out = [np.empty(n_seq) for _ in range(count)]
+    lanes = _lane_count(len(draws))
+    with _lanes(lanes) as run:
+        lo = 0
+        for block in _stream_blocks(f_samp, n_seq, 1, draws, build, run, lanes):
+            hi = lo + block[0].size
+            for whole, part in zip(out, block):
+                whole[lo:hi] = part
+            lo = hi
+    return out
 
 
 def synthesize_stream(
@@ -301,10 +351,10 @@ def synthesize_stream(
     :func:`stream_spectra` transforms, joined from its blocks.
     """
     n_seq = _sequence_count(duration, seq.f_samp)
-    blocks = _readout_blocks(
-        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, 1, seed
+    draws, build = _readout_terms(
+        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), seed
     )
-    return ReadoutStream(np.concatenate([block[0] for block in blocks]), seq.f_samp)
+    return ReadoutStream(_joined(seq.f_samp, n_seq, draws, build, 1)[0], seq.f_samp)
 
 
 def simulate_gradiometer(
@@ -336,11 +386,12 @@ def simulate_gradiometer(
     blocks.  The shot draws of channels 1 and 2 are the first and second
     ``n_sequences`` normals of one keyed stream.
     """
-    blocks = _gradiometer_blocks(
-        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, 1, seed,
+    draws, build = _gradiometer_terms(
+        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, seed,
         f_uniform, f_gradient, channel_gains,
     )
-    return tuple(ReadoutStream(np.concatenate(ch), seq.f_samp) for ch in zip(*blocks))
+    streams = _joined(seq.f_samp, n_sequences, draws, build, 3)
+    return tuple(ReadoutStream(samples, seq.f_samp) for samples in streams)
 
 
 def _chunk_length(interval: TimeSeconds, f_samp: FrequencyHz, n_samples: int) -> int:
@@ -354,42 +405,23 @@ def _chunk_length(interval: TimeSeconds, f_samp: FrequencyHz, n_samples: int) ->
 
 class _SpectrumSum:
     """Running sum of the amplitude-normalized magnitude spectra of n-sample
-    chunks, added one chunk after another in stream order.
+    chunks, added one row after another in stream order.
 
     numpy reduces a C-ordered matrix along axis 0 one row after another, so
     this sum, divided by the chunk count, equals ``mean(axis=0)`` of the
     stacked chunk spectra bit for bit.
     """
 
-    def __init__(self, n: int, f_samp: FrequencyHz, window: str | None = None) -> None:
-        if window not in (None, "hann"):
-            raise ValueError(f"unknown window {window!r}; use None or 'hann'")
+    def __init__(self, n: int, f_samp: FrequencyHz) -> None:
         self.n = n
         self.f_samp = f_samp
-        self.weights = None
-        if window == "hann":
-            w = np.hanning(n)
-            self.weights = w / np.mean(w)
         self.total = np.zeros(n // 2 + 1)
         self.n_chunks = 0
 
-    def add(self, samples: np.ndarray) -> None:
-        """Add the whole chunks of ``samples``; a trailing partial chunk is dropped."""
-        n = self.n
-        data = samples[: samples.size // n * n].reshape(-1, n)
-        rows = max(1, _BLOCK_SAMPLES // n)
-        for lo in range(0, data.shape[0], rows):
-            block = data[lo : lo + rows]
-            if self.weights is not None:
-                block = block * self.weights
-            spectra = np.abs(np.fft.rfft(block, axis=1))
-            spectra *= math.sqrt(2.0) / n
-            spectra[:, 0] /= math.sqrt(2.0)
-            if n % 2 == 0:
-                spectra[:, -1] /= math.sqrt(2.0)
-            for row in spectra:
-                self.total += row
-            self.n_chunks += spectra.shape[0]
+    def add(self, spectra: np.ndarray) -> None:
+        for row in spectra:
+            self.total += row
+        self.n_chunks += spectra.shape[0]
 
     def spectrum(self) -> AmplitudeSpectrum:
         chunk_seconds = self.n / self.f_samp
@@ -398,21 +430,86 @@ class _SpectrumSum:
         return AmplitudeSpectrum(freqs, asd, chunk_seconds, self.n_chunks, self.f_samp)
 
 
-def _block_spectra(n: int, f_samp: FrequencyHz, count: int, blocks) -> list[AmplitudeSpectrum]:
-    """Spectra of ``count`` streams given as blocks of whole n-sample chunks.
+def _magnitudes(chunks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Amplitude-normalized magnitude spectra of the rows of ``chunks``,
+    written over each row's first n // 2 + 1 samples and returned; the rfft
+    goes through the first rows of the complex buffer ``spectra``."""
+    rows, n = chunks.shape
+    spectrum = np.fft.rfft(chunks, axis=1, out=spectra[:rows])
+    mags = np.abs(spectrum, out=chunks[:, : n // 2 + 1])
+    mags *= math.sqrt(2.0) / n
+    mags[:, 0] /= math.sqrt(2.0)
+    if n % 2 == 0:
+        mags[:, -1] /= math.sqrt(2.0)
+    return mags
 
-    Each item of ``blocks`` holds the next block of every stream.  A block's
-    ``count`` additions run as tasks on the lanes of one
-    :func:`~mwnoise.spin_simulator._lanes` pool, and the next block is built
-    once they are all done, so each sum takes its blocks in stream order on
-    any number of lanes and every bit is that of one lane.
+
+def _pieces(count: int, chunks: int, lanes: int) -> list[list[tuple[int, int, int]]]:
+    """Per lane, its (stream, first chunk, end chunk) pieces of ``count``
+    streams of ``chunks`` chunks each, laid stream after stream and split
+    into ``lanes`` ranges that differ by at most one chunk."""
+    bounds = [count * chunks * lane // lanes for lane in range(lanes + 1)]
+    return [
+        [
+            (k, max(lo - k * chunks, 0), min(hi - k * chunks, chunks))
+            for k in range(count)
+            if lo < (k + 1) * chunks and hi > k * chunks
+        ]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _block_spectra(
+    f_samp: FrequencyHz, n_seq: int, n: int, draws, build
+) -> list[AmplitudeSpectrum]:
+    """Spectra of the n-sample chunks of the streams of :func:`_stream_blocks`
+    (same arguments).
+
+    The walk runs on the lanes of one :func:`~mwnoise.spin_simulator._lanes`
+    pool, one lane per stream up to the cap and the usable CPUs.  Each
+    block's whole chunks, stream after stream, are split evenly over the
+    lanes (:func:`_pieces`).  A lane transforms each of its pieces in one
+    call, through a complex buffer of its own, and writes the magnitudes
+    over the piece's samples.  A piece that begins its stream's block is
+    added to that stream's sum on the lane; any other piece follows one that
+    another lane holds, and is added once the run returns, in lane order.
+    So each sum adds its rows in stream order and every bit is the same on
+    any number of lanes.
     """
+    # numpy's rfft allocates and frees its working arrays on every call, and
+    # at a Bluestein length on every row, megabytes each.  glibc maps an
+    # allocation above its mmap threshold afresh and trims freed heap above
+    # twice that threshold, so those arrays are page-faulted anew until a
+    # freed mapping raises the threshold to its size, and the walk frees
+    # nothing while it runs.  Freeing one block-sized array first raises it:
+    # a 600 s XY8-1 pipeline then takes 0.22 M page faults instead of 0.98 M.
+    # A larger array cuts them further but keeps more freed heap resident.
+    np.empty(_BLOCK_SAMPLES)
+    count = len(draws)
+    lanes = _lane_count(count)
+    rows = max(1, _BLOCK_SAMPLES // n)
     sums = [_SpectrumSum(n, f_samp) for _ in range(count)]
-    with _lanes(count) as run:
-        for block in blocks:
-            run(_SpectrumSum.add, sums, block)
-            # Free this block's arrays before the next one is built.
-            del block
+    spectra = [
+        np.empty((min(rows, -(-count * rows // lanes)), n // 2 + 1), complex) for _ in range(lanes)
+    ]
+
+    def transform(buffer, pieces):
+        # Runs on a lane: writes only this lane's buffer and pieces, and the
+        # sums of the pieces that begin their stream's block.
+        later = []
+        for k, lo, hi in pieces:
+            mags = _magnitudes(block[k][lo * n : hi * n].reshape(-1, n), buffer)
+            if lo == 0:
+                sums[k].add(mags)
+            else:
+                later.append((k, mags))
+        return later
+
+    with _lanes(lanes) as run:
+        for block in _stream_blocks(f_samp, n_seq, n, draws, build, run, lanes):
+            for later in run(transform, spectra, _pieces(count, block[0].size // n, lanes)):
+                for k, mags in later:
+                    sums[k].add(mags)
     return [total.spectrum() for total in sums]
 
 
@@ -431,9 +528,26 @@ def amplitude_spectrum(
     of wider peaks.
     """
     n = _chunk_length(interval, stream.f_samp, stream.samples.size)
-    total = _SpectrumSum(n, stream.f_samp, window)
-    total.add(stream.samples)
-    return total.spectrum()
+    if window not in (None, "hann"):
+        raise ValueError(f"unknown window {window!r}; use None or 'hann'")
+    weights = None
+    if window == "hann":
+        w = np.hanning(n)
+        weights = w / np.mean(w)
+    samples = stream.samples
+    pos = 0
+
+    def copy(out):
+        # The walk writes the magnitudes over its buffer, never over the stream.
+        nonlocal pos
+        part = samples[pos : pos + out.size]
+        pos += out.size
+        if weights is None:
+            out[:] = part
+        else:
+            np.multiply(part.reshape(-1, n), weights, out=out.reshape(-1, n))
+
+    return _block_spectra(stream.f_samp, samples.size // n * n, n, [copy], None)[0]
 
 
 def stream_spectra(
@@ -456,10 +570,10 @@ def stream_spectra(
     """
     n_seq = _sequence_count(duration, seq.f_samp)
     n = _chunk_length(interval, seq.f_samp, n_seq)
-    blocks = _readout_blocks(
-        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), n_seq, n, seed
+    draws, build = _readout_terms(
+        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), seed
     )
-    spectra = _block_spectra(n, seq.f_samp, 1 if process is None else 2, blocks)
+    spectra = _block_spectra(seq.f_samp, n_seq, n, draws, build)
     return spectra[0], None if process is None else spectra[1]
 
 
@@ -482,11 +596,11 @@ def gradiometer_spectra(
     channel 2, difference).
     """
     n = _chunk_length(interval, seq.f_samp, n_sequences)
-    blocks = _gradiometer_blocks(
-        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, n, seed,
+    draws, build = _gradiometer_terms(
+        seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, seed,
         f_uniform, f_gradient, channel_gains,
     )
-    return tuple(_block_spectra(n, seq.f_samp, 3, blocks))
+    return tuple(_block_spectra(seq.f_samp, n_sequences, n, draws, build))
 
 
 @dataclass(frozen=True)

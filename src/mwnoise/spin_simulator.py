@@ -89,17 +89,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _lane_count(tasks: int) -> int:
+    """Threads of the pool of :func:`_lanes` for ``tasks`` tasks per run:
+    min(tasks, ``_LANE_CAP``, usable CPUs)."""
+    return min(tasks, _LANE_CAP, _usable_cpus())
+
+
 @contextmanager
 def _lanes(tasks: int):
     """Context of a ``run(fn, *iterables)`` that calls ``fn`` on the zipped
     items, at most ``tasks`` per run, and returns the results in order.
 
-    The calls run on one pool of min(tasks, ``_LANE_CAP``, usable CPUs)
-    threads, kept for every ``run`` of the context, or inline, in order, when
-    that is one.  ``fn`` must release the GIL for the lanes to overlap and
-    must write nothing another call of the same ``run`` reads or writes.
+    The calls run on one pool of :func:`_lane_count` threads, kept for every
+    ``run`` of the context, or inline, in order, when that is one.  ``fn``
+    must release the GIL for the lanes to overlap and must write nothing
+    another call of the same ``run`` reads or writes.
     """
-    lanes = min(tasks, _LANE_CAP, _usable_cpus())
+    lanes = _lane_count(tasks)
     if lanes <= 1:
         yield lambda fn, *items: list(map(fn, *items))
         return
@@ -218,13 +224,14 @@ def phi_tot_batch(
     the pulse count; :func:`monte_carlo_sigma_phi` keeps per-realization
     sampling as the check.
     """
-    return _phi_tot_draws(seq, process, seed)(n_realizations)
+    return _phi_tot_draws(seq, process, seed)(np.empty(n_realizations))
 
 
 def _phi_tot_draws(
     seq: PulseSequence, process: NoiseProcess, seed: int
-) -> Callable[[int], np.ndarray]:
-    """Function returning the next ``size`` phi_tot samples of one stream.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Function writing the next ``out.size`` phi_tot samples of one stream
+    into ``out``.
 
     Consecutive calls continue one keyed stream, so the samples of calls of
     sizes a, b, ... equal those of one call of size a + b + ...; the chunked
@@ -279,14 +286,18 @@ def _phi_tot_coefficients(
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, idx = _psd_track_layout(times, process.f_cutoff)
     n = int(round(duration / dt))
-    psd = np.zeros(n // 2 + 1)
-    psd[1:] = ssb_to_psd(process.spectrum, np.fft.rfftfreq(n, dt)[1:])
     comb = np.zeros(n)
     np.add.at(comb, idx, np.concatenate(([-np.sum(weights)], weights)))
     transfer = np.fft.rfft(comb)
-    gain = np.sqrt(psd / (n * dt))
+    del comb
+    # gain = sqrt(S / (n dt)) and then v, in one array: at XY8-512 each of
+    # these arrays takes 7 MB.
+    gain = np.zeros(n // 2 + 1)
+    gain[1:] = ssb_to_psd(process.spectrum, np.fft.rfftfreq(n, dt)[1:])
+    gain /= n * dt
+    np.sqrt(gain, out=gain)
     u = gain * transfer.real
-    v = gain * transfer.imag
+    v = np.multiply(gain, transfer.imag, out=gain)
     if n % 2 == 0:
         u[-1] /= math.sqrt(2.0)
         v[-1] = 0.0

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, tables, sweeps, determinism."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -290,7 +291,8 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # The CLI imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n")
     out = tmp_path / "ff.csv"
     assert main(["filter-fn", "--config", cfg, "--out", str(out), "--workers", "64"]) == EXIT_OK
@@ -397,6 +399,20 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from mwnoise.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # Only a sweep with [run] workers > 1 starts a process pool, so importing
+    # the CLI does not import concurrent.futures.process.
+    probe = (
+        "import sys, mwnoise.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -325,6 +325,78 @@ def test_stream_spectra_bits_independent_of_lanes(monkeypatch, force_lanes):
         sys.setswitchinterval(switch)
 
 
+def _walk_arrays(case):
+    # The streams and spectra of one build path of the stream walk.
+    proc = mw.WhiteNoise(4e-3)
+    if case == "gradiometer-gains":
+        args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, 5 * 42134 + 11)
+        kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.1, 0.9)}
+        streams = mw.simulate_gradiometer(*args, 31, **kwargs)
+        spectra = mw.gradiometer_spectra(*args, 1.0, 31, **kwargs)
+    else:
+        process, shot = (proc, 0.0) if case == "no-shot" else (None, 2e-3)
+        streams = [mw.synthesize_stream(XY8_1, process, 90e-12, 457.9e3, shot, 7.0, seed=23)]
+        spectra = mw.stream_spectra(XY8_1, process, 90e-12, 457.9e3, shot, 7.0, 1.0, seed=23)
+        assert (spectra[1] is None) == (process is None)
+    return [stream.samples for stream in streams] + [s.asd for s in spectra if s is not None]
+
+
+@pytest.mark.parametrize("case", ["no-shot", "noiseless", "gradiometer-gains"])
+def test_stream_build_paths_bits_independent_of_lanes(monkeypatch, force_lanes, case):
+    # Each block's draws, its elementwise build over sample ranges and its
+    # transforms run as lane tasks.  Without shot draws the noise-off stream
+    # is the tone itself, and without phase noise only that stream exists;
+    # the gradiometer scales each channel by its own gain.  Every path gives
+    # the same bits on one, two and three lanes, and the one-lane streams
+    # and spectra without shot draws or phase noise are those of the
+    # expression built in one piece.
+    n_seq = round(7.0 * XY8_1.f_samp)
+    want = None
+    if case == "no-shot":
+        on = _reference_stream(XY8_1, mw.WhiteNoise(4e-3), 90e-12, 457.9e3, 0.0, n_seq, 23)
+        tone = _reference_stream(XY8_1, None, 90e-12, 457.9e3, 0.0, n_seq, 23)
+        want = [on, *(_reference_asd(x, 42134, XY8_1.f_samp) for x in (on, tone))]
+    elif case == "noiseless":
+        off = _reference_stream(XY8_1, None, 90e-12, 457.9e3, 2e-3, n_seq, 23)
+        want = [off, _reference_asd(off, 42134, XY8_1.f_samp)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block in _block_sizes(42134):
+            monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+            runs = []
+            for cap in (1, 2, 3):
+                force_lanes(cap)
+                runs.append(_walk_arrays(case))
+            for run in [*runs[1:], *([want] if want else [])]:
+                assert len(run) == len(runs[0])
+                for got, expected in zip(runs[0], run):
+                    assert_array_equal(got, expected)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_joined_streams_own_their_samples(monkeypatch):
+    # The walk reuses its block buffers, so the wrappers copy every block
+    # out: no two streams share memory, within a call or across calls, and
+    # a later call leaves an earlier stream as it was.
+    monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", 10000)
+    proc = mw.WhiteNoise(4e-3)
+    first = mw.synthesize_stream(XY8_1, proc, 90e-12, 457.9e3, 2e-3, 1.0, seed=1).samples
+    kept = first.copy()
+    second = mw.synthesize_stream(XY8_1, proc, 90e-12, 457.9e3, 2e-3, 1.0, seed=2).samples
+    assert not np.shares_memory(first, second)
+    assert_array_equal(first, kept)
+    args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, 42134)
+    streams = [s.samples for s in mw.simulate_gradiometer(*args, 5)]
+    kept = [stream.copy() for stream in streams]
+    streams += [s.samples for s in mw.simulate_gradiometer(*args, 6)]
+    for i, stream in enumerate(streams):
+        assert not any(np.shares_memory(stream, other) for other in streams[i + 1 :])
+    for stream, want in zip(streams, kept):
+        assert_array_equal(stream, want)
+
+
 def test_stream_spectra_lane_counts(force_lanes):
     # One lane per sum, up to the cap and the usable CPUs: none for a
     # noiseless stream, whose one sum runs inline.

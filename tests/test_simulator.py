@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import mwnoise as mw
 from mwnoise import spin_simulator
 from mwnoise.noise_models import (
+    _fft_length,
     _psd_track_layout,
     _track_chunks,
     sample_pulse_phases_batch,
@@ -209,6 +210,27 @@ def test_psd_grid_track_span_within_filter_accuracy(preset, n_r):
     assert abs(psd_sigma_phi_grid(proc, seq) / want - 1.0) <= 2e-3
 
 
+def test_psd_track_length_is_the_next_even_11_smooth_length():
+    # The track length is rounded up to an even length with no prime factor
+    # above 11, so no transform of the track needs Bluestein's algorithm;
+    # unrounded, XY8-16's comb has the prime factor 1 597.
+    def smooth(m):
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    lengths = [m for m in range(2, 6000, 2) if smooth(m)]
+    for n in range(2, 5000):
+        assert _fft_length(n) == next(m for m in lengths if m >= n), n
+    proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
+    for n_r, want in ((1, 3500), (8, 28000), (16, 55902)):
+        seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+        times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+        duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
+        assert int(round(duration / dt)) == want
+
+
 def test_psd_monte_carlo_matches_time_domain_tracks():
     # The frequency-domain Monte Carlo reads the same draws as the tracks of
     # the time-domain sampler, chunk by chunk, so each realization agrees.
@@ -286,8 +308,8 @@ def test_pulse_monte_carlo_bits_independent_of_lanes(
 
 
 def test_psd_monte_carlo_keeps_lanes_at_xy8_8(force_lanes):
-    # 250 realizations of XY8-8 make two 150-realization chunks of its
-    # 27 948-sample tracks, so the run draws on two threads.
+    # 250 realizations of XY8-8 make two chunks of at most 149 realizations
+    # of its 28 000-sample tracks, so the run draws on two threads.
     proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
     sizes = force_lanes(4)
