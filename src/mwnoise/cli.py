@@ -703,7 +703,12 @@ def cmd_calibrate(cfg: dict, args) -> None:
         raise ConfigError(f"cannot parse calibration data: {exc}") from None
     if data.size == 0:
         raise ConfigError(f"{path}: no v_test,v_nv rows found")
-    fit = fit_calibration(data[:, 0], data[:, 1], seq)
+    try:
+        fit = fit_calibration(data[:, 0], data[:, 1], seq)
+    except ValueError as exc:
+        # Data the fit cannot take at all (too few rows, a negative amplitude,
+        # no positive v_test); a fit that runs and fails is a FitError, exit 3.
+        raise ConfigError(f"{path}: invalid calibration data: {exc}") from None
     rows = [[fit.v_max, fit.kappa, fit.residual_rms]]
     _emit_table(
         cfg,

@@ -711,6 +711,65 @@ _CAL_BISECTIONS = 60
 _CAL_BLOCK = 2**17
 
 
+def _calibration_rows(
+    arg_scale: float, v_test: np.ndarray, v_nv: np.ndarray, kappa: np.ndarray, slope: bool
+) -> np.ndarray:
+    """Rows (best v_max, cost) at each kappa, and the cost's slope / (2a) if ``slope``."""
+    rows = max(1, _CAL_BLOCK // v_test.size)
+    out = np.empty((3 if slope else 2, kappa.size))
+    for start in range(0, kappa.size, rows):
+        arg = arg_scale * kappa[start : start + rows, None] * v_test
+        sin = np.sin(arg)
+        s = np.abs(sin)
+        v_max = np.sum(s * v_nv, axis=1) / np.sum(s * s, axis=1)
+        residuals = v_max[:, None] * s - v_nv
+        block = out[:, start : start + rows]
+        block[0], block[1] = v_max, np.sum(residuals**2, axis=1)
+        if slope:
+            # At the best v_max the slope is 2 v_max <ds/dkappa, residuals>,
+            # and ds/dkappa = a v_test sign(sin(arg)) cos(arg).
+            block[2] = v_max * np.sum(residuals * v_test * np.sign(sin) * np.cos(arg), axis=1)
+    return out
+
+
+def _calibration_bounds(
+    arg_scale: float, v_test: np.ndarray, v_nv: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the projected cost over each bracket [lo, hi].
+
+    Over a bracket each s_i = |sin(a kappa v_i)| lies between its values at
+    the two ends, widened to 0 where the argument crosses a multiple of pi
+    and to 1 where it crosses pi/2 + k pi.  With v_nv >= 0 that bounds
+    <s, v_nv> and <s, s>, and so the cost ||v_nv||^2 - <s, v_nv>^2 / <s, s>;
+    the lower bound is -inf where s can vanish at every point.  The argument
+    is rounded as :func:`_calibration_rows` rounds it, so every kappa it
+    evaluates in the bracket lies between the two ends' arguments.
+    """
+    rows = max(1, _CAL_BLOCK // v_test.size)
+    sums = np.empty((4, lo.size))
+    for start in range(0, lo.size, rows):
+        arg_lo = arg_scale * lo[start : start + rows, None] * v_test
+        arg_hi = arg_scale * hi[start : start + rows, None] * v_test
+        s_lo, s_hi = np.abs(np.sin(arg_lo)), np.abs(np.sin(arg_hi))
+        s_max = np.maximum(s_lo, s_hi)
+        s_min = np.minimum(s_lo, s_hi, out=s_lo)
+        del s_hi
+        arg_lo /= math.pi
+        arg_hi /= math.pi
+        s_min[np.floor(arg_hi) > np.floor(arg_lo)] = 0.0
+        s_max[np.floor(arg_hi + 0.5) > np.floor(arg_lo + 0.5)] = 1.0
+        sums[:, start : start + rows] = (
+            np.sum(s_min * v_nv, axis=1),
+            np.sum(s_max * v_nv, axis=1),
+            np.sum(s_min * s_min, axis=1),
+            np.sum(s_max * s_max, axis=1),
+        )
+    low_dot, high_dot, low_norm, high_norm = sums
+    norm = np.sum(v_nv**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return norm - high_dot**2 / low_norm, norm - low_dot**2 / high_norm
+
+
 def fit_calibration(
     v_test,
     v_nv,
@@ -731,6 +790,14 @@ def fit_calibration(
     bisection on the sign of the cost's slope.  Among the refined minima
     whose cost is within 1e-6 * sum(v_nv^2) of the lowest, the smallest
     kappa is kept.
+    Before each bisection step, interval bounds on the cost over every
+    bracket (:func:`_calibration_bounds`) drop the brackets whose lower bound
+    lies above the least upper bound by more than that tie band: their
+    refined cost could be neither the lowest nor a near-tie.  The bounds are
+    taken again while they still drop brackets.  Every kept bracket is
+    bisected exactly as without the pruning and each kappa's cost is
+    computed alone, so kappa, v_max and the residual are those of bisecting
+    every grid minimum, bit for bit, in a fraction of the time.
     Raises ValueError unless the data are finite, nonnegative 1-D arrays of
     at least 6 points, and :class:`FitError` when the best residual rms
     exceeds 10% of the fitted v_max.
@@ -756,32 +823,27 @@ def fit_calibration(
     # applied voltage is the natural scale of the problem.
     kappa_scale = 0.5 * math.pi / (arg_scale * v_span)
 
-    rows = max(1, _CAL_BLOCK // v_test.size)
-
-    def project(kappa: np.ndarray) -> np.ndarray:
-        """Rows (best v_max, cost, slope of the cost / (2a)) at each kappa."""
-        out = np.empty((3, kappa.size))
-        for start in range(0, kappa.size, rows):
-            arg = arg_scale * kappa[start : start + rows, None] * v_test
-            sin = np.sin(arg)
-            s = np.abs(sin)
-            v_max = np.sum(s * v_nv, axis=1) / np.sum(s * s, axis=1)
-            residuals = v_max[:, None] * s - v_nv
-            # At the best v_max the slope is 2 v_max <ds/dkappa, residuals>,
-            # and ds/dkappa = a v_test sign(sin(arg)) cos(arg).
-            slope = v_max * np.sum(residuals * v_test * np.sign(sin) * np.cos(arg), axis=1)
-            out[:, start : start + rows] = v_max, np.sum(residuals**2, axis=1), slope
-        return out
-
+    tie = 1e-6 * float(np.sum(v_nv**2))
     grid = kappa_scale * np.logspace(-1.0, 3.0, _CAL_GRID_POINTS)
-    cost = project(grid)[1]
+    cost = _calibration_rows(arg_scale, v_test, v_nv, grid, slope=False)[1]
     padded = np.concatenate(([np.inf], cost, [np.inf]))
     minima = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
     lo = grid[np.maximum(minima - 1, 0)]
     hi = grid[np.minimum(minima + 1, grid.size - 1)]
+    pruning = True
     for _ in range(_CAL_BISECTIONS):
+        if pruning:
+            # Each bracket ends with its kappa inside it, so one whose lower
+            # bound exceeds the least upper bound by more than the tie band
+            # (plus 1e-9 of sum(v_nv^2) for rounding) can be neither the best
+            # nor a near-tie.  Narrower brackets give tighter bounds, so they
+            # are taken again while they still drop brackets.
+            low, high = _calibration_bounds(arg_scale, v_test, v_nv, lo, hi)
+            keep = ~(low > np.min(high) + tie + 1e-3 * tie)
+            pruning = not keep.all()
+            lo, hi = lo[keep], hi[keep]
         mid = 0.5 * (lo + hi)
-        rising = project(mid)[2] > 0
+        rising = _calibration_rows(arg_scale, v_test, v_nv, mid, slope=True)[2] > 0
         new_lo, new_hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
         # A step that moves no bracket is a fixed point: every later step
         # would recompute the same midpoints and slope signs.
@@ -789,12 +851,12 @@ def fit_calibration(
             break
         lo, hi = new_lo, new_hi
     kappa = 0.5 * (lo + hi)
-    v_max, cost, _ = project(kappa)
+    v_max, cost = _calibration_rows(arg_scale, v_test, v_nv, kappa, slope=False)
     # A rectified sine sampled on a grid aliases: kappa values whose argument
     # spacing agrees modulo pi reproduce the same points exactly, so several
     # minima can have equal cost.  The fundamental is the smallest such
     # kappa; prefer it among near-ties.
-    tied = np.flatnonzero(cost <= cost.min() + 1e-6 * float(np.sum(v_nv**2)))
+    tied = np.flatnonzero(cost <= cost.min() + tie)
     best = tied[np.argmin(kappa[tied])]
     v_max_fit, kappa_fit = float(v_max[best]), float(kappa[best])
     residual_rms = math.sqrt(float(cost[best]) / v_nv.size)

@@ -662,6 +662,28 @@ def test_calibrate_data_directory_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0.0, 0.0), (0.01, 0.1), (0.02, 0.2)],
+        [(0.01 * k, math.sin(0.2 * k)) for k in range(25)],
+        [(0.0, abs(math.sin(0.1 * k))) for k in range(25)],
+    ],
+    ids=["three-rows", "negative-v-nv", "all-v-test-zero"],
+)
+def test_calibrate_unfittable_data_is_config_error(tmp_path, rows):
+    # Well-formed rows that the fit rejects as input are a configuration
+    # error, not a numeric failure.
+    data = tmp_path / "cal.csv"
+    data.write_text("v_test,v_nv\n" + "\n".join(f"{a!r},{b!r}" for a, b in rows) + "\n")
+    cfg = _write_config(tmp_path, BASE_SEQUENCE)
+    out = tmp_path / "fit.csv"
+    assert main(
+        ["calibrate", "--config", cfg, "--data", str(data), "--out", str(out)]
+    ) == EXIT_CONFIG
+    assert not out.exists()
+
+
 # --- exit codes and provenance -----------------------------------------------------
 
 def test_exit_code_unknown_key(tmp_path):

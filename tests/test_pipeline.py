@@ -607,6 +607,141 @@ def test_calibration_memory_is_flat_in_data_length(monkeypatch):
     assert mw.fit_calibration(v_test, v_nv, seq) == fit
 
 
+def _exhaustive_fit(v_test, v_nv, seq):
+    """(v_max, kappa, residual_rms) with every grid minimum bisected.
+
+    The calibration fit without pruning: the reference that
+    ``fit_calibration`` must equal bit for bit.
+    """
+    arg_scale = 4.0 * math.sqrt(2.0) * mw.GAMMA_NV * seq.tau_tot
+    kappa_scale = 0.5 * math.pi / (arg_scale * float(np.max(v_test)))
+    rows = max(1, 2**17 // v_test.size)
+
+    def project(kappa):
+        out = np.empty((3, kappa.size))
+        for start in range(0, kappa.size, rows):
+            arg = arg_scale * kappa[start : start + rows, None] * v_test
+            sin = np.sin(arg)
+            s = np.abs(sin)
+            v_max = np.sum(s * v_nv, axis=1) / np.sum(s * s, axis=1)
+            residuals = v_max[:, None] * s - v_nv
+            slope = v_max * np.sum(residuals * v_test * np.sign(sin) * np.cos(arg), axis=1)
+            out[:, start : start + rows] = v_max, np.sum(residuals**2, axis=1), slope
+        return out
+
+    grid = kappa_scale * np.logspace(-1.0, 3.0, signal_pipeline._CAL_GRID_POINTS)
+    cost = project(grid)[1]
+    padded = np.concatenate(([np.inf], cost, [np.inf]))
+    minima = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
+    lo = grid[np.maximum(minima - 1, 0)]
+    hi = grid[np.minimum(minima + 1, grid.size - 1)]
+    for _ in range(signal_pipeline._CAL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        rising = project(mid)[2] > 0
+        new_lo, new_hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    kappa = 0.5 * (lo + hi)
+    v_max, cost, _ = project(kappa)
+    tied = np.flatnonzero(cost <= cost.min() + 1e-6 * float(np.sum(v_nv**2)))
+    best = tied[np.argmin(kappa[tied])]
+    return float(v_max[best]), float(kappa[best]), math.sqrt(float(cost[best]) / v_nv.size)
+
+
+def _criterion_12_data():
+    """The seven (v_test, v_nv) sets of acceptance criterion 12."""
+    arg_scale = 4.0 * math.sqrt(2.0) * mw.GAMMA_NV * _table_seq().tau_tot
+    rng = np.random.default_rng(99)
+    for kappa in np.logspace(-7, -4, 7):
+        v_test = np.linspace(0.0, 2.4 * (0.5 * math.pi) / (arg_scale * kappa), 25)
+        clean = 0.83 * np.abs(np.sin(arg_scale * kappa * v_test))
+        yield v_test, clean * (1.0 + 0.01 * rng.standard_normal(clean.size))
+
+
+def _calibration_corpus():
+    """Criterion 12's data, then 6 to 600 points, even and uneven, 0-5 % noise."""
+    yield from _criterion_12_data()
+    arg_scale = 4.0 * math.sqrt(2.0) * mw.GAMMA_NV * _table_seq().tau_tot
+    rng = np.random.default_rng(2207)
+    for i, (n, even) in enumerate((n, even) for n in (6, 25, 200, 600) for even in (True, False)):
+        kappa = 10.0 ** (-7.0 + 3.0 * i / 7)
+        noise = (0.0, 0.005, 0.02, 0.05)[i % 4]
+        v_span = 2.4 * (0.5 * math.pi) / (arg_scale * kappa)
+        if even:
+            v_test = np.linspace(0.0, v_span, n)
+        else:
+            v_test = np.sort(rng.uniform(0.0, v_span, n))
+        clean = rng.uniform(0.4, 1.2) * np.abs(np.sin(arg_scale * kappa * v_test))
+        yield v_test, clean * (1.0 + noise * rng.standard_normal(n))
+
+
+def test_calibration_equals_exhaustive_bisection(monkeypatch):
+    # Pruning drops only brackets whose refined cost could not reach the
+    # near-tie band, so kappa, v_max and the residual keep every bit, in any
+    # block size.
+    seq = _table_seq()
+    for v_test, v_nv in _calibration_corpus():
+        want = _exhaustive_fit(v_test, v_nv, seq)
+        for block in (signal_pipeline._CAL_BLOCK, 2**14):
+            with monkeypatch.context() as patch:
+                patch.setattr(signal_pipeline, "_CAL_BLOCK", block)
+                fit = mw.fit_calibration(v_test, v_nv, seq)
+            assert (fit.v_max, fit.kappa, fit.residual_rms) == want
+
+
+def test_calibration_bounds_hold_the_cost():
+    # The interval bounds contain the projected cost at every kappa of the
+    # bracket: brackets from 1e-6 to 2x wide, across peaks and zeros of |sin|,
+    # and last one centred where every point sits on a peak of |sin| and the
+    # cost is 0, which the lower bound sees only if it widens s to 1 there.
+    rng = np.random.default_rng(23)
+    arg_scale = 4.0 * math.sqrt(2.0) * mw.GAMMA_NV * _table_seq().tau_tot
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(6, 80))
+        v_test = rng.uniform(0.0, 1.0, n)
+        v_test[0] = 0.0
+        scale = 0.5 * math.pi / (arg_scale * float(np.max(v_test)))
+        lo = scale * 10.0 ** rng.uniform(-1.0, 3.0, 8)
+        hi = lo * (1.0 + 10.0 ** rng.uniform(-6.0, 0.0, 8))
+        cases.append((v_test, rng.uniform(0.0, 1.0, n), lo, hi))
+    v_test = np.array([0.0, 1.0, 3.0, 5.0, 7.0, 9.0])
+    peak = 0.5 * math.pi / arg_scale
+    cases.append((v_test, np.abs(np.sin(0.5 * math.pi * v_test)),
+                  peak * np.array([0.999]), peak * np.array([1.001])))
+    for v_test, v_nv, lo, hi in cases:
+        low, high = signal_pipeline._calibration_bounds(arg_scale, v_test, v_nv, lo, hi)
+        for j in range(lo.size):
+            kappa = np.linspace(lo[j], hi[j], 1000)
+            cost = signal_pipeline._calibration_rows(arg_scale, v_test, v_nv, kappa, False)[1]
+            assert low[j] <= cost.min()
+            assert high[j] >= cost.max()
+
+
+def test_calibration_refines_a_third_of_the_exhaustive_rows(monkeypatch):
+    # Count the kappa rows each fit passes to np.sin beyond its grid: the
+    # bisection steps, the bounds' two ends and the final evaluation.
+    seq = _table_seq()
+    sin = np.sin
+    counted = []
+
+    def counting_sin(x, *args, **kwargs):
+        counted.append(x.size)
+        return sin(x, *args, **kwargs)
+
+    rows = {}
+    for name, fit in (("exhaustive", _exhaustive_fit), ("pruned", mw.fit_calibration)):
+        rows[name] = 0
+        for v_test, v_nv in _criterion_12_data():
+            counted.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "sin", counting_sin)
+                fit(v_test, v_nv, seq)
+            rows[name] += sum(counted) // v_test.size - signal_pipeline._CAL_GRID_POINTS
+    assert 3 * rows["pruned"] <= rows["exhaustive"]
+
+
 # --- CSV round trips -------------------------------------------------------------
 
 def test_stream_csv_rejects_malformed_rows(tmp_path):
