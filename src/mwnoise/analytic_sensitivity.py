@@ -81,15 +81,12 @@ class CwModel:
 
     contrast: float
     linewidth: FrequencyHz
-    f_cutoff: FrequencyHz = DEFAULT_F_CUTOFF_CW
 
     def __post_init__(self) -> None:
         if not 0 < self.contrast <= 1:
             raise ValueError("contrast must be in (0, 1]")
         if self.linewidth <= 0:
             raise ValueError("linewidth must be positive")
-        if self.f_cutoff <= 0:
-            raise ValueError("f_cutoff must be positive")
 
 
 def sigma_phi_filter(

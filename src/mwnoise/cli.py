@@ -457,34 +457,34 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
     return points
 
 
-def _one_lane() -> None:
-    """Sweep worker initializer: one lane, so every Monte Carlo draws and
-    every stream block's spectrum sums transform on the worker's own thread,
-    and the pool's processes and a point's threads never multiply."""
-    spin_simulator._LANE_CAP = 1
-
-
 def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list[list], object]:
     """Evaluate ``point_fn(point_cfg) -> (rows, extra)`` at every sweep point,
     in a process pool when [run] workers > 1, keeping the input order.
 
     ``point_fn`` is sent to the pool, so it is a module-level function or a
     ``functools.partial`` of one.  Returns the table's columns and rows, led
-    by the sweep axis when there is one, and the last point's ``extra``.
+    by the sweep axis when there is one, and the last point's ``extra``.  A
+    worker process that ends abruptly (an out-of-memory kill, say) is a
+    configuration error, as is a run too large to allocate.
     """
     points = _sweep_configs(cfg)
     configs = [point for _, point in points]
     workers = cfg["run"]["workers"]
     if workers > 1 and len(points) > 1:
         # Imported here: no other run needs the process pool's modules.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # At most one process per point: with the fork start method the pool
         # starts all its workers at once, however few points there are.
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(points)), initializer=_one_lane
-        ) as pool:
-            results = list(pool.map(point_fn, configs))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(points)), initializer=spin_simulator._one_lane
+            ) as pool:
+                results = list(pool.map(point_fn, configs))
+        except BrokenExecutor:
+            raise ConfigError(
+                "a sweep worker process ended abruptly (killed, perhaps for lack of memory)"
+            ) from None
     else:
         results = [point_fn(point) for point in configs]
     axis = cfg["sweep"]["axis"]
@@ -788,9 +788,14 @@ def main(argv: list[str] | None = None) -> int:
             cfg["run"]["workers"] = args.workers
         if getattr(args, "n_realizations", None) is not None:
             cfg["run"]["n_realizations"] = args.n_realizations
-        for out in (args.out, getattr(args, "spectrum_out", None)):
-            if out is not None and not Path(out).parent.is_dir():
+        # "--out -" is stdout.
+        for out in (None if args.out == "-" else args.out, getattr(args, "spectrum_out", None)):
+            if out is None:
+                continue
+            if not Path(out).parent.is_dir():
                 raise ConfigError(f"output directory not found: {Path(out).parent}")
+            if Path(out).is_dir():
+                raise ConfigError(f"output path is a directory: {out}")
         _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"mwnoise: config error: {exc}", file=sys.stderr)

@@ -26,12 +26,13 @@ the duration.  Each step of a block runs as tasks on the lanes of one
 :func:`~mwnoise.spin_simulator._lanes` pool per walk: the draws one task per
 generator, the elementwise build over equal ranges of the block, and the
 transforms over equal shares of the block's chunks of every stream (see
-:func:`_block_spectra`).  Elementwise work is the same in any range and each
-sum still adds its chunks in stream order, so every bit is the same on any
-number of lanes.  :func:`stream_spectra` and :func:`gradiometer_spectra` run
-the walk; :func:`synthesize_stream`, :func:`simulate_gradiometer` and
-:func:`amplitude_spectrum` are wrappers over it that copy the blocks out or
-feed it a given stream.
+:func:`_block_spectra`).  A lane writes only its own buffers and ranges and
+returns its chunk spectra; the calling thread alone adds them to the sums,
+in stream order.  Elementwise work is the same in any range, so every bit
+is the same on any number of lanes.  :func:`stream_spectra` and
+:func:`gradiometer_spectra` run the walk; :func:`synthesize_stream`,
+:func:`simulate_gradiometer` and :func:`amplitude_spectrum` are wrappers
+over it that copy the blocks out or feed it a given stream.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .core import (
 from .analytic_sensitivity import ReadoutModel
 from .noise_models import NoiseProcess, _gaussian_stream, _keyed_rng
 from .pulse_sequences import PulseSequence
-from .spin_simulator import _lane_count, _lanes, _phi_tot_draws
+from .spin_simulator import _lanes, _phi_tot_draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +321,7 @@ def _joined(f_samp: FrequencyHz, n_seq: int, draws, build, count: int) -> list[n
     arguments, one-sample chunks), each block copied out of the walk's
     buffers into one new array per stream."""
     out = [np.empty(n_seq) for _ in range(count)]
-    lanes = _lane_count(len(draws))
-    with _lanes(lanes) as run:
+    with _lanes(len(draws)) as (run, lanes):
         lo = 0
         for block in _stream_blocks(f_samp, n_seq, 1, draws, build, run, lanes):
             hi = lo + block[0].size
@@ -403,33 +403,6 @@ def _chunk_length(interval: TimeSeconds, f_samp: FrequencyHz, n_samples: int) ->
     return n
 
 
-class _SpectrumSum:
-    """Running sum of the amplitude-normalized magnitude spectra of n-sample
-    chunks, added one row after another in stream order.
-
-    numpy reduces a C-ordered matrix along axis 0 one row after another, so
-    this sum, divided by the chunk count, equals ``mean(axis=0)`` of the
-    stacked chunk spectra bit for bit.
-    """
-
-    def __init__(self, n: int, f_samp: FrequencyHz) -> None:
-        self.n = n
-        self.f_samp = f_samp
-        self.total = np.zeros(n // 2 + 1)
-        self.n_chunks = 0
-
-    def add(self, spectra: np.ndarray) -> None:
-        for row in spectra:
-            self.total += row
-        self.n_chunks += spectra.shape[0]
-
-    def spectrum(self) -> AmplitudeSpectrum:
-        chunk_seconds = self.n / self.f_samp
-        asd = self.total / self.n_chunks * math.sqrt(chunk_seconds)
-        freqs = np.fft.rfftfreq(self.n, 1.0 / self.f_samp)
-        return AmplitudeSpectrum(freqs, asd, chunk_seconds, self.n_chunks, self.f_samp)
-
-
 def _magnitudes(chunks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Amplitude-normalized magnitude spectra of the rows of ``chunks``,
     written over each row's first n // 2 + 1 samples and returned; the rfft
@@ -469,12 +442,13 @@ def _block_spectra(
     pool, one lane per stream up to the cap and the usable CPUs.  Each
     block's whole chunks, stream after stream, are split evenly over the
     lanes (:func:`_pieces`).  A lane transforms each of its pieces in one
-    call, through a complex buffer of its own, and writes the magnitudes
-    over the piece's samples.  A piece that begins its stream's block is
-    added to that stream's sum on the lane; any other piece follows one that
-    another lane holds, and is added once the run returns, in lane order.
-    So each sum adds its rows in stream order and every bit is the same on
-    any number of lanes.
+    call, through a complex buffer of its own, writes the magnitudes over
+    the piece's samples and returns them; it writes no sum.  The calling
+    thread adds the returned rows to one sum per stream in lane order, which
+    is stream order, and numpy reduces a C-ordered matrix along axis 0 one
+    row after another, so each sum divided by the chunk count is
+    ``mean(axis=0)`` of the stream's stacked chunk spectra, and every bit is
+    the same on any number of lanes.
     """
     # numpy's rfft allocates and frees its working arrays on every call, and
     # at a Bluestein length on every row, megabytes each.  glibc maps an
@@ -486,31 +460,38 @@ def _block_spectra(
     # A larger array cuts them further but keeps more freed heap resident.
     np.empty(_BLOCK_SAMPLES)
     count = len(draws)
-    lanes = _lane_count(count)
     rows = max(1, _BLOCK_SAMPLES // n)
-    sums = [_SpectrumSum(n, f_samp) for _ in range(count)]
-    spectra = [
-        np.empty((min(rows, -(-count * rows // lanes)), n // 2 + 1), complex) for _ in range(lanes)
-    ]
+    totals = np.zeros((count, n // 2 + 1))
 
     def transform(buffer, pieces):
-        # Runs on a lane: writes only this lane's buffer and pieces, and the
-        # sums of the pieces that begin their stream's block.
-        later = []
-        for k, lo, hi in pieces:
-            mags = _magnitudes(block[k][lo * n : hi * n].reshape(-1, n), buffer)
-            if lo == 0:
-                sums[k].add(mags)
-            else:
-                later.append((k, mags))
-        return later
+        # Runs on a lane: writes only this lane's buffer and pieces.
+        return [
+            (k, _magnitudes(block[k][lo * n : hi * n].reshape(-1, n), buffer))
+            for k, lo, hi in pieces
+        ]
 
-    with _lanes(lanes) as run:
+    with _lanes(count) as (run, lanes):
+        spectra = [
+            np.empty((min(rows, -(-count * rows // lanes)), n // 2 + 1), complex)
+            for _ in range(lanes)
+        ]
         for block in _stream_blocks(f_samp, n_seq, n, draws, build, run, lanes):
-            for later in run(transform, spectra, _pieces(count, block[0].size // n, lanes)):
-                for k, mags in later:
-                    sums[k].add(mags)
-    return [total.spectrum() for total in sums]
+            for pieces in run(transform, spectra, _pieces(count, block[0].size // n, lanes)):
+                for k, mags in pieces:
+                    for row in mags:
+                        totals[k] += row
+    n_chunks = n_seq // n
+    chunk_seconds = n / f_samp
+    return [
+        AmplitudeSpectrum(
+            np.fft.rfftfreq(n, 1.0 / f_samp),
+            total / n_chunks * math.sqrt(chunk_seconds),
+            chunk_seconds,
+            n_chunks,
+            f_samp,
+        )
+        for total in totals
+    ]
 
 
 def amplitude_spectrum(

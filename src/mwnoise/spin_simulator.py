@@ -72,13 +72,21 @@ _MIN_REALIZATIONS = 100
 _DRAW_BLOCK = 1 << 16
 
 # Most threads of one lane pool (:func:`_lanes`): those that draw one Monte
-# Carlo's chunks at once, or transform one stream block's spectrum sums.  A
-# Monte Carlo lane holds a draw buffer of up to max(_DRAW_BLOCK, row width)
-# floats and a spectrum lane the FFT of one block, so the cap keeps that
+# Carlo's chunks at once, or build and transform one stream block.  A Monte
+# Carlo lane holds a draw buffer of up to max(_DRAW_BLOCK, row width) floats
+# and a stream lane the FFT of its share of one block, so the cap keeps that
 # memory within a constant factor of the coefficient arrays or the block on
-# any host.  The sweep's worker processes set it to 1, so processes and
-# threads never multiply.
+# any host.  The sweep's worker processes set it to 1 (:func:`_one_lane`),
+# so processes and threads never multiply.
 _LANE_CAP = 4
+
+
+def _one_lane() -> None:
+    """Initializer of a sweep's worker processes: one lane, so every Monte
+    Carlo draws and every stream block transforms on the worker's own
+    thread."""
+    global _LANE_CAP
+    _LANE_CAP = 1
 
 
 def _usable_cpus() -> int:
@@ -89,28 +97,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _lane_count(tasks: int) -> int:
-    """Threads of the pool of :func:`_lanes` for ``tasks`` tasks per run:
-    min(tasks, ``_LANE_CAP``, usable CPUs)."""
-    return min(tasks, _LANE_CAP, _usable_cpus())
-
-
 @contextmanager
 def _lanes(tasks: int):
-    """Context of a ``run(fn, *iterables)`` that calls ``fn`` on the zipped
-    items, at most ``tasks`` per run, and returns the results in order.
+    """Context of (run, lanes): ``run(fn, *iterables)`` calls ``fn`` on the
+    zipped items, at most ``tasks`` per run, and returns the results in
+    order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable CPUs) threads.
 
-    The calls run on one pool of :func:`_lane_count` threads, kept for every
-    ``run`` of the context, or inline, in order, when that is one.  ``fn``
-    must release the GIL for the lanes to overlap and must write nothing
-    another call of the same ``run`` reads or writes.
+    The calls run on one pool of ``lanes`` threads, kept for every ``run`` of
+    the context, or inline, in order, when that is one.  ``fn`` must release
+    the GIL for the lanes to overlap and must write nothing another call of
+    the same ``run`` reads or writes; what the calls make together, such as a
+    sum, the calling thread makes from their results.
     """
-    lanes = _lane_count(tasks)
+    lanes = min(tasks, _LANE_CAP, _usable_cpus())
     if lanes <= 1:
-        yield lambda fn, *items: list(map(fn, *items))
+        yield (lambda fn, *items: list(map(fn, *items))), 1
         return
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        yield lambda fn, *items: list(pool.map(fn, *items))
+        yield (lambda fn, *items: list(pool.map(fn, *items))), lanes
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _monte_carlo_phi_tot(
 
     # Each task makes its own generator and buffer, so at most one per lane
     # exists at once.
-    with _lanes(len(chunks)) as run:
+    with _lanes(len(chunks)) as (run, _):
         run(draw, chunks)
     return phi_tot
 

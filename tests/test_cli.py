@@ -280,7 +280,7 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     class SerialPool:
         def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
-            assert initializer is cli._one_lane
+            assert initializer is spin_simulator._one_lane
 
         def __enter__(self):
             return self
@@ -314,6 +314,23 @@ def test_sweep_pool_workers_draw_on_one_lane(tmp_path):
     assert rows == [[1.0, 1], [2.0, 1]]
     assert cap > 1
     assert spin_simulator._LANE_CAP == cap
+
+
+def _dying_point(cfg):
+    os._exit(1)
+
+
+def test_sweep_worker_that_dies_is_config_error(tmp_path, monkeypatch):
+    # A worker process that ends abruptly, as an out-of-memory kill ends it,
+    # breaks the pool: the run exits 2 with a one-line message and writes no
+    # table.  The workers fork, so they run the patched point function.
+    monkeypatch.setattr(cli, "_predict_point", _dying_point)
+    cfg = _write_config(
+        tmp_path, BASE_SEQUENCE + "[run]\nworkers = 2\n[sweep]\naxis = n_r\nvalues = 1, 2\n"
+    )
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_units_paper_scaling(tmp_path):
@@ -1044,6 +1061,84 @@ def test_exit_code_missing_output_directory(tmp_path, flag):
         argv += [name, str(path)]
     assert main(argv) == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--spectrum-out"])
+def test_exit_code_output_is_directory(tmp_path, flag):
+    # An output path that names an existing directory is found before any
+    # point runs, so neither file is written.
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + "[noise]\nsource = white\nsigma_wh = 0.005\n[pipeline]\nduration_s = 1\n",
+    )
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"--out": tmp_path / "table.csv", "--spectrum-out": tmp_path / "asd.csv"}
+    paths[flag] = folder
+    argv = ["pipeline", "--config", cfg]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert sorted(tmp_path.iterdir()) == sorted([Path(cfg), folder])
+    assert list(folder.iterdir()) == []
+
+
+_CPMG_TAU = BASE_SEQUENCE.replace("kind = xy8", "kind = cpmg").replace("n_r = 1", "n_r = 4")
+_PRESET = "[noise]\nsource = preset\npreset = g1-2.5ghz\n"
+
+
+def _cpmg_tau_row():
+    seq = mw.PulseSequence(mw.SequenceKind.CPMG, 4, 2e-6, 48e-9, 15e-6)
+    sigma = mw.sigma_phi_filter(mw.preset_spectrum("g1-2.5ghz"), seq, 1e8)
+    return {"tau_tot_s": seq.tau_tot, "f_center_hz": seq.f_center, "sigma_phi_rad": sigma}
+
+
+def _readout_model_row():
+    model = mw.ReadoutModel(0.03, 1e5, 1.5e-6, 4e-6)
+    return {"eta_shot_t_sqrts": mw.eta_shot_noise(model, _seq_from_base())}
+
+
+@pytest.mark.parametrize(
+    "command, body, want",
+    [
+        ("predict", _CPMG_TAU.replace("f_xy8_khz = 458", "tau_ns = 2000") + _PRESET, _cpmg_tau_row),
+        ("predict", _CPMG_TAU.replace("f_xy8_khz = 458", "tau_tot_us = 20"), None),
+        ("predict", BASE_SEQUENCE + "[noise]\nsource = white\n", None),
+        ("predict", BASE_SEQUENCE + "[readout]\nshot_sigma = 0.004\ncontrast = 0.03\n", None),
+        ("predict", BASE_SEQUENCE + "[readout]\nshot_sigma = 0.004\nn_photons = 1e5\n", None),
+        ("predict", BASE_SEQUENCE + "[readout]\ncontrast = 0.03\n", None),
+        ("pipeline", BASE_SEQUENCE + "[pipeline]\nduration_s = 1\ngradiometer = true\n", None),
+        ("calibrate", BASE_SEQUENCE, None),
+        ("predict", BASE_SEQUENCE + "[readout]\ncontrast = 0.03\nn_photons = 1e5\n",
+         _readout_model_row),
+    ],
+    ids=[
+        "cpmg-tau-ns", "cpmg-tau-tot", "white-without-sigma", "shot-sigma-and-contrast",
+        "shot-sigma-and-photons", "contrast-without-photons", "gradiometer-without-source",
+        "calibrate-header-only", "readout-model-shot-floor",
+    ],
+)
+def test_config_rules(tmp_path, command, body, want):
+    # Each rule of the config reader, run through main: the valid cases
+    # equal the library on the sequence or readout they configure, and each
+    # error case exits 2 and writes no table.
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "table.csv"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "calibrate":
+        data = tmp_path / "cal.csv"
+        data.write_text("v_test,v_nv\n")
+        argv += ["--data", str(data)]
+    if want is None:
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+        return
+    assert main(argv) == EXIT_OK
+    _, columns, rows = _read_table(out)
+    row = dict(zip(columns, rows[0]))
+    for column, value in want().items():
+        assert row[column] == pytest.approx(value, rel=1e-11, abs=0)
 
 
 def test_provenance_headers(tmp_path):
