@@ -85,8 +85,8 @@ class CwModel:
     def __post_init__(self) -> None:
         if not 0 < self.contrast <= 1:
             raise ValueError("contrast must be in (0, 1]")
-        if self.linewidth <= 0:
-            raise ValueError("linewidth must be positive")
+        if not 0 < self.linewidth < math.inf:
+            raise ValueError("linewidth must be positive and finite")
 
 
 def sigma_phi_filter(

@@ -459,13 +459,22 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
 
 def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list[list], object]:
     """Evaluate ``point_fn(point_cfg) -> (rows, extra)`` at every sweep point,
-    in a process pool when [run] workers > 1, keeping the input order.
+    keeping the input order.
 
-    ``point_fn`` is sent to the pool, so it is a module-level function or a
-    ``functools.partial`` of one.  Returns the table's columns and rows, led
-    by the sweep axis when there is one, and the last point's ``extra``.  A
-    worker process that ends abruptly (an out-of-memory kill, say) is a
-    configuration error, as is a run too large to allocate.
+    With [run] workers > 1 the points run in a process pool, whose workers
+    each keep to one lane.  Otherwise they run as the tasks of one
+    :func:`~mwnoise.spin_simulator._lanes` pool, submitted last point first:
+    sweep values usually ascend and cost grows with them, so the costliest
+    point starts first.  A point on a lane opens no lanes of its own, and a
+    single point runs on this thread with its own lanes.  A failing point
+    fails the sweep as the first failing point in input order would in a
+    plain loop.
+
+    ``point_fn`` is sent to the process pool, so it is a module-level
+    function or a ``functools.partial`` of one.  Returns the table's columns
+    and rows, led by the sweep axis when there is one, and the last point's
+    ``extra``.  A worker process that ends abruptly (an out-of-memory kill,
+    say) is a configuration error, as is a run too large to allocate.
     """
     points = _sweep_configs(cfg)
     configs = [point for _, point in points]
@@ -486,7 +495,8 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
                 "a sweep worker process ended abruptly (killed, perhaps for lack of memory)"
             ) from None
     else:
-        results = [point_fn(point) for point in configs]
+        with spin_simulator._lanes(len(configs)) as (run, _):
+            results = run(point_fn, configs, last_first=True)
     axis = cfg["sweep"]["axis"]
     if axis is None:
         rows = results[0][0]

@@ -42,10 +42,10 @@ class Constants:
     zero_field_splitting_d: float = ZERO_FIELD_SPLITTING_D
 
     def __post_init__(self) -> None:
-        if self.gamma_nv <= 0:
-            raise ValueError("gamma_nv must be positive")
-        if self.zero_field_splitting_d <= 0:
-            raise ValueError("zero_field_splitting_d must be positive")
+        if not 0 < self.gamma_nv < math.inf:
+            raise ValueError("gamma_nv must be positive and finite")
+        if not 0 < self.zero_field_splitting_d < math.inf:
+            raise ValueError("zero_field_splitting_d must be positive and finite")
 
 
 DEFAULT_CONSTANTS = Constants()

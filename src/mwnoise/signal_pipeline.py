@@ -70,8 +70,8 @@ class ReadoutStream:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.f_samp <= 0:
-            raise ValueError("f_samp must be positive")
+        if not 0 < self.f_samp < math.inf:
+            raise ValueError("f_samp must be positive and finite")
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -103,6 +103,8 @@ class AmplitudeSpectrum:
             raise ValueError("freqs and asd must be 1-D arrays of equal length")
         if np.any(asd < 0):
             raise ValueError("asd values must be nonnegative")
+        if not (0 < self.interval < math.inf and 0 < self.f_samp < math.inf):
+            raise ValueError("interval and f_samp must be positive and finite")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "asd", asd)
 
@@ -602,8 +604,12 @@ class FloorParams:
     def __post_init__(self) -> None:
         if not 0 <= self.trim_fraction < 1:
             raise ValueError("trim_fraction must be in [0, 1)")
-        if self.spike_nsigma <= 0:
-            raise ValueError("spike_nsigma must be positive")
+        if not 0 < self.spike_nsigma < math.inf:
+            raise ValueError("spike_nsigma must be positive and finite")
+        if self.dc_exclude_hz is not None and not 0 <= self.dc_exclude_hz < math.inf:
+            raise ValueError("dc_exclude_hz must be None or nonnegative and finite")
+        if not 0 <= self.test_halfwidth_hz < math.inf:
+            raise ValueError("test_halfwidth_hz must be nonnegative and finite")
 
 
 def estimate_noise_floor(

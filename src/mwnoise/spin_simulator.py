@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,14 +72,19 @@ _MIN_REALIZATIONS = 100
 # in cache between the draw and its reduction.
 _DRAW_BLOCK = 1 << 16
 
-# Most threads of one lane pool (:func:`_lanes`): those that draw one Monte
-# Carlo's chunks at once, or build and transform one stream block.  A Monte
-# Carlo lane holds a draw buffer of up to max(_DRAW_BLOCK, row width) floats
-# and a stream lane the FFT of its share of one block, so the cap keeps that
-# memory within a constant factor of the coefficient arrays or the block on
-# any host.  The sweep's worker processes set it to 1 (:func:`_one_lane`),
-# so processes and threads never multiply.
+# Most threads of one lane pool (:func:`_lanes`): those that run a sweep's
+# points at once, draw one Monte Carlo's chunks, or build and transform one
+# stream block.  A Monte Carlo lane holds a draw buffer of up to
+# max(_DRAW_BLOCK, row width) floats and a stream lane the FFT of its share of
+# one block, so the cap keeps that memory within a constant factor of the
+# coefficient arrays or the block on any host.  The sweep's worker processes
+# set it to 1 (:func:`_one_lane`), so processes and threads never multiply.
 _LANE_CAP = 4
+
+# ``busy`` is set on a lane thread by the task it runs: a lane pool asked for
+# there runs inline, so the lanes of a sweep and those of its points'
+# Monte Carlos or stream walks never multiply.
+_on_lane = threading.local()
 
 
 def _one_lane() -> None:
@@ -97,24 +103,48 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _on_lane_call(fn, args):
+    _on_lane.busy = True
+    return fn(*args)
+
+
 @contextmanager
 def _lanes(tasks: int):
-    """Context of (run, lanes): ``run(fn, *iterables)`` calls ``fn`` on the
-    zipped items, at most ``tasks`` per run, and returns the results in
-    order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable CPUs) threads.
+    """Context of (run, lanes): ``run(fn, *iterables, last_first=False)``
+    calls ``fn`` on the zipped items, at most ``tasks`` per run, and returns
+    the results in order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable
+    CPUs) threads, or on one when the caller is itself a lane's task.
 
     The calls run on one pool of ``lanes`` threads, kept for every ``run`` of
-    the context, or inline, in order, when that is one.  ``fn`` must release
-    the GIL for the lanes to overlap and must write nothing another call of
-    the same ``run`` reads or writes; what the calls make together, such as a
+    the context, or inline, in order, when that is one.  On the pool they
+    start in order, or last first with ``last_first``, and ``run`` raises the
+    error of the first failing call in item order.  Calls not yet started
+    are cancelled once the context's block raises.  ``fn`` must release the
+    GIL for the lanes to overlap and must write nothing another call of the
+    same ``run`` reads or writes; what the calls make together, such as a
     sum, the calling thread makes from their results.
     """
-    lanes = min(tasks, _LANE_CAP, _usable_cpus())
+    lanes = 1 if getattr(_on_lane, "busy", False) else min(tasks, _LANE_CAP, _usable_cpus())
     if lanes <= 1:
-        yield (lambda fn, *items: list(map(fn, *items))), 1
+        yield (lambda fn, *items, last_first=False: list(map(fn, *items))), 1
         return
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
-        yield (lambda fn, *items: list(pool.map(fn, *items))), lanes
+
+    def run(fn, *items, last_first=False):
+        calls = list(zip(*items))
+        order = range(len(calls))
+        futures = {
+            i: pool.submit(_on_lane_call, fn, calls[i])
+            for i in (reversed(order) if last_first else order)
+        }
+        return [futures[i].result() for i in order]
+
+    pool = ThreadPoolExecutor(max_workers=lanes)
+    try:
+        yield run, lanes
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
 
 
 @dataclass(frozen=True)

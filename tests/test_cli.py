@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, tables, sweeps, determinism."""
 
 import concurrent.futures
+import functools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -331,6 +333,119 @@ def test_sweep_worker_that_dies_is_config_error(tmp_path, monkeypatch):
     out = tmp_path / "predict.csv"
     assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+SWEEP_LANE_BODIES = {
+    "predict": "[noise]\nsource = preset\npreset = g1-2.5ghz\n[sweep]\naxis = n_r\n"
+    "values = 1, 2, 4\n",
+    # The XY8-8 point draws 400 realizations in three chunks
+    # (test_single_point_montecarlo_keeps_its_chunk_lanes).
+    "montecarlo": "[noise]\nsource = preset\npreset = g1-2.5ghz\n[sweep]\naxis = n_r\n"
+    "values = 1, 8\n",
+    "pipeline": "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
+    "[pipeline]\nduration_s = 1\n[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.01\n",
+}
+
+
+@pytest.mark.parametrize("command", list(SWEEP_LANE_BODIES))
+def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
+    # With workers = 1 the points run on one lane pool, each point on one
+    # lane: the table and the last point's spectrum are the same bytes on
+    # one, two and four lanes, and the same rows as a process pool's.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + SWEEP_LANE_BODIES[command])
+    points = 3 if command == "predict" else 2
+
+    def run(name, *extra):
+        out, spectrum = tmp_path / f"{name}.csv", tmp_path / f"{name}-spectrum.csv"
+        argv = [command, "--config", cfg, "--out", str(out), *extra]
+        if command == "montecarlo":
+            argv += ["--n-realizations", "400"]
+        if command == "pipeline":
+            argv += ["--spectrum-out", str(spectrum)]
+        assert main(argv) == EXIT_OK
+        return out.read_bytes(), spectrum.read_bytes() if command == "pipeline" else None
+
+    pooled_table, pooled_spectrum = run("pooled", "--workers", "2")
+    runs = []
+    for cap in (1, 2, 4):
+        sizes = force_lanes(cap)
+        runs.append(run(f"lanes-{cap}"))
+        # One pool for the sweep and none inside its points: the montecarlo
+        # sweep's XY8-8 point, alone on three lanes, draws inline on its lane.
+        assert sizes == ([min(cap, points)] if cap > 1 else [])
+    assert runs[0] == runs[1] == runs[2]
+    table, spectrum = runs[0]
+
+    def rows(text):
+        return [line for line in text.splitlines() if not line.startswith(b"#")]
+
+    assert len(rows(table)) == points + 1
+    assert rows(table) == rows(pooled_table)
+    assert spectrum == pooled_spectrum
+
+
+def test_single_point_montecarlo_keeps_its_chunk_lanes(tmp_path, force_lanes):
+    # A run without a sweep is one point on this thread: its Monte Carlo
+    # still draws its three chunks on a pool of its own.
+    sizes = force_lanes(4)
+    cfg = _write_config(
+        tmp_path, BASE_SEQUENCE.replace("n_r = 1", "n_r = 8")
+        + "[noise]\nsource = preset\npreset = g1-2.5ghz\n",
+    )
+    out = tmp_path / "mc.csv"
+    argv = ["montecarlo", "--config", cfg, "--out", str(out), "--n-realizations", "400"]
+    assert main(argv) == EXIT_OK
+    assert sizes == [3]
+
+
+def _failing_point(calls, cfg):
+    n_r = cfg["sequence"]["n_r"]
+    calls.append(n_r)
+    if n_r == 2:
+        raise cli.ConfigError(f"point n_r = {n_r} failed")
+    if n_r == 8:
+        raise ArithmeticError(f"point n_r = {n_r} failed")
+    return [[float(n_r)] * 8], None
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_sweep_failure_names_the_first_failing_point(
+    tmp_path, force_lanes, monkeypatch, capsys, cap
+):
+    # n_r = 8 starts first on the lanes and fails first, but a plain loop
+    # fails at n_r = 2 with a config error, and so does every lane count:
+    # exit 2, that point's message, and no table.
+    calls = []
+    monkeypatch.setattr(cli, "_predict_point", functools.partial(_failing_point, calls))
+    force_lanes(cap)
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4, 8\n")
+    out = tmp_path / "predict.csv"
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "mwnoise: config error: point n_r = 2 failed\n"
+    assert not out.exists()
+    if cap == 1:
+        assert calls == [1, 2]
+
+
+def test_sweep_points_start_last_first(tmp_path, force_lanes, monkeypatch):
+    # Two lanes take the first two points off the queue and wait for each
+    # other, so those two are the last two points; the rows keep input order.
+    force_lanes(2)
+    pair = threading.Barrier(2, timeout=30)
+    started = []
+
+    def point(cfg):
+        started.append(cfg["sequence"]["n_r"])
+        pair.wait()
+        return [[float(cfg["sequence"]["n_r"])] * 8], None
+
+    monkeypatch.setattr(cli, "_predict_point", point)
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4, 8\n")
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert sorted(started[:2]) == [4, 8]
+    assert _read_table(out)[2][:, 0].tolist() == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_units_paper_scaling(tmp_path):

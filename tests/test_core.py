@@ -3,6 +3,7 @@
 import math
 import types
 
+import numpy as np
 import pytest
 
 import mwnoise as mw
@@ -21,6 +22,47 @@ def test_constants_validation():
         mw.Constants(gamma_nv=0.0)
     with pytest.raises(ValueError):
         mw.Constants(zero_field_splitting_d=-1.0)
+
+
+_SPECTRUM_ARRAYS = (np.arange(3.0), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mw.CwModel(0.5, math.nan),
+        lambda: mw.CwModel(0.5, math.inf),
+        lambda: mw.Constants(gamma_nv=math.nan),
+        lambda: mw.Constants(zero_field_splitting_d=math.inf),
+        lambda: mw.FloorParams(spike_nsigma=math.nan),
+        lambda: mw.FloorParams(dc_exclude_hz=math.nan),
+        lambda: mw.FloorParams(test_halfwidth_hz=-5.0),
+        lambda: mw.FloorParams(test_halfwidth_hz=math.nan),
+        lambda: mw.ReadoutStream(np.zeros(4), math.nan),
+        lambda: mw.ReadoutStream(np.zeros(4), math.inf),
+        lambda: mw.AmplitudeSpectrum(*_SPECTRUM_ARRAYS, math.nan, 10, 1e3),
+        lambda: mw.AmplitudeSpectrum(*_SPECTRUM_ARRAYS, 1.0, 10, math.nan),
+        lambda: mw.AmplitudeSpectrum(*_SPECTRUM_ARRAYS, math.inf, 10, 1e3),
+    ],
+    ids=[
+        "cw-linewidth-nan",
+        "cw-linewidth-inf",
+        "gamma-nan",
+        "zfs-inf",
+        "spike-nsigma-nan",
+        "dc-exclude-nan",
+        "test-halfwidth-negative",
+        "test-halfwidth-nan",
+        "stream-f-samp-nan",
+        "stream-f-samp-inf",
+        "spectrum-interval-nan",
+        "spectrum-f-samp-nan",
+        "spectrum-interval-inf",
+    ],
+)
+def test_non_finite_scalars_rejected_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_unit_conversion_round_trips():

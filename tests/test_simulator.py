@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -333,6 +334,57 @@ def test_pulse_monte_carlo_keeps_lanes(force_lanes, n_r, proc, count, lanes):
     sizes = force_lanes(4)
     monte_carlo_sigma_phi(seq, proc, count, seed=73)
     assert sizes == [lanes]
+
+
+def _inner_lanes(_):
+    with spin_simulator._lanes(3) as (_, lanes):
+        return lanes
+
+
+def test_lanes_open_inline_only_on_a_lane(force_lanes):
+    # A one-lane context calls on this thread and leaves its lanes free, so a
+    # single sweep point's Monte Carlo keeps its chunk pool; a lane's task
+    # runs every context it opens inline, so lanes never multiply.
+    sizes = force_lanes(4)
+    with spin_simulator._lanes(1) as (run, lanes):
+        assert lanes == 1
+        assert run(_inner_lanes, [0]) == [3]
+    assert sizes == [3]
+    with spin_simulator._lanes(2) as (run, lanes):
+        assert lanes == 2
+        assert run(_inner_lanes, range(4), last_first=True) == [1, 1, 1, 1]
+    assert sizes == [3, 2]
+    assert _inner_lanes(0) == 3
+    assert sizes == [3, 2, 3]
+
+
+def test_lanes_cancel_queued_tasks_when_the_block_raises(force_lanes, monkeypatch):
+    # Two lanes: task 0 fails at once, the next tasks off the queue hold
+    # both lanes until the pool shuts down, and tasks 3 to 5 wait in the
+    # queue, where the failure cancels them.
+    force_lanes(2)
+    release = threading.Event()
+    started = []
+
+    class ReleasingPool(spin_simulator.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    def task(i):
+        started.append(i)
+        if i == 0:
+            raise RuntimeError("task 0 failed")
+        assert release.wait(timeout=30)
+        return i
+
+    monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", ReleasingPool)
+    with pytest.raises(RuntimeError, match="task 0 failed"):
+        with spin_simulator._lanes(6) as (run, lanes):
+            assert lanes == 2
+            run(task, range(6))
+    assert 0 in started and set(started) <= {0, 1, 2}
 
 
 _DRAWS_SCRIPT = """
