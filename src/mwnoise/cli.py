@@ -457,18 +457,21 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
     return points
 
 
-def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list[list], object]:
+def _run_sweep(
+    cfg: dict, point_fn, columns: list[str], own_lanes: bool = False
+) -> tuple[list[str], list[list], object]:
     """Evaluate ``point_fn(point_cfg) -> (rows, extra)`` at every sweep point,
     keeping the input order.
 
     With [run] workers > 1 the points run in a process pool, whose workers
-    each keep to one lane.  Otherwise they run as the tasks of one
-    :func:`~mwnoise.spin_simulator._lanes` pool, submitted last point first:
-    sweep values usually ascend and cost grows with them, so the costliest
-    point starts first.  A point on a lane opens no lanes of its own, and a
-    single point runs on this thread with its own lanes.  A failing point
-    fails the sweep as the first failing point in input order would in a
-    plain loop.
+    each keep to one lane.  Otherwise, when each point runs on one thread,
+    they run as the tasks of one :func:`~mwnoise.spin_simulator._lanes`
+    pool, submitted last point first: sweep values usually ascend and cost
+    grows with them, so the costliest point starts first.  Points that run
+    on lanes of their own (``own_lanes``: Monte Carlo chunks, stream blocks)
+    run one after another on this thread instead, each with its lanes, as
+    does a single point.  A failing point fails the sweep as the first
+    failing point in input order would in a plain loop.
 
     ``point_fn`` is sent to the process pool, so it is a module-level
     function or a ``functools.partial`` of one.  Returns the table's columns
@@ -495,8 +498,8 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
                 "a sweep worker process ended abruptly (killed, perhaps for lack of memory)"
             ) from None
     else:
-        with spin_simulator._lanes(len(configs)) as (run, _):
-            results = run(point_fn, configs, last_first=True)
+        with spin_simulator._lanes(1 if own_lanes else len(configs)) as (run, _):
+            results = run(point_fn, configs)
     axis = cfg["sweep"]["axis"]
     if axis is None:
         rows = results[0][0]
@@ -631,7 +634,7 @@ def cmd_montecarlo(cfg: dict, args) -> None:
         "eta_empirical_t_sqrts",
         "eta_analytic_t_sqrts",
     ]
-    columns, rows, _ = _run_sweep(cfg, _montecarlo_point, columns)
+    columns, rows, _ = _run_sweep(cfg, _montecarlo_point, columns, own_lanes=True)
     _emit_table(cfg, "montecarlo", columns, rows, args.out, args.units)
 
 
@@ -690,7 +693,7 @@ def cmd_pipeline(cfg: dict, args) -> None:
         ]
     else:
         columns = ["floor_on_t_sqrts", "floor_off_t_sqrts", "excess_t_sqrts"]
-    columns, rows, last_spectrum = _run_sweep(cfg, _pipeline_point, columns)
+    columns, rows, last_spectrum = _run_sweep(cfg, _pipeline_point, columns, own_lanes=True)
     _emit_table(cfg, "pipeline", columns, rows, args.out, args.units)
     if args.spectrum_out:
         save_amplitude_spectrum(

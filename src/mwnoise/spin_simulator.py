@@ -110,39 +110,38 @@ def _on_lane_call(fn, args):
 
 @contextmanager
 def _lanes(tasks: int):
-    """Context of (run, lanes): ``run(fn, *iterables, last_first=False)``
-    calls ``fn`` on the zipped items, at most ``tasks`` per run, and returns
-    the results in order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable
-    CPUs) threads, or on one when the caller is itself a lane's task.
+    """Context of (run, lanes): ``run(fn, *iterables)`` calls ``fn`` on the
+    zipped items, at most ``tasks`` per run, and returns the results in
+    order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable CPUs) threads, or
+    on one when the caller is itself a lane's task.
 
     The calls run on one pool of ``lanes`` threads, kept for every ``run`` of
     the context, or inline, in order, when that is one.  On the pool they
-    start in order, or last first with ``last_first``, and ``run`` raises the
-    error of the first failing call in item order.  Calls not yet started
-    are cancelled once the context's block raises.  ``fn`` must release the
-    GIL for the lanes to overlap and must write nothing another call of the
-    same ``run`` reads or writes; what the calls make together, such as a
+    start last first, since the last items of a sweep usually cost the most,
+    and ``run`` raises the error of the first failing call in item order.
+    Calls not yet started are cancelled once the context's block raises; an
+    interrupt (a ``BaseException`` that is no ``Exception``) leaves at once,
+    and the calls already running finish on their own.  ``fn`` must release
+    the GIL for the lanes to overlap and must write nothing another call of
+    the same ``run`` reads or writes; what the calls make together, such as a
     sum, the calling thread makes from their results.
     """
     lanes = 1 if getattr(_on_lane, "busy", False) else min(tasks, _LANE_CAP, _usable_cpus())
     if lanes <= 1:
-        yield (lambda fn, *items, last_first=False: list(map(fn, *items))), 1
+        yield (lambda fn, *items: list(map(fn, *items))), 1
         return
 
-    def run(fn, *items, last_first=False):
+    def run(fn, *items):
         calls = list(zip(*items))
         order = range(len(calls))
-        futures = {
-            i: pool.submit(_on_lane_call, fn, calls[i])
-            for i in (reversed(order) if last_first else order)
-        }
+        futures = {i: pool.submit(_on_lane_call, fn, calls[i]) for i in reversed(order)}
         return [futures[i].result() for i in order]
 
     pool = ThreadPoolExecutor(max_workers=lanes)
     try:
         yield run, lanes
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
+    except BaseException as exc:
+        pool.shutdown(wait=isinstance(exc, Exception), cancel_futures=True)
         raise
     pool.shutdown()
 

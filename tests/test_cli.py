@@ -339,19 +339,30 @@ SWEEP_LANE_BODIES = {
     "predict": "[noise]\nsource = preset\npreset = g1-2.5ghz\n[sweep]\naxis = n_r\n"
     "values = 1, 2, 4\n",
     # The XY8-8 point draws 400 realizations in three chunks
-    # (test_single_point_montecarlo_keeps_its_chunk_lanes).
+    # (test_single_point_montecarlo_keeps_its_chunk_lanes), the XY8-1 point
+    # in one.
     "montecarlo": "[noise]\nsource = preset\npreset = g1-2.5ghz\n[sweep]\naxis = n_r\n"
     "values = 1, 8\n",
     "pipeline": "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
     "[pipeline]\nduration_s = 1\n[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.01\n",
 }
 
+# The pools a sweep asks for on ``cap`` > 1 lanes.  predict's points run on
+# one pool, one point per lane.  montecarlo and pipeline points run in turn
+# on this thread, each with its own lanes: the XY8-8 point's three chunks,
+# and each pipeline point's two streams, noise on and off.
+SWEEP_LANE_POOLS = {
+    "predict": lambda cap: [min(cap, 3)],
+    "montecarlo": lambda cap: [min(cap, 3)],
+    "pipeline": lambda cap: [2, 2],
+}
+
 
 @pytest.mark.parametrize("command", list(SWEEP_LANE_BODIES))
 def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
-    # With workers = 1 the points run on one lane pool, each point on one
-    # lane: the table and the last point's spectrum are the same bytes on
-    # one, two and four lanes, and the same rows as a process pool's.
+    # With workers = 1 the table and the last point's spectrum are the same
+    # bytes on one, two and four lanes, and the same rows as a process
+    # pool's.
     cfg = _write_config(tmp_path, BASE_SEQUENCE + SWEEP_LANE_BODIES[command])
     points = 3 if command == "predict" else 2
 
@@ -370,9 +381,7 @@ def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
     for cap in (1, 2, 4):
         sizes = force_lanes(cap)
         runs.append(run(f"lanes-{cap}"))
-        # One pool for the sweep and none inside its points: the montecarlo
-        # sweep's XY8-8 point, alone on three lanes, draws inline on its lane.
-        assert sizes == ([min(cap, points)] if cap > 1 else [])
+        assert sizes == (SWEEP_LANE_POOLS[command](cap) if cap > 1 else [])
     assert runs[0] == runs[1] == runs[2]
     table, spectrum = runs[0]
 

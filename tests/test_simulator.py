@@ -4,6 +4,7 @@ double-quantum readout, gradiometer channels and cw traces."""
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -352,40 +353,51 @@ def test_lanes_open_inline_only_on_a_lane(force_lanes):
     assert sizes == [3]
     with spin_simulator._lanes(2) as (run, lanes):
         assert lanes == 2
-        assert run(_inner_lanes, range(4), last_first=True) == [1, 1, 1, 1]
+        assert run(_inner_lanes, range(4)) == [1, 1, 1, 1]
     assert sizes == [3, 2]
     assert _inner_lanes(0) == 3
     assert sizes == [3, 2, 3]
 
 
-def test_lanes_cancel_queued_tasks_when_the_block_raises(force_lanes, monkeypatch):
-    # Two lanes: task 0 fails at once, the next tasks off the queue hold
-    # both lanes until the pool shuts down, and tasks 3 to 5 wait in the
-    # queue, where the failure cancels them.
+def test_lanes_interrupt_cancels_queued_tasks_and_leaves_at_once(force_lanes, monkeypatch):
+    # Six tasks on two lanes, submitted last first: tasks 5 and 4 hold the
+    # lanes until released, and once all six are queued task 5 interrupts
+    # the calling thread.  The interrupt cancels tasks 3 to 0 and leaves the
+    # context without waiting for the running two, which finish on their own.
     force_lanes(2)
-    release = threading.Event()
-    started = []
+    queued, release = threading.Event(), threading.Event()
+    started, finished, pools, futures = [], [], [], []
 
-    class ReleasingPool(spin_simulator.ThreadPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            release.set()
-            super().shutdown(wait=wait)
+    class KeptPool(spin_simulator.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(self)
+            super().__init__(max_workers)
+
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            if len(futures) == 6:
+                queued.set()
+            return futures[-1]
 
     def task(i):
         started.append(i)
-        if i == 0:
-            raise RuntimeError("task 0 failed")
+        if i == 5:
+            assert queued.wait(timeout=30)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         assert release.wait(timeout=30)
-        return i
+        finished.append(i)
 
-    monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", ReleasingPool)
-    with pytest.raises(RuntimeError, match="task 0 failed"):
+    monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", KeptPool)
+    with pytest.raises(KeyboardInterrupt):
         with spin_simulator._lanes(6) as (run, lanes):
             assert lanes == 2
             run(task, range(6))
-    assert 0 in started and set(started) <= {0, 1, 2}
-
+    assert finished == []
+    release.set()
+    pools[0].shutdown()
+    assert [future.cancelled() for future in futures[2:]] == [True] * 4
+    assert 5 in started and set(started) <= {4, 5}
+    assert sorted(finished) == sorted(started)
 
 _DRAWS_SCRIPT = """
 import pickle, sys
