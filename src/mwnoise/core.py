@@ -1,4 +1,5 @@
-"""Shared physical constants, scalar aliases, config-unit helpers and CSV I/O.
+"""Shared physical constants, scalar aliases, config-unit helpers, CSV I/O and
+the heap setting of the block walks.
 
 Everything internal to the package is SI: seconds, hertz, tesla, radians.
 Display units (pT*s^1/2, kHz, us, ns) only appear at the CLI boundary: the
@@ -8,7 +9,9 @@ uses the one NV gyromagnetic ratio ``GAMMA_NV``.
 
 from __future__ import annotations
 
+import functools
 import math
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,3 +117,27 @@ def read_csv(path: Path, expected_columns: int) -> tuple[dict, np.ndarray]:
             raise ValueError(f"{path}, line {number}: not a finite row: {line!r}")
         rows.append(row)
     return metadata, np.asarray(rows, dtype=float)
+
+
+# --- heap ------------------------------------------------------------------
+# The lattice and stream walks allocate and free arrays of hundreds of
+# kilobytes to a few megabytes on every call.
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the block walks' freed arrays on the heap (glibc only).
+
+    glibc maps an allocation above its mmap threshold (128 KiB until raised)
+    on its own and unmaps it when it is freed, and hands freed heap above its
+    trim threshold back to the kernel, so every call would page-fault its
+    arrays anew.  Freeing one mapped array raises both thresholds for the
+    process: the mmap threshold to the array's size and the trim threshold
+    to twice that.  Freeing one 4 MiB array here sets them to 4 MiB and
+    8 MiB, so each arena keeps up to 8 MiB of freed heap resident between
+    calls.  Setting either threshold by hand (``MALLOC_MMAP_THRESHOLD_``,
+    ``MALLOC_TRIM_THRESHOLD_``) would switch that adaptation off.  Cached:
+    calls after the first cost nothing.  Elsewhere than glibc it does
+    nothing.
+    """
+    if platform.libc_ver()[0] == "glibc":
+        np.empty(1 << 22, dtype=np.uint8)

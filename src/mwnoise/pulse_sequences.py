@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyHz, TimeSeconds
+from .core import FrequencyHz, TimeSeconds, _keep_freed_heap
 
 
 class SequenceKind(enum.Enum):
@@ -352,8 +352,11 @@ def _lattice_integral(
     of the lattice terms.  A block's sum does not depend on which bounds it
     holds, so an array of bounds gives the same bits as one call per bound.
     Because the interpolant is defined on a lattice independent of the query
-    interval, integrals are exactly additive over adjacent intervals.
+    interval, integrals are exactly additive over adjacent intervals.  The
+    tables and block buffers are freed on return and stay on the heap for
+    the next call (:func:`~mwnoise.core._keep_freed_heap`).
     """
+    _keep_freed_heap()
     f_hi = np.asarray(f_hi, dtype=float)
     if not (math.isfinite(f_lo) and np.all(np.isfinite(f_hi))):
         raise ValueError("integration bounds must be finite")
@@ -363,7 +366,7 @@ def _lattice_integral(
     step = 1.0 / (ff.sequence.tau_tot * oversample)
     k_lo = math.floor(f_lo / step)
     k0 = max(k_lo, 0)
-    k_end = max(math.ceil(float(np.max(f_hi)) / step), k_lo + 1)
+    k_end = max(math.ceil(float(np.max(f_hi, initial=f_lo)) / step), k_lo + 1)
 
     # Panel (k, k + 1) of each bound, f_lo last.  Each upper bound is read
     # off no later panel than the last one of the lattice a scalar call up to

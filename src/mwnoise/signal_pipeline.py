@@ -51,6 +51,7 @@ from .core import (
     SensitivityTeslaSqrtS,
     Tesla,
     TimeSeconds,
+    _keep_freed_heap,
     write_csv,
 )
 from .analytic_sensitivity import ReadoutModel
@@ -148,15 +149,18 @@ def shot_sigma_from_readout(readout: "ReadoutModel | float") -> Radians:
 
 
 # Samples per block of the chunked stream walk, rounded down to whole chunks:
-# 4 MiB of float64.  numpy plans every rfft call afresh, and at the Bluestein
-# lengths of 1 s intervals (n = 42 134 = 2 * 21 067, n = 11 783 prime) a plan
-# costs as much as transforming two or three rows, so a block keeps about a
-# dozen rows per call at XY8-1 and 44 at XY8-8, and a lane transforms its
-# share of a block in one call per stream.  The walk allocates its buffers
-# once: one block array per stream (two for noise on and off, three for the
-# gradiometer) and per lane one complex spectrum of at most a block's rows,
-# about one block array.  On two lanes that is four block arrays, 16 MiB, for
-# noise on and off and five for the gradiometer.
+# 4 MiB of float64, no more than the array whose freeing raises glibc's
+# thresholds (:func:`~mwnoise.core._keep_freed_heap`), so the walk's buffers
+# and the rfft's working arrays come from the heap.  numpy plans every rfft
+# call afresh, and at the Bluestein lengths of 1 s intervals
+# (n = 42 134 = 2 * 21 067, n = 11 783 prime) a plan costs as much as
+# transforming two or three rows, so a block keeps about a dozen rows per call
+# at XY8-1 and 44 at XY8-8, and a lane transforms its share of a block in one
+# call per stream.  The walk allocates its buffers once: one block array per
+# stream (two for noise on and off, three for the gradiometer) and per lane
+# one complex spectrum of at most a block's rows, about one block array.  On
+# two lanes that is four block arrays, 16 MiB, for noise on and off and five
+# for the gradiometer.
 _BLOCK_SAMPLES = 1 << 19
 
 # Samples per strip of a block's elementwise build: each lane builds its range
@@ -453,14 +457,10 @@ def _block_spectra(
     the same on any number of lanes.
     """
     # numpy's rfft allocates and frees its working arrays on every call, and
-    # at a Bluestein length on every row, megabytes each.  glibc maps an
-    # allocation above its mmap threshold afresh and trims freed heap above
-    # twice that threshold, so those arrays are page-faulted anew until a
-    # freed mapping raises the threshold to its size, and the walk frees
-    # nothing while it runs.  Freeing one block-sized array first raises it:
-    # a 600 s XY8-1 pipeline then takes 0.22 M page faults instead of 0.98 M.
-    # A larger array cuts them further but keeps more freed heap resident.
-    np.empty(_BLOCK_SAMPLES)
+    # at a Bluestein length on every row, megabytes each: on the heap they
+    # are not page-faulted anew (a 600 s XY8-1 pipeline takes 0.22 M page
+    # faults instead of 0.98 M).
+    _keep_freed_heap()
     count = len(draws)
     rows = max(1, _BLOCK_SAMPLES // n)
     totals = np.zeros((count, n // 2 + 1))

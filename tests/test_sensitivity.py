@@ -1,7 +1,12 @@
 """Analytic sensitivity formulas: pulsed eta family and the cw model."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +118,39 @@ def test_sigma_phi_bounded_memory_at_xy8_512():
         tracemalloc.stop()
     assert math.isfinite(sigma)
     assert peak_mb < 32.0
+
+
+_FAULTS_SCRIPT = """
+import resource
+import mwnoise as mw
+spec = mw.preset_spectrum("g1-2.5ghz")
+for n_r in (8, 64):
+    seq = mw.make_xy8(n_r, 458e3, 48e-9, 15e-6)
+    mw.sigma_phi_filter(spec, seq, 1e8)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mw.sigma_phi_filter(spec, seq, 1e8)
+    print(n_r, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
+def test_sigma_phi_repeat_call_keeps_its_pages():
+    # The lattice walk's tables and block buffers, 1.5-5 MB a call, stay on
+    # the heap once freed, so a second call at XY8-8 or XY8-64 page-faults
+    # almost nothing; when glibc handed them back, each took about 1 000
+    # minor faults.  A fresh interpreter, since any earlier walk in this one
+    # has already raised glibc's thresholds; glibc's own tuning variables
+    # are left out of its environment.
+    src = str(Path(mw.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    faults = dict(map(int, line.split()) for line in done.stdout.splitlines())
+    assert set(faults) == {8, 64}
+    assert all(count < 50 for count in faults.values()), faults
 
 
 def test_sigma_phi_scales_with_level():

@@ -357,6 +357,12 @@ def test_filter_integral_degenerate_and_validation():
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 8, 500e-9)
     ff = mw.FilterFunction(seq)
     assert mw.filter_function_integral(ff, 1e5, 1e5) == 0.0
+    # An empty array of upper bounds gives an empty array, as an empty grid
+    # does for filter_function_value.
+    for empty in (np.array([]), np.empty((0, 3))):
+        got = mw.filter_function_integral(ff, 1e5, empty)
+        assert isinstance(got, np.ndarray) and got.shape == empty.shape
+        assert mw.filter_function_value(ff, empty).shape == empty.shape
     with pytest.raises(ValueError):
         mw.filter_function_integral(ff, -1.0, 1e5)
     with pytest.raises(ValueError):
