@@ -14,15 +14,16 @@ sensitivity, multiply analytic sensitivities by 1.253 to compare with them.
 
 Streams are synthesized and transformed in one walk, a block of whole chunks
 at a time (``_BLOCK_SAMPLES``, 2^19 samples, rounded down to whole chunks but
-at least one), in buffers allocated once per walk and reused for every block:
-each block draws its share of the phase-noise and shot-noise terms into one
-buffer per term, builds its readouts in place in those buffers, and its chunk
-spectra are added one by one, in stream order, into one running sum per
-stream.  Consecutive draws on one keyed generator equal one draw of the total
-size, and numpy reduces a stack of chunk spectra along its first axis one row
-after another, so the spectra equal those of the whole stream transformed at
-once, bit for bit, while memory depends on the interval and the block, not on
-the duration.  Each step of a block runs as tasks on the lanes of one
+at least one, or to whole pairs of chunks where :class:`_ChunkTransform`
+packs two chunks per row), in buffers allocated once per walk and reused for
+every block: each block draws its share of the phase-noise and shot-noise
+terms into one buffer per term, builds its readouts in place in those
+buffers, and its chunk spectra are added one by one, in stream order, into
+one running sum per stream.  Consecutive draws on one keyed generator equal
+one draw of the total size, and numpy reduces a stack of chunk spectra along
+its first axis one row after another, so the spectra equal those of the
+whole stream transformed at once, bit for bit, while memory depends on the
+interval and the block, not on the duration.  Each step of a block runs as tasks on the lanes of one
 :func:`~mwnoise.spin_simulator._lanes` pool per walk: the draws one task per
 generator, the elementwise build over equal ranges of the block, and the
 transforms over equal shares of the block's chunks of every stream (see
@@ -124,10 +125,10 @@ def alias_frequency(f: FrequencyHz, f_samp: FrequencyHz) -> tuple[FrequencyHz, F
     half-multiples the tie goes to the lower multiple so the alias is
     f_samp/2.  The alias is |f - f_ref| <= f_samp/2.
     """
-    if f < 0:
-        raise ValueError("frequency must be nonnegative")
-    if f_samp <= 0:
-        raise ValueError("f_samp must be positive")
+    if not 0 <= f < math.inf:
+        raise ValueError("frequency must be nonnegative and finite")
+    if not 0 < f_samp < math.inf:
+        raise ValueError("f_samp must be positive and finite")
     n = math.ceil(f / f_samp - 0.5)
     f_ref = n * f_samp
     return abs(f - f_ref), f_ref
@@ -151,16 +152,18 @@ def shot_sigma_from_readout(readout: "ReadoutModel | float") -> Radians:
 # Samples per block of the chunked stream walk, rounded down to whole chunks:
 # 4 MiB of float64, no more than the array whose freeing raises glibc's
 # thresholds (:func:`~mwnoise.core._keep_freed_heap`), so the walk's buffers
-# and the rfft's working arrays come from the heap.  numpy plans every rfft
-# call afresh, and at the Bluestein lengths of 1 s intervals
-# (n = 42 134 = 2 * 21 067, n = 11 783 prime) a plan costs as much as
-# transforming two or three rows, so a block keeps about a dozen rows per call
-# at XY8-1 and 44 at XY8-8, and a lane transforms its share of a block in one
-# call per stream.  The walk allocates its buffers once: one block array per
-# stream (two for noise on and off, three for the gradiometer) and per lane
-# one complex spectrum of at most a block's rows, about one block array.  On
-# two lanes that is four block arrays, 16 MiB, for noise on and off and five
-# for the gradiometer.
+# and the transforms' working arrays come from the heap.  Each transform call
+# costs a fixed time on top of its rows: at n = 42 134 = 2 * 21 067 (XY8-1 at
+# 1 s) that is about 1.5 rows' time for np.fft.rfft and one row's for the
+# packed transform (fitted over 1 to 12 rows per call, with the heap kept;
+# ``BENCH_packed_transforms.json``), so a block keeps about a dozen rows per
+# call at XY8-1 and 44 at XY8-8, and a lane transforms its share of a block in
+# one call per stream.  A block of odd packed chunks holds an even number of
+# them (:class:`_ChunkTransform`).  The walk allocates its buffers once: one
+# block array per stream (two for noise on and off, three for the
+# gradiometer) and per lane one complex buffer of at most a block's rows,
+# about one block array.  On two lanes that is four block arrays, 16 MiB, for
+# noise on and off and five for the gradiometer.
 _BLOCK_SAMPLES = 1 << 19
 
 # Samples per strip of a block's elementwise build: each lane builds its range
@@ -409,13 +412,120 @@ def _chunk_length(interval: TimeSeconds, f_samp: FrequencyHz, n_samples: int) ->
     return n
 
 
-def _magnitudes(chunks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+# Chunk lengths whose largest prime factor exceeds this are transformed as
+# packed complex rows (:class:`_ChunkTransform`), all others by np.fft.rfft.
+_PACKED_PRIME = 211
+
+
+def _largest_prime_factor(n: int) -> int:
+    largest, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            largest, n = p, n // p
+        p += 1
+    return max(largest, n)
+
+
+class _ChunkTransform:
+    """Magnitudes of the one-sided DFT of n-sample chunk rows, those of
+    ``np.abs(np.fft.rfft(chunks, axis=1))`` to rounding.
+
+    ``transform(chunks, spectra)`` writes them over each row's first
+    n // 2 + 1 samples and returns that view; the transforms go through the
+    complex buffer ``spectra`` of at least ``size(rows)`` elements (a new one
+    when None).  numpy transforms a length with a large prime factor by
+    Bluestein's chirp-z algorithm, as a complex transform of the full length
+    that gains nothing from the input being real.  So at such a length the
+    rows are packed into complex rows (Cooley, Lewis and Welch, 1970): an
+    even row as n/2 complex points, whose transform is untangled into the
+    n/2 + 1 bins by twiddles computed once per transform, and an odd row with
+    its partner as the real and imaginary parts of one complex row, whose
+    transform splits by conjugate symmetry.  A row's rounding then depends on
+    its partner, so ``unit`` is 2 at odd packed lengths: row 2j is always
+    packed with row 2j + 1, and an odd last row with zeros.  Which path a
+    length takes depends only on its largest prime factor
+    (``_PACKED_PRIME``); every other length goes through ``np.fft.rfft``.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.unit = 1
+        self._rows = self._rfft
+        if _largest_prime_factor(n) > _PACKED_PRIME:
+            if n % 2:
+                self.unit = 2
+                self._rows = self._packed_pairs
+            else:
+                # (1 - i w) / 2 and (1 + i w) / 2 at w = exp(-2 pi i k / n),
+                # k = 1 ... n/2 - 1.
+                theta = np.pi * np.arange(1, n // 2) / (n // 2)
+                i_w = np.sin(theta) + 1j * np.cos(theta)
+                self._twiddles = (0.5 - 0.5 * i_w, 0.5 + 0.5 * i_w)
+                self._rows = self._packed_halves
+
+    def size(self, rows: int) -> int:
+        """Complex elements of the buffer that transforms ``rows`` rows."""
+        return -(-rows // self.unit) * self.unit * (self.n // 2 + 1)
+
+    def __call__(self, chunks: np.ndarray, spectra: np.ndarray | None = None) -> np.ndarray:
+        if spectra is None:
+            spectra = np.empty(self.size(len(chunks)), complex)
+        return self._rows(chunks, spectra)
+
+    def _rfft(self, chunks, spectra):
+        rows, n = chunks.shape
+        spectrum = np.fft.rfft(chunks, axis=1, out=spectra[: rows * (n // 2 + 1)].reshape(rows, -1))
+        return np.abs(spectrum, out=chunks[:, : n // 2 + 1])
+
+    def _packed_halves(self, chunks, spectra):
+        # X[k] = Z[k] (1 - i w^k) / 2 + conj(Z[m - k]) (1 + i w^k) / 2 for
+        # the transform Z of the m = n/2 points x[2j] + i x[2j + 1].
+        rows, n = chunks.shape
+        m = n // 2
+        z = spectra[: rows * (m + 1)].reshape(rows, m + 1)
+        np.fft.fft(chunks.view(complex), axis=1, out=z[:, :m])
+        # The rows are read, so they hold the mirrored terms.
+        mirror = chunks.view(complex)[:, 1:]
+        np.conjugate(z[:, m - 1 : 0 : -1], out=mirror)
+        mirror *= self._twiddles[1]
+        inner = z[:, 1:m]
+        inner *= self._twiddles[0]
+        inner += mirror
+        dc = z[:, 0]
+        z[:, m] = dc.real - dc.imag
+        z[:, 0] = dc.real + dc.imag
+        return np.abs(z, out=chunks[:, : m + 1])
+
+    def _packed_pairs(self, chunks, spectra):
+        # Z is the transform of (x[2j] + i x[2j + 1]) / 2, so row 2j's bins
+        # are Z[k] + conj(Z[n - k]) and row 2j + 1's -i (Z[k] - conj(Z[n - k])).
+        rows, n = chunks.shape
+        h, odd = n // 2, rows // 2
+        z = spectra[: -(-rows // 2) * n].reshape(-1, n)
+        np.multiply(chunks[0::2], 0.5, out=z.real)
+        np.multiply(chunks[1::2], 0.5, out=z.imag[:odd])
+        z.imag[odd:] = 0.0
+        np.fft.fft(z, axis=1, out=z)
+        low, high = z[:, 1 : h + 1], z[:, :h:-1]
+        np.conjugate(high, out=high)
+        # Rows 2j are read, so they hold the differences until rows 2j + 1
+        # have taken them.
+        difference = chunks[0::2, : 2 * h].view(complex)
+        np.subtract(low, high, out=difference)
+        np.add(low, high, out=low)
+        np.abs(difference[:odd], out=chunks[1::2, 1 : h + 1])
+        np.abs(low, out=chunks[0::2, 1 : h + 1])
+        np.abs(2.0 * z[:, 0].real, out=chunks[0::2, 0])
+        np.abs(2.0 * z[:odd, 0].imag, out=chunks[1::2, 0])
+        return chunks[:, : h + 1]
+
+
+def _magnitudes(chunks: np.ndarray, spectra: np.ndarray, transform: _ChunkTransform) -> np.ndarray:
     """Amplitude-normalized magnitude spectra of the rows of ``chunks``,
-    written over each row's first n // 2 + 1 samples and returned; the rfft
-    goes through the first rows of the complex buffer ``spectra``."""
-    rows, n = chunks.shape
-    spectrum = np.fft.rfft(chunks, axis=1, out=spectra[:rows])
-    mags = np.abs(spectrum, out=chunks[:, : n // 2 + 1])
+    written over each row's first n // 2 + 1 samples and returned; the
+    transform goes through the complex buffer ``spectra``."""
+    n = chunks.shape[1]
+    mags = transform(chunks, spectra)
     mags *= math.sqrt(2.0) / n
     mags[:, 0] /= math.sqrt(2.0)
     if n % 2 == 0:
@@ -423,16 +533,18 @@ def _magnitudes(chunks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     return mags
 
 
-def _pieces(count: int, chunks: int, lanes: int) -> list[list[tuple[int, int, int]]]:
+def _pieces(count: int, chunks: int, lanes: int, unit: int) -> list[list[tuple[int, int, int]]]:
     """Per lane, its (stream, first chunk, end chunk) pieces of ``count``
     streams of ``chunks`` chunks each, laid stream after stream and split
-    into ``lanes`` ranges that differ by at most one chunk."""
-    bounds = [count * chunks * lane // lanes for lane in range(lanes + 1)]
+    into ``lanes`` ranges that differ by at most one unit of ``unit`` chunks;
+    a stream's units start at its first chunk, and its last may be short."""
+    units = -(-chunks // unit)
+    bounds = [count * units * lane // lanes for lane in range(lanes + 1)]
     return [
         [
-            (k, max(lo - k * chunks, 0), min(hi - k * chunks, chunks))
+            (k, max(lo - k * units, 0) * unit, min((hi - k * units) * unit, chunks))
             for k in range(count)
-            if lo < (k + 1) * chunks and hi > k * chunks
+            if lo < (k + 1) * units and hi > k * units
         ]
         for lo, hi in zip(bounds, bounds[1:])
     ]
@@ -447,38 +559,42 @@ def _block_spectra(
     The walk runs on the lanes of one :func:`~mwnoise.spin_simulator._lanes`
     pool, one lane per stream up to the cap and the usable CPUs.  Each
     block's whole chunks, stream after stream, are split evenly over the
-    lanes (:func:`_pieces`).  A lane transforms each of its pieces in one
-    call, through a complex buffer of its own, writes the magnitudes over
-    the piece's samples and returns them; it writes no sum.  The calling
+    lanes (:func:`_pieces`), between pairs of chunks where the transform
+    packs them in pairs, so a chunk's partner is the same on any number of
+    lanes.  A lane transforms each of its pieces in one call, through a
+    complex buffer of its own, writes the magnitudes over the piece's
+    samples and returns them; it writes no sum.  The calling
     thread adds the returned rows to one sum per stream in lane order, which
     is stream order, and numpy reduces a C-ordered matrix along axis 0 one
     row after another, so each sum divided by the chunk count is
     ``mean(axis=0)`` of the stream's stacked chunk spectra, and every bit is
     the same on any number of lanes.
     """
-    # numpy's rfft allocates and frees its working arrays on every call, and
+    # numpy's FFTs allocate and free their working arrays on every call, and
     # at a Bluestein length on every row, megabytes each: on the heap they
     # are not page-faulted anew (a 600 s XY8-1 pipeline takes 0.22 M page
     # faults instead of 0.98 M).
     _keep_freed_heap()
     count = len(draws)
-    rows = max(1, _BLOCK_SAMPLES // n)
+    chunk_transform = _ChunkTransform(n)
+    unit = chunk_transform.unit
+    rows = max(1, _BLOCK_SAMPLES // (unit * n)) * unit
     totals = np.zeros((count, n // 2 + 1))
 
     def transform(buffer, pieces):
         # Runs on a lane: writes only this lane's buffer and pieces.
         return [
-            (k, _magnitudes(block[k][lo * n : hi * n].reshape(-1, n), buffer))
+            (k, _magnitudes(block[k][lo * n : hi * n].reshape(-1, n), buffer, chunk_transform))
             for k, lo, hi in pieces
         ]
 
     with _lanes(count) as (run, lanes):
         spectra = [
-            np.empty((min(rows, -(-count * rows // lanes)), n // 2 + 1), complex)
+            np.empty(chunk_transform.size(min(rows, -(-count * rows // lanes))), complex)
             for _ in range(lanes)
         ]
-        for block in _stream_blocks(f_samp, n_seq, n, draws, build, run, lanes):
-            for pieces in run(transform, spectra, _pieces(count, block[0].size // n, lanes)):
+        for block in _stream_blocks(f_samp, n_seq, unit * n, draws, build, run, lanes):
+            for pieces in run(transform, spectra, _pieces(count, block[0].size // n, lanes, unit)):
                 for k, mags in pieces:
                     for row in mags:
                         totals[k] += row
@@ -660,8 +776,8 @@ def excess_noise(
     A warning is emitted when eta_on < eta_off: that can only come from
     statistical fluctuation (or mismatched inputs), and the clip hides it.
     """
-    if eta_on < 0 or eta_off < 0:
-        raise ValueError("noise floors must be nonnegative")
+    if not (0 <= eta_on < math.inf and 0 <= eta_off < math.inf):
+        raise ValueError("noise floors must be nonnegative and finite")
     if eta_on < eta_off:
         warnings.warn(
             "on-resonance floor below off-resonance floor; excess clipped to 0",

@@ -65,6 +65,34 @@ def test_non_finite_scalars_rejected_at_construction(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mw.alias_frequency(1.0, math.inf),
+        lambda: mw.alias_frequency(math.inf, 1.0),
+        lambda: mw.alias_frequency(math.nan, 1.0),
+        lambda: mw.alias_frequency(1.0, math.nan),
+        lambda: mw.excess_noise(math.nan, 1.0),
+        lambda: mw.excess_noise(1.0, math.nan),
+        lambda: mw.excess_noise(math.inf, math.inf),
+        lambda: mw.excess_noise(math.inf, 1.0),
+    ],
+    ids=[
+        "alias-f-samp-inf",
+        "alias-f-inf",
+        "alias-f-nan",
+        "alias-f-samp-nan",
+        "excess-on-nan",
+        "excess-off-nan",
+        "excess-both-inf",
+        "excess-on-inf",
+    ],
+)
+def test_non_finite_arguments_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_unit_conversion_round_trips():
     assert core.khz_to_hz(394.0) == pytest.approx(394e3, rel=1e-15)
     assert core.us_to_s(15.0) == pytest.approx(15e-6, rel=1e-15)

@@ -199,12 +199,58 @@ def test_spectrum_validation():
         mw.amplitude_spectrum(mw.ReadoutStream(np.zeros(10), 1e3), 1.0)
 
 
+# --- chunk transforms ------------------------------------------------------------
+# Lengths with no prime factor above _PACKED_PRIME keep np.fft.rfft bit for
+# bit: 11-smooth ones, 11 881 = 109^2 and 12 019 = 7 * 17 * 101.  The others
+# are packed: 42 134 = 2 * 21 067 (XY8-1 at 1 s), 11 783 (prime, XY8-8),
+# 6 463 = 23 * 281 (XY8-16) and 2 018 = 2 * 1 009.
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize(
+    "n, packed",
+    [(42000, False), (12000, False), (11881, False), (12019, False), (11, False),
+     (42134, True), (11783, True), (6463, True), (2018, True)],
+)
+def test_chunk_transform_matches_rfft(n, packed, rows):
+    x = np.random.default_rng(n).standard_normal((rows, n))
+    want = np.abs(np.fft.rfft(x, axis=1))
+    assert (signal_pipeline._largest_prime_factor(n) > signal_pipeline._PACKED_PRIME) == packed
+    got = signal_pipeline._ChunkTransform(n)(x.copy())
+    assert got.shape == want.shape
+    if packed:
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(want)
+    else:
+        assert_array_equal(got, want)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double")
+@pytest.mark.parametrize("n", [1009, 2018])
+def test_packed_transform_matches_exact_dft(n):
+    # The DFT summed in long double, with angles reduced exactly modulo n.
+    x = np.random.default_rng(n).standard_normal((3, n))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    angle = np.outer(np.arange(n // 2 + 1), np.arange(n)) % n * (two_pi / n)
+    xl = x.astype(np.longdouble)
+    exact = np.hypot(xl @ np.cos(angle).T, xl @ np.sin(angle).T)
+    got = signal_pipeline._ChunkTransform(n)(x.copy())
+    assert np.max(np.abs(got - exact)) <= 2e-15 * np.max(exact)
+
+
 # --- chunked stream walk -----------------------------------------------------------
 # The stream path walks blocks of _BLOCK_SAMPLES samples (whole chunks); the
 # references below build each stream in one piece and average the stacked
 # chunk spectra with mean(axis=0), as the one-shot implementation did.
 
 XY8_1 = mw.make_xy8(1, 458e3, T_PI, T_DEAD)  # n = 42 134 samples per 1 s chunk
+XY8_8 = mw.make_xy8(8, 458e3, T_PI, T_DEAD)  # n = 11 783 (prime)
+
+# Gradiometer lengths: 5 chunks and 11 samples at XY8-1, and 63 s at XY8-8,
+# which is 62 chunks: a default block of 44 chunks, then one of 18 whose
+# three channels split over two lanes at channel 2's chunk 9 by chunk count
+# (chunk 8 by pairs of chunks).
+GRADIOMETER_SEQUENCES = {XY8_1: 5 * 42134 + 11, XY8_8: round(63.0 * XY8_8.f_samp)}
+# Stream durations of 7 chunks, an odd count, and a partial chunk.
+STREAM_SECONDS = {XY8_1: 7.0, XY8_8: 8.0}
 
 
 def _block_sizes(n):
@@ -218,7 +264,7 @@ def _reference_asd(samples, n, f_samp, window=None):
     if window == "hann":
         w = np.hanning(n)
         data = data * (w / np.mean(w))
-    spectra = np.abs(np.fft.rfft(data, axis=1))
+    spectra = signal_pipeline._ChunkTransform(n)(data.copy())
     spectra *= math.sqrt(2.0) / n
     spectra[:, 0] /= math.sqrt(2.0)
     if n % 2 == 0:
@@ -236,7 +282,7 @@ def _reference_stream(seq, process, amp, f_test, shot_sigma, n_seq, seed):
 
 
 @pytest.mark.parametrize("window", [None, "hann"])
-@pytest.mark.parametrize("f_samp, n", [(1000.0, 250), (997.0, 333)])
+@pytest.mark.parametrize("f_samp, n", [(1000.0, 250), (997.0, 333), (1000.0, 1009)])
 def test_spectrum_sum_equals_stacked_mean(monkeypatch, window, f_samp, n):
     rng = np.random.default_rng(19)
     samples = rng.standard_normal(11 * n + 7) * 1e-12  # 11 chunks and a partial one
@@ -298,51 +344,64 @@ def test_stream_spectra_bits_independent_of_lanes(monkeypatch, force_lanes):
     # Each spectrum sum takes one lane task per block, and a block's tasks
     # all finish before the next block is built, so every sum adds its chunk
     # rows in stream order: the spectra of one, two and three lanes are
-    # bit-identical.  A short switch interval interleaves the lanes' Python
-    # code as often as it can.
+    # bit-identical.  At XY8-8's odd length each chunk is transformed
+    # together with its fixed partner, whatever the lane's piece.  A short
+    # switch interval interleaves the lanes' Python code as often as it can.
     proc = mw.WhiteNoise(4e-3)
-    grad_args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, 5 * 42134 + 11, 1.0, 29)
     grad_kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.0, 0.95)}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for block in _block_sizes(42134):
-            monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
-            runs = []
-            for cap in (1, 2, 3):
-                sizes = force_lanes(cap)
-                on, off = mw.stream_spectra(XY8_1, proc, 90e-12, 457.9e3, 2e-3, 7.0, 1.0, seed=23)
-                channels = mw.gradiometer_spectra(*grad_args, **grad_kwargs)
-                # One pool per call: on/off takes two lanes, the gradiometer
-                # min(3 sums, cap).
-                assert sizes == ([] if cap == 1 else [2, cap])
-                assert on.n_chunks == 7 and channels[0].n_chunks == 5
-                runs.append([on.asd, off.asd, *(spectrum.asd for spectrum in channels)])
-            for run in runs[1:]:
-                for got, want in zip(run, runs[0]):
-                    assert_array_equal(got, want)
+        for seq, n_grad in GRADIOMETER_SEQUENCES.items():
+            n = round(seq.f_samp)
+            grad_args = (seq, proc, 40e-12, 70e-12, 4e-4, n_grad, 1.0, 29)
+            for block in _block_sizes(n):
+                monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
+                runs = []
+                for cap in (1, 2, 3):
+                    sizes = force_lanes(cap)
+                    on, off = mw.stream_spectra(
+                        seq, proc, 90e-12, 457.9e3, 2e-3, STREAM_SECONDS[seq], 1.0, seed=23
+                    )
+                    channels = mw.gradiometer_spectra(*grad_args, **grad_kwargs)
+                    # One pool per call: on/off takes two lanes, the
+                    # gradiometer min(3 sums, cap).
+                    assert sizes == ([] if cap == 1 else [2, cap])
+                    assert on.n_chunks == 7 and channels[0].n_chunks == n_grad // n
+                    runs.append([on.asd, off.asd, *(spectrum.asd for spectrum in channels)])
+                for run in runs[1:]:
+                    for got, want in zip(run, runs[0]):
+                        assert_array_equal(got, want)
     finally:
         sys.setswitchinterval(switch)
 
 
-def _walk_arrays(case):
+def _walk_arrays(case, seq):
     # The streams and spectra of one build path of the stream walk.
     proc = mw.WhiteNoise(4e-3)
     if case == "gradiometer-gains":
-        args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, 5 * 42134 + 11)
+        args = (seq, proc, 40e-12, 70e-12, 4e-4, GRADIOMETER_SEQUENCES[seq])
         kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.1, 0.9)}
         streams = mw.simulate_gradiometer(*args, 31, **kwargs)
         spectra = mw.gradiometer_spectra(*args, 1.0, 31, **kwargs)
     else:
         process, shot = (proc, 0.0) if case == "no-shot" else (None, 2e-3)
-        streams = [mw.synthesize_stream(XY8_1, process, 90e-12, 457.9e3, shot, 7.0, seed=23)]
-        spectra = mw.stream_spectra(XY8_1, process, 90e-12, 457.9e3, shot, 7.0, 1.0, seed=23)
+        args = (seq, process, 90e-12, 457.9e3, shot, STREAM_SECONDS[seq])
+        streams = [mw.synthesize_stream(*args, seed=23)]
+        spectra = mw.stream_spectra(*args, 1.0, seed=23)
         assert (spectra[1] is None) == (process is None)
     return [stream.samples for stream in streams] + [s.asd for s in spectra if s is not None]
 
 
-@pytest.mark.parametrize("case", ["no-shot", "noiseless", "gradiometer-gains"])
-def test_stream_build_paths_bits_independent_of_lanes(monkeypatch, force_lanes, case):
+@pytest.mark.parametrize(
+    "case, seq",
+    [
+        pytest.param(case, seq, id=case + suffix)
+        for seq, suffix in [(XY8_1, ""), (XY8_8, "-xy8-8")]
+        for case in ["no-shot", "noiseless", "gradiometer-gains"]
+    ],
+)
+def test_stream_build_paths_bits_independent_of_lanes(monkeypatch, force_lanes, case, seq):
     # Each block's draws, its elementwise build over sample ranges and its
     # transforms run as lane tasks.  Without shot draws the noise-off stream
     # is the tone itself, and without phase noise only that stream exists;
@@ -350,24 +409,25 @@ def test_stream_build_paths_bits_independent_of_lanes(monkeypatch, force_lanes, 
     # the same bits on one, two and three lanes, and the one-lane streams
     # and spectra without shot draws or phase noise are those of the
     # expression built in one piece.
-    n_seq = round(7.0 * XY8_1.f_samp)
+    n = round(seq.f_samp)
+    n_seq = round(STREAM_SECONDS[seq] * seq.f_samp)
     want = None
     if case == "no-shot":
-        on = _reference_stream(XY8_1, mw.WhiteNoise(4e-3), 90e-12, 457.9e3, 0.0, n_seq, 23)
-        tone = _reference_stream(XY8_1, None, 90e-12, 457.9e3, 0.0, n_seq, 23)
-        want = [on, *(_reference_asd(x, 42134, XY8_1.f_samp) for x in (on, tone))]
+        on = _reference_stream(seq, mw.WhiteNoise(4e-3), 90e-12, 457.9e3, 0.0, n_seq, 23)
+        tone = _reference_stream(seq, None, 90e-12, 457.9e3, 0.0, n_seq, 23)
+        want = [on, *(_reference_asd(x, n, seq.f_samp) for x in (on, tone))]
     elif case == "noiseless":
-        off = _reference_stream(XY8_1, None, 90e-12, 457.9e3, 2e-3, n_seq, 23)
-        want = [off, _reference_asd(off, 42134, XY8_1.f_samp)]
+        off = _reference_stream(seq, None, 90e-12, 457.9e3, 2e-3, n_seq, 23)
+        want = [off, _reference_asd(off, n, seq.f_samp)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for block in _block_sizes(42134):
+        for block in _block_sizes(n):
             monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
             runs = []
             for cap in (1, 2, 3):
                 force_lanes(cap)
-                runs.append(_walk_arrays(case))
+                runs.append(_walk_arrays(case, seq))
             for run in [*runs[1:], *([want] if want else [])]:
                 assert len(run) == len(runs[0])
                 for got, expected in zip(runs[0], run):
