@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -72,19 +71,14 @@ _MIN_REALIZATIONS = 100
 # in cache between the draw and its reduction.
 _DRAW_BLOCK = 1 << 16
 
-# Most threads of one lane pool (:func:`_lanes`): those that run a sweep's
-# points at once, draw one Monte Carlo's chunks, or build and transform one
-# stream block.  A Monte Carlo lane holds a draw buffer of up to
-# max(_DRAW_BLOCK, row width) floats and a stream lane the FFT of its share of
-# one block, so the cap keeps that memory within a constant factor of the
-# coefficient arrays or the block on any host.  The sweep's worker processes
-# set it to 1 (:func:`_one_lane`), so processes and threads never multiply.
+# Most threads of one lane pool (:func:`_lanes`): those that draw one Monte
+# Carlo's chunks or build and transform one stream block.  A Monte Carlo lane
+# holds a draw buffer of up to max(_DRAW_BLOCK, row width) floats and a stream
+# lane the FFT of its share of one block, so the cap keeps that memory within
+# a constant factor of the coefficient arrays or the block on any host.  The
+# sweep's worker processes set it to 1 (:func:`_one_lane`), so processes and
+# threads never multiply.
 _LANE_CAP = 4
-
-# ``busy`` is set on a lane thread by the task it runs: a lane pool asked for
-# there runs inline, so the lanes of a sweep and those of its points'
-# Monte Carlos or stream walks never multiply.
-_on_lane = threading.local()
 
 
 def _one_lane() -> None:
@@ -103,43 +97,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _on_lane_call(fn, args):
-    _on_lane.busy = True
-    return fn(*args)
-
-
 @contextmanager
 def _lanes(tasks: int):
     """Context of (run, lanes): ``run(fn, *iterables)`` calls ``fn`` on the
     zipped items, at most ``tasks`` per run, and returns the results in
-    order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable CPUs) threads, or
-    on one when the caller is itself a lane's task.
+    order, on ``lanes`` = min(tasks, ``_LANE_CAP``, usable CPUs) threads.
 
     The calls run on one pool of ``lanes`` threads, kept for every ``run`` of
-    the context, or inline, in order, when that is one.  On the pool they
-    start last first, since the last items of a sweep usually cost the most,
-    and ``run`` raises the error of the first failing call in item order.
-    Calls not yet started are cancelled once the context's block raises; an
-    interrupt (a ``BaseException`` that is no ``Exception``) leaves at once,
-    and the calls already running finish on their own.  ``fn`` must release
-    the GIL for the lanes to overlap and must write nothing another call of
-    the same ``run`` reads or writes; what the calls make together, such as a
-    sum, the calling thread makes from their results.
+    the context, or inline when that is one; either way they start in item
+    order, and ``run`` raises the error of the first failing call in item
+    order.  Calls not yet started are cancelled once the context's block
+    raises; an interrupt (a ``BaseException`` that is no ``Exception``)
+    leaves at once, and the calls already running finish on their own.
+    ``fn`` must release the GIL for the lanes to overlap and must write
+    nothing another call of the same ``run`` reads or writes; what the calls
+    make together, such as a sum, the calling thread makes from their
+    results.
     """
-    lanes = 1 if getattr(_on_lane, "busy", False) else min(tasks, _LANE_CAP, _usable_cpus())
+    lanes = min(tasks, _LANE_CAP, _usable_cpus())
     if lanes <= 1:
         yield (lambda fn, *items: list(map(fn, *items))), 1
         return
 
-    def run(fn, *items):
-        calls = list(zip(*items))
-        order = range(len(calls))
-        futures = {i: pool.submit(_on_lane_call, fn, calls[i]) for i in reversed(order)}
-        return [futures[i].result() for i in order]
-
     pool = ThreadPoolExecutor(max_workers=lanes)
     try:
-        yield run, lanes
+        yield (lambda fn, *items: list(pool.map(fn, *items))), lanes
     except BaseException as exc:
         pool.shutdown(wait=isinstance(exc, Exception), cancel_futures=True)
         raise

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -345,16 +344,18 @@ SWEEP_LANE_BODIES = {
     "values = 1, 8\n",
     "pipeline": "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
     "[pipeline]\nduration_s = 1\n[sweep]\naxis = sigma_wh\nvalues = 0.001, 0.01\n",
+    "filter-fn": "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n",
 }
 
-# The pools a sweep asks for on ``cap`` > 1 lanes.  predict's points run on
-# one pool, one point per lane.  montecarlo and pipeline points run in turn
-# on this thread, each with its own lanes: the XY8-8 point's three chunks,
-# and each pipeline point's two streams, noise on and off.
+# The pools a sweep asks for on ``cap`` > 1 lanes.  Every point runs in turn
+# on this thread, so only a point that opens lanes of its own asks for a
+# pool: the montecarlo XY8-8 point's three chunks, and each pipeline point's
+# two streams, noise on and off.  predict and filter-fn points open none.
 SWEEP_LANE_POOLS = {
-    "predict": lambda cap: [min(cap, 3)],
+    "predict": lambda cap: [],
     "montecarlo": lambda cap: [min(cap, 3)],
     "pipeline": lambda cap: [2, 2],
+    "filter-fn": lambda cap: [],
 }
 
 
@@ -364,7 +365,8 @@ def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
     # bytes on one, two and four lanes, and the same rows as a process
     # pool's.
     cfg = _write_config(tmp_path, BASE_SEQUENCE + SWEEP_LANE_BODIES[command])
-    points = 3 if command == "predict" else 2
+    # Rows per table: one per point, and filter-fn's 16 grid rows per point.
+    points = {"predict": 3, "filter-fn": 3 * 16}.get(command, 2)
 
     def run(name, *extra):
         out, spectrum = tmp_path / f"{name}.csv", tmp_path / f"{name}-spectrum.csv"
@@ -373,6 +375,8 @@ def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
             argv += ["--n-realizations", "400"]
         if command == "pipeline":
             argv += ["--spectrum-out", str(spectrum)]
+        if command == "filter-fn":
+            argv += ["--n-points", "16"]
         assert main(argv) == EXIT_OK
         return out.read_bytes(), spectrum.read_bytes() if command == "pipeline" else None
 
@@ -421,8 +425,8 @@ def _failing_point(calls, cfg):
 def test_sweep_failure_names_the_first_failing_point(
     tmp_path, force_lanes, monkeypatch, capsys, cap
 ):
-    # n_r = 8 starts first on the lanes and fails first, but a plain loop
-    # fails at n_r = 2 with a config error, and so does every lane count:
+    # The points run in turn whatever the lane count, so the sweep stops at
+    # n_r = 2 with a config error and never reaches the failing n_r = 8:
     # exit 2, that point's message, and no table.
     calls = []
     monkeypatch.setattr(cli, "_predict_point", functools.partial(_failing_point, calls))
@@ -433,28 +437,7 @@ def test_sweep_failure_names_the_first_failing_point(
     assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == "mwnoise: config error: point n_r = 2 failed\n"
     assert not out.exists()
-    if cap == 1:
-        assert calls == [1, 2]
-
-
-def test_sweep_points_start_last_first(tmp_path, force_lanes, monkeypatch):
-    # Two lanes take the first two points off the queue and wait for each
-    # other, so those two are the last two points; the rows keep input order.
-    force_lanes(2)
-    pair = threading.Barrier(2, timeout=30)
-    started = []
-
-    def point(cfg):
-        started.append(cfg["sequence"]["n_r"])
-        pair.wait()
-        return [[float(cfg["sequence"]["n_r"])] * 8], None
-
-    monkeypatch.setattr(cli, "_predict_point", point)
-    cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4, 8\n")
-    out = tmp_path / "predict.csv"
-    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert sorted(started[:2]) == [4, 8]
-    assert _read_table(out)[2][:, 0].tolist() == [1.0, 2.0, 4.0, 8.0]
+    assert calls == [1, 2]
 
 
 def test_units_paper_scaling(tmp_path):
@@ -1206,6 +1189,31 @@ def test_exit_code_output_is_directory(tmp_path, flag):
     assert main(argv) == EXIT_CONFIG
     assert sorted(tmp_path.iterdir()) == sorted([Path(cfg), folder])
     assert list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "out, spectrum_out",
+    [("table.csv", "-"), ("-", "-"), ("table.csv", "table.csv"), ("table.csv", "sub/../table.csv")],
+    ids=["dash", "dash-beside-stdout", "same-path", "same-resolved-path"],
+)
+def test_exit_code_spectrum_out_not_its_own_file(tmp_path, monkeypatch, capsys, out, spectrum_out):
+    # "-" is stdout for --out only, and a --spectrum-out that resolves to the
+    # --out path would overwrite the table: both are configuration errors,
+    # found before any point runs, so no file (one named "-" included) and
+    # no table on stdout is written.
+    cfg = _write_config(
+        tmp_path,
+        BASE_SEQUENCE
+        + "[noise]\nsource = white\nsigma_wh = 0.005\n[pipeline]\nduration_s = 1\n",
+    )
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = ["pipeline", "--config", cfg, "--out", out, "--spectrum-out", spectrum_out]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.iterdir()) == sorted([Path(cfg), tmp_path / "sub"])
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 _CPMG_TAU = BASE_SEQUENCE.replace("kind = xy8", "kind = cpmg").replace("n_r = 1", "n_r = 4")

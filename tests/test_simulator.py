@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -343,27 +344,22 @@ def _inner_lanes(_):
 
 
 def test_lanes_open_inline_only_on_a_lane(force_lanes):
-    # A one-lane context calls on this thread and leaves its lanes free, so a
-    # single sweep point's Monte Carlo keeps its chunk pool; a lane's task
-    # runs every context it opens inline, so lanes never multiply.
+    # A one-lane context calls on this thread and opens no pool, so a call
+    # it runs, such as a single point's Monte Carlo, keeps its own lanes.
     sizes = force_lanes(4)
     with spin_simulator._lanes(1) as (run, lanes):
         assert lanes == 1
         assert run(_inner_lanes, [0]) == [3]
     assert sizes == [3]
-    with spin_simulator._lanes(2) as (run, lanes):
-        assert lanes == 2
-        assert run(_inner_lanes, range(4)) == [1, 1, 1, 1]
-    assert sizes == [3, 2]
-    assert _inner_lanes(0) == 3
-    assert sizes == [3, 2, 3]
 
 
 def test_lanes_interrupt_cancels_queued_tasks_and_leaves_at_once(force_lanes, monkeypatch):
-    # Six tasks on two lanes, submitted last first: tasks 5 and 4 hold the
-    # lanes until released, and once all six are queued task 5 interrupts
-    # the calling thread.  The interrupt cancels tasks 3 to 0 and leaves the
-    # context without waiting for the running two, which finish on their own.
+    # Six tasks on two lanes, submitted in order: tasks 0 and 1 hold the
+    # lanes until released, and once all six are queued task 0 interrupts
+    # the calling thread, once that thread waits for a result: a signal that
+    # lands before it blocks is only seen when it wakes.  The interrupt
+    # cancels tasks 2 to 5 and leaves the context without waiting for the
+    # running two, which finish on their own.
     force_lanes(2)
     queued, release = threading.Event(), threading.Event()
     started, finished, pools, futures = [], [], [], []
@@ -381,9 +377,15 @@ def test_lanes_interrupt_cancels_queued_tasks_and_leaves_at_once(force_lanes, mo
 
     def task(i):
         started.append(i)
-        if i == 5:
+        if i == 0:
             assert queued.wait(timeout=30)
-            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            main = threading.main_thread().ident
+            deadline = time.monotonic() + 30
+            while sys._current_frames()[main].f_code.co_name != "wait":
+                assert time.monotonic() < deadline
+                time.sleep(1e-3)
+            time.sleep(0.05)
+            signal.pthread_kill(main, signal.SIGINT)
         assert release.wait(timeout=30)
         finished.append(i)
 
@@ -396,7 +398,7 @@ def test_lanes_interrupt_cancels_queued_tasks_and_leaves_at_once(force_lanes, mo
     release.set()
     pools[0].shutdown()
     assert [future.cancelled() for future in futures[2:]] == [True] * 4
-    assert 5 in started and set(started) <= {4, 5}
+    assert 0 in started and set(started) <= {0, 1}
     assert sorted(finished) == sorted(started)
 
 _DRAWS_SCRIPT = """
