@@ -23,8 +23,8 @@ realizations can be generated independently in any order.
 
 Only the Monte Carlo draws per-realization noise: it is the check of the
 closed forms (``spin_simulator.monte_carlo_sigma_phi``).  Every process
-goes through its one draw plan: chunks of realizations
-(``_track_chunks``), each drawn from its own keyed generator
+goes through its one draw plan: chunks of realizations of at most 2^19
+samples (``_track_chunks``), each drawn from its own keyed generator
 (``_chunk_rng``), as blocks of standard normal rows that are reduced to
 phi_tot by fixed coefficients before the next block is drawn, so memory is
 set by the block, not by the realization count.  White and random-walk rows
@@ -483,17 +483,23 @@ def _track_rng(seed: int, realization: int) -> np.random.Generator:
 
 def _track_chunks(n: int, n_tracks: int):
     """(start, stop) ranges of realizations of n samples each drawn
-    together, bounding each batch at 2^22 samples.  A range's draws come
-    from ``_chunk_rng(process, seed, start)``.
+    together, bounding each batch at 2^19 samples, eight Monte Carlo draw
+    blocks.  A range's draws come from ``_chunk_rng(process, seed, start)``.
+    The ranges depend on n alone, so a smaller run's are a prefix of a
+    larger run's.
 
-    The Monte Carlo draws each range on its own thread, and the bound keeps
-    large runs on more than one: at 458 kHz, XY8-1's 3 500-sample PSD tracks
-    come in ranges of 1 198 realizations and XY8-8's 28 000-sample tracks in
-    ranges of 149; white and random-walk samples at the 65 pulse times of
-    XY8-8 come in ranges of 64 527, and at the 513 of XY8-64 in ranges of
-    8 176.
+    The Monte Carlo hands the ranges out in order to its threads, so the
+    bound sets how evenly they share a run: at 458 kHz, XY8-1's 3 500-sample
+    PSD tracks come in ranges of 149 realizations and XY8-8's 28 000-sample
+    tracks in ranges of 18; white and random-walk samples at the 65 pulse
+    times of XY8-8 come in ranges of 8 065, and at the 513 of XY8-64 in
+    ranges of 1 022.  So 2 000 PSD realizations of XY8-1, 250 of XY8-8,
+    100 000 white ones of XY8-8 and 20 000 random-walk ones of XY8-64 make
+    14, 14, 13 and 20 ranges, and of two threads the busier draws at most
+    one range more than the other.  Keying a range costs 12-15 us on a
+    2-vCPU x86-64 host, against about 5 ms of draws.
     """
-    chunk = max(1, (1 << 22) // max(n, 1))
+    chunk = max(1, (1 << 19) // max(n, 1))
     for start in range(0, n_tracks, chunk):
         yield start, min(start + chunk, n_tracks)
 

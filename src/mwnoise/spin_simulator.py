@@ -182,7 +182,10 @@ def _monte_carlo_phi_tot(
     realizations.
 
     Chunks are drawn on the lanes of :func:`_lanes`: min(chunks, usable CPUs,
-    ``_LANE_CAP``) threads, and inline when that is one.  A chunk makes its
+    ``_LANE_CAP``) threads, and inline when that is one.  The lanes take the
+    chunks in order, and a chunk holds at most 2^19 samples, so they finish
+    within one chunk of each other: of two lanes, the busier draws 1 043 of
+    2 000 XY8-1 PSD realizations and 126 of 250 at XY8-8.  A chunk makes its
     generator and buffer on its thread, writes only its own realizations and
     keeps its sum order, so every realization is bit-identical whatever the
     number of threads.

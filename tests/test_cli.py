@@ -16,6 +16,7 @@ import mwnoise as mw
 from mwnoise import cli, signal_pipeline, spin_simulator
 from mwnoise.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from mwnoise.core import read_csv
+from mwnoise.noise_models import _psd_track_layout, _track_chunks
 
 SRC = Path(mw.__file__).resolve().parent.parent
 
@@ -337,9 +338,8 @@ def test_sweep_worker_that_dies_is_config_error(tmp_path, monkeypatch):
 SWEEP_LANE_BODIES = {
     "predict": "[noise]\nsource = preset\npreset = g1-2.5ghz\n[sweep]\naxis = n_r\n"
     "values = 1, 2, 4\n",
-    # The XY8-8 point draws 400 realizations in three chunks
-    # (test_single_point_montecarlo_keeps_its_chunk_lanes), the XY8-1 point
-    # in one.
+    # The XY8-1 point draws 400 realizations in three chunks, the XY8-8
+    # point in 23 (test_single_point_montecarlo_keeps_its_chunk_lanes).
     "montecarlo": "[noise]\nsource = preset\npreset = g1-2.5ghz\n[sweep]\naxis = n_r\n"
     "values = 1, 8\n",
     "pipeline": "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
@@ -347,13 +347,23 @@ SWEEP_LANE_BODIES = {
     "filter-fn": "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n",
 }
 
+
+def _psd_chunks(n_r, n_realizations):
+    """Number of chunks a PSD Monte Carlo of the base sequence at ``n_r``
+    draws ``n_realizations`` in."""
+    seq = mw.make_xy8(n_r, 458e3, 48e-9, 15e-6)
+    times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+    duration, dt, _ = _psd_track_layout(times, 1e8)
+    return len(list(_track_chunks(int(round(duration / dt)), n_realizations)))
+
+
 # The pools a sweep asks for on ``cap`` > 1 lanes.  Every point runs in turn
 # on this thread, so only a point that opens lanes of its own asks for a
-# pool: the montecarlo XY8-8 point's three chunks, and each pipeline point's
-# two streams, noise on and off.  predict and filter-fn points open none.
+# pool: each montecarlo point's chunks, and each pipeline point's two
+# streams, noise on and off.  predict and filter-fn points open none.
 SWEEP_LANE_POOLS = {
     "predict": lambda cap: [],
-    "montecarlo": lambda cap: [min(cap, 3)],
+    "montecarlo": lambda cap: [min(cap, _psd_chunks(n_r, 400)) for n_r in (1, 8)],
     "pipeline": lambda cap: [2, 2],
     "filter-fn": lambda cap: [],
 }
@@ -399,7 +409,8 @@ def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
 
 def test_single_point_montecarlo_keeps_its_chunk_lanes(tmp_path, force_lanes):
     # A run without a sweep is one point on this thread: its Monte Carlo
-    # still draws its three chunks on a pool of its own.
+    # still draws its 23 chunks on a pool of its own.
+    assert _psd_chunks(8, 400) == 23
     sizes = force_lanes(4)
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE.replace("n_r = 1", "n_r = 8")
@@ -408,7 +419,7 @@ def test_single_point_montecarlo_keeps_its_chunk_lanes(tmp_path, force_lanes):
     out = tmp_path / "mc.csv"
     argv = ["montecarlo", "--config", cfg, "--out", str(out), "--n-realizations", "400"]
     assert main(argv) == EXIT_OK
-    assert sizes == [3]
+    assert sizes == [4]
 
 
 def _failing_point(calls, cfg):

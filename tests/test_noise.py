@@ -481,13 +481,34 @@ def test_blocked_draws_match_one_matrix_draw():
             assert_array_equal(full, np.cumsum(step_std * normals, axis=1))
 
 
+def test_track_chunks_tile_in_ranges_of_at_most_2_19_samples():
+    # The ranges tile [0, n_tracks) in order, each holds at most 2^19
+    # samples or else one realization, and they depend on the sample count
+    # alone: a smaller run's ranges are a prefix of a larger run's, the
+    # last one cut at its count.
+    for n in (65, 513, 3_500, 28_000, (1 << 19) + 1):
+        per_range = max(1, (1 << 19) // n)
+        for n_tracks in (1, per_range, per_range + 1, 5 * per_range + 3):
+            ranges = list(_track_chunks(n, n_tracks))
+            assert ranges[0][0] == 0 and ranges[-1][1] == n_tracks, (n, n_tracks)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), (n, n_tracks)
+            assert all(
+                start < stop and ((stop - start) * n <= 1 << 19 or stop - start == 1)
+                for start, stop in ranges
+            ), (n, n_tracks)
+            larger = list(_track_chunks(n, 7 * per_range + 5))
+            assert ranges == [
+                (start, min(stop, n_tracks)) for start, stop in larger if start < n_tracks
+            ], (n, n_tracks)
+
+
 def test_pulse_draws_beyond_the_first_chunk_use_their_own_key():
-    # Realizations come in chunks of at most 2^22 samples; chunk k of white
+    # Realizations come in chunks of at most 2^19 samples; chunk k of white
     # or random-walk rows draws from the key (seed, tag, 1 + its first row),
     # so the first chunk keeps the key of one whole-matrix draw.
     times = np.linspace(1e-6, 7e-5, 65)
     first_stop = next(_track_chunks(times.size, 10**9))[1]
-    assert first_stop == 64_527
+    assert first_stop == 8_065
     full = sample_pulse_phases_batch(mw.WhiteNoise(0.01), times, first_stop + 5, seed=19)
     head = _keyed_rng(19, 0x7768697465, 1).standard_normal((first_stop, times.size))
     tail = _keyed_rng(19, 0x7768697465, 1 + first_stop).standard_normal((5, times.size))

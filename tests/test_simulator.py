@@ -244,7 +244,7 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
         duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
         n = int(round(duration / dt))
         first_stop = next(_track_chunks(n, 10**9))[1]
-        count = first_stop + 37
+        count = first_stop + 5
         assert len(list(_track_chunks(n, count))) == 2
         samples = sample_pulse_phases_batch(proc, times, count, seed=43)
         weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
@@ -254,45 +254,39 @@ def test_psd_monte_carlo_matches_time_domain_tracks():
         assert np.max(np.abs(got - want)) <= 1e-12 * sigma, n_r
 
 
-def _assert_bits_independent_of_lanes(
-    monkeypatch, force_lanes, seq, proc, samples, n_chunks
-):
+def _assert_bits_independent_of_lanes(force_lanes, seq, proc, samples, n_chunks):
     # Each chunk keeps its key, its rows and its sum order on any
     # thread, so every realization is bit-identical on one lane and on up to
     # four, with more chunks than lanes too.  A short switch interval interleaves
-    # the lanes' Python code as often as it can.
+    # the lanes' Python code as often as it can.  The draw loop is called
+    # directly: an XY8-8 PSD chunk holds 18 realizations, fewer than the
+    # public Monte Carlo's minimum of 100.
     chunk = next(_track_chunks(samples, 10**9))[1]
-    count = max(100, (n_chunks - 1) * chunk + 37)
-    draws, results = [], []
-
-    def recording_draws(*args):
-        draws.append(_monte_carlo_phi_tot(*args))
-        return draws[-1]
-
-    monkeypatch.setattr(spin_simulator, "_monte_carlo_phi_tot", recording_draws)
+    count = (n_chunks - 1) * chunk + min(37, chunk)
+    assert len(list(_track_chunks(samples, count))) == n_chunks
+    draws = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for cap in (1, 4):
             sizes = force_lanes(cap)
-            results.append(monte_carlo_sigma_phi(seq, proc, count, seed=61))
+            draws.append(_monte_carlo_phi_tot(seq, proc, count, 61))
             lanes = min(n_chunks, cap)
             assert sizes == ([lanes] if lanes > 1 else [])
     finally:
         sys.setswitchinterval(switch)
     assert_array_equal(draws[0], draws[1])
-    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("n_r", [1, 8])
 @pytest.mark.parametrize("n_chunks", [1, 2, 5])
-def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, force_lanes, n_r, n_chunks):
+def test_psd_monte_carlo_bits_independent_of_lanes(force_lanes, n_r, n_chunks):
     proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
     times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
     duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
     samples = int(round(duration / dt))
-    _assert_bits_independent_of_lanes(monkeypatch, force_lanes, seq, proc, samples, n_chunks)
+    _assert_bits_independent_of_lanes(force_lanes, seq, proc, samples, n_chunks)
 
 
 @pytest.mark.parametrize(
@@ -301,41 +295,44 @@ def test_psd_monte_carlo_bits_independent_of_lanes(monkeypatch, force_lanes, n_r
     ids=["white-xy8-8", "random-walk-xy8-64"],
 )
 @pytest.mark.parametrize("n_chunks", [1, 2, 5])
-def test_pulse_monte_carlo_bits_independent_of_lanes(
-    monkeypatch, force_lanes, n_r, proc, n_chunks
-):
+def test_pulse_monte_carlo_bits_independent_of_lanes(force_lanes, n_r, proc, n_chunks):
     # White and random-walk realizations draw one normal per pulse and one
     # for the final pulse, in chunks keyed like the PSD tracks'.
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
-    _assert_bits_independent_of_lanes(monkeypatch, force_lanes, seq, proc, seq.n_pi + 1, n_chunks)
+    _assert_bits_independent_of_lanes(force_lanes, seq, proc, seq.n_pi + 1, n_chunks)
 
 
 def test_psd_monte_carlo_keeps_lanes_at_xy8_8(force_lanes):
-    # 250 realizations of XY8-8 make two chunks of at most 149 realizations
-    # of its 28 000-sample tracks, so the run draws on two threads.
+    # 250 realizations of XY8-8 make 14 chunks of at most 18 realizations
+    # of its 28 000-sample tracks, so the run draws on all four threads.
     proc = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    times = np.concatenate(([0.0], seq.pulse_times(), [seq.tau_tot]))
+    duration, dt, _ = _psd_track_layout(times, proc.f_cutoff)
+    n_chunks = len(list(_track_chunks(int(round(duration / dt)), 250)))
+    assert n_chunks == 14
     sizes = force_lanes(4)
     monte_carlo_sigma_phi(seq, proc, 250, seed=71)
-    assert sizes == [2]
+    assert sizes == [min(n_chunks, 4)]
 
 
 @pytest.mark.parametrize(
-    "n_r, proc, count, lanes",
+    "n_r, proc, count, n_chunks",
     [
-        (8, mw.WhiteNoise(0.01), 100_000, 2),
-        (64, mw.RandomWalkNoise(1e-3, 1e6), 20_000, 3),
+        (8, mw.WhiteNoise(0.01), 100_000, 13),
+        (64, mw.RandomWalkNoise(1e-3, 1e6), 20_000, 20),
     ],
     ids=["white-xy8-8", "random-walk-xy8-64"],
 )
-def test_pulse_monte_carlo_keeps_lanes(force_lanes, n_r, proc, count, lanes):
-    # Chunks bound a batch at 2^22 samples: 64 527 realizations of XY8-8's
-    # 65 pulse times, 8 176 of XY8-64's 513, so these runs draw on two and
-    # three threads.
+def test_pulse_monte_carlo_keeps_lanes(force_lanes, n_r, proc, count, n_chunks):
+    # Chunks bound a batch at 2^19 samples: 8 065 realizations of XY8-8's
+    # 65 pulse times, 1 022 of XY8-64's 513, so both runs draw on all four
+    # threads.
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    assert len(list(_track_chunks(seq.n_pi + 1, count))) == n_chunks
     sizes = force_lanes(4)
     monte_carlo_sigma_phi(seq, proc, count, seed=73)
-    assert sizes == [lanes]
+    assert sizes == [min(n_chunks, 4)]
 
 
 def _inner_lanes(_):
@@ -415,13 +412,13 @@ def test_monte_carlo_bits_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits a long dot product into per-thread partial sums, so a
     # reduction through BLAS changes its last bits with OPENBLAS_NUM_THREADS.
     # No Monte Carlo reduction calls BLAS: the draws of a PSD XY8-8 run over
-    # two chunks (13 975-bin rows) and of a random walk at XY8-64 are
+    # two chunks (14 001-bin rows) and of a random walk at XY8-64 are
     # bit-identical in processes with one and with two BLAS threads.
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     xy8_8 = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
     times = np.concatenate(([0.0], xy8_8.pulse_times(), [xy8_8.tau_tot]))
     duration, dt, _ = _psd_track_layout(times, psd.f_cutoff)
-    count = next(_track_chunks(int(round(duration / dt)), 10**9))[1] + 37
+    count = next(_track_chunks(int(round(duration / dt)), 10**9))[1] + 5
     cases = [
         (xy8_8, psd, count, 67),
         (_table_seq(), mw.RandomWalkNoise(1e-3, 1e6), 1000, 67),
