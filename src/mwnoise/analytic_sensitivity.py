@@ -74,6 +74,12 @@ class ReadoutModel:
         """xi = sqrt(2 (1 + t_read / t_norm)): signal-plus-reference shot noise."""
         return math.sqrt(2.0 * (1.0 + self.t_read / self.t_norm))
 
+    @property
+    def shot_sigma(self) -> Radians:
+        """Per-sequence shot-noise phase std xi / (C sqrt(n_photons)) (Barry
+        et al., Rev. Mod. Phys. 92, 015004, 2020)."""
+        return self.overhead_factor / (self.contrast * math.sqrt(self.n_photons))
+
 
 @dataclass(frozen=True)
 class CwModel:
@@ -100,17 +106,7 @@ def sigma_phi_filter(
         raise ValueError("f_cutoff must be positive")
     ff = FilterFunction(seq, finite_pulse_correction=finite_pulse_correction)
     psd = _psd_power_law(spectrum)
-
-    def weight(f: np.ndarray) -> np.ndarray:
-        # Lattice blocks ascend and are finite, so only leading points can
-        # sit at f = 0, where S(0) counts as 0, and the rest need no check.
-        out = np.empty(f.size)
-        zeros = int(np.searchsorted(f, 0.0, side="right"))
-        out[:zeros] = 0.0
-        psd(f[zeros:], out[zeros:])
-        return out
-
-    var = band_integral_weighted(ff, weight, 0.0, f_cutoff)
+    var = band_integral_weighted(ff, lambda f: psd(f, np.empty(f.size)), 0.0, f_cutoff)
     if not math.isfinite(var) or var < 0:
         raise ArithmeticError("phase-noise integral did not converge to a finite value")
     return math.sqrt(var)
@@ -170,13 +166,9 @@ def eta_shot_noise(
     model: ReadoutModel,
     seq: PulseSequence,
 ) -> SensitivityTeslaSqrtS:
-    """Photon-shot-noise-limited sensitivity of the pulsed readout."""
-    tau_tot = seq.tau_tot
-    return (
-        model.overhead_factor
-        / math.sqrt(seq.duty)
-        / (4.0 * GAMMA_NV * model.contrast * math.sqrt(tau_tot * model.n_photons))
-    )
+    """Photon-shot-noise-limited sensitivity of the pulsed readout:
+    :func:`eta_phi` of the model's per-sequence shot sigma."""
+    return eta_phi(model.shot_sigma, seq)
 
 
 def eta_johnson_pulsed(

@@ -35,14 +35,12 @@ from .analytic_sensitivity import (
     eta_johnson_pulsed,
     eta_phi,
     eta_random_walk,
-    eta_shot_noise,
     eta_white,
     sigma_phi_filter,
 )
 from .core import khz_to_hz, ns_to_s, read_csv, us_to_s
 from .noise_models import (
     NoiseProcess,
-    PhaseNoiseSpectrum,
     PsdDrivenNoise,
     RandomWalkNoise,
     WhiteNoise,
@@ -70,7 +68,6 @@ from .signal_pipeline import (
     fit_calibration,
     gradiometer_spectra,
     save_amplitude_spectrum,
-    shot_sigma_from_readout,
     stream_spectra,
 )
 from .spin_simulator import _MIN_REALIZATIONS, _phi_tot_sigma, monte_carlo_sigma_phi
@@ -272,11 +269,11 @@ def build_sequence(cfg: dict) -> PulseSequence:
     raise ConfigError("cpmg timing must be given as f_xy8_khz or tau_ns")
 
 
-def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | None]:
-    """(L(f) spectrum, process) of the configured noise source.
+def build_noise(cfg: dict) -> NoiseProcess | None:
+    """Process of the configured noise source, None for ``none``.
 
-    The spectrum is None for the sample-based sources (white, random walk)
-    and for ``none``, whose process is None too.
+    A spectrum source's L(f) is the process's ``spectrum``.  The process
+    keeps its default seed: every draw takes ``[run] seed`` explicitly.
     """
     noise_cfg = cfg["noise"]
     source = noise_cfg["source"].lower()
@@ -286,14 +283,13 @@ def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | No
             raise ConfigError(f"noise source {source!r} requires [noise] {key.name}")
     if source == "file" and not Path(noise_cfg["file"]).is_file():
         raise ConfigError(f"spectrum file not found: {noise_cfg['file']}")
-    seed = cfg["run"]["seed"]
     try:
         if source == "none":
-            return None, None
+            return None
         if source == "white":
-            return None, WhiteNoise(noise_cfg["sigma_wh"], seed=seed)
+            return WhiteNoise(noise_cfg["sigma_wh"])
         if source == "random-walk":
-            return None, RandomWalkNoise(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"], seed=seed)
+            return RandomWalkNoise(noise_cfg["sigma_rw"], noise_cfg["r_samp_hz"])
         if source == "preset":
             spectrum = preset_spectrum(noise_cfg["preset"])
         elif source == "file":
@@ -304,12 +300,15 @@ def build_noise(cfg: dict) -> tuple[PhaseNoiseSpectrum | None, NoiseProcess | No
             spectrum = spectrum.scaled_to_carrier(noise_cfg["carrier_ghz"] * 1e9)
         if noise_cfg["shift_db"] is not None:
             spectrum = spectrum.shifted_db(noise_cfg["shift_db"])
-        return spectrum, PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"], seed=seed)
+        return PsdDrivenNoise(spectrum, noise_cfg["f_cutoff_hz"])
     except ValueError as exc:
         raise ConfigError(f"invalid [noise] parameters: {exc}") from None
 
 
-def build_readout(cfg: dict) -> "ReadoutModel | float":
+def build_readout(cfg: dict) -> float | None:
+    """Per-sequence shot-noise phase std of ``[readout]``: ``shot_sigma``, or
+    the :attr:`ReadoutModel.shot_sigma` of ``contrast``/``n_photons``; None
+    when neither is given."""
     r = cfg["readout"]
     model_keys = (r["contrast"], r["n_photons"])
     if r["shot_sigma"] is not None:
@@ -320,12 +319,12 @@ def build_readout(cfg: dict) -> "ReadoutModel | float":
         try:
             return ReadoutModel(
                 r["contrast"], r["n_photons"], us_to_s(r["t_read_us"]), us_to_s(r["t_norm_us"])
-            )
+            ).shot_sigma
         except ValueError as exc:
             raise ConfigError(f"invalid [readout] parameters: {exc}") from None
     if any(v is not None for v in model_keys):
         raise ConfigError("[readout] contrast and n_photons must be given together")
-    return 0.0
+    return None
 
 
 def _stream_sequences(seq: PulseSequence, p: dict) -> int:
@@ -343,21 +342,19 @@ def _stream_sequences(seq: PulseSequence, p: dict) -> int:
     return n_seq
 
 
-def build_point(
-    cfg: dict,
-) -> tuple[PulseSequence, PhaseNoiseSpectrum | None, NoiseProcess | None, "ReadoutModel | float"]:
-    """(sequence, spectrum, process, readout) of one sweep point.
+def build_point(cfg: dict) -> tuple[PulseSequence, NoiseProcess | None, float | None]:
+    """(sequence, process, shot sigma) of one sweep point.
 
     Every command builds each of its points here, once, so every set key is
     checked against :data:`SCHEMA` and every section is built whether or not
     the command uses it: a bad value is a configuration error under every
-    command.  ``spectrum`` and ``process`` are those of :func:`build_noise`.
+    command.  ``process`` is that of :func:`build_noise` and the shot sigma
+    that of :func:`build_readout`.
     """
     _check_keys(cfg)
     seq = build_sequence(cfg)
     _stream_sequences(seq, cfg["pipeline"])
-    spectrum, process = build_noise(cfg)
-    return seq, spectrum, process, build_readout(cfg)
+    return seq, build_noise(cfg), build_readout(cfg)
 
 
 # --- units ------------------------------------------------------------------
@@ -530,13 +527,13 @@ def cmd_filter_fn(cfg: dict, args) -> None:
 # --- predict ------------------------------------------------------------------
 
 def _predict_point(cfg):
-    seq, spectrum, process, readout = build_point(cfg)
+    seq, process, shot_sigma = build_point(cfg)
     noise_cfg = cfg["noise"]
     sigma_phi = float("nan")
     eta_filter = float("nan")
-    if spectrum is not None:
+    if isinstance(process, PsdDrivenNoise):
         sigma_phi = sigma_phi_filter(
-            spectrum,
+            process.spectrum,
             seq,
             f_cutoff=noise_cfg["f_cutoff_hz"],
             finite_pulse_correction=cfg["sequence"]["finite_pulses"],
@@ -552,12 +549,7 @@ def _predict_point(cfg):
         if isinstance(process, RandomWalkNoise)
         else float("nan")
     )
-    if isinstance(readout, ReadoutModel):
-        eta_shot = eta_shot_noise(readout, seq)
-    elif cfg["readout"]["shot_sigma"] is not None:
-        eta_shot = eta_phi(readout, seq)
-    else:
-        eta_shot = float("nan")
+    eta_shot = float("nan") if shot_sigma is None else eta_phi(shot_sigma, seq)
     eta_johnson = eta_johnson_pulsed(
         noise_cfg["l_johnson_dbc"], seq.n_pi, seq.tau_tot, f_cutoff=noise_cfg["f_cutoff_hz"]
     )
@@ -592,20 +584,20 @@ def cmd_predict(cfg: dict, args) -> None:
 # --- montecarlo -----------------------------------------------------------------
 
 def _montecarlo_point(cfg):
-    seq, spectrum, process, _ = build_point(cfg)
+    seq, process, _ = build_point(cfg)
     seed = cfg["run"]["seed"]
     if process is None:
-        process = WhiteNoise(0.0, seed=seed)
+        process = WhiteNoise(0.0)
     result = monte_carlo_sigma_phi(seq, process, cfg["run"]["n_realizations"], seed=seed)
-    if spectrum is None:
-        # White, random walk and none: the exact std of the sampled phi_tot.
-        analytic = _phi_tot_sigma(seq, process)
-    else:
+    if isinstance(process, PsdDrivenNoise):
         # The Monte Carlo treats pulses as instantaneous, so the matching
         # frequency-domain reference is the delta-pulse filter function.
         analytic = sigma_phi_filter(
-            spectrum, seq, f_cutoff=cfg["noise"]["f_cutoff_hz"], finite_pulse_correction=False
+            process.spectrum, seq, cfg["noise"]["f_cutoff_hz"], finite_pulse_correction=False
         )
+    else:
+        # White, random walk and none: the exact std of the sampled phi_tot.
+        analytic = _phi_tot_sigma(seq, process)
     row = [
         result.n_realizations,
         result.sigma_phi_empirical,
@@ -633,13 +625,14 @@ def cmd_montecarlo(cfg: dict, args) -> None:
 # --- pipeline -------------------------------------------------------------------
 
 def _pipeline_point(cfg):
-    seq, _, process, readout = build_point(cfg)
+    seq, process, shot_sigma = build_point(cfg)
+    if shot_sigma is None:
+        shot_sigma = 0.0  # no [readout]: no shot noise
     p = cfg["pipeline"]
     seed = cfg["run"]["seed"]
     interval = p["interval_s"]
 
     if p["gradiometer"]:
-        shot_sigma = shot_sigma_from_readout(readout)
         n_seq = _stream_sequences(seq, p)
         if process is None:
             raise ConfigError("gradiometer mode needs a noise source")
@@ -667,7 +660,7 @@ def _pipeline_point(cfg):
 
     f_test = khz_to_hz(p["f_test_khz"]) if p["f_test_khz"] is not None else None
     spectrum_on, spectrum_off = stream_spectra(
-        seq, process, p["test_field_pt"] * 1e-12, f_test or 0.0, readout, p["duration_s"],
+        seq, process, p["test_field_pt"] * 1e-12, f_test or 0.0, shot_sigma, p["duration_s"],
         interval, seed,
     )
     floor_on, _ = estimate_noise_floor(spectrum_on, f_test)

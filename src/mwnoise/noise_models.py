@@ -191,8 +191,9 @@ def ssb_to_psd(spectrum: PhaseNoiseSpectrum, f) -> np.ndarray:
 
 
 def _psd_power_law(spectrum: PhaseNoiseSpectrum):
-    """S_phi as a function of (f, out): ``f`` ascending, positive and finite
-    (unchecked), the values written into ``out``, of f's size, and returned.
+    """S_phi as a function of (f, out): ``f`` ascending, nonnegative and
+    finite (unchecked), the values written into ``out``, of f's size, and
+    returned.
 
     L is linear in ln f on each segment of the table (the hold below the
     first offset, each span between offsets, the extrapolation above the
@@ -200,8 +201,9 @@ def _psd_power_law(spectrum: PhaseNoiseSpectrum):
     once.  Each call finds the segments' bounds by one search of the offsets
     in the ascending frequencies, so each segment is a slice with scalar
     a_i, b_i.  A segment of zero slope is filled with exp(a_i) and takes no
-    log.  A power law is monotone on its segment, so only a segment whose
-    end values fall below the floor of L is clamped.
+    log; the hold has zero slope, so f = 0 reads the hold's level.  A power
+    law is monotone on its segment, so only a segment whose end values fall
+    below the floor of L is clamped.
     """
     offsets = np.asarray(spectrum.offsets_hz)
     laws = _power_laws(spectrum)

@@ -96,11 +96,6 @@ class PulseSequence:
             raise ValueError("an XY8 sequence needs a multiple of 8 pi pulses")
 
     @property
-    def n_repeats(self) -> int:
-        """Number of 8-pulse blocks (XY8 only; 0 for a bare CPMG train)."""
-        return self.n_pi // 8 if self.kind is SequenceKind.XY8 else 0
-
-    @property
     def tau_tot(self) -> TimeSeconds:
         return self.n_pi * (2.0 * self.tau + self.t_pi)
 
@@ -125,6 +120,16 @@ class PulseSequence:
         return (np.arange(self.n_pi) + 0.5) * period
 
 
+def _spaced(
+    kind: SequenceKind, n_pi: int, period: TimeSeconds, t_pi: TimeSeconds, t_dead: TimeSeconds
+) -> PulseSequence:
+    """Sequence of ``n_pi`` pulses whose centers lie ``period`` = 2*tau + t_pi
+    apart; rejects a pi pulse that does not fit in the spacing."""
+    if t_pi >= period:
+        raise ValueError("t_pi too long for the requested pulse spacing")
+    return PulseSequence(kind, n_pi, 0.5 * (period - t_pi), t_pi, t_dead)
+
+
 def make_xy8(
     n_repeats: int,
     f_xy8: FrequencyHz,
@@ -136,15 +141,9 @@ def make_xy8(
     The pulse spacing follows from 2*tau + t_pi = 1/(2 f_xy8); rejects
     combinations where the pi pulse does not fit in the spacing.
     """
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be at least 1")
     if not 0 < f_xy8 < math.inf:
         raise ValueError("f_xy8 must be positive and finite")
-    period = 1.0 / (2.0 * f_xy8)
-    if t_pi >= period:
-        raise ValueError("t_pi too long for the requested passband center")
-    tau = 0.5 * (period - t_pi)
-    return PulseSequence(SequenceKind.XY8, 8 * n_repeats, tau, t_pi, t_dead)
+    return _spaced(SequenceKind.XY8, 8 * n_repeats, 1.0 / (2.0 * f_xy8), t_pi, t_dead)
 
 
 def make_xy8_fixed_duration(
@@ -159,11 +158,7 @@ def make_xy8_fixed_duration(
     if not 0 < tau_tot < math.inf:
         raise ValueError("tau_tot must be positive and finite")
     n_pi = 8 * n_repeats
-    period = tau_tot / n_pi
-    if t_pi >= period:
-        raise ValueError("t_pi too long for the requested tau_tot")
-    tau = 0.5 * (period - t_pi)
-    return PulseSequence(SequenceKind.XY8, n_pi, tau, t_pi, t_dead)
+    return _spaced(SequenceKind.XY8, n_pi, tau_tot / n_pi, t_pi, t_dead)
 
 
 def make_cpmg(
@@ -173,15 +168,9 @@ def make_cpmg(
     t_dead: TimeSeconds = 0.0,
 ) -> PulseSequence:
     """CPMG train of ``n_pi`` pulses with passband center ``f_center``."""
-    if n_pi < 1:
-        raise ValueError("n_pi must be at least 1")
     if not 0 < f_center < math.inf:
         raise ValueError("f_center must be positive and finite")
-    period = 1.0 / (2.0 * f_center)
-    if t_pi >= period:
-        raise ValueError("t_pi too long for the requested passband center")
-    tau = 0.5 * (period - t_pi)
-    return PulseSequence(SequenceKind.CPMG, n_pi, tau, t_pi, t_dead)
+    return _spaced(SequenceKind.CPMG, n_pi, 1.0 / (2.0 * f_center), t_pi, t_dead)
 
 
 @dataclass(frozen=True)
@@ -190,9 +179,6 @@ class FilterFunction:
 
     sequence: PulseSequence
     finite_pulse_correction: bool = True
-
-    def __call__(self, f) -> np.ndarray:
-        return filter_function_value(self, f)
 
 
 def filter_function_value(ff: FilterFunction, f) -> np.ndarray:

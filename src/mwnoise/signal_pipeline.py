@@ -55,7 +55,6 @@ from .core import (
     _keep_freed_heap,
     write_csv,
 )
-from .analytic_sensitivity import ReadoutModel
 from .noise_models import NoiseProcess, _gaussian_stream, _keyed_rng
 from .pulse_sequences import PulseSequence
 from .spin_simulator import _lanes, _phi_tot_draws
@@ -75,10 +74,6 @@ class ReadoutStream:
         if not 0 < self.f_samp < math.inf:
             raise ValueError("f_samp must be positive and finite")
         object.__setattr__(self, "samples", arr)
-
-    @property
-    def duration(self) -> TimeSeconds:
-        return self.samples.size / self.f_samp
 
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) / self.f_samp
@@ -110,13 +105,6 @@ class AmplitudeSpectrum:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "asd", asd)
 
-    @property
-    def delta_f(self) -> FrequencyHz:
-        """Bin spacing in Hz."""
-        if self.freqs.size < 2:
-            return self.f_samp
-        return float(self.freqs[1] - self.freqs[0])
-
 
 def alias_frequency(f: FrequencyHz, f_samp: FrequencyHz) -> tuple[FrequencyHz, FrequencyHz]:
     """(f_alias, f_ref) of a tone at ``f`` sampled at ``f_samp``.
@@ -132,21 +120,6 @@ def alias_frequency(f: FrequencyHz, f_samp: FrequencyHz) -> tuple[FrequencyHz, F
     n = math.ceil(f / f_samp - 0.5)
     f_ref = n * f_samp
     return abs(f - f_ref), f_ref
-
-
-def shot_sigma_from_readout(readout: "ReadoutModel | float") -> Radians:
-    """Per-sequence shot-noise phase std, from a readout model or a number.
-
-    For a photon-counting readout the phase uncertainty per sequence is
-    overhead_factor / (contrast * sqrt(n_photons)); a plain float is taken
-    to already be that sigma in radians.
-    """
-    if isinstance(readout, ReadoutModel):
-        return readout.overhead_factor / (readout.contrast * math.sqrt(readout.n_photons))
-    sigma = float(readout)
-    if sigma < 0:
-        raise ValueError("shot sigma must be nonnegative")
-    return sigma
 
 
 # Samples per block of the chunked stream walk, rounded down to whole chunks:
@@ -239,6 +212,8 @@ def _readout_terms(
     ``on`` is tone + phase noise + shot noise, ``off`` the same tone and shot
     draws without the phase noise.
     """
+    if not 0 <= shot_sigma < math.inf:
+        raise ValueError("shot_sigma must be nonnegative and finite")
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     shot = None
     if shot_sigma > 0:
@@ -291,8 +266,8 @@ def _gradiometer_terms(
     """
     if n_sequences < 2:
         raise ValueError("need at least 2 sequences")
-    if shot_sigma < 0:
-        raise ValueError("shot_sigma must be nonnegative")
+    if not 0 <= shot_sigma < math.inf:
+        raise ValueError("shot_sigma must be nonnegative and finite")
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     draws = (
         _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x67726164)),
@@ -345,7 +320,7 @@ def synthesize_stream(
     process: NoiseProcess | None,
     test_field_amp: Tesla,
     f_test: FrequencyHz,
-    readout: "ReadoutModel | float",
+    shot_sigma: Radians,
     duration: TimeSeconds,
     seed: int = 0,
 ) -> ReadoutStream:
@@ -355,14 +330,15 @@ def synthesize_stream(
     sampled at the sequence start times, which aliases it into the first
     Nyquist zone automatically.  Source phase noise enters through the
     per-sequence accumulated phase and is scaled to tesla by
-    1/(4 gamma tau_tot), as is the independent Gaussian shot term.
-    ``process`` may be None for a noiseless source.  The samples are those
-    :func:`stream_spectra` transforms, joined from its blocks.
+    1/(4 gamma tau_tot), as is the independent Gaussian shot term of std
+    ``shot_sigma`` radians per sequence (a readout model's
+    :attr:`~mwnoise.analytic_sensitivity.ReadoutModel.shot_sigma`), which
+    must be nonnegative and finite.  ``process`` may be None for a noiseless
+    source.  The samples are those :func:`stream_spectra` transforms, joined
+    from its blocks.
     """
     n_seq = _sequence_count(duration, seq.f_samp)
-    draws, build = _readout_terms(
-        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), seed
-    )
+    draws, build = _readout_terms(seq, process, test_field_amp, f_test, shot_sigma, seed)
     return ReadoutStream(_joined(seq.f_samp, n_seq, draws, build, 1)[0], seq.f_samp)
 
 
@@ -654,7 +630,7 @@ def stream_spectra(
     process: NoiseProcess | None,
     test_field_amp: Tesla,
     f_test: FrequencyHz,
-    readout: "ReadoutModel | float",
+    shot_sigma: Radians,
     duration: TimeSeconds,
     interval: TimeSeconds,
     seed: int = 0,
@@ -669,9 +645,7 @@ def stream_spectra(
     """
     n_seq = _sequence_count(duration, seq.f_samp)
     n = _chunk_length(interval, seq.f_samp, n_seq)
-    draws, build = _readout_terms(
-        seq, process, test_field_amp, f_test, shot_sigma_from_readout(readout), seed
-    )
+    draws, build = _readout_terms(seq, process, test_field_amp, f_test, shot_sigma, seed)
     spectra = _block_spectra(seq.f_samp, n_seq, n, draws, build)
     return spectra[0], None if process is None else spectra[1]
 

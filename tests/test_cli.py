@@ -1284,6 +1284,39 @@ def test_config_rules(tmp_path, command, body, want):
         assert row[column] == pytest.approx(value, rel=1e-11, abs=0)
 
 
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("predict", BASE_SEQUENCE + _PRESET + "[sweep]\naxis = n_r\nvalues = 1, 2, 8, 64\n"),
+        ("pipeline", BASE_SEQUENCE + _PRESET
+         + "[pipeline]\nduration_s = 2\nf_test_khz = 400\ntest_field_pt = 50\n"),
+        ("pipeline", BASE_SEQUENCE.replace("n_r = 1", "n_r = 8") + _PRESET
+         + "[pipeline]\nduration_s = 5\ngradiometer = true\ngradient_pt = 70\n"),
+    ],
+    ids=["predict-sweep", "pipeline", "gradiometer"],
+)
+def test_readout_model_is_its_shot_sigma(tmp_path, command, body):
+    # [readout] contrast/n_photons configure one number, the model's
+    # per-sequence shot sigma: the bare shot_sigma of that value gives the
+    # same table body and spectrum, byte for byte.
+    sigma = mw.ReadoutModel(0.03, 1e5, 1.5e-6, 4e-6).shot_sigma
+    files = []
+    for name, readout in (
+        ("model", "contrast = 0.03\nn_photons = 1e5\n"),
+        ("sigma", f"shot_sigma = {sigma!r}\n"),
+    ):
+        cfg = _write_config(tmp_path, body + "[readout]\n" + readout, name=f"{name}.ini")
+        out, spectrum = tmp_path / f"{name}.csv", tmp_path / f"{name}-spectrum.csv"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "pipeline":
+            argv += ["--spectrum-out", str(spectrum)]
+        assert main(argv) == EXIT_OK
+        body_lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        files.append((body_lines, spectrum.read_bytes() if command == "pipeline" else None))
+    assert files[0] == files[1]
+    assert len(files[0][0]) == (5 if command == "predict" else 2)
+
+
 def test_provenance_headers(tmp_path):
     cfg = _write_config(tmp_path, BASE_SEQUENCE)
     out = tmp_path / "prov.csv"

@@ -12,7 +12,6 @@ import mwnoise as mw
 from mwnoise import signal_pipeline
 from mwnoise.core import read_csv
 from mwnoise.noise_models import _keyed_rng
-from mwnoise.signal_pipeline import shot_sigma_from_readout
 from mwnoise.spin_simulator import phi_tot_batch
 
 T_PI = 48e-9
@@ -73,14 +72,38 @@ def test_alias_bound_and_validation():
 # --- shot sigma -----------------------------------------------------------------
 
 def test_shot_sigma_from_readout():
+    # A readout model's per-sequence shot sigma is xi / (C sqrt(n)), and its
+    # shot-noise sensitivity is eta_phi of that sigma.
     model = mw.ReadoutModel(0.013, 1.23e9, 1.5e-6, 4e-6)
     xi = math.sqrt(2.0 * (1.0 + 1.5e-6 / 4e-6))
     want = xi / (0.013 * math.sqrt(1.23e9))
-    assert shot_sigma_from_readout(model) == pytest.approx(want, rel=1e-12)
-    assert shot_sigma_from_readout(2.5e-3) == 2.5e-3
-    assert shot_sigma_from_readout(0.0) == 0.0
-    with pytest.raises(ValueError):
-        shot_sigma_from_readout(-1e-3)
+    assert model.shot_sigma == pytest.approx(want, rel=1e-12)
+    seq = _table_seq()
+    assert mw.eta_shot_noise(model, seq) == mw.eta_phi(model.shot_sigma, seq)
+
+
+def _stream_call(name, seq, shot_sigma):
+    process = mw.WhiteNoise(0.01)
+    if name == "synthesize_stream":
+        return mw.synthesize_stream(seq, None, 0.0, 0.0, shot_sigma, 2.0)
+    if name == "stream_spectra":
+        return mw.stream_spectra(seq, process, 0.0, 0.0, shot_sigma, 2.0, 0.5)
+    if name == "simulate_gradiometer":
+        return mw.simulate_gradiometer(seq, process, 0.0, 0.0, shot_sigma, 2000)
+    return mw.gradiometer_spectra(seq, process, 0.0, 0.0, shot_sigma, 2000, 0.01)
+
+
+@pytest.mark.parametrize("shot_sigma", [-1e-3, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize(
+    "name", ["synthesize_stream", "stream_spectra", "simulate_gradiometer", "gradiometer_spectra"]
+)
+def test_stream_rejects_bad_shot_sigma(name, shot_sigma):
+    # A NaN shot sigma would fail the `shot_sigma > 0` test and drop the
+    # shot term (an all-zero stream, or a floor without shot noise), and an
+    # infinite one would give NaN floors: both are rejected, as is a
+    # negative one.
+    with pytest.raises(ValueError, match="shot_sigma"):
+        _stream_call(name, _table_seq(), shot_sigma)
 
 
 # --- stream synthesis -----------------------------------------------------------
@@ -90,7 +113,7 @@ def test_stream_length_and_validation():
     stream = mw.synthesize_stream(seq, None, 0.0, 0.0, 0.0, 2.0, seed=0)
     assert stream.samples.shape == (round(2.0 * seq.f_samp),)
     assert stream.f_samp == seq.f_samp
-    assert stream.duration == pytest.approx(2.0, rel=1e-3)
+    assert stream.samples.size / stream.f_samp == pytest.approx(2.0, rel=1e-3)
     with pytest.raises(ValueError):
         mw.synthesize_stream(seq, None, 0.0, 0.0, 0.0, 5.0 / seq.f_samp, seed=0)
 
@@ -152,9 +175,9 @@ def test_spectrum_parseval_single_chunk():
     x = rng.standard_normal(4096) * 1e-12
     x -= x.mean()
     stream = mw.ReadoutStream(x, 1e3)
-    spectrum = mw.amplitude_spectrum(stream, stream.duration)
+    spectrum = mw.amplitude_spectrum(stream, x.size / stream.f_samp)
     assert spectrum.n_chunks == 1
-    total = float(np.sum(spectrum.asd**2) * spectrum.delta_f)
+    total = float(np.sum(spectrum.asd**2) * (spectrum.freqs[1] - spectrum.freqs[0]))
     assert total == pytest.approx(float(x.var()), rel=1e-6, abs=0)
 
 
