@@ -348,12 +348,17 @@ def build_point(cfg: dict) -> tuple[PulseSequence, NoiseProcess | None, float | 
     Every command builds each of its points here, once, so every set key is
     checked against :data:`SCHEMA` and every section is built whether or not
     the command uses it: a bad value is a configuration error under every
-    command.  ``process`` is that of :func:`build_noise` and the shot sigma
-    that of :func:`build_readout`.
+    command; so is a ``[pipeline] test_field_pt`` without ``f_test_khz``,
+    whose tone would sit at 0 Hz, under the floor's DC cut.  ``process`` is
+    that of :func:`build_noise` and the shot sigma that of
+    :func:`build_readout`.
     """
     _check_keys(cfg)
+    p = cfg["pipeline"]
+    if p["test_field_pt"] != 0 and p["f_test_khz"] is None:
+        raise ConfigError("[pipeline] test_field_pt needs f_test_khz, the test field's frequency")
     seq = build_sequence(cfg)
-    _stream_sequences(seq, cfg["pipeline"])
+    _stream_sequences(seq, p)
     return seq, build_noise(cfg), build_readout(cfg)
 
 
@@ -454,9 +459,9 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
     return points
 
 
-def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list[list], object]:
-    """Evaluate ``point_fn(point_cfg) -> (rows, extra)`` at every sweep point,
-    keeping the input order.
+def _run_sweep(cfg: dict, point_fn) -> tuple[list[str], list[list], object]:
+    """Evaluate ``point_fn(point_cfg) -> (columns, rows, extra)`` at every
+    sweep point, keeping the input order.
 
     With [run] workers > 1 the points run in a process pool, whose workers
     each keep to one lane.  Otherwise they run one after another on this
@@ -464,10 +469,11 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
     the first failing point fails the sweep.
 
     ``point_fn`` is sent to the process pool, so it is a module-level
-    function or a ``functools.partial`` of one.  Returns the table's columns
-    and rows, led by the sweep axis when there is one, and the last point's
-    ``extra``.  A worker process that ends abruptly (an out-of-memory kill,
-    say) is a configuration error, as is a run too large to allocate.
+    function or a ``functools.partial`` of one.  Returns the first point's
+    columns and every point's rows, led by the sweep axis when there is one,
+    and the last point's ``extra``.  A worker process that ends abruptly (an
+    out-of-memory kill, say) is a configuration error, as is a run too large
+    to allocate.
     """
     points = _sweep_configs(cfg)
     configs = [point for _, point in points]
@@ -489,44 +495,37 @@ def _run_sweep(cfg: dict, point_fn, columns: list[str]) -> tuple[list[str], list
             ) from None
     else:
         results = [point_fn(c) for c in configs]
+    columns = results[0][0]
     axis = cfg["sweep"]["axis"]
     if axis is None:
-        rows = results[0][0]
-    else:
-        columns = [axis, *columns]
-        rows = [[value, *row] for (value, _), (chunk, _) in zip(points, results) for row in chunk]
-    return columns, rows, results[-1][1]
+        return columns, results[0][1], results[0][2]
+    rows = [[value, *row] for (value, _), (_, chunk, _) in zip(points, results) for row in chunk]
+    return [axis, *columns], rows, results[-1][2]
 
 
-# --- filter-fn ----------------------------------------------------------------
+# --- sweep points -----------------------------------------------------------------
+# Each takes one point's resolved config and the parsed arguments, and returns
+# (columns, rows, extra): pipeline's extra is the spectrum --spectrum-out
+# writes, the others' None.
 
-def _filter_fn_point(cfg, f_min: float, f_max: float | None, n_points: int):
+def _filter_fn_point(cfg, args):
     seq = build_point(cfg)[0]
     ff = FilterFunction(seq, finite_pulse_correction=cfg["sequence"]["finite_pulses"])
-    top = f_max if f_max is not None else 2.2 * seq.f_center
-    if not (math.isfinite(f_min) and math.isfinite(top)):
+    top = args.f_max if args.f_max is not None else 2.2 * seq.f_center
+    if not (math.isfinite(args.f_min) and math.isfinite(top)):
         raise ConfigError("f-min and f-max must be finite")
-    if not 0 <= f_min < top:
+    if not 0 <= args.f_min < top:
         raise ConfigError("need 0 <= f-min < f-max")
-    if n_points < 2:
+    if args.n_points < 2:
         raise ConfigError("need at least 2 grid points")
-    grid = np.linspace(f_min, top, n_points)
+    grid = np.linspace(args.f_min, top, args.n_points)
     values = filter_function_value(ff, grid)
-    integrals = filter_function_integral(ff, f_min, grid)
-    return np.column_stack((grid, values, integrals)).tolist(), None
+    integrals = filter_function_integral(ff, args.f_min, grid)
+    columns = ["f_hz", "filter_value", "integral_rad_hz"]
+    return columns, np.column_stack((grid, values, integrals)).tolist(), None
 
 
-def cmd_filter_fn(cfg: dict, args) -> None:
-    point_fn = functools.partial(
-        _filter_fn_point, f_min=args.f_min, f_max=args.f_max, n_points=args.n_points
-    )
-    columns, rows, _ = _run_sweep(cfg, point_fn, ["f_hz", "filter_value", "integral_rad_hz"])
-    _emit_table(cfg, "filter-fn", columns, rows, args.out, args.units)
-
-
-# --- predict ------------------------------------------------------------------
-
-def _predict_point(cfg):
+def _predict_point(cfg, args):
     seq, process, shot_sigma = build_point(cfg)
     noise_cfg = cfg["noise"]
     sigma_phi = float("nan")
@@ -553,20 +552,6 @@ def _predict_point(cfg):
     eta_johnson = eta_johnson_pulsed(
         noise_cfg["l_johnson_dbc"], seq.n_pi, seq.tau_tot, f_cutoff=noise_cfg["f_cutoff_hz"]
     )
-    row = [
-        float(seq.tau_tot),
-        float(seq.f_center),
-        sigma_phi,
-        eta_filter,
-        eta_wh,
-        eta_rw,
-        eta_shot,
-        eta_johnson,
-    ]
-    return [row], None
-
-
-def cmd_predict(cfg: dict, args) -> None:
     columns = [
         "tau_tot_s",
         "f_center_hz",
@@ -577,13 +562,20 @@ def cmd_predict(cfg: dict, args) -> None:
         "eta_shot_t_sqrts",
         "eta_johnson_t_sqrts",
     ]
-    columns, rows, _ = _run_sweep(cfg, _predict_point, columns)
-    _emit_table(cfg, "predict", columns, rows, args.out, args.units)
+    row = [
+        float(seq.tau_tot),
+        float(seq.f_center),
+        sigma_phi,
+        eta_filter,
+        eta_wh,
+        eta_rw,
+        eta_shot,
+        eta_johnson,
+    ]
+    return columns, [row], None
 
 
-# --- montecarlo -----------------------------------------------------------------
-
-def _montecarlo_point(cfg):
+def _montecarlo_point(cfg, args):
     seq, process, _ = build_point(cfg)
     seed = cfg["run"]["seed"]
     if process is None:
@@ -598,18 +590,6 @@ def _montecarlo_point(cfg):
     else:
         # White, random walk and none: the exact std of the sampled phi_tot.
         analytic = _phi_tot_sigma(seq, process)
-    row = [
-        result.n_realizations,
-        result.sigma_phi_empirical,
-        result.standard_error,
-        analytic,
-        eta_phi(result.sigma_phi_empirical, seq),
-        eta_phi(analytic, seq),
-    ]
-    return [row], None
-
-
-def cmd_montecarlo(cfg: dict, args) -> None:
     columns = [
         "n_realizations",
         "sigma_phi_rad",
@@ -618,13 +598,18 @@ def cmd_montecarlo(cfg: dict, args) -> None:
         "eta_empirical_t_sqrts",
         "eta_analytic_t_sqrts",
     ]
-    columns, rows, _ = _run_sweep(cfg, _montecarlo_point, columns)
-    _emit_table(cfg, "montecarlo", columns, rows, args.out, args.units)
+    row = [
+        result.n_realizations,
+        result.sigma_phi_empirical,
+        result.standard_error,
+        analytic,
+        eta_phi(result.sigma_phi_empirical, seq),
+        eta_phi(analytic, seq),
+    ]
+    return columns, [row], None
 
 
-# --- pipeline -------------------------------------------------------------------
-
-def _pipeline_point(cfg):
+def _pipeline_point(cfg, args):
     seq, process, shot_sigma = build_point(cfg)
     if shot_sigma is None:
         shot_sigma = 0.0  # no [readout]: no shot noise
@@ -650,13 +635,19 @@ def _pipeline_point(cfg):
         )
         f_excl = khz_to_hz(p["f_uniform_khz"]) if p["uniform_pt"] else khz_to_hz(p["f_gradient_khz"])
         floors = [estimate_noise_floor(s, f_excl)[0] for s in spectra]
+        columns = [
+            "floor_ch1_t_sqrts",
+            "floor_ch2_t_sqrts",
+            "floor_diff_t_sqrts",
+            "suppression_ratio",
+        ]
         row = [
             floors[0],
             floors[1],
             floors[2],
             floors[0] / floors[2] if floors[2] > 0 else float("inf"),
         ]
-        return [row], spectra[2]
+        return columns, [row], spectra[2]
 
     f_test = khz_to_hz(p["f_test_khz"]) if p["f_test_khz"] is not None else None
     spectrum_on, spectrum_off = stream_spectra(
@@ -665,30 +656,21 @@ def _pipeline_point(cfg):
     )
     floor_on, _ = estimate_noise_floor(spectrum_on, f_test)
     floor_off = floor_on if spectrum_off is None else estimate_noise_floor(spectrum_off, f_test)[0]
-    return [[floor_on, floor_off, excess_noise(floor_on, floor_off)]], spectrum_on
+    columns = ["floor_on_t_sqrts", "floor_off_t_sqrts", "excess_t_sqrts"]
+    return columns, [[floor_on, floor_off, excess_noise(floor_on, floor_off)]], spectrum_on
 
 
-def cmd_pipeline(cfg: dict, args) -> None:
-    if cfg["pipeline"]["gradiometer"]:
-        columns = [
-            "floor_ch1_t_sqrts",
-            "floor_ch2_t_sqrts",
-            "floor_diff_t_sqrts",
-            "suppression_ratio",
-        ]
-    else:
-        columns = ["floor_on_t_sqrts", "floor_off_t_sqrts", "excess_t_sqrts"]
-    columns, rows, last_spectrum = _run_sweep(cfg, _pipeline_point, columns)
-    _emit_table(cfg, "pipeline", columns, rows, args.out, args.units)
-    if args.spectrum_out:
-        save_amplitude_spectrum(
-            last_spectrum, args.spectrum_out, metadata={"seed": cfg["run"]["seed"]}
-        )
+_POINTS = {
+    "filter-fn": _filter_fn_point,
+    "predict": _predict_point,
+    "montecarlo": _montecarlo_point,
+    "pipeline": _pipeline_point,
+}
 
 
 # --- calibrate ------------------------------------------------------------------
 
-def cmd_calibrate(cfg: dict, args) -> None:
+def _calibrate(cfg: dict, args) -> None:
     if cfg["sweep"]["axis"] is not None or cfg["sweep"]["values"] is not None:
         raise ConfigError("calibrate fits one sequence and takes no [sweep]")
     seq = build_point(cfg)[0]
@@ -766,26 +748,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "filter-fn": cmd_filter_fn,
-    "predict": cmd_predict,
-    "montecarlo": cmd_montecarlo,
-    "pipeline": cmd_pipeline,
-    "calibrate": cmd_calibrate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["run"]["seed"] = args.seed
-        if args.workers is not None:
-            cfg["run"]["workers"] = args.workers
-        if getattr(args, "n_realizations", None) is not None:
-            cfg["run"]["n_realizations"] = args.n_realizations
+        for name in ("seed", "workers", "n_realizations"):
+            if getattr(args, name, None) is not None:
+                cfg["run"][name] = getattr(args, name)
         # "--out -" is stdout; the spectrum has no stdout and a file of its own.
         table_out = None if args.out == "-" else args.out
         spectrum_out = getattr(args, "spectrum_out", None)
@@ -800,7 +770,16 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"output directory not found: {Path(out).parent}")
             if Path(out).is_dir():
                 raise ConfigError(f"output path is a directory: {out}")
-        _COMMANDS[args.command](cfg, args)
+        if args.command == "calibrate":
+            _calibrate(cfg, args)
+        else:
+            point_fn = functools.partial(_POINTS[args.command], args=args)
+            columns, rows, spectrum = _run_sweep(cfg, point_fn)
+            _emit_table(cfg, args.command, columns, rows, args.out, args.units)
+            if spectrum_out:
+                save_amplitude_spectrum(
+                    spectrum, spectrum_out, metadata={"seed": cfg["run"]["seed"]}
+                )
     except ConfigError as exc:
         print(f"mwnoise: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -87,12 +87,13 @@ def read_csv(path: Path, expected_columns: int) -> tuple[dict, np.ndarray]:
     Blank lines are skipped and '#' lines are comments; a '# key=value'
     comment sets metadata[key].  One non-numeric line before the first data
     row is the column header.  Any other line must hold
-    ``expected_columns`` finite numbers, or ValueError names it.
+    ``expected_columns`` finite numbers, or ValueError names it.  The file
+    is read as UTF-8, and a leading byte-order mark is skipped.
     """
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
     header_seen = False
-    for number, raw in enumerate(path.read_text().splitlines(), start=1):
+    for number, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -37,7 +37,7 @@ without building them.  :func:`sample_pulse_phases_batch` stays as the
 time-domain oracle of every process.
 Readout streams and the gradiometer draw each sequence's phi_tot directly
 from its exact variance, which every process fixes in closed form (see
-``spin_simulator.phi_tot_batch``).
+``spin_simulator._phi_tot_draws``).
 """
 
 from __future__ import annotations

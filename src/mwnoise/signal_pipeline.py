@@ -588,39 +588,23 @@ def _block_spectra(
     ]
 
 
-def amplitude_spectrum(
-    stream: ReadoutStream,
-    interval: TimeSeconds,
-    window: str | None = None,
-) -> AmplitudeSpectrum:
+def amplitude_spectrum(stream: ReadoutStream, interval: TimeSeconds) -> AmplitudeSpectrum:
     """Chunked, averaged one-sided amplitude spectrum.
 
     The stream is split into floor(duration/interval) chunks (the remainder
-    is dropped), each chunk is Fourier transformed without windowing by
-    default (sequences are synchronized, so test tones are coherent), and
-    the magnitude spectra are averaged pointwise.  ``window="hann"`` applies
-    an amplitude-corrected Hann window for unsynchronized data at the cost
-    of wider peaks.
+    is dropped), each chunk is Fourier transformed without windowing
+    (sequences are synchronized, so test tones are coherent), and the
+    magnitude spectra are averaged pointwise.
     """
     n = _chunk_length(interval, stream.f_samp, stream.samples.size)
-    if window not in (None, "hann"):
-        raise ValueError(f"unknown window {window!r}; use None or 'hann'")
-    weights = None
-    if window == "hann":
-        w = np.hanning(n)
-        weights = w / np.mean(w)
     samples = stream.samples
     pos = 0
 
     def copy(out):
         # The walk writes the magnitudes over its buffer, never over the stream.
         nonlocal pos
-        part = samples[pos : pos + out.size]
+        out[:] = samples[pos : pos + out.size]
         pos += out.size
-        if weights is None:
-            out[:] = part
-        else:
-            np.multiply(part.reshape(-1, n), weights, out=out.reshape(-1, n))
 
     return _block_spectra(stream.f_samp, samples.size // n * n, n, [copy], None)[0]
 
@@ -676,65 +660,41 @@ def gradiometer_spectra(
     return tuple(_block_spectra(seq.f_samp, n_sequences, n, draws, build))
 
 
-@dataclass(frozen=True)
-class FloorParams:
-    """Thresholds of the spike-rejecting noise-floor estimator.
-
-    ``dc_exclude_hz`` None, the default, excludes bins below
-    min(1 kHz, f_samp / 4): a stream sampled below 4 kHz keeps the upper
-    half of its spectrum, where a fixed 1 kHz cut leaves less, and below
-    2 kHz nothing.
-    """
-
-    dc_exclude_hz: FrequencyHz | None = None
-    test_halfwidth_hz: FrequencyHz = 500.0
-    trim_fraction: float = 0.10
-    spike_nsigma: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.trim_fraction < 1:
-            raise ValueError("trim_fraction must be in [0, 1)")
-        if not 0 < self.spike_nsigma < math.inf:
-            raise ValueError("spike_nsigma must be positive and finite")
-        if self.dc_exclude_hz is not None and not 0 <= self.dc_exclude_hz < math.inf:
-            raise ValueError("dc_exclude_hz must be None or nonnegative and finite")
-        if not 0 <= self.test_halfwidth_hz < math.inf:
-            raise ValueError("test_halfwidth_hz must be nonnegative and finite")
+# Thresholds of the noise-floor estimator: the half-width of the band set
+# aside around the (aliased) test tone, the share of the highest bins set
+# aside before the spike statistics, and the spike threshold in standard
+# deviations above the median.
+_TEST_HALFWIDTH_HZ = 500.0
+_TRIM_FRACTION = 0.10
+_SPIKE_NSIGMA = 4.0
 
 
 def estimate_noise_floor(
-    spectrum: AmplitudeSpectrum,
-    f_test: FrequencyHz | None = None,
-    params: FloorParams = FloorParams(),
+    spectrum: AmplitudeSpectrum, f_test: FrequencyHz | None = None
 ) -> tuple[SensitivityTeslaSqrtS, np.ndarray]:
     """(noise floor, spike bin indices) of an amplitude spectrum.
 
-    Bins below ``dc_exclude_hz`` (by default min(1 kHz, f_samp / 4)) and
-    within ``test_halfwidth_hz`` of the (aliased) test frequency are
-    excluded.  Of the remaining bins the top ``trim_fraction`` are set
-    aside, a median and std are computed from the rest, bins above
-    median + spike_nsigma*std are flagged as spikes, and the floor is the
-    median of the unflagged bins.  Indices refer to the full spectrum
-    arrays.
+    Bins below min(1 kHz, f_samp / 4) and within 500 Hz of the (aliased)
+    test frequency are excluded: a stream sampled below 4 kHz keeps the
+    upper half of its spectrum, where a fixed 1 kHz cut leaves less, and
+    below 2 kHz nothing.  Of the remaining bins the top 10 % are set aside,
+    a median and std are computed from the rest, bins above median + 4 std
+    are flagged as spikes, and the floor is the median of the unflagged
+    bins.  Indices refer to the full spectrum arrays.
     """
-    dc_exclude = params.dc_exclude_hz
-    if dc_exclude is None:
-        dc_exclude = min(1e3, spectrum.f_samp / 4.0)
-    include = spectrum.freqs >= dc_exclude
+    include = spectrum.freqs >= min(1e3, spectrum.f_samp / 4.0)
     if f_test is not None:
         f_alias, _ = alias_frequency(f_test, spectrum.f_samp)
-        include &= np.abs(spectrum.freqs - f_alias) > params.test_halfwidth_hz
+        include &= np.abs(spectrum.freqs - f_alias) > _TEST_HALFWIDTH_HZ
     if not np.any(include):
         raise ValueError("exclusion bands cover the whole spectrum")
 
     vals = spectrum.asd[include]
-    n_trim = int(vals.size * params.trim_fraction)
-    core = np.sort(vals)[: vals.size - n_trim]
-    if core.size == 0:
-        raise ValueError("trim fraction leaves no bins to estimate from")
+    # int(0.1 * size) < size, so at least one bin is left.
+    core = np.sort(vals)[: vals.size - int(vals.size * _TRIM_FRACTION)]
     median = float(np.median(core))
     std = float(np.std(core))
-    threshold = median + params.spike_nsigma * std
+    threshold = median + _SPIKE_NSIGMA * std
 
     spike_mask = include & (spectrum.asd > threshold)
     keep = vals[vals <= threshold]

@@ -220,13 +220,11 @@ def _monte_carlo_phi_tot(
     return phi_tot
 
 
-def phi_tot_batch(
-    seq: PulseSequence,
-    process: NoiseProcess,
-    n_realizations: int,
-    seed: int,
-) -> np.ndarray:
-    """phi_tot samples for ``n_realizations`` independent sequences.
+def _phi_tot_draws(
+    seq: PulseSequence, process: NoiseProcess, seed: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Function writing the next ``out.size`` phi_tot samples of one stream
+    of independent sequences into ``out``.
 
     Per-sequence draws are independent: each sequence is referenced to the
     frame of its own initial pi/2 pulse, so a source phase track contributes
@@ -238,18 +236,9 @@ def phi_tot_batch(
 
     phi_tot is a fixed linear combination of Gaussian source phases, so it is
     Gaussian with a variance every process fixes in closed form.  Each
-    sequence is one draw at that std, which costs O(n_realizations) whatever
-    the pulse count; :func:`monte_carlo_sigma_phi` keeps per-realization
+    sequence is one draw at that std, which costs the same whatever the
+    pulse count; :func:`monte_carlo_sigma_phi` keeps per-realization
     sampling as the check.
-    """
-    return _phi_tot_draws(seq, process, seed)(np.empty(n_realizations))
-
-
-def _phi_tot_draws(
-    seq: PulseSequence, process: NoiseProcess, seed: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Function writing the next ``out.size`` phi_tot samples of one stream
-    into ``out``.
 
     Consecutive calls continue one keyed stream, so the samples of calls of
     sizes a, b, ... equal those of one call of size a + b + ...; the chunked

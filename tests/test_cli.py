@@ -301,8 +301,8 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     assert sizes == [3]
 
 
-def _lane_cap_point(cfg):
-    return [[spin_simulator._LANE_CAP]], None
+def _lane_cap_point(cfg, args):
+    return ["lane_cap"], [[spin_simulator._LANE_CAP]], None
 
 
 def test_sweep_pool_workers_draw_on_one_lane(tmp_path):
@@ -312,13 +312,15 @@ def test_sweep_pool_workers_draw_on_one_lane(tmp_path):
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE + "[run]\nworkers = 2\n[sweep]\naxis = n_r\nvalues = 1, 2\n"
     )
-    _, rows, _ = cli._run_sweep(cli.load_config(cfg), _lane_cap_point, ["lane_cap"])
+    point_fn = functools.partial(_lane_cap_point, args=None)
+    columns, rows, _ = cli._run_sweep(cli.load_config(cfg), point_fn)
+    assert columns == ["n_r", "lane_cap"]
     assert rows == [[1.0, 1], [2.0, 1]]
     assert cap > 1
     assert spin_simulator._LANE_CAP == cap
 
 
-def _dying_point(cfg):
+def _dying_point(cfg, args):
     os._exit(1)
 
 
@@ -326,7 +328,7 @@ def test_sweep_worker_that_dies_is_config_error(tmp_path, monkeypatch):
     # A worker process that ends abruptly, as an out-of-memory kill ends it,
     # breaks the pool: the run exits 2 with a one-line message and writes no
     # table.  The workers fork, so they run the patched point function.
-    monkeypatch.setattr(cli, "_predict_point", _dying_point)
+    monkeypatch.setitem(cli._POINTS, "predict", _dying_point)
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE + "[run]\nworkers = 2\n[sweep]\naxis = n_r\nvalues = 1, 2\n"
     )
@@ -422,14 +424,14 @@ def test_single_point_montecarlo_keeps_its_chunk_lanes(tmp_path, force_lanes):
     assert sizes == [4]
 
 
-def _failing_point(calls, cfg):
+def _failing_point(calls, cfg, args):
     n_r = cfg["sequence"]["n_r"]
     calls.append(n_r)
     if n_r == 2:
         raise cli.ConfigError(f"point n_r = {n_r} failed")
     if n_r == 8:
         raise ArithmeticError(f"point n_r = {n_r} failed")
-    return [[float(n_r)] * 8], None
+    return ["value"], [[float(n_r)]], None
 
 
 @pytest.mark.parametrize("cap", [1, 2, 4])
@@ -440,7 +442,7 @@ def test_sweep_failure_names_the_first_failing_point(
     # n_r = 2 with a config error and never reaches the failing n_r = 8:
     # exit 2, that point's message, and no table.
     calls = []
-    monkeypatch.setattr(cli, "_predict_point", functools.partial(_failing_point, calls))
+    monkeypatch.setitem(cli._POINTS, "predict", functools.partial(_failing_point, calls))
     force_lanes(cap)
     cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4, 8\n")
     out = tmp_path / "predict.csv"
@@ -1062,12 +1064,19 @@ def test_exit_code_readout_probes(tmp_path, command, readout):
         ("run", "n_realizations = 200", EXIT_OK),
         ("pipeline", "duration_s = -1", EXIT_CONFIG),
         ("run", "n_realizations = 0", EXIT_CONFIG),
+        ("pipeline", "duration_s = 1\ntest_field_pt = 500", EXIT_CONFIG),
+        ("pipeline", "duration_s = 1\ntest_field_pt = 500\nf_test_khz = 0", EXIT_OK),
     ],
-    ids=["valid", "negative-duration", "zero-realizations"],
+    ids=[
+        "valid", "negative-duration", "zero-realizations", "test-field-without-f-test",
+        "test-field-at-0-hz",
+    ],
 )
 def test_exit_code_every_section_under_every_command(tmp_path, command, section, body, code):
     # Each command checks [pipeline] and [run] too, whether or not it uses
-    # them, and a valid config runs under all five.
+    # them, and a valid config runs under all five.  A test field without
+    # f_test_khz would be a tone at 0 Hz, a DC offset that the floor's DC
+    # cut hides; an explicit f_test_khz = 0 is taken as given.
     sections = {
         "noise": "source = white\nsigma_wh = 0.005",
         "readout": "shot_sigma = 0.002",
@@ -1102,12 +1111,13 @@ def test_exit_code_every_section_under_every_command(tmp_path, command, section,
         "gradiometer = true\nf_uniform_khz = -3",
         "gradiometer = true\nf_gradient_khz = inf",
         "[sweep]\naxis = test_field_pt\nvalues = 1, nan",
+        "test_field_pt = 500",
     ],
     ids=[
         "zero-duration", "negative-duration", "nan-duration", "inf-duration", "zero-interval",
         "nan-interval", "inf-interval", "nan-test-field", "inf-test-field", "negative-f-test",
         "nan-f-test", "nan-uniform", "nan-gradient", "negative-f-uniform", "inf-f-gradient",
-        "swept-nan-test-field",
+        "swept-nan-test-field", "test-field-without-f-test",
     ],
 )
 def test_exit_code_pipeline_probes(tmp_path, pipeline):
@@ -1315,6 +1325,42 @@ def test_readout_model_is_its_shot_sigma(tmp_path, command, body):
         files.append((body_lines, spectrum.read_bytes() if command == "pipeline" else None))
     assert files[0] == files[1]
     assert len(files[0][0]) == (5 if command == "predict" else 2)
+
+
+_WHITE = "[noise]\nsource = white\nsigma_wh = 0.005\n[readout]\nshot_sigma = 0.002\n"
+
+# (command, config body, extra arguments, table columns)
+TABLE_COLUMNS = {
+    "filter-fn": ("filter-fn", "", ["--n-points", "4"],
+                  ["f_hz", "filter_value", "integral_rad_hz"]),
+    "predict": ("predict", _PRESET, [],
+                ["tau_tot_s", "f_center_hz", "sigma_phi_rad", "eta_filter_t_sqrts",
+                 "eta_white_t_sqrts", "eta_rw_t_sqrts", "eta_shot_t_sqrts",
+                 "eta_johnson_t_sqrts"]),
+    "montecarlo": ("montecarlo", _WHITE, ["--n-realizations", "100"],
+                   ["n_realizations", "sigma_phi_rad", "sigma_phi_stderr_rad",
+                    "sigma_phi_analytic_rad", "eta_empirical_t_sqrts", "eta_analytic_t_sqrts"]),
+    "pipeline": ("pipeline", _WHITE + "[pipeline]\nduration_s = 1\n", [],
+                 ["floor_on_t_sqrts", "floor_off_t_sqrts", "excess_t_sqrts"]),
+    "gradiometer": ("pipeline", _WHITE + "[pipeline]\nduration_s = 1\ngradiometer = true\n", [],
+                    ["floor_ch1_t_sqrts", "floor_ch2_t_sqrts", "floor_diff_t_sqrts",
+                     "suppression_ratio"]),
+}
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["point", "n_r-sweep"])
+@pytest.mark.parametrize("table", list(TABLE_COLUMNS))
+def test_table_columns(tmp_path, table, sweep):
+    # Each point names its table's columns; under a sweep the axis leads.
+    command, body, extra, columns = TABLE_COLUMNS[table]
+    if sweep:
+        body += "[sweep]\naxis = n_r\nvalues = 1, 2\n"
+        columns = ["n_r", *columns]
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
+    out = tmp_path / "table.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_OK
+    body_lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert body_lines[0] == ",".join(columns)
 
 
 def test_provenance_headers(tmp_path):

@@ -34,10 +34,6 @@ _SPECTRUM_ARRAYS = (np.arange(3.0), np.ones(3))
         lambda: mw.CwModel(0.5, math.inf),
         lambda: mw.Constants(gamma_nv=math.nan),
         lambda: mw.Constants(zero_field_splitting_d=math.inf),
-        lambda: mw.FloorParams(spike_nsigma=math.nan),
-        lambda: mw.FloorParams(dc_exclude_hz=math.nan),
-        lambda: mw.FloorParams(test_halfwidth_hz=-5.0),
-        lambda: mw.FloorParams(test_halfwidth_hz=math.nan),
         lambda: mw.ReadoutStream(np.zeros(4), math.nan),
         lambda: mw.ReadoutStream(np.zeros(4), math.inf),
         lambda: mw.AmplitudeSpectrum(*_SPECTRUM_ARRAYS, math.nan, 10, 1e3),
@@ -49,10 +45,6 @@ _SPECTRUM_ARRAYS = (np.arange(3.0), np.ones(3))
         "cw-linewidth-inf",
         "gamma-nan",
         "zfs-inf",
-        "spike-nsigma-nan",
-        "dc-exclude-nan",
-        "test-halfwidth-negative",
-        "test-halfwidth-nan",
         "stream-f-samp-nan",
         "stream-f-samp-inf",
         "spectrum-interval-nan",

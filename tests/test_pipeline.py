@@ -12,7 +12,7 @@ import mwnoise as mw
 from mwnoise import signal_pipeline
 from mwnoise.core import read_csv
 from mwnoise.noise_models import _keyed_rng
-from mwnoise.spin_simulator import phi_tot_batch
+from mwnoise.spin_simulator import _phi_tot_draws
 
 T_PI = 48e-9
 T_DEAD = 15e-6
@@ -24,6 +24,11 @@ def _table_seq():
 
 def _tesla_scale(seq):
     return 4.0 * mw.GAMMA_NV * seq.tau_tot
+
+
+def _phi_tot(seq, process, n, seed):
+    """phi_tot of ``n`` consecutive sequences of a readout stream."""
+    return _phi_tot_draws(seq, process, seed)(np.empty(n))
 
 
 # --- aliasing -------------------------------------------------------------------
@@ -200,18 +205,6 @@ def test_spectrum_scale_equivariance():
     assert big == pytest.approx(7.0 * base, rel=1e-12, abs=0)
 
 
-def test_spectrum_hann_window_reads_sine():
-    fs, n = 1000.0, 8000
-    t = np.arange(n) / fs
-    a_rms = 2e-12
-    stream = mw.ReadoutStream(a_rms * math.sqrt(2.0) * np.cos(2 * np.pi * 100.0 * t), fs)
-    spectrum = mw.amplitude_spectrum(stream, 2.0, window="hann")
-    k = int(np.argmin(np.abs(spectrum.freqs - 100.0)))
-    assert float(spectrum.asd[k]) == pytest.approx(
-        a_rms * math.sqrt(2.0), rel=0.01, abs=0
-    )
-
-
 def test_spectrum_validation():
     stream = mw.ReadoutStream(np.zeros(100), 1e3)
     with pytest.raises(ValueError):
@@ -282,11 +275,8 @@ def _block_sizes(n):
     return (signal_pipeline._BLOCK_SAMPLES, 1000, 3 * n)
 
 
-def _reference_asd(samples, n, f_samp, window=None):
+def _reference_asd(samples, n, f_samp):
     data = samples[: samples.size // n * n].reshape(-1, n)
-    if window == "hann":
-        w = np.hanning(n)
-        data = data * (w / np.mean(w))
     spectra = signal_pipeline._ChunkTransform(n)(data.copy())
     spectra *= math.sqrt(2.0) / n
     spectra[:, 0] /= math.sqrt(2.0)
@@ -299,21 +289,25 @@ def _reference_stream(seq, process, amp, f_test, shot_sigma, n_seq, seed):
     scale = _tesla_scale(seq)
     samples = amp * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_test * (np.arange(n_seq) / seq.f_samp))
     if process is not None:
-        samples = samples + phi_tot_batch(seq, process, n_seq, seed) / scale
+        samples = samples + _phi_tot(seq, process, n_seq, seed) / scale
     rng = _keyed_rng(seed, 0x73686F74)
     return samples + shot_sigma * rng.standard_normal(n_seq) / scale
 
 
-@pytest.mark.parametrize("window", [None, "hann"])
-@pytest.mark.parametrize("f_samp, n", [(1000.0, 250), (997.0, 333), (1000.0, 1009)])
-def test_spectrum_sum_equals_stacked_mean(monkeypatch, window, f_samp, n):
+# The ids keep their window part, None, so each case keeps its name.
+@pytest.mark.parametrize(
+    "f_samp, n",
+    [(1000.0, 250), (997.0, 333), (1000.0, 1009)],
+    ids=["1000.0-250-None", "997.0-333-None", "1000.0-1009-None"],
+)
+def test_spectrum_sum_equals_stacked_mean(monkeypatch, f_samp, n):
     rng = np.random.default_rng(19)
     samples = rng.standard_normal(11 * n + 7) * 1e-12  # 11 chunks and a partial one
     stream = mw.ReadoutStream(samples, f_samp)
-    want = _reference_asd(samples, n, f_samp, window)
+    want = _reference_asd(samples, n, f_samp)
     for block in (signal_pipeline._BLOCK_SAMPLES, 1, 4 * n):
         monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
-        spectrum = mw.amplitude_spectrum(stream, n / f_samp, window=window)
+        spectrum = mw.amplitude_spectrum(stream, n / f_samp)
         assert spectrum.n_chunks == 11
         assert_array_equal(spectrum.asd, want)
 
@@ -344,7 +338,7 @@ def test_gradiometer_blocks_keep_every_sample_and_shot_draw(monkeypatch):
     t = np.arange(n_seq) / XY8_1.f_samp
     uniform = 40e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 3e3 * t)
     gradient = 70e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 5e3 * t)
-    common = phi_tot_batch(XY8_1, proc, n_seq, 29)
+    common = _phi_tot(XY8_1, proc, n_seq, 29)
     shot = 4e-4 * _keyed_rng(29, 0x67726164).standard_normal((2, n_seq))
     want = [
         gain * (scale * (uniform + sign * gradient) + common + shot[i]) / scale
@@ -564,39 +558,38 @@ def test_floor_test_tone_exclusion():
     assert floor == pytest.approx(6.0e-12, rel=0.02, abs=0)
 
 
-def test_floor_custom_params_and_errors():
-    spectrum = _flat_fixture()
-    params = mw.FloorParams(dc_exclude_hz=2e3, test_halfwidth_hz=100.0)
-    floor, _ = mw.estimate_noise_floor(spectrum, params=params)
-    assert floor == pytest.approx(6.0e-12, rel=0.02, abs=0)
-    with pytest.raises(ValueError):
-        mw.FloorParams(trim_fraction=1.5)
-    with pytest.raises(ValueError):
-        mw.estimate_noise_floor(
-            spectrum, params=mw.FloorParams(dc_exclude_hz=1e6)
-        )
+def test_floor_exclusion_bands_cover_whole_spectrum():
+    # At f_samp = 1 kHz the DC cut is 250 Hz, and the 500 Hz half-width
+    # around a 375 Hz tone takes every bin above it up to the 500 Hz Nyquist
+    # frequency.
+    fs = 1000.0
+    freqs = np.arange(0.0, fs / 2 + 0.25, 0.5)
+    spectrum = mw.AmplitudeSpectrum(freqs, np.full(freqs.size, 6.0e-12), 2.0, 10, fs)
+    assert mw.estimate_noise_floor(spectrum)[0] == 6.0e-12
+    with pytest.raises(ValueError, match="exclusion bands cover the whole spectrum"):
+        mw.estimate_noise_floor(spectrum, f_test=375.0)
 
 
 def test_floor_dc_exclusion_follows_slow_sample_rates():
     # XY8-64 at 458 kHz samples its stream at about 1.74 kHz, so a fixed
     # 1 kHz cut would exclude every bin up to the 0.87 kHz Nyquist
-    # frequency.  By default the cut is min(1 kHz, f_samp / 4); an explicit
-    # value is taken as given.
+    # frequency.  The cut is min(1 kHz, f_samp / 4).
     fs = 1742.0
     freqs = np.arange(0.0, fs / 2, 0.5)
+    assert freqs[-1] < 1e3
     asd = np.full(freqs.size, 6.0e-12)
     asd[freqs < 300.0] = 1e-9
     slow = mw.AmplitudeSpectrum(freqs, asd, 2.0, 10, fs)
     floor, _ = mw.estimate_noise_floor(slow)
     assert floor == 6.0e-12
-    with pytest.raises(ValueError):
-        mw.estimate_noise_floor(slow, params=mw.FloorParams(dc_exclude_hz=1e3))
-    # From f_samp = 4 kHz up the default cut is 1 kHz, as before.
-    fast = _flat_fixture(spikes=[(2500, 40.0)])
+    # From f_samp = 4 kHz up the cut is 1 kHz, as before: a spike at 1 kHz
+    # (bin 1000) is flagged, and one at 999 Hz is cut.
+    fast = _flat_fixture(spikes=[(999, 40.0), (1000, 40.0), (2500, 40.0)])
     floor, spikes = mw.estimate_noise_floor(fast)
-    floor_1k, spikes_1k = mw.estimate_noise_floor(fast, params=mw.FloorParams(dc_exclude_hz=1e3))
-    assert floor == floor_1k
-    assert_array_equal(spikes, spikes_1k)
+    assert spikes.tolist() == [1000, 2500]
+    rest = fast.freqs >= 1e3
+    rest[spikes] = False
+    assert floor == float(np.median(fast.asd[rest]))
 
 
 def test_excess_noise_examples():
@@ -838,6 +831,25 @@ def test_stream_csv_rejects_malformed_rows(tmp_path):
     path.write_text("# f_samp_hz=1000.0\nt_s,readout_t\nsecond,header\n0.0,1e-12\n")
     with pytest.raises(ValueError, match="line 3"):
         read_csv(path, 2)
+
+
+def test_csv_reader_skips_utf8_byte_order_mark(tmp_path):
+    # Spreadsheets export "CSV UTF-8" with a byte-order mark: the first line
+    # is still a data row, or a '# key=value' comment.
+    bom = "\ufeff".encode()
+    rows = [[0.01 * k, 0.1 * k] for k in range(7)]
+    data = tmp_path / "cal.csv"
+    data.write_bytes(bom + "".join(f"{a!r},{b!r}\n" for a, b in rows).encode())
+    assert_array_equal(read_csv(data, 2)[1], rows)
+    path = tmp_path / "spectrum.csv"
+    mw.save_spectrum(mw.preset_spectrum("g1-2.5ghz"), path)
+    assert path.read_text().startswith("# carrier_hz=")
+    want = mw.load_spectrum(path)
+    path.write_bytes(bom + path.read_bytes())
+    got = mw.load_spectrum(path)
+    assert (got.carrier_hz, got.offsets_hz, got.l_dbc) == (
+        want.carrier_hz, want.offsets_hz, want.l_dbc
+    )
 
 
 def test_spectrum_csv_round_trip(tmp_path):

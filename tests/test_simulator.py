@@ -27,9 +27,9 @@ from mwnoise.noise_models import (
 from mwnoise.spin_simulator import (
     _alternating_weights,
     _monte_carlo_phi_tot,
+    _phi_tot_draws,
     _phi_tot_sigma,
     monte_carlo_sigma_phi,
-    phi_tot_batch,
     psd_sigma_phi_grid,
 )
 
@@ -39,6 +39,11 @@ T_DEAD = 15e-6
 
 def _table_seq():
     return mw.PulseSequence(mw.SequenceKind.XY8, 64, 521.85e-9, T_PI, T_DEAD)
+
+
+def _phi_tot(seq, process, n, seed):
+    """phi_tot of ``n`` consecutive sequences of a readout stream."""
+    return _phi_tot_draws(seq, process, seed)(np.empty(n))
 
 
 # --- phase recursion ------------------------------------------------------------
@@ -138,14 +143,14 @@ def test_random_walk_independent_of_pulse_count():
 def test_xy8_and_cpmg_identical_statistics():
     xy8 = mw.PulseSequence(mw.SequenceKind.XY8, 64, 521.85e-9, T_PI, T_DEAD)
     cpmg = mw.PulseSequence(mw.SequenceKind.CPMG, 64, 521.85e-9, T_PI, T_DEAD)
-    a = phi_tot_batch(xy8, mw.WhiteNoise(0.01), 5000, seed=23)
-    b = phi_tot_batch(cpmg, mw.WhiteNoise(0.01), 5000, seed=23)
+    a = _phi_tot(xy8, mw.WhiteNoise(0.01), 5000, seed=23)
+    b = _phi_tot(cpmg, mw.WhiteNoise(0.01), 5000, seed=23)
     assert_array_equal(a, b)
 
 
 def test_phi_tot_batch_white_std():
     seq = _table_seq()
-    batch = phi_tot_batch(seq, mw.WhiteNoise(0.01), 100_000, seed=29)
+    batch = _phi_tot(seq, mw.WhiteNoise(0.01), 100_000, seed=29)
     want = 2.0 * 0.01 * math.sqrt(seq.n_pi + 0.25)
     assert float(batch.std(ddof=1)) == pytest.approx(want, rel=0.02)
 
@@ -157,7 +162,7 @@ def test_psd_grid_matches_filter_prediction():
     grid_sigma = psd_sigma_phi_grid(proc, seq)
     filter_sigma = mw.sigma_phi_filter(spec, seq, 1e8, finite_pulse_correction=False)
     assert grid_sigma == pytest.approx(filter_sigma, rel=0.01)
-    batch = phi_tot_batch(seq, proc, 100_000, seed=31)
+    batch = _phi_tot(seq, proc, 100_000, seed=31)
     assert float(batch.std(ddof=1)) == pytest.approx(grid_sigma, rel=0.02)
 
 
@@ -479,7 +484,7 @@ def test_stream_draws_bounded_memory_at_xy8_64():
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     assert _peak_alloc_mb(lambda: psd_sigma_phi_grid(psd, seq)) < 64.0
     for proc in (mw.WhiteNoise(0.01), psd):
-        assert _peak_alloc_mb(lambda: phi_tot_batch(seq, proc, 1_000_000, seed=41)) < 64.0
+        assert _peak_alloc_mb(lambda: _phi_tot(seq, proc, 1_000_000, seed=41)) < 64.0
 
 
 def test_psd_monte_carlo_bounded_memory_at_xy8_64():
