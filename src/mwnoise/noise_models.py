@@ -54,12 +54,6 @@ from .core import DbcPerHz, FrequencyHz, Radians, TimeSeconds, read_csv, write_c
 # Extrapolation floor for L(f) beyond the tabulated span.
 L_FLOOR_DBC = -200.0
 
-# Typical bandwidth attenuation of an injection chain (waveform generator
-# -> modulation port).  Applied only on request, when a simulation is meant
-# to emulate injected rather than intrinsic noise.
-INJECTION_GAIN_WHITE = 0.8
-INJECTION_GAIN_RANDOM_WALK = 0.85
-
 _KEY_MASK = (1 << 64) - 1
 
 
@@ -244,24 +238,14 @@ def _power_laws(spectrum: PhaseNoiseSpectrum) -> list[tuple[float, float]]:
     return [(math.log(2.0) + db * (l_tab[i] - slope * x[i]), db * slope) for i, slope in segments]
 
 
-def mix_spectra(
-    a: PhaseNoiseSpectrum, b: PhaseNoiseSpectrum, mode: str = "sum"
-) -> PhaseNoiseSpectrum:
-    """Phase noise of an ideal mixer output.
+def mix_spectra(a: PhaseNoiseSpectrum, b: PhaseNoiseSpectrum) -> PhaseNoiseSpectrum:
+    """Phase noise of an ideal mixer's sum output, at carrier a + b.
 
     Phase fluctuations of the two inputs are statistically independent and
     add, so the output PSD is the pointwise sum S_a + S_b evaluated on the
-    union of the two offset grids.  ``mode`` selects the output carrier
-    a + b ("sum") or a - b ("difference").
+    union of the two offset grids.
     """
-    if mode == "sum":
-        carrier = a.carrier_hz + b.carrier_hz
-    elif mode == "difference":
-        carrier = a.carrier_hz - b.carrier_hz
-        if carrier <= 0:
-            raise ValueError("difference carrier must be positive")
-    else:
-        raise ValueError("mode must be 'sum' or 'difference'")
+    carrier = a.carrier_hz + b.carrier_hz
     offsets = np.union1d(np.asarray(a.offsets_hz), np.asarray(b.offsets_hz))
     s_total = ssb_to_psd(a, offsets) + ssb_to_psd(b, offsets)
     l_out = 10.0 * np.log10(s_total / 2.0)
@@ -379,16 +363,10 @@ class WhiteNoise:
 
     sigma_wh: Radians
     seed: int = 0
-    emulate_injection_bandwidth: bool = False
 
     def __post_init__(self) -> None:
         if not (0 <= self.sigma_wh < math.inf):
             raise ValueError("sigma_wh must be nonnegative and finite")
-
-    @property
-    def effective_sigma(self) -> Radians:
-        gain = INJECTION_GAIN_WHITE if self.emulate_injection_bandwidth else 1.0
-        return gain * self.sigma_wh
 
 
 @dataclass(frozen=True)
@@ -405,18 +383,12 @@ class RandomWalkNoise:
     r_samp: FrequencyHz
     seed: int = 0
     discrete_jumps: bool = False
-    emulate_injection_bandwidth: bool = False
 
     def __post_init__(self) -> None:
         if not (0 <= self.sigma_rw < math.inf):
             raise ValueError("sigma_rw must be nonnegative and finite")
         if not (0 < self.r_samp < math.inf):
             raise ValueError("r_samp must be positive and finite")
-
-    @property
-    def effective_sigma(self) -> Radians:
-        gain = INJECTION_GAIN_RANDOM_WALK if self.emulate_injection_bandwidth else 1.0
-        return gain * self.sigma_rw
 
 
 @dataclass(frozen=True)
@@ -582,7 +554,7 @@ def _fft_length(n: int) -> int:
 def _walk_step_variances(process: RandomWalkNoise, times: np.ndarray) -> np.ndarray:
     """Variance of each random-walk step, from t = 0 to times[0], then
     between consecutive times."""
-    sigma = process.effective_sigma
+    sigma = process.sigma_rw
     bounds = np.concatenate(([0.0], times))
     if process.discrete_jumps:
         ticks = np.floor(bounds * process.r_samp)
@@ -617,7 +589,7 @@ def sample_pulse_phases_batch(
         for start, stop in _track_chunks(times.size, n_realizations):
             _chunk_rng(process, base_seed, start).standard_normal(out=out[start:stop])
         if isinstance(process, WhiteNoise):
-            out *= process.effective_sigma
+            out *= process.sigma_wh
         else:
             out *= np.sqrt(_walk_step_variances(process, times))
             np.cumsum(out, axis=1, out=out)

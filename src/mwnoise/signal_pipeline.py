@@ -140,8 +140,9 @@ def alias_frequency(f: FrequencyHz, f_samp: FrequencyHz) -> tuple[FrequencyHz, F
 _BLOCK_SAMPLES = 1 << 19
 
 # Samples per strip of a block's elementwise build: each lane builds its range
-# of a block one strip at a time in three strips of its own (the times, which
-# become a tone, and the gradiometer's gradient tone and u + g), 128 KiB each.
+# of a block one strip at a time in three strips of its own, 128 KiB each (the
+# sequence start times, which become a field, and the gradiometer's second
+# field and a channel's field); a readout without a field reads no times.
 _STRIP = 1 << 14
 
 
@@ -156,10 +157,11 @@ def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws, build, run, l
     term into ``out``; a block's draws run as tasks of ``run`` (of
     :func:`~mwnoise.spin_simulator._lanes`), one per generator, which draws in
     order, so a term's values are those of one call of size n_seq.  Unless
-    it is None, ``build(work, *streams)`` then turns the terms into the
-    streams in place, elementwise, over ``lanes`` equal ranges of the block
-    run as tasks, one strip at a time: ``work`` is three strips of the lane's
-    own, the first holding the strip's sequence start times.
+    it is None, ``build(work, times, *streams)`` then turns the terms into
+    the streams in place, elementwise, over ``lanes`` equal ranges of the
+    block run as tasks, one strip at a time: ``work`` is three strips of the
+    lane's own, and ``times()`` writes the strip's sequence start times over
+    the first and returns it.
     """
     step = max(1, _BLOCK_SAMPLES // n) * n
     buffers = [np.empty(min(step, n_seq)) for _ in draws]
@@ -171,15 +173,19 @@ def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws, build, run, l
         if draw is not None:
             draw(out)
 
+    def times(t, a):
+        # a + k is exact in float64, so these are arange(a, a + t.size) / f_samp.
+        np.add(ramp[: t.size], a, out=t)
+        t /= f_samp
+        return t
+
     def build_range(work, lo, hi):
         # Runs on a lane: numpy calls on sequences lo to hi of every stream.
         for a in range(lo, hi, strip):
             b = min(a + strip, hi)
             part = work[:, : b - a]
-            # a + k is exact in float64, so these are arange(a, b) / f_samp.
-            np.add(ramp[: b - a], a, out=part[0])
-            part[0] /= f_samp
-            build(part, *(stream[a - start : b - start] for stream in streams))
+            rows = (stream[a - start : b - start] for stream in streams)
+            build(part, lambda: times(part[0], a), *rows)
 
     for start in range(0, n_seq, step):
         size = min(step, n_seq - start)
@@ -218,26 +224,34 @@ def _readout_terms(
     shot = None
     if shot_sigma > 0:
         shot = _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x73686F74))
+    has_tone = test_field_amp != 0
 
-    def readouts(work, *streams):
+    def readouts(work, times, *streams):
         # In the operation order of tone + phi / scale + z / scale with
         # tone = amp sqrt(2) cos(2 pi f t), so every bit is that of the
         # expression: the tone is built over the times, or in the noise-off
         # stream when there are no shot draws, phi becomes the noise-on
-        # readout and z the noise-off one.
+        # readout and z the noise-off one.  At amplitude 0 the tone is +-0,
+        # and x + 0 = x, so it is not built; without shot draws z is then
+        # zeros, written in every block over the last block's values.
         z = streams[-1]
-        tone = np.multiply(work[0], 2.0 * np.pi * f_test, out=z if shot is None else work[0])
-        np.cos(tone, out=tone)
-        tone *= test_field_amp * math.sqrt(2.0)
+        tone = None
+        if has_tone:
+            out = z if shot is None else work[0]
+            tone = np.cos(np.multiply(times(), 2.0 * np.pi * f_test, out=out), out=out)
+            tone *= test_field_amp * math.sqrt(2.0)
+        elif shot is None:
+            z.fill(0.0)
         if shot is not None:
             z /= scale
         if len(streams) == 2:
             phi = streams[0]
             phi /= scale
-            phi += tone
+            if tone is not None:
+                phi += tone
             if shot is not None:
                 phi += z
-        if shot is not None:
+        if shot is not None and tone is not None:
             z += tone
 
     if process is None:
@@ -255,7 +269,6 @@ def _gradiometer_terms(
     seed: int,
     f_uniform: FrequencyHz,
     f_gradient: FrequencyHz,
-    channel_gains: tuple[float, float],
 ):
     """Checked arguments, then (draws, build) of :func:`_stream_blocks` for
     the (ch1, ch2, ch1 - ch2) tesla readouts.
@@ -274,26 +287,38 @@ def _gradiometer_terms(
         _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x67726164), skip=n_sequences),
         _phi_tot_draws(seq, process, seed),
     )
+    has_uniform, has_gradient = uniform_signal != 0, gradient_signal != 0
 
-    def channels(work, shot_1, shot_2, common):
+    def channels(work, times, shot_1, shot_2, common):
         # In the operation order of
-        # gain * (scale * (uniform + sign * gradient) + common + shot) / scale,
-        # so every bit is that of the expression: the times become the
-        # uniform field and then u - g, each channel is built in its shot
-        # draws and the difference in the common term, which both have read.
-        t, gradient, plus = work
-        np.multiply(t, 2.0 * np.pi * f_gradient, out=gradient)
-        np.cos(gradient, out=gradient)
-        gradient *= gradient_signal * math.sqrt(2.0)
-        uniform = np.multiply(t, 2.0 * np.pi * f_uniform, out=t)
-        np.cos(uniform, out=uniform)
-        uniform *= uniform_signal * math.sqrt(2.0)
-        fields = (np.add(uniform, gradient, out=plus), np.subtract(uniform, gradient, out=uniform))
-        for field, shot, gain in zip(fields, (shot_1, shot_2), channel_gains):
+        # (scale * (uniform + sign * gradient) + common + shot) / scale,
+        # so every bit is that of the expression: each channel is built in
+        # its shot draws and the difference in the common term, which both
+        # have read.  A field of amplitude 0 is +-0, and x + 0 = x, so it is
+        # not built; scale * (0 - g) = -(scale * g).
+        t, second, third = work
+        if has_uniform and has_gradient:
+            gradient = np.multiply(times(), 2.0 * np.pi * f_gradient, out=second)
+            np.cos(gradient, out=gradient)
+            gradient *= gradient_signal * math.sqrt(2.0)
+            uniform = np.multiply(t, 2.0 * np.pi * f_uniform, out=t)
+            np.cos(uniform, out=uniform)
+            uniform *= uniform_signal * math.sqrt(2.0)
+            fields = (np.add(uniform, gradient, out=third), np.subtract(uniform, gradient, out=t))
+            for each in fields:
+                each *= scale
+                each += common
+        elif has_uniform or has_gradient:
+            amp, f = (uniform_signal, f_uniform) if has_uniform else (gradient_signal, f_gradient)
+            field = np.cos(np.multiply(times(), 2.0 * np.pi * f, out=third), out=third)
+            field *= amp * math.sqrt(2.0)
             field *= scale
+            fields = (field, np.subtract(common, field, out=second) if has_gradient else field)
             field += common
-            shot += field
-            shot *= gain
+        else:
+            fields = (common, common)
+        for each, shot in zip(fields, (shot_1, shot_2)):
+            shot += each
             shot /= scale
         np.subtract(shot_1, shot_2, out=common)
 
@@ -353,7 +378,6 @@ def simulate_gradiometer(
     *,
     f_uniform: FrequencyHz = 394e3,
     f_gradient: FrequencyHz = 394e3,
-    channel_gains: tuple[float, float] = (1.0, 1.0),
 ) -> tuple[ReadoutStream, ReadoutStream, ReadoutStream]:
     """Two magnetometer channels driven by one microwave source, plus their
     difference channel.
@@ -373,7 +397,7 @@ def simulate_gradiometer(
     """
     draws, build = _gradiometer_terms(
         seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, seed,
-        f_uniform, f_gradient, channel_gains,
+        f_uniform, f_gradient,
     )
     streams = _joined(seq.f_samp, n_sequences, draws, build, 3)
     return tuple(ReadoutStream(samples, seq.f_samp) for samples in streams)
@@ -646,7 +670,6 @@ def gradiometer_spectra(
     *,
     f_uniform: FrequencyHz = 394e3,
     f_gradient: FrequencyHz = 394e3,
-    channel_gains: tuple[float, float] = (1.0, 1.0),
 ) -> tuple[AmplitudeSpectrum, AmplitudeSpectrum, AmplitudeSpectrum]:
     """Amplitude spectra of the channels of :func:`simulate_gradiometer`
     (same arguments), computed one block of chunks at a time: (channel 1,
@@ -655,7 +678,7 @@ def gradiometer_spectra(
     n = _chunk_length(interval, seq.f_samp, n_sequences)
     draws, build = _gradiometer_terms(
         seq, process, uniform_signal, gradient_signal, shot_sigma, n_sequences, seed,
-        f_uniform, f_gradient, channel_gains,
+        f_uniform, f_gradient,
     )
     return tuple(_block_spectra(seq.f_samp, n_sequences, n, draws, build))
 

@@ -283,7 +283,7 @@ def _phi_tot_coefficients(
     """
     weights = np.concatenate((_alternating_weights(seq.n_pi), [-1.0]))
     if isinstance(process, WhiteNoise):
-        return weights.size, (process.effective_sigma * weights,)
+        return weights.size, (process.sigma_wh * weights,)
     if isinstance(process, RandomWalkNoise):
         times = np.concatenate((seq.pulse_times(), [seq.tau_tot]))
         tail = np.cumsum(weights[::-1])[::-1]
@@ -375,7 +375,7 @@ def dq_noise_suppression(
     single-tone drive built by mixing sees the sum of carrier and LO noise.
     """
     eta_dq = eta_phi(sigma_phi_filter(lo_spectrum, seq, f_cutoff), seq)
-    mixed = mix_spectra(carrier_spectrum, lo_spectrum, mode="sum")
+    mixed = mix_spectra(carrier_spectrum, lo_spectrum)
     eta_single = eta_phi(sigma_phi_filter(mixed, seq, f_cutoff), seq)
     return eta_dq, eta_single
 

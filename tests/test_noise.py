@@ -8,8 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
 from mwnoise.noise_models import (
-    INJECTION_GAIN_RANDOM_WALK,
-    INJECTION_GAIN_WHITE,
     MAX_TRACK_SAMPLES,
     L_FLOOR_DBC,
     _keyed_rng,
@@ -212,17 +210,6 @@ def test_mix_commutative_and_associative():
     )
 
 
-def test_mix_difference_carrier():
-    a = _two_point()
-    b = mw.PhaseNoiseSpectrum(0.61e9, (1e3, 1e6), (-110.0, -130.0), "lo")
-    diff = mw.mix_spectra(a, b, mode="difference")
-    assert diff.carrier_hz == pytest.approx(2.87e9 - 0.61e9, rel=1e-12)
-    with pytest.raises(ValueError):
-        mw.mix_spectra(b, a, mode="difference")
-    with pytest.raises(ValueError):
-        mw.mix_spectra(a, b, mode="product")
-
-
 def test_presets():
     names = mw.preset_names()
     assert names == sorted(names)
@@ -418,16 +405,6 @@ def test_random_walk_discrete_jump_mode():
     increments = samples[:, 1] - samples[:, 0]
     want = 1e-3 * math.sqrt(1e6 * 70e-6)
     assert float(increments.std(ddof=1)) == pytest.approx(want, rel=0.02)
-
-
-def test_injection_bandwidth_gains():
-    assert INJECTION_GAIN_WHITE == 0.8
-    assert INJECTION_GAIN_RANDOM_WALK == 0.85
-    wh = mw.WhiteNoise(0.01, emulate_injection_bandwidth=True)
-    assert wh.effective_sigma == pytest.approx(0.8 * 0.01, rel=1e-12)
-    assert mw.WhiteNoise(0.01).effective_sigma == 0.01
-    rw = mw.RandomWalkNoise(1e-3, 1e6, emulate_injection_bandwidth=True)
-    assert rw.effective_sigma == pytest.approx(0.85 * 1e-3, rel=1e-12)
 
 
 def test_psd_process_flat_variance():

@@ -330,23 +330,29 @@ def test_stream_blocks_keep_every_sample_and_draw(monkeypatch):
     assert off is None
 
 
-def test_gradiometer_blocks_keep_every_sample_and_shot_draw(monkeypatch):
+def _reference_gradiometer(
+    seq, process, uniform, gradient, shot_sigma, n_seq, seed, f_uniform, f_gradient
+):
     # Channel 2's shot draws are the second row of one (2, n) draw.
+    scale = _tesla_scale(seq)
+    t = np.arange(n_seq) / seq.f_samp
+    uniform = uniform * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_uniform * t)
+    gradient = gradient * math.sqrt(2.0) * np.cos(2.0 * np.pi * f_gradient * t)
+    common = _phi_tot(seq, process, n_seq, seed)
+    shot = shot_sigma * _keyed_rng(seed, 0x67726164).standard_normal((2, n_seq))
+    channels = [
+        (scale * (uniform + sign * gradient) + common + shot[i]) / scale
+        for i, sign in enumerate((1.0, -1.0))
+    ]
+    return [*channels, channels[0] - channels[1]]
+
+
+def test_gradiometer_blocks_keep_every_sample_and_shot_draw(monkeypatch):
     proc = mw.WhiteNoise(6e-3)
     n_seq = 5 * 42134 + 11
-    scale = _tesla_scale(XY8_1)
-    t = np.arange(n_seq) / XY8_1.f_samp
-    uniform = 40e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 3e3 * t)
-    gradient = 70e-12 * math.sqrt(2.0) * np.cos(2.0 * np.pi * 5e3 * t)
-    common = _phi_tot(XY8_1, proc, n_seq, 29)
-    shot = 4e-4 * _keyed_rng(29, 0x67726164).standard_normal((2, n_seq))
-    want = [
-        gain * (scale * (uniform + sign * gradient) + common + shot[i]) / scale
-        for i, (gain, sign) in enumerate(((1.0, 1.0), (0.95, -1.0)))
-    ]
-    want.append(want[0] - want[1])
+    want = _reference_gradiometer(XY8_1, proc, 40e-12, 70e-12, 4e-4, n_seq, 29, 3e3, 5e3)
     args = (XY8_1, proc, 40e-12, 70e-12, 4e-4, n_seq)
-    kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.0, 0.95)}
+    kwargs = {"f_uniform": 3e3, "f_gradient": 5e3}
     for block in _block_sizes(42134):
         monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
         streams = mw.simulate_gradiometer(*args, 29, **kwargs)
@@ -365,7 +371,7 @@ def test_stream_spectra_bits_independent_of_lanes(monkeypatch, force_lanes):
     # together with its fixed partner, whatever the lane's piece.  A short
     # switch interval interleaves the lanes' Python code as often as it can.
     proc = mw.WhiteNoise(4e-3)
-    grad_kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.0, 0.95)}
+    grad_kwargs = {"f_uniform": 3e3, "f_gradient": 5e3}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -393,21 +399,60 @@ def test_stream_spectra_bits_independent_of_lanes(monkeypatch, force_lanes):
         sys.setswitchinterval(switch)
 
 
+# The build paths of the stream walk: (process, test field, shot sigma) of an
+# on/off readout, or (uniform, gradient, f_uniform, f_gradient) of a
+# gradiometer.  A field of amplitude 0 is not built.  "gradiometer-gains"
+# keeps its id so the test ids stay stable; it is the build of two nonzero
+# fields at two frequencies.
+WALK_CASES = {
+    "no-shot": (mw.WhiteNoise(4e-3), 90e-12, 0.0),
+    "noiseless": (None, 90e-12, 2e-3),
+    "gradiometer-gains": (40e-12, 70e-12, 3e3, 5e3),
+    "no-field": (mw.WhiteNoise(4e-3), 0.0, 2e-3),
+    "no-field-no-shot": (mw.WhiteNoise(4e-3), 0.0, 0.0),
+    "no-field-noiseless": (None, 0.0, 2e-3),
+    "gradiometer-no-uniform": (0.0, 70e-12, 3e3, 5e3),
+    "gradiometer-no-gradient": (40e-12, 0.0, 3e3, 5e3),
+    "gradiometer-no-field": (0.0, 0.0, 3e3, 5e3),
+    "gradiometer-one-frequency": (40e-12, 70e-12, 394e3, 394e3),
+}
+
+
 def _walk_arrays(case, seq):
     # The streams and spectra of one build path of the stream walk.
-    proc = mw.WhiteNoise(4e-3)
-    if case == "gradiometer-gains":
-        args = (seq, proc, 40e-12, 70e-12, 4e-4, GRADIOMETER_SEQUENCES[seq])
-        kwargs = {"f_uniform": 3e3, "f_gradient": 5e3, "channel_gains": (1.1, 0.9)}
+    if case.startswith("gradiometer"):
+        uniform, gradient, f_uniform, f_gradient = WALK_CASES[case]
+        args = (seq, mw.WhiteNoise(4e-3), uniform, gradient, 4e-4, GRADIOMETER_SEQUENCES[seq])
+        kwargs = {"f_uniform": f_uniform, "f_gradient": f_gradient}
         streams = mw.simulate_gradiometer(*args, 31, **kwargs)
         spectra = mw.gradiometer_spectra(*args, 1.0, 31, **kwargs)
     else:
-        process, shot = (proc, 0.0) if case == "no-shot" else (None, 2e-3)
-        args = (seq, process, 90e-12, 457.9e3, shot, STREAM_SECONDS[seq])
+        process, amp, shot = WALK_CASES[case]
+        args = (seq, process, amp, 457.9e3, shot, STREAM_SECONDS[seq])
         streams = [mw.synthesize_stream(*args, seed=23)]
         spectra = mw.stream_spectra(*args, 1.0, seed=23)
         assert (spectra[1] is None) == (process is None)
     return [stream.samples for stream in streams] + [s.asd for s in spectra if s is not None]
+
+
+def _walk_reference(case, seq):
+    # What _walk_arrays returns, from the expressions built in one piece.
+    n = round(seq.f_samp)
+    if case.startswith("gradiometer"):
+        uniform, gradient, f_uniform, f_gradient = WALK_CASES[case]
+        streams = _reference_gradiometer(
+            seq, mw.WhiteNoise(4e-3), uniform, gradient, 4e-4, GRADIOMETER_SEQUENCES[seq], 31,
+            f_uniform, f_gradient,
+        )
+        return streams + [_reference_asd(x, n, seq.f_samp) for x in streams]
+    process, amp, shot = WALK_CASES[case]
+    n_seq = round(STREAM_SECONDS[seq] * seq.f_samp)
+    on = _reference_stream(seq, process, amp, 457.9e3, shot, n_seq, 23)
+    want = [on, _reference_asd(on, n, seq.f_samp)]
+    if process is not None:
+        off = _reference_stream(seq, None, amp, 457.9e3, shot, n_seq, 23)
+        want.append(_reference_asd(off, n, seq.f_samp))
+    return want
 
 
 @pytest.mark.parametrize(
@@ -416,38 +461,27 @@ def _walk_arrays(case, seq):
         pytest.param(case, seq, id=case + suffix)
         for seq, suffix in [(XY8_1, ""), (XY8_8, "-xy8-8")]
         for case in ["no-shot", "noiseless", "gradiometer-gains"]
-    ],
+    ]
+    + [pytest.param(case, XY8_1, id=case) for case in list(WALK_CASES)[3:]],
 )
 def test_stream_build_paths_bits_independent_of_lanes(monkeypatch, force_lanes, case, seq):
     # Each block's draws, its elementwise build over sample ranges and its
     # transforms run as lane tasks.  Without shot draws the noise-off stream
-    # is the tone itself, and without phase noise only that stream exists;
-    # the gradiometer scales each channel by its own gain.  Every path gives
-    # the same bits on one, two and three lanes, and the one-lane streams
-    # and spectra without shot draws or phase noise are those of the
-    # expression built in one piece.
-    n = round(seq.f_samp)
-    n_seq = round(STREAM_SECONDS[seq] * seq.f_samp)
-    want = None
-    if case == "no-shot":
-        on = _reference_stream(seq, mw.WhiteNoise(4e-3), 90e-12, 457.9e3, 0.0, n_seq, 23)
-        tone = _reference_stream(seq, None, 90e-12, 457.9e3, 0.0, n_seq, 23)
-        want = [on, *(_reference_asd(x, n, seq.f_samp) for x in (on, tone))]
-    elif case == "noiseless":
-        off = _reference_stream(seq, None, 90e-12, 457.9e3, 2e-3, n_seq, 23)
-        want = [off, _reference_asd(off, n, seq.f_samp)]
+    # is the tone itself, or zeros without a test field, written over the
+    # last block's values; without phase noise only that stream exists.
+    # Every path's streams and spectra, on one, two and three lanes, are
+    # those of the expressions built in one piece.
+    want = _walk_reference(case, seq)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for block in _block_sizes(n):
+        for block in _block_sizes(round(seq.f_samp)):
             monkeypatch.setattr(signal_pipeline, "_BLOCK_SAMPLES", block)
-            runs = []
             for cap in (1, 2, 3):
                 force_lanes(cap)
-                runs.append(_walk_arrays(case, seq))
-            for run in [*runs[1:], *([want] if want else [])]:
-                assert len(run) == len(runs[0])
-                for got, expected in zip(runs[0], run):
+                run = _walk_arrays(case, seq)
+                assert len(run) == len(want)
+                for got, expected in zip(run, want):
                     assert_array_equal(got, expected)
     finally:
         sys.setswitchinterval(switch)

@@ -622,23 +622,6 @@ def test_gradiometer_uniform_cancels_in_diff():
     assert_array_equal(diff.samples, np.zeros(1024))
 
 
-def test_gradiometer_channel_gain_asymmetry():
-    seq = _table_seq()
-    proc = mw.WhiteNoise(5e-3, seed=3)
-    ch1, ch2, diff = mw.simulate_gradiometer(
-        seq,
-        proc,
-        0.0,
-        0.0,
-        shot_sigma=0.0,
-        n_sequences=256,
-        seed=3,
-        channel_gains=(1.0, 0.9),
-    )
-    # Mismatched gains leak a tenth of the common mode into the difference.
-    assert_allclose(diff.samples, 0.1 * ch1.samples, rtol=1e-9)
-
-
 def test_gradiometer_determinism_and_validation():
     seq = _table_seq()
     proc = mw.WhiteNoise(1e-3)
