@@ -463,10 +463,11 @@ def _run_sweep(cfg: dict, point_fn) -> tuple[list[str], list[list], object]:
     """Evaluate ``point_fn(point_cfg) -> (columns, rows, extra)`` at every
     sweep point, keeping the input order.
 
-    With [run] workers > 1 the points run in a process pool, whose workers
-    each keep to one lane.  Otherwise they run one after another on this
-    thread, each with its own lanes (Monte Carlo chunks, stream blocks), and
-    the first failing point fails the sweep.
+    With [run] workers > 1 the points run in a process pool of at most one
+    worker per point and per usable CPU, whose workers each keep to one
+    lane.  Otherwise, or when that cap is one, they run one after another on
+    this thread, each with its own lanes (Monte Carlo chunks, stream
+    blocks), and the first failing point fails the sweep.
 
     ``point_fn`` is sent to the process pool, so it is a module-level
     function or a ``functools.partial`` of one.  Returns the first point's
@@ -477,16 +478,16 @@ def _run_sweep(cfg: dict, point_fn) -> tuple[list[str], list[list], object]:
     """
     points = _sweep_configs(cfg)
     configs = [point for _, point in points]
-    workers = cfg["run"]["workers"]
-    if workers > 1 and len(points) > 1:
+    # At most one process per point and per usable CPU: with the fork start
+    # method the pool starts all its workers at once.
+    workers = min(cfg["run"]["workers"], len(points), spin_simulator._usable_cpus())
+    if workers > 1:
         # Imported here: no other run needs the process pool's modules.
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        # At most one process per point: with the fork start method the pool
-        # starts all its workers at once, however few points there are.
         try:
             with ProcessPoolExecutor(
-                max_workers=min(workers, len(points)), initializer=spin_simulator._one_lane
+                max_workers=workers, initializer=spin_simulator._one_lane
             ) as pool:
                 results = list(pool.map(point_fn, configs))
         except BrokenExecutor:

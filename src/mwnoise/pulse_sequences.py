@@ -26,7 +26,8 @@ r takes its analytic limit
     odd N:   r =  N sin(z/2) / sin(z / (2N))
 
 (|r| = N there).  Integrals use a trapezoid rule on a frequency lattice
-anchored at integer multiples of a fixed step (1 / (tau_tot * oversample)).
+anchored at integer multiples of a fixed step, 1 / (oversample tau_tot) with
+oversample = 32.
 The lattice both resolves every oscillation of F (period 1/tau_tot) and
 makes integrals exactly additive over adjacent intervals, because the
 integrand is the piecewise-linear interpolant on a grid that does not
@@ -241,10 +242,11 @@ _OVERSAMPLE = 32
 _TURN = 1 << 12
 
 
-def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
-    """F / 4 on the lattice f_k = k / (oversample tau_tot), k < ``n_points``,
-    as a function of (k_start, k_stop, out), a run of k inside one aligned
-    block, written into the head of the buffer ``out`` and returned.
+def _lattice_filter(ff: FilterFunction, n_points: int):
+    """F / 4 on the lattice f_k = k / (oversample tau_tot), oversample =
+    ``_OVERSAMPLE``, k < ``n_points``, as a function of (k_start, k_stop,
+    out), a run of k inside one aligned block, written into the head of the
+    buffer ``out`` and returned.
 
     At f_k, z/2 = pi k / oversample, so h repeats every 2 oversample points
     and cos(z / (2N)) every 2 oversample N.  h is evaluated over its own
@@ -260,6 +262,7 @@ def _lattice_filter(ff: FilterFunction, oversample: int, n_points: int):
     """
     seq = ff.sequence
     n = seq.n_pi
+    oversample = _OVERSAMPLE
     m = oversample * n
     period = 2 * m
     length = min(n_points, period + _BLOCK)
@@ -319,11 +322,11 @@ def _tile(a: np.ndarray, length: int) -> np.ndarray:
 
 
 def _lattice_integral(
-    ff: FilterFunction, weight_fn, f_lo: float, f_hi: float | np.ndarray, oversample: int
+    ff: FilterFunction, weight_fn, f_lo: float, f_hi: float | np.ndarray
 ) -> float | np.ndarray:
     """Integral from ``f_lo`` to ``f_hi`` of the piecewise-linear interpolant
     of weight_fn(f) * F(f) (F alone when ``weight_fn`` is None) sampled on
-    the absolute lattice f_k = k * step, step = 1 / (oversample tau_tot);
+    the absolute lattice f_k = k * step, step = 1 / (_OVERSAMPLE tau_tot);
     ``f_hi`` may be an array of upper bounds, each getting its own integral.
 
     The lattice spans the integer multiples of step bracketing [f_lo,
@@ -346,10 +349,7 @@ def _lattice_integral(
     f_hi = np.asarray(f_hi, dtype=float)
     if not (math.isfinite(f_lo) and np.all(np.isfinite(f_hi))):
         raise ValueError("integration bounds must be finite")
-    if oversample < 2 or oversample != int(oversample):
-        raise ValueError("oversample must be an integer of at least 2")
-    oversample = int(oversample)
-    step = 1.0 / (ff.sequence.tau_tot * oversample)
+    step = 1.0 / (ff.sequence.tau_tot * _OVERSAMPLE)
     k_lo = math.floor(f_lo / step)
     k0 = max(k_lo, 0)
     k_end = max(math.ceil(float(np.max(f_hi, initial=f_lo)) / step), k_lo + 1)
@@ -365,7 +365,7 @@ def _lattice_integral(
     v0 = np.empty_like(x)
     v1 = np.empty_like(x)
 
-    filter_on = _lattice_filter(ff, oversample, k_end + 1)
+    filter_on = _lattice_filter(ff, k_end + 1)
     size = min(_BLOCK, k_end + 1 - k0)
     vals_buf = np.empty(size)
     if weight_fn is not None:
@@ -404,7 +404,6 @@ def filter_function_integral(
     ff: FilterFunction,
     f_lo: FrequencyHz,
     f_hi: FrequencyHz | np.ndarray,
-    oversample: int = _OVERSAMPLE,
 ) -> float | np.ndarray:
     """Band integral of the filter function in angular-frequency measure,
     i.e. the integral of F over [f_lo, f_hi] with d(omega) = 2 pi df.
@@ -417,13 +416,13 @@ def filter_function_integral(
     wider than the passband gives (4 N + 2) * 2 pi * f_hi; with the
     finite-pulse correction on, (2 N + 2) * 2 pi * f_hi.
 
-    The lattice step is 1 / (tau_tot * oversample), fine enough to resolve
+    The lattice step is 1 / (32 tau_tot), fine enough to resolve
     the 1/tau_tot oscillation of F, and results are exactly additive over
     adjacent intervals (same absolute lattice).
     """
     if f_lo < 0 or np.any(np.asarray(f_hi) < f_lo):
         raise ValueError("need 0 <= f_lo <= f_hi")
-    return 2.0 * math.pi * _lattice_integral(ff, None, f_lo, f_hi, oversample)
+    return 2.0 * math.pi * _lattice_integral(ff, None, f_lo, f_hi)
 
 
 def band_integral_weighted(
@@ -433,9 +432,9 @@ def band_integral_weighted(
     f_hi: FrequencyHz,
 ) -> float:
     """Integral of weight(f) * F(f) df over [f_lo, f_hi] (ordinary frequency
-    measure, no 2 pi).  Shares the anchored lattice, at the default
-    resolution, with :func:`filter_function_integral`; ``weight_fn`` is
+    measure, no 2 pi).  Shares the anchored lattice with
+    :func:`filter_function_integral`; ``weight_fn`` is
     called on ascending blocks of lattice frequencies."""
     if f_lo < 0 or f_hi < f_lo:
         raise ValueError("need 0 <= f_lo <= f_hi")
-    return _lattice_integral(ff, weight_fn, f_lo, f_hi, _OVERSAMPLE)
+    return _lattice_integral(ff, weight_fn, f_lo, f_hi)

@@ -1,10 +1,24 @@
 """Fixtures shared by the test modules."""
 
+import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import mwnoise
 from mwnoise import spin_simulator
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """This process's environment with PYTHONPATH led by the directory this
+    ``mwnoise`` was imported from, so a child interpreter imports the same
+    package.  One dict serves the session: copy it before changing it."""
+    src = str(Path(mwnoise.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import json
 import math
 import os
 import subprocess
@@ -17,8 +18,6 @@ from mwnoise import cli, signal_pipeline, spin_simulator
 from mwnoise.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from mwnoise.core import read_csv
 from mwnoise.noise_models import _psd_track_layout, _track_chunks
-
-SRC = Path(mw.__file__).resolve().parent.parent
 
 BASE_SEQUENCE = """\
 [sequence]
@@ -117,14 +116,6 @@ def test_exit_code_filter_fn_infinite_bound(tmp_path, flag):
     out = tmp_path / "ff.csv"
     assert main(["filter-fn", "--config", cfg, "--out", str(out), flag, "inf"]) == EXIT_CONFIG
     assert not out.exists()
-
-
-def test_filter_fn_rerun_is_byte_identical(tmp_path):
-    cfg = _write_config(tmp_path, BASE_SEQUENCE)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["filter-fn", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-    assert main(["filter-fn", "--config", cfg, "--out", str(out2)]) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 # --- predict --------------------------------------------------------------------
@@ -261,7 +252,9 @@ def test_predict_carrier_sweep_monotone(tmp_path):
     ],
     ids=["filter-fn", "predict", "montecarlo", "montecarlo-psd-chunks", "pipeline"],
 )
-def test_predict_workers_give_identical_bytes(tmp_path, command, body, extra):
+def test_predict_workers_give_identical_bytes(tmp_path, monkeypatch, command, body, extra):
+    # Two usable CPUs, whatever this host has, so --workers 2 runs a pool.
+    monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: 2)
     cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     for out, workers in ((serial, "1"), (parallel, "2")):
@@ -275,7 +268,8 @@ def test_predict_workers_give_identical_bytes(tmp_path, command, body, extra):
 
 def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     # With the fork start method a pool starts all its workers at once, so
-    # --workers above the point count must not ask for more.  A stand-in
+    # --workers above the point count or the usable CPUs must not ask for
+    # more, and a cap of one runs the points on this thread.  A stand-in
     # pool records the request and maps in this process: no process starts.
     sizes = []
 
@@ -297,17 +291,23 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = _write_config(tmp_path, BASE_SEQUENCE + "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n")
     out = tmp_path / "ff.csv"
-    assert main(["filter-fn", "--config", cfg, "--out", str(out), "--workers", "64"]) == EXIT_OK
-    assert sizes == [3]
+    for cpus, pools in ((64, [3]), (2, [2]), (1, [])):
+        sizes.clear()
+        monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda cpus=cpus: cpus)
+        argv = ["filter-fn", "--config", cfg, "--out", str(out), "--workers", "64"]
+        assert main(argv) == EXIT_OK
+        assert sizes == pools, cpus
 
 
 def _lane_cap_point(cfg, args):
     return ["lane_cap"], [[spin_simulator._LANE_CAP]], None
 
 
-def test_sweep_pool_workers_draw_on_one_lane(tmp_path):
+def test_sweep_pool_workers_draw_on_one_lane(tmp_path, monkeypatch):
     # Each pool process draws a PSD Monte Carlo on one thread, so processes
-    # and threads do not multiply; this process keeps its own cap.
+    # and threads do not multiply; this process keeps its own cap.  Two
+    # usable CPUs, whatever this host has, so the points go to a pool.
+    monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: 2)
     cap = spin_simulator._LANE_CAP
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE + "[run]\nworkers = 2\n[sweep]\naxis = n_r\nvalues = 1, 2\n"
@@ -327,7 +327,9 @@ def _dying_point(cfg, args):
 def test_sweep_worker_that_dies_is_config_error(tmp_path, monkeypatch):
     # A worker process that ends abruptly, as an out-of-memory kill ends it,
     # breaks the pool: the run exits 2 with a one-line message and writes no
-    # table.  The workers fork, so they run the patched point function.
+    # table.  The workers fork, so they run the patched point function.  Two
+    # usable CPUs, whatever this host has, so the points go to a pool.
+    monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: 2)
     monkeypatch.setitem(cli._POINTS, "predict", _dying_point)
     cfg = _write_config(
         tmp_path, BASE_SEQUENCE + "[run]\nworkers = 2\n[sweep]\naxis = n_r\nvalues = 1, 2\n"
@@ -372,10 +374,10 @@ SWEEP_LANE_POOLS = {
 
 
 @pytest.mark.parametrize("command", list(SWEEP_LANE_BODIES))
-def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
+def test_sweep_bytes_independent_of_lanes(tmp_path, monkeypatch, force_lanes, command):
     # With workers = 1 the table and the last point's spectrum are the same
     # bytes on one, two and four lanes, and the same rows as a process
-    # pool's.
+    # pool's, on two usable CPUs whatever this host has.
     cfg = _write_config(tmp_path, BASE_SEQUENCE + SWEEP_LANE_BODIES[command])
     # Rows per table: one per point, and filter-fn's 16 grid rows per point.
     points = {"predict": 3, "filter-fn": 3 * 16}.get(command, 2)
@@ -392,6 +394,7 @@ def test_sweep_bytes_independent_of_lanes(tmp_path, force_lanes, command):
         assert main(argv) == EXIT_OK
         return out.read_bytes(), spectrum.read_bytes() if command == "pipeline" else None
 
+    monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: 2)
     pooled_table, pooled_spectrum = run("pooled", "--workers", "2")
     runs = []
     for cap in (1, 2, 4):
@@ -538,16 +541,16 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_cli_import_leaves_out_the_process_pool():
+def test_cli_import_leaves_out_the_process_pool(child_env):
     # Only a sweep with [run] workers > 1 starts a process pool, so importing
     # the CLI does not import concurrent.futures.process.
     probe = (
         "import sys, mwnoise.cli; "
         "print('concurrent.futures.process' in sys.modules)"
     )
-    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env, capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -557,7 +560,7 @@ def test_cli_import_leaves_out_the_process_pool():
     ["source = white\nsigma_wh = 0.01", "source = preset\npreset = g1-2.5ghz"],
     ids=["white", "psd"],
 )
-def test_montecarlo_too_large_for_memory_is_config_error(tmp_path, noise):
+def test_montecarlo_too_large_for_memory_is_config_error(tmp_path, child_env, noise):
     # 10^14 realizations need 728 TiB for phi_tot alone.  The run is a
     # configuration error that writes nothing, and it fails on that
     # allocation, before any list of chunks is built.  The child's address
@@ -565,8 +568,7 @@ def test_montecarlo_too_large_for_memory_is_config_error(tmp_path, noise):
     cfg = _write_config(tmp_path, BASE_SEQUENCE.replace("n_r = 1", "n_r = 8")
                         + "[noise]\n" + noise)
     out = tmp_path / "mc.csv"
-    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    env = dict(child_env, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-c", _MEMORY_PROBE, "montecarlo", "--config", cfg,
          "--out", str(out), "--n-realizations", str(10**14)],
@@ -1374,7 +1376,52 @@ def test_provenance_headers(tmp_path):
     assert "# run.seed=77" in meta
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
+# One run of each command: (config body after the base sequence, extra arguments).
+COMMAND_RUNS = {
+    "filter-fn": (_PRESET, []),
+    "predict": (_PRESET, []),
+    "montecarlo": (_PRESET, ["--n-realizations", "200"]),
+    "pipeline": (_PRESET + "[readout]\nshot_sigma = 0.002\n[pipeline]\nduration_s = 5\n", []),
+    "calibrate": ("", []),
+}
+
+
+def _command_argv(tmp_path, command, out):
+    body, extra = COMMAND_RUNS[command]
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body, name=f"{command}.ini")
+    return _argv(tmp_path, command, cfg, out, *extra)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_rerun_is_byte_identical(tmp_path, command):
+    outs = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in outs:
+        assert main(_command_argv(tmp_path, command, out)) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from mwnoise.cli import main
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path, child_env):
+    # The package depends on numpy alone: each command runs to exit 0 in a
+    # process where scipy cannot be imported.
+    outs = [tmp_path / f"{command}.csv" for command in COMMANDS]
+    argvs = [_command_argv(tmp_path, c, out) for c, out in zip(COMMANDS, outs)]
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argvs)],
+        env=child_env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert all(out.exists() for out in outs)
+
+
+def test_cli_import_loads_no_scipy(tmp_path, child_env):
     # The package depends on numpy alone: importing the CLI and running the
     # calibration fit, its one least-squares problem, load no scipy module.
     cfg = _write_config(tmp_path, BASE_SEQUENCE)
@@ -1385,8 +1432,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
         f"code = main({argv!r}); "
         "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
-    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env, capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{EXIT_OK} []"

@@ -1,12 +1,10 @@
 """Analytic sensitivity formulas: pulsed eta family and the cw model."""
 
 import math
-import os
 import platform
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +87,7 @@ def test_sigma_phi_matches_exact_sum_of_lattice_terms(spectrum, n_r):
     f_cutoff = 1e8
     step = 1.0 / (32 * seq.tau_tot)
     k_end = math.ceil(f_cutoff / step)
-    values = _lattice_filter(mw.FilterFunction(seq), 32, k_end + 1)
+    values = _lattice_filter(mw.FilterFunction(seq), k_end + 1)
     terms = []
     for k in range(0, k_end + 1, _BLOCK):
         f = np.arange(k, min(k + _BLOCK, k_end + 1)) * step
@@ -134,16 +132,14 @@ for n_r in (8, 64):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
-def test_sigma_phi_repeat_call_keeps_its_pages():
+def test_sigma_phi_repeat_call_keeps_its_pages(child_env):
     # The lattice walk's tables and block buffers, 1.5-5 MB a call, stay on
     # the heap once freed, so a second call at XY8-8 or XY8-64 page-faults
     # almost nothing; when glibc handed them back, each took about 1 000
     # minor faults.  A fresh interpreter, since any earlier walk in this one
     # has already raised glibc's thresholds; glibc's own tuning variables
     # are left out of its environment.
-    src = str(Path(mw.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = {k: v for k, v in child_env.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
     done = subprocess.run(
         [sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True
     )

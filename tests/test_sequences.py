@@ -211,7 +211,7 @@ def test_lattice_filter_tables_match_direct_evaluation(n_pi, finite):
     harmonics = 16 * n_pi * (2 * np.array([0, 3, 40, 2000]) + 1)
     runs = [(b * _BLOCK, b * _BLOCK + 500) for b in (0, 1, 7)]
     runs += [(max(k - 9, k - k % _BLOCK), min(k + 10, k - k % _BLOCK + _BLOCK)) for k in harmonics]
-    values = _lattice_filter(ff, 32, 8 * _BLOCK)
+    values = _lattice_filter(ff, 8 * _BLOCK)
     k = np.concatenate([np.arange(a, b) for a, b in runs])
     # The tables give F / 4; the quadrature applies the 4 once to its sum.
     got = 4.0 * np.concatenate([values(a, b, np.empty(b - a)) for a, b in runs])
@@ -258,15 +258,15 @@ def test_lattice_filter_bits_do_not_depend_on_lattice_length(n_r):
     # first half.
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
     ff = mw.FilterFunction(seq)
-    long = _lattice_filter(ff, 32, 8 * _BLOCK)
+    long = _lattice_filter(ff, 8 * _BLOCK)
     n_short = 3 * _BLOCK + 17
-    short = _lattice_filter(ff, 32, n_short)
+    short = _lattice_filter(ff, n_short)
     for k0 in range(0, n_short, _BLOCK):
         k1 = min(k0 + _BLOCK, n_short)
         assert_array_equal(short(k0, k1, np.empty(k1 - k0)), long(k0, k1, np.empty(k1 - k0)))
     period = 64 * seq.n_pi
     for n in (period // 2 - 5, period - 3):
-        assert_array_equal(_lattice_filter(ff, 32, n)(0, n, np.empty(n)), long(0, n, np.empty(n)))
+        assert_array_equal(_lattice_filter(ff, n)(0, n, np.empty(n)), long(0, n, np.empty(n)))
 
 
 def test_filter_fine_grid_peak_golden():
@@ -375,11 +375,13 @@ def test_filter_integral_degenerate_and_validation():
 
 
 def test_filter_integral_convergence():
+    # The lattice quadrature, 32 points per 1/tau_tot, against a plain
+    # trapezoid of the closed form on a grid four times finer.
     seq = mw.PulseSequence(mw.SequenceKind.XY8, 8, 521.85e-9, T_PI)
     ff = mw.FilterFunction(seq)
-    coarse = mw.filter_function_integral(ff, 0.0, 1e7, oversample=32)
-    fine = mw.filter_function_integral(ff, 0.0, 1e7, oversample=128)
-    assert coarse == pytest.approx(fine, rel=1e-3)
+    f = np.linspace(0.0, 1e7, round(1e7 * seq.tau_tot * 128) + 1)
+    fine = 2 * math.pi * np.trapezoid(mw.filter_function_value(ff, f), f)
+    assert mw.filter_function_integral(ff, 0.0, 1e7) == pytest.approx(fine, rel=1e-3)
 
 
 def test_band_integral_weight_one_matches_integral():

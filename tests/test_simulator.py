@@ -2,7 +2,6 @@
 double-quantum readout, gradiometer channels and cw traces."""
 
 import math
-import os
 import pickle
 import signal
 import subprocess
@@ -10,7 +9,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,12 +411,13 @@ np.savez(sys.argv[2], *[_monte_carlo_phi_tot(*case) for case in cases])
 """
 
 
-def test_monte_carlo_bits_independent_of_blas_threads(tmp_path):
+def test_monte_carlo_bits_independent_of_blas_threads(tmp_path, child_env):
     # OpenBLAS splits a long dot product into per-thread partial sums, so a
     # reduction through BLAS changes its last bits with OPENBLAS_NUM_THREADS.
     # No Monte Carlo reduction calls BLAS: the draws of a PSD XY8-8 run over
-    # two chunks (14 001-bin rows) and of a random walk at XY8-64 are
-    # bit-identical in processes with one and with two BLAS threads.
+    # two chunks (14 001-bin rows), of 100 000 white XY8-8 realizations in 13
+    # chunks and of a random walk at XY8-64 are bit-identical in processes
+    # with one and with two BLAS threads.
     psd = mw.PsdDrivenNoise(mw.preset_spectrum("g1-2.5ghz"), f_cutoff=1e8)
     xy8_8 = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
     times = np.concatenate(([0.0], xy8_8.pulse_times(), [xy8_8.tau_tot]))
@@ -426,15 +425,14 @@ def test_monte_carlo_bits_independent_of_blas_threads(tmp_path):
     count = next(_track_chunks(int(round(duration / dt)), 10**9))[1] + 5
     cases = [
         (xy8_8, psd, count, 67),
+        (xy8_8, mw.WhiteNoise(0.01), 100_000, 67),
         (_table_seq(), mw.RandomWalkNoise(1e-3, 1e6), 1000, 67),
     ]
     with open(tmp_path / "cases.pkl", "wb") as f:
         pickle.dump(cases, f)
-    src = str(Path(mw.__file__).resolve().parents[1])
     draws = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        env = dict(child_env, OPENBLAS_NUM_THREADS=threads)
         out = tmp_path / f"draws-{threads}.npz"
         subprocess.run(
             [sys.executable, "-c", _DRAWS_SCRIPT, str(tmp_path / "cases.pkl"), str(out)],
