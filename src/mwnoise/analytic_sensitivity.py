@@ -33,6 +33,7 @@ from .core import (
     Radians,
     SensitivityTeslaSqrtS,
     TimeSeconds,
+    _check_range,
 )
 from .noise_models import PhaseNoiseSpectrum, _psd_power_law, ssb_to_psd
 from .pulse_sequences import FilterFunction, PulseSequence, band_integral_weighted
@@ -62,12 +63,8 @@ class ReadoutModel:
     t_norm: TimeSeconds
 
     def __post_init__(self) -> None:
-        if not 0 < self.contrast <= 1:
-            raise ValueError("contrast must be in (0, 1]")
-        if not 0 < self.n_photons < math.inf:
-            raise ValueError("n_photons must be positive and finite")
-        if not (0 < self.t_read < math.inf and 0 < self.t_norm < math.inf):
-            raise ValueError("readout and normalization windows must be positive and finite")
+        _check_range("(0, 1]", contrast=self.contrast)
+        _check_range("(0, inf)", n_photons=self.n_photons, t_read=self.t_read, t_norm=self.t_norm)
 
     @property
     def overhead_factor(self) -> float:
@@ -89,10 +86,8 @@ class CwModel:
     linewidth: FrequencyHz
 
     def __post_init__(self) -> None:
-        if not 0 < self.contrast <= 1:
-            raise ValueError("contrast must be in (0, 1]")
-        if not 0 < self.linewidth < math.inf:
-            raise ValueError("linewidth must be positive and finite")
+        _check_range("(0, 1]", contrast=self.contrast)
+        _check_range("(0, inf)", linewidth=self.linewidth)
 
 
 def sigma_phi_filter(
@@ -102,8 +97,7 @@ def sigma_phi_filter(
     finite_pulse_correction: bool = True,
 ) -> Radians:
     """Per-sequence phase noise sqrt(int_0^fc S_phi(f) F(f) df)."""
-    if f_cutoff <= 0:
-        raise ValueError("f_cutoff must be positive")
+    _check_range("(0, inf)", f_cutoff=f_cutoff)
     ff = FilterFunction(seq, finite_pulse_correction=finite_pulse_correction)
     psd = _psd_power_law(spectrum)
     var = band_integral_weighted(ff, lambda f: psd(f, np.empty(f.size)), 0.0, f_cutoff)
@@ -117,8 +111,7 @@ def eta_phi(
     seq: PulseSequence,
 ) -> SensitivityTeslaSqrtS:
     """Sensitivity from a per-sequence phase std, including dead-time cost."""
-    if sigma_phi < 0:
-        raise ValueError("sigma_phi must be nonnegative")
+    _check_range("[0, inf)", sigma_phi=sigma_phi)
     tau_tot = seq.tau_tot
     dead_penalty = math.sqrt(1.0 + seq.t_dead / tau_tot)
     return sigma_phi / (4.0 * GAMMA_NV * math.sqrt(tau_tot)) * dead_penalty
@@ -134,12 +127,9 @@ def eta_white(
     Notably independent of the number of pulses: more pulses at the same
     spacing accumulate noise exactly as fast as they accumulate signal time.
     """
-    if sigma_wh < 0:
-        raise ValueError("sigma_wh must be nonnegative")
-    if f_xy8 <= 0:
-        raise ValueError("f_xy8 must be positive")
-    if not 0 < duty <= 1:
-        raise ValueError("duty must be in (0, 1]")
+    _check_range("[0, inf)", sigma_wh=sigma_wh)
+    _check_range("(0, inf)", f_xy8=f_xy8)
+    _check_range("(0, 1]", duty=duty)
     return sigma_wh / GAMMA_NV * math.sqrt(f_xy8 / 2.0) * math.sqrt(1.0 / duty)
 
 
@@ -153,12 +143,9 @@ def eta_random_walk(
     Independent of both pulse number and interrogation time; valid while the
     walk is well sampled over a pulse spacing (r_samp at least ~1/(2 tau)).
     """
-    if sigma_rw < 0:
-        raise ValueError("sigma_rw must be nonnegative")
-    if r_samp <= 0:
-        raise ValueError("r_samp must be positive")
-    if not 0 < duty <= 1:
-        raise ValueError("duty must be in (0, 1]")
+    _check_range("[0, inf)", sigma_rw=sigma_rw)
+    _check_range("(0, inf)", r_samp=r_samp)
+    _check_range("(0, 1]", duty=duty)
     return sigma_rw * math.sqrt(r_samp) / (4.0 * GAMMA_NV) * math.sqrt(1.0 / duty)
 
 
@@ -183,10 +170,9 @@ def eta_johnson_pulsed(
     integral over a flat spectrum scales as (2 n_pi + 2) and reduces to
     eta = (1/gamma) sqrt(pi fc (n_pi + 1) 10^(l_min/10) / (2 tau_tot)).
     """
-    if n_pi < 1:
-        raise ValueError("n_pi must be at least 1")
-    if tau_tot <= 0 or f_cutoff <= 0:
-        raise ValueError("tau_tot and f_cutoff must be positive")
+    _check_range("(-inf, inf)", l_min=l_min)
+    _check_range("[1, inf)", n_pi=n_pi)
+    _check_range("(0, inf)", tau_tot=tau_tot, f_cutoff=f_cutoff)
     s_lin = 10.0 ** (l_min / 10.0)
     return math.sqrt(math.pi * f_cutoff * (n_pi + 1) * s_lin / (2.0 * tau_tot)) / GAMMA_NV
 
@@ -203,10 +189,7 @@ def cw_sigma_f(
     oscillation.  For a flat spectrum and fc*tau >> 1 this approaches
     sqrt(2 S0 fc) / (2 pi tau).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if f_cutoff <= 0:
-        raise ValueError("f_cutoff must be positive")
+    _check_range("(0, inf)", tau=tau, f_cutoff=f_cutoff)
     n_points = int(min(max(f_cutoff * tau * _CW_OVERSAMPLE, 2048), _CW_MAX_POINTS))
     freqs = np.linspace(0.0, f_cutoff, n_points)
     integrand = np.zeros_like(freqs)
@@ -228,8 +211,6 @@ def cw_eta_f(
 ) -> SensitivityTeslaSqrtS:
     """Sensitivity of a cw measurement whose frequency std over a window
     ``tau`` is ``sigma_f``: eta = (sigma_f / gamma) sqrt(tau)."""
-    if sigma_f < 0:
-        raise ValueError("sigma_f must be nonnegative")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_range("[0, inf)", sigma_f=sigma_f)
+    _check_range("(0, inf)", tau=tau)
     return sigma_f / GAMMA_NV * math.sqrt(tau)

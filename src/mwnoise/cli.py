@@ -38,7 +38,7 @@ from .analytic_sensitivity import (
     eta_white,
     sigma_phi_filter,
 )
-from .core import khz_to_hz, ns_to_s, read_csv, us_to_s
+from .core import _in_range, khz_to_hz, ns_to_s, read_csv, us_to_s
 from .noise_models import (
     NoiseProcess,
     PsdDrivenNoise,
@@ -149,14 +149,6 @@ SCHEMA = (
 _KEYS = {key.name: key for key in SCHEMA}
 
 
-def _in_range(value: float, interval: str) -> bool:
-    """Whether ``value`` lies in an interval written like "[0, inf)"; NaN never does."""
-    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
-    above = lo < value or (interval[0] == "[" and value == lo)
-    below = value < hi or (interval[-1] == "]" and value == hi)
-    return above and below
-
-
 def _coerce(label: str, kind: type, raw: str):
     if kind is str:
         return raw
@@ -218,7 +210,8 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def _check_keys(cfg: dict) -> None:
-    """Check every set key against its schema row: its range, and that the
+    """Check every set key against its schema row: its range (by the
+    library's own rule, :func:`~mwnoise.core._in_range`), and that the
     configured noise source uses it."""
     source = cfg["noise"]["source"].lower()
     for key in SCHEMA:

@@ -1,5 +1,6 @@
-"""Shared physical constants, scalar aliases, config-unit helpers, CSV I/O and
-the heap setting of the block walks.
+"""Shared physical constants, scalar aliases, the range rule of scalar
+arguments, config-unit helpers, CSV I/O and the heap setting of the block
+walks.
 
 Everything internal to the package is SI: seconds, hertz, tesla, radians.
 Display units (pT*s^1/2, kHz, us, ns) only appear at the CLI boundary: the
@@ -32,6 +33,25 @@ GAMMA_NV: float = 28.03e9
 ZERO_FIELD_SPLITTING_D: float = 2.87e9
 
 
+# --- range checks ------------------------------------------------------------
+# The one rule for a scalar argument's range, in the interval notation of the
+# config schema: "(0, inf)", "[0, inf)", "(0, 1]".
+
+def _in_range(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like "[0, inf)"; NaN never does."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = lo < value or (interval[0] == "[" and value == lo)
+    below = value < hi or (interval[-1] == "]" and value == hi)
+    return above and below
+
+
+def _check_range(interval: str, /, **values: float) -> None:
+    """Raise ValueError naming the first of ``values`` outside ``interval``."""
+    for name, value in values.items():
+        if not _in_range(value, interval):
+            raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Constants:
     """The NV constants as one validated record.
@@ -45,10 +65,9 @@ class Constants:
     zero_field_splitting_d: float = ZERO_FIELD_SPLITTING_D
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma_nv < math.inf:
-            raise ValueError("gamma_nv must be positive and finite")
-        if not 0 < self.zero_field_splitting_d < math.inf:
-            raise ValueError("zero_field_splitting_d must be positive and finite")
+        _check_range(
+            "(0, inf)", gamma_nv=self.gamma_nv, zero_field_splitting_d=self.zero_field_splitting_d
+        )
 
 
 DEFAULT_CONSTANTS = Constants()

@@ -49,7 +49,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import DbcPerHz, FrequencyHz, Radians, TimeSeconds, read_csv, write_csv
+from .core import DbcPerHz, FrequencyHz, Radians, TimeSeconds, _check_range, read_csv, write_csv
 
 # Extrapolation floor for L(f) beyond the tabulated span.
 L_FLOOR_DBC = -200.0
@@ -117,8 +117,7 @@ class PhaseNoiseSpectrum:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not (0 < self.carrier_hz < math.inf):
-            raise ValueError("carrier frequency must be positive and finite")
+        _check_range("(0, inf)", carrier_hz=self.carrier_hz)
         offsets = np.asarray(self.offsets_hz, dtype=float)
         l_dbc = np.asarray(self.l_dbc, dtype=float)
         if offsets.size == 0:
@@ -150,16 +149,14 @@ class PhaseNoiseSpectrum:
         out = np.maximum(out, L_FLOOR_DBC)
         return out if out.ndim else float(out)
 
-    def shifted_db(self, delta_db: float, label: str | None = None) -> "PhaseNoiseSpectrum":
+    def shifted_db(self, delta_db: float) -> "PhaseNoiseSpectrum":
         """Same shape shifted by ``delta_db`` at every offset."""
-        new_l = tuple(v + delta_db for v in self.l_dbc)
-        return replace(self, l_dbc=new_l, label=self.label if label is None else label)
+        return replace(self, l_dbc=tuple(v + delta_db for v in self.l_dbc))
 
     def scaled_to_carrier(self, new_carrier_hz: FrequencyHz) -> "PhaseNoiseSpectrum":
         """Linear-with-carrier scaling model: phase noise amplitude grows
         proportionally to the carrier, i.e. L shifts by 20*log10(ratio)."""
-        if new_carrier_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
+        _check_range("(0, inf)", new_carrier_hz=new_carrier_hz)
         delta = 20.0 * math.log10(new_carrier_hz / self.carrier_hz)
         shifted = self.shifted_db(delta)
         return replace(shifted, carrier_hz=new_carrier_hz)
@@ -284,24 +281,18 @@ _PRESET_BASES: dict[str, tuple[PhaseNoiseSpectrum, float]] = {
     "g2-0.85ghz": (_G2_BASE, 0.85e9),
     "g2-2.1ghz": (_G2_BASE, 2.1e9),
     "g2-5.7ghz": (_G2_BASE, 5.7e9),
+    # Room-temperature thermal floor of a 0 dBm carrier: flat -177 dBc/Hz.
+    "johnson-300k": (PhaseNoiseSpectrum(2.87e9, (1.0, 1e9), (-177.0, -177.0)), 2.87e9),
 }
 
 
 def preset_names() -> list[str]:
-    return sorted(_PRESET_BASES) + ["johnson-300k"]
+    return sorted(_PRESET_BASES)
 
 
 def preset_spectrum(name: str) -> PhaseNoiseSpectrum:
     """A bundled approximate spectrum by name (see :func:`preset_names`)."""
     key = name.lower()
-    if key == "johnson-300k":
-        # Room-temperature thermal floor of a 0 dBm carrier: flat -177 dBc/Hz.
-        return PhaseNoiseSpectrum(
-            carrier_hz=2.87e9,
-            offsets_hz=(1.0, 1e9),
-            l_dbc=(-177.0, -177.0),
-            label="johnson-300k",
-        )
     try:
         base, carrier = _PRESET_BASES[key]
     except KeyError:
@@ -316,10 +307,9 @@ def flat_spectrum(
     l_dbc: DbcPerHz,
     carrier_hz: FrequencyHz = 2.87e9,
     f_max: FrequencyHz = 1e9,
-    label: str = "flat",
 ) -> PhaseNoiseSpectrum:
     """Frequency-independent L(f) from 1 Hz to ``f_max``."""
-    return PhaseNoiseSpectrum(carrier_hz, (1.0, f_max), (l_dbc, l_dbc), label)
+    return PhaseNoiseSpectrum(carrier_hz, (1.0, f_max), (l_dbc, l_dbc), "flat")
 
 
 # --- spectrum file I/O ------------------------------------------------------
@@ -365,8 +355,7 @@ class WhiteNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.sigma_wh < math.inf):
-            raise ValueError("sigma_wh must be nonnegative and finite")
+        _check_range("[0, inf)", sigma_wh=self.sigma_wh)
 
 
 @dataclass(frozen=True)
@@ -385,10 +374,8 @@ class RandomWalkNoise:
     discrete_jumps: bool = False
 
     def __post_init__(self) -> None:
-        if not (0 <= self.sigma_rw < math.inf):
-            raise ValueError("sigma_rw must be nonnegative and finite")
-        if not (0 < self.r_samp < math.inf):
-            raise ValueError("r_samp must be positive and finite")
+        _check_range("[0, inf)", sigma_rw=self.sigma_rw)
+        _check_range("(0, inf)", r_samp=self.r_samp)
 
 
 @dataclass(frozen=True)
@@ -402,8 +389,7 @@ class PsdDrivenNoise:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 < self.f_cutoff < math.inf):
-            raise ValueError("f_cutoff must be positive and finite")
+        _check_range("(0, inf)", f_cutoff=self.f_cutoff)
 
 
 NoiseProcess = Union[WhiteNoise, RandomWalkNoise, PsdDrivenNoise]
@@ -426,8 +412,7 @@ def synthesize_phase_track(
     a real track.  The DC bin is zero (absolute phase offset carries no
     information here).  Returns shape (n,) or (n_tracks, n).
     """
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be positive")
+    _check_range("(0, inf)", duration=duration, dt=dt)
     n = int(round(duration / dt))
     if n < 2:
         raise ValueError("duration must cover at least two samples")
@@ -580,8 +565,7 @@ def sample_pulse_phases_batch(
         raise ValueError("pulse_times must be one-dimensional")
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValueError("pulse_times must be nondecreasing and nonnegative")
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be at least 1")
+    _check_range("[1, inf)", n_realizations=n_realizations)
     base_seed = process.seed if seed is None else seed
 
     if isinstance(process, (WhiteNoise, RandomWalkNoise)):

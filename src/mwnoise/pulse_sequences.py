@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyHz, TimeSeconds, _keep_freed_heap
+from .core import FrequencyHz, TimeSeconds, _check_range, _keep_freed_heap
 
 
 class SequenceKind(enum.Enum):
@@ -87,12 +87,9 @@ class PulseSequence:
     t_dead: TimeSeconds = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_pi < 1:
-            raise ValueError("n_pi must be at least 1")
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
-        if not (0 <= self.t_pi < math.inf and 0 <= self.t_dead < math.inf):
-            raise ValueError("t_pi and t_dead must be nonnegative and finite")
+        _check_range("[1, inf)", n_pi=self.n_pi)
+        _check_range("(0, inf)", tau=self.tau)
+        _check_range("[0, inf)", t_pi=self.t_pi, t_dead=self.t_dead)
         if self.kind is SequenceKind.XY8 and self.n_pi % 8 != 0:
             raise ValueError("an XY8 sequence needs a multiple of 8 pi pulses")
 
@@ -142,8 +139,7 @@ def make_xy8(
     The pulse spacing follows from 2*tau + t_pi = 1/(2 f_xy8); rejects
     combinations where the pi pulse does not fit in the spacing.
     """
-    if not 0 < f_xy8 < math.inf:
-        raise ValueError("f_xy8 must be positive and finite")
+    _check_range("(0, inf)", f_xy8=f_xy8)
     return _spaced(SequenceKind.XY8, 8 * n_repeats, 1.0 / (2.0 * f_xy8), t_pi, t_dead)
 
 
@@ -154,10 +150,8 @@ def make_xy8_fixed_duration(
     t_dead: TimeSeconds = 0.0,
 ) -> PulseSequence:
     """XY8-n sequence with prescribed total interrogation time."""
-    if n_repeats < 1:
-        raise ValueError("n_repeats must be at least 1")
-    if not 0 < tau_tot < math.inf:
-        raise ValueError("tau_tot must be positive and finite")
+    _check_range("[1, inf)", n_repeats=n_repeats)
+    _check_range("(0, inf)", tau_tot=tau_tot)
     n_pi = 8 * n_repeats
     return _spaced(SequenceKind.XY8, n_pi, tau_tot / n_pi, t_pi, t_dead)
 
@@ -169,8 +163,7 @@ def make_cpmg(
     t_dead: TimeSeconds = 0.0,
 ) -> PulseSequence:
     """CPMG train of ``n_pi`` pulses with passband center ``f_center``."""
-    if not 0 < f_center < math.inf:
-        raise ValueError("f_center must be positive and finite")
+    _check_range("(0, inf)", f_center=f_center)
     return _spaced(SequenceKind.CPMG, n_pi, 1.0 / (2.0 * f_center), t_pi, t_dead)
 
 
@@ -347,7 +340,7 @@ def _lattice_integral(
     """
     _keep_freed_heap()
     f_hi = np.asarray(f_hi, dtype=float)
-    if not (math.isfinite(f_lo) and np.all(np.isfinite(f_hi))):
+    if not np.all(np.isfinite(f_hi)):
         raise ValueError("integration bounds must be finite")
     step = 1.0 / (ff.sequence.tau_tot * _OVERSAMPLE)
     k_lo = math.floor(f_lo / step)
@@ -420,7 +413,8 @@ def filter_function_integral(
     the 1/tau_tot oscillation of F, and results are exactly additive over
     adjacent intervals (same absolute lattice).
     """
-    if f_lo < 0 or np.any(np.asarray(f_hi) < f_lo):
+    _check_range("[0, inf)", f_lo=f_lo)
+    if np.any(np.asarray(f_hi) < f_lo):
         raise ValueError("need 0 <= f_lo <= f_hi")
     return 2.0 * math.pi * _lattice_integral(ff, None, f_lo, f_hi)
 
@@ -435,6 +429,7 @@ def band_integral_weighted(
     measure, no 2 pi).  Shares the anchored lattice with
     :func:`filter_function_integral`; ``weight_fn`` is
     called on ascending blocks of lattice frequencies."""
-    if f_lo < 0 or f_hi < f_lo:
+    _check_range("[0, inf)", f_lo=f_lo)
+    if f_hi < f_lo:
         raise ValueError("need 0 <= f_lo <= f_hi")
     return _lattice_integral(ff, weight_fn, f_lo, f_hi)

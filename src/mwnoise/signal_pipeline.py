@@ -52,6 +52,7 @@ from .core import (
     SensitivityTeslaSqrtS,
     Tesla,
     TimeSeconds,
+    _check_range,
     _keep_freed_heap,
     write_csv,
 )
@@ -71,8 +72,7 @@ class ReadoutStream:
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if not 0 < self.f_samp < math.inf:
-            raise ValueError("f_samp must be positive and finite")
+        _check_range("(0, inf)", f_samp=self.f_samp)
         object.__setattr__(self, "samples", arr)
 
     def times(self) -> np.ndarray:
@@ -100,8 +100,7 @@ class AmplitudeSpectrum:
             raise ValueError("freqs and asd must be 1-D arrays of equal length")
         if np.any(asd < 0):
             raise ValueError("asd values must be nonnegative")
-        if not (0 < self.interval < math.inf and 0 < self.f_samp < math.inf):
-            raise ValueError("interval and f_samp must be positive and finite")
+        _check_range("(0, inf)", interval=self.interval, f_samp=self.f_samp)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "asd", asd)
 
@@ -113,10 +112,8 @@ def alias_frequency(f: FrequencyHz, f_samp: FrequencyHz) -> tuple[FrequencyHz, F
     half-multiples the tie goes to the lower multiple so the alias is
     f_samp/2.  The alias is |f - f_ref| <= f_samp/2.
     """
-    if not 0 <= f < math.inf:
-        raise ValueError("frequency must be nonnegative and finite")
-    if not 0 < f_samp < math.inf:
-        raise ValueError("f_samp must be positive and finite")
+    _check_range("[0, inf)", f=f)
+    _check_range("(0, inf)", f_samp=f_samp)
     n = math.ceil(f / f_samp - 0.5)
     f_ref = n * f_samp
     return abs(f - f_ref), f_ref
@@ -198,6 +195,7 @@ def _stream_blocks(f_samp: FrequencyHz, n_seq: int, n: int, draws, build, run, l
 
 
 def _sequence_count(duration: TimeSeconds, f_samp: FrequencyHz) -> int:
+    _check_range("(0, inf)", duration=duration)
     n_seq = int(round(duration * f_samp))
     if n_seq < 10:
         raise ValueError("duration must cover at least 10 sequences")
@@ -218,8 +216,7 @@ def _readout_terms(
     ``on`` is tone + phase noise + shot noise, ``off`` the same tone and shot
     draws without the phase noise.
     """
-    if not 0 <= shot_sigma < math.inf:
-        raise ValueError("shot_sigma must be nonnegative and finite")
+    _check_range("[0, inf)", shot_sigma=shot_sigma)
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     shot = None
     if shot_sigma > 0:
@@ -277,10 +274,8 @@ def _gradiometer_terms(
     normals of one keyed stream; channel 2 reads them from a second
     generator on that stream, whose first draw discards channel 1's.
     """
-    if n_sequences < 2:
-        raise ValueError("need at least 2 sequences")
-    if not 0 <= shot_sigma < math.inf:
-        raise ValueError("shot_sigma must be nonnegative and finite")
+    _check_range("[2, inf)", n_sequences=n_sequences)
+    _check_range("[0, inf)", shot_sigma=shot_sigma)
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     draws = (
         _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x67726164)),
@@ -733,8 +728,7 @@ def excess_noise(
     A warning is emitted when eta_on < eta_off: that can only come from
     statistical fluctuation (or mismatched inputs), and the clip hides it.
     """
-    if not (0 <= eta_on < math.inf and 0 <= eta_off < math.inf):
-        raise ValueError("noise floors must be nonnegative and finite")
+    _check_range("[0, inf)", eta_on=eta_on, eta_off=eta_off)
     if eta_on < eta_off:
         warnings.warn(
             "on-resonance floor below off-resonance floor; excess clipped to 0",

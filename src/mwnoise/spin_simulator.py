@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic_sensitivity import eta_phi, sigma_phi_filter
-from .core import GAMMA_NV, FrequencyHz, Radians, Tesla, TimeSeconds
+from .core import GAMMA_NV, FrequencyHz, Radians, Tesla, TimeSeconds, _check_range
 from .noise_models import (
     NoiseProcess,
     PhaseNoiseSpectrum,
@@ -157,10 +157,7 @@ def monte_carlo_sigma_phi(
     the number of threads nor on ``OPENBLAS_NUM_THREADS``.  ``seed``
     defaults to the process's seed; the result records the seed used.
     """
-    if n_realizations < _MIN_REALIZATIONS:
-        raise ValueError(
-            f"need at least {_MIN_REALIZATIONS} realizations for a usable std estimate"
-        )
+    _check_range(f"[{_MIN_REALIZATIONS}, inf)", n_realizations=n_realizations)
     seed = process.seed if seed is None else seed
     phi_tot = _monte_carlo_phi_tot(seq, process, n_realizations, seed)
     sigma = float(np.std(phi_tot, ddof=1))
@@ -337,8 +334,7 @@ def dq_ramsey_probability(
 
         p = cos^2((delta_alpha' - delta_alpha)/2 - 2 pi gamma b_z tau).
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_range("[0, inf)", tau=tau)
     arg = 0.5 * (delta_alpha_prime - delta_alpha) - 2.0 * math.pi * GAMMA_NV * b_z * tau
     return math.cos(arg) ** 2
 
@@ -399,8 +395,7 @@ def simulate_cw_trace(
 
     ``b_series`` may be a scalar or an array of length round(duration/dt).
     """
-    if dt <= 0 or duration <= 0:
-        raise ValueError("dt and duration must be positive")
+    _check_range("(0, inf)", dt=dt, duration=duration)
     n = int(round(duration / dt))
     if n < 2:
         raise ValueError("duration must cover at least two samples")

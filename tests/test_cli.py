@@ -939,6 +939,17 @@ def test_exit_code_numeric_probes(tmp_path, body):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_exit_code_overflowing_monte_carlo_writes_no_table(tmp_path):
+    # sigma_wh = 1e200 is in range, but its variance overflows: the Monte
+    # Carlo std is inf, which eta_phi rejects, so no row of inf is written.
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + "[noise]\nsource = white\nsigma_wh = 1e200\n")
+    out = tmp_path / "mc.csv"
+    argv = ["montecarlo", "--config", cfg, "--n-realizations", "200", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "body, extra",
     [

@@ -5,9 +5,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mwnoise import cli
+from mwnoise import cli, core
 from mwnoise.cli import SCHEMA, ConfigError, build_point, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -114,6 +115,24 @@ def test_out_of_range_value_is_config_error(tmp_path, spectrum_file, key):
         if key.sweep:
             with pytest.raises(ConfigError, match=key.name):
                 _build(tmp_path, _swept(sections, key, [inside, value]))
+
+
+@pytest.mark.parametrize("key", NUMERIC, ids=lambda key: key.name)
+def test_core_rule_takes_each_schema_interval(key):
+    # The config check and every library check share core's range rule, so
+    # the schema's in- and out-of-range values say what it does at each end.
+    number = int if key.type is int else float
+    inside = float(_inside(key, None))
+    assert core._in_range(number(inside), key.range)
+    core._check_range(key.range, **{key.name: inside})
+    for text in _outside(key):
+        value = float(text)
+        if key.type is int and math.isfinite(value):
+            value = int(value)
+        assert not core._in_range(value, key.range)
+        assert not core._in_range(np.float64(value), key.range)
+        with pytest.raises(ValueError, match=rf"^{key.name} must be a finite number in "):
+            core._check_range(key.range, **{key.name: value})
 
 
 @pytest.mark.parametrize(
