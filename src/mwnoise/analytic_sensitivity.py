@@ -33,6 +33,7 @@ from .core import (
     Radians,
     SensitivityTeslaSqrtS,
     TimeSeconds,
+    _check_count,
     _check_range,
 )
 from .noise_models import PhaseNoiseSpectrum, _psd_power_law, ssb_to_psd
@@ -99,8 +100,7 @@ def sigma_phi_filter(
     """Per-sequence phase noise sqrt(int_0^fc S_phi(f) F(f) df)."""
     _check_range("(0, inf)", f_cutoff=f_cutoff)
     ff = FilterFunction(seq, finite_pulse_correction=finite_pulse_correction)
-    psd = _psd_power_law(spectrum)
-    var = band_integral_weighted(ff, lambda f: psd(f, np.empty(f.size)), 0.0, f_cutoff)
+    var = band_integral_weighted(ff, _psd_power_law(spectrum), 0.0, f_cutoff)
     if not math.isfinite(var) or var < 0:
         raise ArithmeticError("phase-noise integral did not converge to a finite value")
     return math.sqrt(var)
@@ -171,7 +171,7 @@ def eta_johnson_pulsed(
     eta = (1/gamma) sqrt(pi fc (n_pi + 1) 10^(l_min/10) / (2 tau_tot)).
     """
     _check_range("(-inf, inf)", l_min=l_min)
-    _check_range("[1, inf)", n_pi=n_pi)
+    _check_count("[1, inf)", n_pi=n_pi)
     _check_range("(0, inf)", tau_tot=tau_tot, f_cutoff=f_cutoff)
     s_lin = 10.0 ** (l_min / 10.0)
     return math.sqrt(math.pi * f_cutoff * (n_pi + 1) * s_lin / (2.0 * tau_tot)) / GAMMA_NV

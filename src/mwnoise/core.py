@@ -52,6 +52,14 @@ def _check_range(interval: str, /, **values: float) -> None:
             raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
+def _check_count(interval: str, /, **values: float) -> None:
+    """:func:`_check_range` for counts, which must also be whole numbers."""
+    _check_range(interval, **values)
+    for name, value in values.items():
+        if int(value) != value:
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Constants:
     """The NV constants as one validated record.

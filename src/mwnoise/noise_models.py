@@ -9,8 +9,9 @@ floor of -200 dBc/Hz.  Each of these segments is a power law in f, so
 one log and one exp per frequency on a sloped segment, none on a flat one.
 Its checks aside, that is the private kernel ``_psd_power_law``, which
 builds the segments once per spectrum; the quadrature's weight builds it
-once per integral and calls it on each of its ascending, positive lattice
-blocks.  ``PhaseNoiseSpectrum.l_at`` keeps the dBc form and serves as the
+once per integral, calls it on its ascending lattice blocks and on the
+interpolation nodes of the periods it sums, and reads from it where S has
+kinks.  ``PhaseNoiseSpectrum.l_at`` keeps the dBc form and serves as the
 reference.
 
 Three stochastic processes generate per-pulse phase samples for the time
@@ -182,9 +183,9 @@ def ssb_to_psd(spectrum: PhaseNoiseSpectrum, f) -> np.ndarray:
 
 
 def _psd_power_law(spectrum: PhaseNoiseSpectrum):
-    """S_phi as a function of (f, out): ``f`` ascending, nonnegative and
-    finite (unchecked), the values written into ``out``, of f's size, and
-    returned.
+    """S_phi as a function of (f, out=None): ``f`` ascending, nonnegative
+    and finite (unchecked), the values written into ``out``, of f's size
+    (a new array when None), and returned.
 
     L is linear in ln f on each segment of the table (the hold below the
     first offset, each span between offsets, the extrapolation above the
@@ -195,6 +196,11 @@ def _psd_power_law(spectrum: PhaseNoiseSpectrum):
     log; the hold has zero slope, so f = 0 reads the hold's level.  A power
     law is monotone on its segment, so only a segment whose end values fall
     below the floor of L is clamped.
+
+    The function's ``kinks`` attribute holds, ascending, the frequencies
+    where S is not one smooth power law on both sides: the offsets, and
+    where a segment crosses the floor.  The lattice walk sums a period of
+    the filter function without a kink from a few values of S.
     """
     offsets = np.asarray(spectrum.offsets_hz)
     laws = _power_laws(spectrum)
@@ -202,8 +208,16 @@ def _psd_power_law(spectrum: PhaseNoiseSpectrum):
     # exp of each a_i by the same ufunc as the sloped segments; exp(a + 0 ln f)
     # is exp(a).
     levels = np.maximum(np.exp([a for a, _ in laws]), floor)
+    # ln f where a sloped segment meets the floor, a + b ln f = ln floor, if
+    # inside its span; no lattice reaches past e^700 Hz.
+    ln_edges = [-math.inf, *np.log(offsets).tolist(), math.inf]
+    crossings = [(math.log(floor) - a) / b if b else math.inf for a, b in laws]
+    kinks = [math.exp(ln_f) for ln_f, lo, hi in zip(crossings, ln_edges[:-1], ln_edges[1:])
+             if lo < ln_f < min(hi, 700.0)]
 
-    def psd(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def psd(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(f.size)
         bounds = [0, *np.searchsorted(f, offsets), f.size]
         for (a, b), level, lo, hi in zip(laws, levels, bounds[:-1], bounds[1:]):
             if lo == hi:
@@ -220,6 +234,7 @@ def _psd_power_law(spectrum: PhaseNoiseSpectrum):
                 np.maximum(segment, floor, out=segment)
         return out
 
+    psd.kinks = np.sort([*offsets, *kinks])
     return psd
 
 

@@ -36,12 +36,24 @@ depend on the query interval.
 The lattice is never built whole.  The quadrature walks it in blocks of
 2^16 points, aligned to absolute multiples of the block size, so its memory
 does not grow with the lattice (14.3 M points at XY8-512 up to 100 MHz).
-Each block adds one pairwise sum of its values to a carry, and only a block
-that holds an integration bound takes a cumulative sum, up to that bound:
-the trapezoid rule is step times the sum of the values less half the two
-end values.  Pairwise sums round with the logarithm of the length, not the
-length, so the integral stays within a few ulps of the exactly rounded sum
-of its lattice terms, and they cost a tenth of a running sum.  On the lattice
+Each block adds one pairwise sum of its values to the walk's sums, and only
+a block that holds an integration bound takes a prefix sum, up to that
+bound: the trapezoid rule is step times the sum of the values less half the
+two end values.  Pairwise sums round with the logarithm of the length, not
+the length, so the integral stays within a few ulps of the exactly rounded
+sum of its lattice terms, and they cost a tenth of a running sum.
+
+F / 4 is periodic on the lattice, with a period of P = 2 oversample N
+points (4 f_center).  Past the first block and the first two periods, a
+whole period on which the weight is 1 or one power law without a kink is
+summed without reading F point by point: the weight is interpolated at 8
+Chebyshev nodes on each of 8 pieces of the period, and five periodic tables
+of r, h and the pulse gain, summed against the interpolant's basis once per
+integral, give the period's sum to rounding.  The spectrum weight of
+``sigma_phi_filter`` says where its kinks are (its knots and where it meets
+the -200 dBc/Hz floor), and F alone has none, so a walk to 100 MHz reads F
+at 8.4 % of the lattice at XY8-64 and above (``g1-2.5ghz``), and any other
+weight at every point.  On the lattice
 z/2 = pi k / oversample, so no trig call is needed per point: h repeats
 every 2 oversample points and cos(z / (2N)) every 2 oversample N, so h is
 evaluated over its own period, cos(z / (2N)) over half of its period (the
@@ -62,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrequencyHz, TimeSeconds, _check_range, _keep_freed_heap
+from .core import FrequencyHz, TimeSeconds, _check_count, _check_range, _keep_freed_heap
 
 
 class SequenceKind(enum.Enum):
@@ -87,7 +99,8 @@ class PulseSequence:
     t_dead: TimeSeconds = 0.0
 
     def __post_init__(self) -> None:
-        _check_range("[1, inf)", n_pi=self.n_pi)
+        _check_count("[1, inf)", n_pi=self.n_pi)
+        object.__setattr__(self, "n_pi", int(self.n_pi))
         _check_range("(0, inf)", tau=self.tau)
         _check_range("[0, inf)", t_pi=self.t_pi, t_dead=self.t_dead)
         if self.kind is SequenceKind.XY8 and self.n_pi % 8 != 0:
@@ -139,6 +152,7 @@ def make_xy8(
     The pulse spacing follows from 2*tau + t_pi = 1/(2 f_xy8); rejects
     combinations where the pi pulse does not fit in the spacing.
     """
+    _check_count("[1, inf)", n_repeats=n_repeats)
     _check_range("(0, inf)", f_xy8=f_xy8)
     return _spaced(SequenceKind.XY8, 8 * n_repeats, 1.0 / (2.0 * f_xy8), t_pi, t_dead)
 
@@ -150,7 +164,7 @@ def make_xy8_fixed_duration(
     t_dead: TimeSeconds = 0.0,
 ) -> PulseSequence:
     """XY8-n sequence with prescribed total interrogation time."""
-    _check_range("[1, inf)", n_repeats=n_repeats)
+    _check_count("[1, inf)", n_repeats=n_repeats)
     _check_range("(0, inf)", tau_tot=tau_tot)
     n_pi = 8 * n_repeats
     return _spaced(SequenceKind.XY8, n_pi, tau_tot / n_pi, t_pi, t_dead)
@@ -234,6 +248,15 @@ _OVERSAMPLE = 32
 # Fine turns per coarse turn of the pulse gain (see _gain_turns).
 _TURN = 1 << 12
 
+# Periods of F that start below this lattice point are walked point by
+# point: on a smaller lattice the period sums cost more than they save.
+_DIRECT_POINTS = _BLOCK
+
+# Pieces per period of F, and Chebyshev nodes of the weight per piece, of
+# the period sums (see _period_sums).
+_PIECES = 8
+_NODES = 8
+
 
 def _lattice_filter(ff: FilterFunction, n_points: int):
     """F / 4 on the lattice f_k = k / (oversample tau_tot), oversample =
@@ -281,6 +304,7 @@ def _lattice_filter(ff: FilterFunction, n_points: int):
         out *= out
         return out
 
+    values.tables = r, h
     return values
 
 
@@ -314,6 +338,137 @@ def _tile(a: np.ndarray, length: int) -> np.ndarray:
     return np.tile(a, -(-length // a.size))[:length]
 
 
+def _period_sums(
+    ff: FilterFunction, tables, weight_fn, periods: np.ndarray, step: float
+) -> np.ndarray:
+    """Sum of F / 4 times the weight over the lattice points k = m P + j,
+    j < P = 2 oversample N, of each period m in ``periods``, from the walk's
+    r and h ``tables`` and the weight at a few nodes per period.
+
+    With g = cos(a k), theta = a m P and phi = a j, angle addition gives
+
+        (g r - h)^2 = X0 + cos(2 theta) X1 - sin(2 theta) X2
+                      - 2 cos(theta) X3 + 2 sin(theta) X4,
+
+    X0 = r^2 / 2 + h^2, X1 = r^2 cos(2 phi) / 2, X2 = r^2 sin(2 phi) / 2,
+    X3 = r h cos(phi) and X4 = r h sin(phi): five tables of j alone, built
+    once per integral (for delta pulses one, (r - h)^2).  Each period is cut
+    into ``_PIECES`` pieces of L = P / ``_PIECES`` points, and on each the
+    weight is replaced by its interpolant at ``_NODES`` Chebyshev points of
+    the piece's span.  The interpolant's Lagrange basis takes the same
+    values at offset i of every piece, so sum_i w(i) X(qL + i) is
+    sum_d w_d W_d(q), with W_d the basis moments of the tables.  A piece
+    sums as w_ref sum_i X + sum_d (w_d - w_ref) W_d, with w_ref one node's
+    value, so rounding follows the weight's variation over the piece, not
+    its size.  The caller passes only periods on which the weight is one
+    smooth power law (or 1, for ``weight_fn`` None).  Each period's sum is
+    reduced in its own row, so it does not depend on the other periods.
+    """
+    seq = ff.sequence
+    period = 2 * _OVERSAMPLE * seq.n_pi
+    piece = period // _PIECES
+    angle = np.pi * seq.t_pi / (_OVERSAMPLE * seq.tau_tot)
+    gain = ff.finite_pulse_correction and seq.t_pi > 0
+    r, h = tables
+    n_tables = 5 if gain else 1
+    sums = np.zeros((n_tables, _PIECES))
+    moments = np.zeros((n_tables, _PIECES, _NODES))
+    # Tiles of whole pieces, or of part of one piece, of at most _BLOCK / 4
+    # points, so the tables take no more memory than the walk's run buffers.
+    tile = _BLOCK // 4
+    rows, cols = max(1, min(_PIECES, tile // piece)), min(piece, tile)
+    if gain:
+        fine = angle * np.arange(_TURN)
+        cos_fine, sin_fine = np.cos(fine), np.sin(fine)
+    for i0 in range(0, piece, cols):
+        i1 = min(i0 + cols, piece)
+        cheb = _chebyshev((2.0 * np.arange(i0, i1) - (piece - 1)) / (piece - 1))
+        for q0 in range(0, _PIECES, rows):
+            q1 = min(q0 + rows, _PIECES)
+            j0, j1 = q0 * piece + i0, (q1 - 1) * piece + i1
+            rj, hj = r[j0:j1], h[j0:j1]
+            if gain:
+                # cos(phi) and sin(phi) by angle addition, as in _gain_turns.
+                c0 = j0 // _TURN
+                coarse = angle * (_TURN * np.arange(c0, -(-j1 // _TURN)))
+                cos_c, sin_c = np.cos(coarse)[:, None], np.sin(coarse)[:, None]
+                cut = slice(j0 - c0 * _TURN, j1 - c0 * _TURN)
+                cos_j = np.multiply(cos_c, cos_fine)
+                cos_j -= np.multiply(sin_c, sin_fine)
+                sin_j = np.multiply(sin_c, cos_fine)
+                sin_j += np.multiply(cos_c, sin_fine)
+                cos_j, sin_j = cos_j.ravel()[cut], sin_j.ravel()[cut]
+                x = np.empty((5, j1 - j0))
+                half_r2 = np.multiply(rj, rj, out=x[0])
+                half_r2 *= 0.5
+                np.multiply(cos_j, cos_j, out=x[1])
+                x[1] -= np.square(sin_j)
+                x[1] *= half_r2  # r^2 cos(2 phi) / 2
+                np.multiply(sin_j, cos_j, out=x[2])
+                x[2] *= 2.0
+                x[2] *= half_r2  # r^2 sin(2 phi) / 2
+                np.multiply(rj, hj, out=x[3])
+                np.multiply(x[3], sin_j, out=x[4])  # r h sin(phi)
+                x[3] *= cos_j  # r h cos(phi)
+                x[0] += np.square(hj)  # r^2 / 2 + h^2
+            else:
+                x = np.square(rj - hj)[None]
+            x = x.reshape(n_tables, q1 - q0, i1 - i0)
+            sums[:, q0:q1] += x.sum(axis=2)
+            moments[:, q0:q1] += np.einsum("ki,tqi->tqk", cheb, x)
+
+    nodes = -np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)  # ascending, in (-1, 1)
+    basis = _chebyshev(nodes) * (2.0 / _NODES)
+    basis[0] *= 0.5
+    moments = np.einsum("kd,tqk->tqd", basis, moments)
+    k_nodes = (periods[:, None, None] * period + piece * np.arange(_PIECES)[:, None]
+               + 0.5 * (piece - 1) * (1.0 + nodes))
+    if weight_fn is None:
+        w = np.ones(k_nodes.shape)
+    else:
+        w = weight_fn((k_nodes * step).ravel()).reshape(k_nodes.shape)
+    ref = w[:, :, _NODES // 2].copy()
+    w -= ref[:, :, None]
+    n = periods.size
+    part = (ref[:, None, :] * sums).sum(axis=2)
+    part += (w[:, None] * moments).reshape(n, n_tables, -1).sum(axis=2)
+    if not gain:
+        return part[:, 0]
+    theta = angle * (periods * period)
+    part[:, 1:3] *= np.stack([np.cos(2.0 * theta), -np.sin(2.0 * theta)], axis=1)
+    part[:, 3:] *= np.stack([-2.0 * np.cos(theta), 2.0 * np.sin(theta)], axis=1)
+    return part.sum(axis=1)
+
+
+def _chebyshev(x: np.ndarray) -> np.ndarray:
+    """Chebyshev polynomials T_0 ... T_{_NODES - 1} at ``x``, one row each."""
+    t = np.empty((_NODES, x.size))
+    t[0] = 1.0
+    t[1] = x
+    for k in range(2, _NODES):
+        np.multiply(2.0 * x, t[k - 1], out=t[k])
+        t[k] -= t[k - 2]
+    return t
+
+
+def _prefix_sums(vals: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum(vals[: a + 1]) for each a in ``at``, as a sum of at most
+    log2(a + 1) pairwise sums of aligned runs of 2^l values (one per set
+    bit of a + 1), so each rounds like a pairwise sum, not like a running
+    one, and does not depend on the other entries of ``at``."""
+    n = at + 1
+    out = np.zeros(at.size)
+    level = vals[: n.max()]  # level l: the sums of aligned runs of 2^l values
+    shift = 0
+    while level.size:
+        runs = n >> shift
+        np.add(out, level[runs - 1], out=out, where=(runs & 1) == 1)
+        pairs = level.size // 2 * 2
+        level = level[0:pairs:2] + level[1:pairs:2]
+        shift += 1
+    return out
+
+
 def _lattice_integral(
     ff: FilterFunction, weight_fn, f_lo: float, f_hi: float | np.ndarray
 ) -> float | np.ndarray:
@@ -323,20 +478,32 @@ def _lattice_integral(
     ``f_hi`` may be an array of upper bounds, each getting its own integral.
 
     The lattice spans the integer multiples of step bracketing [f_lo,
-    max(f_hi)], at least two points, k0 to k_end.  It is walked block by
-    block, so memory does not grow with its length.  Each block adds the
-    pairwise ``np.sum`` of its values to a carry; only a block that holds
-    the panel (p, p + 1) of a bound also takes a cumulative sum, up to its
-    last such panel.  The trapezoid sum from k0 to p is then
-    step (S_p - (v_k0 + v_p) / 2), with S_p the carry before the block plus
-    that cumulative sum at p.  Pairwise block sums round with log n rather
-    than n, so the result stays within a few ulps of the exactly rounded sum
-    of the lattice terms.  A block's sum does not depend on which bounds it
-    holds, so an array of bounds gives the same bits as one call per bound.
-    Because the interpolant is defined on a lattice independent of the query
-    interval, integrals are exactly additive over adjacent intervals.  The
-    tables and block buffers are freed on return and stay on the heap for
-    the next call (:func:`~mwnoise.core._keep_freed_heap`).
+    max(f_hi)], at least two points, k0 to k_end.  It is walked unit by
+    unit, so memory does not grow with its length.  Below the first period
+    of F (P = 2 oversample N points) that starts at or past max(2 P,
+    ``_DIRECT_POINTS``), a unit is a block aligned to absolute multiples of
+    ``_BLOCK``; from there on a unit is one period, read in runs that end at
+    block edges.  A unit's sum is the pairwise ``np.sum`` of each run, added
+    in order.  The trapezoid sum from k0 to the panel (p, p + 1) of a bound
+    is step (S_p - (v_k0 + v_p) / 2), with S_p the :func:`_prefix_sums` of
+    the unit sums before p's unit, plus the runs of its unit before p's,
+    plus the prefix sum of p's run up to p.
+
+    A whole period of F past that point, at or after k0, is summed by
+    :func:`_period_sums` instead of point by point when the weight is None
+    or says where it has kinks (``weight_fn.kinks``, as the power law of
+    :func:`~mwnoise.analytic_sensitivity.sigma_phi_filter` does) and none
+    lies in the period.  Any other weight is walked point by point, in
+    blocks.  Where such a period holds a bound's panel or k0, its runs are
+    read as far as that point for the values.  No unit's sum depends on
+    which bounds the call has, so an array of bounds gives the same bits as
+    one call per bound.  Every sum is pairwise, or a running sum of the few
+    runs of one period, so the result stays within a few ulps of the exactly
+    rounded sum of the lattice terms.  Because the interpolant is defined on
+    a lattice independent of the query interval, integrals are exactly
+    additive over adjacent intervals.  The tables and run buffers are freed
+    on return and stay on the heap for the next call
+    (:func:`~mwnoise.core._keep_freed_heap`).
     """
     _keep_freed_heap()
     f_hi = np.asarray(f_hi, dtype=float)
@@ -359,15 +526,35 @@ def _lattice_integral(
     v1 = np.empty_like(x)
 
     filter_on = _lattice_filter(ff, k_end + 1)
+    period = 2 * _OVERSAMPLE * ff.sequence.n_pi
+    first_period = max(2, -(-_DIRECT_POINTS // period))
+    kinks = np.empty(0) if weight_fn is None else getattr(weight_fn, "kinks", None)
+    summed = {}
+    if kinks is None:
+        first_period = k_end // period + 1  # no period edges: the block walk
+    else:
+        m = np.arange(max(first_period, -(-k0 // period)), (k_end + 1) // period)
+        m = m[np.searchsorted(kinks, m * period * step)
+              == np.searchsorted(kinks, (m + 1) * period * step, "right")]
+        if m.size:
+            sums = _period_sums(ff, filter_on.tables, weight_fn, m, step)
+            summed = dict(zip(m.tolist(), sums.tolist()))
+    reads = np.concatenate([panel, panel + 1, [k0]])
+
     size = min(_BLOCK, k_end + 1 - k0)
     vals_buf = np.empty(size)
     if weight_fn is not None:
         offsets = np.arange(size, dtype=float)
         freqs_buf = np.empty(size)
-    carry = 0.0
-    k_start = k0
-    while k_start <= k_end:
-        k_stop = min((k_start // _BLOCK + 1) * _BLOCK, k_end + 1)
+    first = 0.0
+    units = []  # sums of the head's runs, then of each period, in order
+    before = np.zeros(x.size, dtype=int)  # units before each bound's panel
+
+    def run(k_start: int, k_stop: int, ran: float) -> float:
+        """Reads the bounds off the lattice values of [k_start, k_stop),
+        after ``ran``, the sum of the runs of its unit before it, and
+        returns their sum."""
+        nonlocal first
         vals = filter_on(k_start, k_stop, vals_buf)
         if weight_fn is not None:
             freqs = np.add(offsets[: vals.size], k_start, out=freqs_buf[: vals.size])
@@ -378,12 +565,32 @@ def _lattice_integral(
         here = np.flatnonzero((panel >= k_start) & (panel < k_stop))
         if here.size:
             at = panel[here] - k_start
-            total[here] = carry + np.cumsum(vals[: at.max() + 1])[at]
+            total[here] = ran + _prefix_sums(vals, at)
+            before[here] = len(units)
             v0[here] = vals[at]
         here = np.flatnonzero((panel + 1 >= k_start) & (panel + 1 < k_stop))
         v1[here] = vals[panel[here] + 1 - k_start]
-        carry += float(np.sum(vals))
+        return float(np.sum(vals))
+
+    k_start = k0
+    while k_start <= k_end:
+        m = k_start // period
+        if m < first_period:  # a block of the head
+            k_stop = min((k_start // _BLOCK + 1) * _BLOCK, first_period * period, k_end + 1)
+        else:
+            k_stop = min((m + 1) * period, k_end + 1)
+        whole = summed.get(m)
+        end = k_stop
+        if whole is not None:  # walked only as far as the reads in it
+            end = int(reads[(reads >= k_start) & (reads < k_stop)].max(initial=k_start - 1)) + 1
+        ran, k = 0.0, k_start
+        while k < end:
+            k_next = min((k // _BLOCK + 1) * _BLOCK, end)
+            ran += run(k, k_next, ran)
+            k = k_next
+        units.append(ran if whole is None else whole)
         k_start = k_stop
+    total += _prefix_sums(np.array(units), before - 1)
 
     x0 = panel * step
     vx = v0 + (v1 - v0) * ((x - x0) / step)
@@ -427,8 +634,13 @@ def band_integral_weighted(
 ) -> float:
     """Integral of weight(f) * F(f) df over [f_lo, f_hi] (ordinary frequency
     measure, no 2 pi).  Shares the anchored lattice with
-    :func:`filter_function_integral`; ``weight_fn`` is
-    called on ascending blocks of lattice frequencies."""
+    :func:`filter_function_integral`; ``weight_fn`` is called on ascending
+    arrays of frequencies.  A generic weight is read at every lattice point;
+    a weight that lists where it has kinks in a ``kinks`` attribute, as the
+    spectrum power law of
+    :func:`~mwnoise.analytic_sensitivity.sigma_phi_filter` does, is read at
+    a few nodes per whole period of F between its kinks (see
+    :func:`_lattice_integral`)."""
     _check_range("[0, inf)", f_lo=f_lo)
     if f_hi < f_lo:
         raise ValueError("need 0 <= f_lo <= f_hi")

@@ -217,6 +217,7 @@ def _readout_terms(
     draws without the phase noise.
     """
     _check_range("[0, inf)", shot_sigma=shot_sigma)
+    _check_range("(-inf, inf)", test_field_amp=test_field_amp, f_test=f_test)
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     shot = None
     if shot_sigma > 0:
@@ -276,6 +277,10 @@ def _gradiometer_terms(
     """
     _check_range("[2, inf)", n_sequences=n_sequences)
     _check_range("[0, inf)", shot_sigma=shot_sigma)
+    _check_range(
+        "(-inf, inf)", uniform_signal=uniform_signal, gradient_signal=gradient_signal,
+        f_uniform=f_uniform, f_gradient=f_gradient,
+    )
     scale = 4.0 * GAMMA_NV * seq.tau_tot
     draws = (
         _gaussian_stream(shot_sigma, _keyed_rng(seed, 0x67726164)),

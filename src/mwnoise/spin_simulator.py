@@ -334,6 +334,9 @@ def dq_ramsey_probability(
 
         p = cos^2((delta_alpha' - delta_alpha)/2 - 2 pi gamma b_z tau).
     """
+    _check_range(
+        "(-inf, inf)", delta_alpha=delta_alpha, delta_alpha_prime=delta_alpha_prime, b_z=b_z
+    )
     _check_range("[0, inf)", tau=tau)
     arg = 0.5 * (delta_alpha_prime - delta_alpha) - 2.0 * math.pi * GAMMA_NV * b_z * tau
     return math.cos(arg) ** 2

@@ -97,6 +97,19 @@ _FLAT = mw.flat_spectrum(-120.0)
         ("tau", lambda: mw.cw_sigma_f(_FLAT, math.nan)),
         ("f_cutoff", lambda: mw.sigma_phi_filter(_FLAT, _SEQ, f_cutoff=math.nan)),
         ("tau", lambda: mw.dq_ramsey_probability(0.0, 0.0, 0.0, math.nan)),
+        ("delta_alpha", lambda: mw.dq_ramsey_probability(math.nan, 0.0, 0.0, 1e-5)),
+        ("delta_alpha_prime", lambda: mw.dq_ramsey_probability(0.0, math.inf, 0.0, 1e-5)),
+        ("b_z", lambda: mw.dq_ramsey_probability(0.0, 0.0, math.nan, 1e-5)),
+        ("test_field_amp", lambda: mw.stream_spectra(_SEQ, mw.WhiteNoise(0.01), math.nan, 394e3,
+                                                      0.0, 2.0, 1.0)),
+        ("f_test", lambda: mw.stream_spectra(_SEQ, mw.WhiteNoise(0.01), 1e-9, math.inf, 0.0,
+                                              2.0, 1.0)),
+        ("uniform_signal", lambda: mw.gradiometer_spectra(_SEQ, mw.WhiteNoise(0.01), math.nan,
+                                                          0.0, 0.0, 1000, 1e-2)),
+        ("gradient_signal", lambda: mw.gradiometer_spectra(_SEQ, mw.WhiteNoise(0.01), 0.0,
+                                                           math.inf, 0.0, 1000, 1e-2)),
+        ("f_gradient", lambda: mw.gradiometer_spectra(_SEQ, mw.WhiteNoise(0.01), 0.0, 1e-9, 0.0,
+                                                      1000, 1e-2, f_gradient=math.nan)),
         ("new_carrier_hz", lambda: _FLAT.scaled_to_carrier(math.nan)),
         ("new_carrier_hz", lambda: _FLAT.scaled_to_carrier(math.inf)),
         ("duration", lambda: mw.synthesize_phase_track(_FLAT, math.nan, 1e-6, 0)),
@@ -133,6 +146,14 @@ _FLAT = mw.flat_spectrum(-120.0)
         "cw-sigma-tau-nan",
         "sigma-phi-f-cutoff-nan",
         "dq-ramsey-tau-nan",
+        "dq-ramsey-delta-alpha-nan",
+        "dq-ramsey-delta-alpha-prime-inf",
+        "dq-ramsey-b-z-nan",
+        "stream-test-field-nan",
+        "stream-f-test-inf",
+        "gradiometer-uniform-nan",
+        "gradiometer-gradient-inf",
+        "gradiometer-f-gradient-nan",
         "carrier-nan",
         "carrier-inf",
         "track-duration-nan",
@@ -144,6 +165,40 @@ _FLAT = mw.flat_spectrum(-120.0)
 def test_non_finite_arguments_rejected(name, call):
     with pytest.raises(ValueError, match=_named(name)):
         call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n_pi", lambda: mw.PulseSequence(mw.SequenceKind.CPMG, 2.5, 1e-6)),
+        ("n_pi", lambda: mw.PulseSequence(mw.SequenceKind.XY8, np.float64(8.000001), 1e-6)),
+        ("n_pi", lambda: mw.make_cpmg(5.5, 458e3)),
+        ("n_repeats", lambda: mw.make_xy8_fixed_duration(1.5, 1e-5)),
+        ("n_repeats", lambda: mw.make_xy8(1.5, 458e3)),
+        ("n_repeats", lambda: mw.make_xy8(1.125, 458e3)),
+        ("n_pi", lambda: mw.eta_johnson_pulsed(-177.0, 8.5, 1e-5)),
+    ],
+    ids=[
+        "cpmg-n-pi-2.5",
+        "xy8-n-pi-near-8",
+        "make-cpmg-5.5",
+        "xy8-fixed-duration-1.5",
+        "xy8-1.5",
+        "xy8-1.125",
+        "eta-johnson-n-pi-8.5",
+    ],
+)
+def test_non_whole_counts_rejected(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got "):
+        call()
+
+
+@pytest.mark.parametrize("n_pi", [16, np.int64(16), np.int32(16), 16.0], ids=repr)
+def test_whole_pulse_counts_construct_as_int(n_pi):
+    seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 1e-6)
+    assert type(seq.n_pi) is int and seq.n_pi == 16
+    assert seq.pulse_times().size == 16
+    assert mw.make_xy8(np.int64(2), 458e3).n_pi == 16
 
 
 @pytest.mark.parametrize(

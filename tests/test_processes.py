@@ -92,6 +92,10 @@ PEAK_RSS_PROBES = {
     # The filter-function quadrature walks its lattice a block at a time:
     # 14.3 M points at XY8-512, 114 MB per array if held whole.
     "predict": ("predict", _sequence(512) + _PRESET, [], 100),
+    # At XY8-2048 one period of the filter function holds 1.05 M lattice
+    # points; the walk's r and h tables span it, but the period sums build
+    # their five tables a quarter block at a time (40 MB if held whole).
+    "predict-2048": ("predict", _sequence(2048) + _PRESET, [], 100),
     # A predict sweep over n_r = 1 .. 64 keeps up to 8 MiB of the lattice
     # walk's freed blocks resident between points; the bound covers that.
     "predict-sweep": ("predict",

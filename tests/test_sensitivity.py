@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import mwnoise as mw
-from mwnoise.pulse_sequences import _BLOCK, _lattice_filter
+from mwnoise import pulse_sequences
+from mwnoise.noise_models import _psd_power_law
+from mwnoise.pulse_sequences import _BLOCK, _lattice_filter, band_integral_weighted
 
 GAMMA = mw.GAMMA_NV
 T_PI = 48e-9
@@ -147,6 +149,156 @@ def test_sigma_phi_repeat_call_keeps_its_pages(child_env):
     faults = dict(map(int, line.split()) for line in done.stdout.splitlines())
     assert set(faults) == {8, 64}
     assert all(count < 50 for count in faults.values()), faults
+
+
+# --- the lattice walk by periods --------------------------------------------------
+# sigma_phi_filter sums each whole period of F on which the spectrum is one
+# smooth power law from the weight at a few nodes (the period path); with
+# the private threshold raised past every lattice, the walk evaluates F at
+# every lattice point (the direct walk).  Both stay within a few ulps of the
+# exactly rounded lattice sum, so they agree to 2e-15.
+
+
+def _variance(spectrum, seq, finite, f_lo=0.0, f_hi=1e8):
+    """sigma_phi_filter's integral, from f_lo to f_hi."""
+    ff = mw.FilterFunction(seq, finite_pulse_correction=finite)
+    return band_integral_weighted(ff, _psd_power_law(spectrum), f_lo, f_hi)
+
+
+def _both_paths(monkeypatch, call):
+    """(period path, direct walk) results of ``call()``."""
+    fast = call()
+    with monkeypatch.context() as patch:
+        patch.setattr(pulse_sequences, "_DIRECT_POINTS", 2**62)
+        return fast, call()
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
+@pytest.mark.parametrize("n_r", [4, 64])
+@pytest.mark.parametrize("preset", mw.preset_names())
+def test_period_path_matches_direct_walk_on_presets(monkeypatch, preset, n_r, finite):
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    fast, direct = _both_paths(
+        monkeypatch, lambda: _variance(mw.preset_spectrum(preset), seq, finite)
+    )
+    assert fast == pytest.approx(direct, rel=2e-15, abs=0)
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
+@pytest.mark.parametrize("n_r", [2**i for i in range(10)])
+def test_period_path_matches_direct_walk_in_pulse_count(monkeypatch, n_r, finite):
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    fast, direct = _both_paths(
+        monkeypatch, lambda: _variance(mw.preset_spectrum("g1-2.5ghz"), seq, finite)
+    )
+    assert fast == pytest.approx(direct, rel=2e-15, abs=0)
+
+
+# Odd and even pulse counts whose periods of F (64 N lattice points) are
+# short, at cutoffs from 100 kHz up, and lower bounds inside the lattice.
+BAND_CASES = {
+    "cpmg-5": (mw.make_cpmg(5, 20e3, T_PI), [(0.0, 1e7), (0.0, 1e8), (3.3e6, 4.1e7)]),
+    "cpmg-13": (mw.make_cpmg(13, 300.0, T_PI), [(0.0, 1e5), (0.0, 1e6), (2.2e5, 1e7)]),
+    "xy8-64": (mw.make_xy8(64, 458e3, T_PI), [(0.0, 1e7), (12.345e6, 1e8), (0.0, 98.7e6)]),
+}
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_period_path_matches_direct_walk_on_bands(monkeypatch, case, finite):
+    seq, bands = BAND_CASES[case]
+    for preset in ("g1-2.5ghz", "g2-2.1ghz"):
+        for f_lo, f_hi in bands:
+            fast, direct = _both_paths(
+                monkeypatch,
+                lambda: _variance(mw.preset_spectrum(preset), seq, finite, f_lo, f_hi),
+            )
+            assert fast == pytest.approx(direct, rel=2e-15, abs=0), (preset, f_lo, f_hi)
+
+
+def test_period_path_skips_the_floor_crossing(monkeypatch, tmp_path):
+    # Extrapolated at -30 dB/decade past 1 MHz, this file's L crosses the
+    # -200 dBc/Hz floor at 21.5 MHz, where S has a kink inside a period.
+    path = tmp_path / "steep.csv"
+    path.write_text("# carrier_hz=2.87e9\noffset_hz,l_dbc_per_hz\n1e3,-100\n1e5,-130\n1e6,-160\n")
+    spectrum = mw.load_spectrum(path)
+    kinks = _psd_power_law(spectrum).kinks
+    assert kinks[:3].tolist() == [1e3, 1e5, 1e6]
+    assert kinks[3] == pytest.approx(1e6 * 10 ** (40 / 30), rel=1e-12)
+    for n_r in (8, 64):
+        for finite in (True, False):
+            seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+            fast, direct = _both_paths(monkeypatch, lambda: _variance(spectrum, seq, finite))
+            assert fast == pytest.approx(direct, rel=2e-15, abs=0), (n_r, finite)
+
+
+def test_period_path_array_bounds_across_a_period_edge(monkeypatch):
+    # Bounds on both sides of the edge of a summed period, on it, on the
+    # lattice points next to it, inside the period and several periods on
+    # give the same bits in one array call as in one scalar call each, from
+    # zero and from a lower bound just below the edge, for F alone and for
+    # the spectrum weight; and they agree with the direct walk.
+    seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    ff = mw.FilterFunction(seq)
+    step = 1.0 / (seq.tau_tot * 32)
+    period = 64 * seq.n_pi
+    edge = 20 * period  # past the first block, where whole periods are summed
+    f_hi = step * np.array(
+        [edge - 0.3, edge - 1, edge, edge + 1e-3, edge + 1, edge + period / 2 + 0.7,
+         edge + period - 1, edge + period, edge + 3 * period + 17]
+    )
+    psd = _psd_power_law(mw.preset_spectrum("g1-2.5ghz"))
+    for weight in (None, psd):
+        for f_lo in (0.0, (edge - 5.5) * step):
+            def integrals():
+                return pulse_sequences._lattice_integral(ff, weight, f_lo, f_hi)
+
+            fast, direct = _both_paths(monkeypatch, integrals)
+            assert fast.tolist() == [
+                pulse_sequences._lattice_integral(ff, weight, f_lo, f) for f in f_hi
+            ]
+            assert fast == pytest.approx(direct, rel=2e-15, abs=0)
+
+
+def test_period_path_evaluates_a_tenth_of_the_lattice(monkeypatch):
+    # XY8-512 to 100 MHz has 14.3 M lattice points: the period path reads F
+    # directly only on the first two periods, the periods that hold a knot
+    # of the spectrum and the last, partial one.  A weight that is not the
+    # power law is walked point by point.
+    points = []
+    lattice_filter = pulse_sequences._lattice_filter
+
+    def counted_filter(ff, n_points):
+        values = lattice_filter(ff, n_points)
+
+        def counted(k_start, k_stop, out):
+            points.append(k_stop - k_start)
+            return values(k_start, k_stop, out)
+
+        counted.tables = values.tables
+        return counted
+
+    monkeypatch.setattr(pulse_sequences, "_lattice_filter", counted_filter)
+    spectrum = mw.preset_spectrum("g1-2.5ghz")
+    seq = mw.make_xy8(512, 458e3, T_PI, T_DEAD)
+    lattice = math.ceil(1e8 * 32 * seq.tau_tot) + 1
+    assert lattice > 14.3e6
+    fast = _variance(spectrum, seq, True)
+    assert 0 < sum(points) <= 0.1 * lattice
+
+    seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    points.clear()
+    ff = mw.FilterFunction(seq)
+    psd = _psd_power_law(spectrum)
+    plain = band_integral_weighted(ff, lambda f: psd(f), 0.0, 1e8)
+    assert sum(points) == math.ceil(1e8 * 32 * seq.tau_tot) + 1
+    assert plain == pytest.approx(_variance(spectrum, seq, True), rel=2e-15, abs=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(pulse_sequences, "_DIRECT_POINTS", 2**62)
+        assert band_integral_weighted(ff, lambda f: psd(f), 0.0, 1e8) == plain
+        assert _variance(spectrum, mw.make_xy8(512, 458e3, T_PI, T_DEAD), True) == pytest.approx(
+            fast, rel=2e-15, abs=0
+        )
 
 
 def test_sigma_phi_scales_with_level():

@@ -7,7 +7,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mwnoise as mw
-from mwnoise.pulse_sequences import _BLOCK, _gain_turns, _lattice_filter, band_integral_weighted
+from mwnoise import pulse_sequences
+from mwnoise.pulse_sequences import (
+    _BLOCK,
+    _gain_turns,
+    _lattice_filter,
+    _prefix_sums,
+    band_integral_weighted,
+)
 
 T_PI = 48e-9
 T_DEAD = 15e-6
@@ -350,6 +357,35 @@ def test_filter_integral_array_bounds_across_block_edge():
         ff, edge, 2.5 * edge
     )
     assert parts == pytest.approx(whole, rel=1e-12)
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
+@pytest.mark.parametrize("n_pi", [5, 64, 512])
+def test_filter_integral_period_path_matches_direct_walk(monkeypatch, n_pi, finite):
+    # F alone has no kink, so every whole period past the first block is
+    # summed from its tables; with the threshold raised past the lattice F is
+    # walked point by point.
+    seq = mw.PulseSequence(mw.SequenceKind.CPMG, n_pi, 521.85e-9, T_PI)
+    ff = mw.FilterFunction(seq, finite_pulse_correction=finite)
+    f_hi = np.array([3e6, 2.5e7, 1e8])
+    fast = mw.filter_function_integral(ff, 0.0, f_hi)
+    monkeypatch.setattr(pulse_sequences, "_DIRECT_POINTS", 2**62)
+    assert_allclose(fast, mw.filter_function_integral(ff, 0.0, f_hi), rtol=2e-15, atol=0)
+
+
+def test_prefix_sums_round_like_pairwise_sums():
+    # Each prefix is a sum of aligned power-of-two runs, so it stays within a
+    # few ulps of the exactly rounded sum even 70 000 terms in, where a
+    # running sum of these terms drifts by 4e-15, and it does not depend on
+    # the other prefixes asked for.
+    rng = np.random.default_rng(7)
+    vals = rng.uniform(0.0, 1.0, 70_000) * np.exp(rng.normal(0.0, 2.0, 70_000))
+    at = np.array([69_999, 0, 1, 2, 127, 128, 4095, 65_535, 65_536])
+    got = _prefix_sums(vals, at)
+    for a, total in zip(at, got):
+        assert total == _prefix_sums(vals, np.array([a]))[0]
+        assert total == pytest.approx(math.fsum(vals[: a + 1]), rel=1e-15, abs=0)
+    assert _prefix_sums(vals, np.array([-1, 0])).tolist() == [0.0, vals[0]]
 
 
 def test_filter_integral_degenerate_and_validation():
