@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import copy
 import functools
 import math
 import sys
@@ -335,6 +334,23 @@ def _stream_sequences(seq: PulseSequence, p: dict) -> int:
     return n_seq
 
 
+# The noise processes built during one main call, by their [noise] section,
+# so the points of a sweep whose axis is no [noise] key share one build.
+# None outside main: a later call reads a spectrum file again.
+_noise_builds: dict | None = None
+
+
+def _built_noise(cfg: dict) -> NoiseProcess | None:
+    """:func:`build_noise` of ``cfg``, built once per [noise] section in one
+    main call."""
+    if _noise_builds is None:
+        return build_noise(cfg)
+    key = tuple(cfg["noise"].items())
+    if key not in _noise_builds:
+        _noise_builds[key] = build_noise(cfg)
+    return _noise_builds[key]
+
+
 def build_point(cfg: dict) -> tuple[PulseSequence, NoiseProcess | None, float | None]:
     """(sequence, process, shot sigma) of one sweep point.
 
@@ -343,7 +359,8 @@ def build_point(cfg: dict) -> tuple[PulseSequence, NoiseProcess | None, float | 
     the command uses it: a bad value is a configuration error under every
     command; so is a ``[pipeline] test_field_pt`` without ``f_test_khz``,
     whose tone would sit at 0 Hz, under the floor's DC cut.  ``process`` is
-    that of :func:`build_noise` and the shot sigma that of
+    that of :func:`build_noise`, shared by the points of a :func:`main`
+    call with the same [noise] section, and the shot sigma that of
     :func:`build_readout`.
     """
     _check_keys(cfg)
@@ -352,7 +369,7 @@ def build_point(cfg: dict) -> tuple[PulseSequence, NoiseProcess | None, float | 
         raise ConfigError("[pipeline] test_field_pt needs f_test_khz, the test field's frequency")
     seq = build_sequence(cfg)
     _stream_sequences(seq, p)
-    return seq, build_noise(cfg), build_readout(cfg)
+    return seq, _built_noise(cfg), build_readout(cfg)
 
 
 # --- units ------------------------------------------------------------------
@@ -384,15 +401,11 @@ def _apply_units(columns: list[str], rows: list[list], units: str) -> tuple[list
     return renamed, scaled_rows
 
 
-@functools.cache
-def _row_template(types: tuple) -> str:
-    """CSV row template for cells of these types: %.12g for floats (the
-    same text as f"{v:.12g}", nan and inf included), %s for the rest."""
-    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
-
-
-def _format_row(row) -> str:
-    return _row_template(tuple(map(type, row))) % tuple(row)
+def _row_template(row) -> str:
+    """CSV row template for rows with the cell types of ``row``: %.12g for
+    floats (the same text as f"{v:.12g}", nan and inf included), %s for the
+    rest.  Every row of a table has the cell types of its first."""
+    return ",".join("%.12g" if isinstance(v, float) else "%s" for v in row)
 
 
 def _provenance(cfg: dict, command: str, extra: dict | None = None) -> list[str]:
@@ -402,7 +415,7 @@ def _provenance(cfg: dict, command: str, extra: dict | None = None) -> list[str]
             if value is None:
                 continue
             if isinstance(value, list):
-                value = _format_row([float(v) for v in value])
+                value = ",".join("%.12g" % float(v) for v in value)
             lines.append(f"# {section}.{key}={value}")
     for key, value in (extra or {}).items():
         lines.append(f"# {key}={value}")
@@ -421,7 +434,9 @@ def _emit_table(
     columns, rows = _apply_units(columns, rows, units)
     lines = _provenance(cfg, command, extra_meta)
     lines.append(",".join(columns))
-    lines.extend(map(_format_row, rows))
+    if rows:
+        template = _row_template(rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -444,7 +459,7 @@ def _sweep_configs(cfg: dict) -> list[tuple[float | None, dict]]:
         raise ConfigError(f"unknown sweep axis {axis!r}; known: {', '.join(known)}")
     points = []
     for value in values:
-        point = copy.deepcopy(cfg)
+        point = {section: dict(keys) for section, keys in cfg.items()}
         if key.type is int:
             value = _integer(f"[sweep] {axis}", value, value)
         point[key.section][axis] = value
@@ -742,9 +757,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser: parsing leaves it as it was, so one serves
+    every :func:`main` call."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    global _noise_builds
+    args = _parser().parse_args(argv)
+    _noise_builds = {}
     try:
         cfg = load_config(args.config)
         for name in ("seed", "workers", "n_realizations"):
@@ -783,6 +806,8 @@ def main(argv: list[str] | None = None) -> int:
     except (FitError, ArithmeticError, ValueError) as exc:
         print(f"mwnoise: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        _noise_builds = None
     return EXIT_OK
 
 

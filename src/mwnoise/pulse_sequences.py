@@ -44,17 +44,18 @@ the length, so the integral stays within a few ulps of the exactly rounded
 sum of its lattice terms, and they cost a tenth of a running sum.
 
 F / 4 is periodic on the lattice, with a period of P = 2 oversample N
-points (4 f_center).  Past the first block and the first two periods, a
-whole period on which the weight is 1 or one power law without a kink is
-summed without reading F point by point: the weight is interpolated at 8
-Chebyshev nodes on each of 8 pieces of the period, and five periodic tables
-of r, h and the pulse gain, summed against the interpolant's basis once per
-integral, give the period's sum to rounding.  The spectrum weight of
+points (4 f_center).  On a lattice longer than one block, every whole
+period from the third on on which the weight is 1 or one power law
+without a kink is summed without reading F point by point: the weight is
+interpolated at 8 Chebyshev nodes on each of 8 pieces of the period, and
+five periodic tables
+of r, h and the pulse gain, summed against the interpolant's basis once
+per integral, give the period's sum to rounding.  The spectrum weight of
 ``sigma_phi_filter`` says where its kinks are (its knots and where it meets
 the -200 dBc/Hz floor), and F alone has none, so a walk to 100 MHz reads F
-at 8.4 % of the lattice at XY8-64 and above (``g1-2.5ghz``), and any other
-weight at every point.  On the lattice
-z/2 = pi k / oversample, so no trig call is needed per point: h repeats
+at 8.4 % of the lattice from XY8-4 up (``g1-2.5ghz``; all of it at XY8-1
+and XY8-2, whose lattices fit one block), and any other weight at every
+point.  On the lattice z/2 = pi k / oversample, so no trig call is needed per point: h repeats
 every 2 oversample points and cos(z / (2N)) every 2 oversample N, so h is
 evaluated over its own period, cos(z / (2N)) over half of its period (the
 other half is its negation), and r and h are sliced from tables built
@@ -248,9 +249,16 @@ _OVERSAMPLE = 32
 # Fine turns per coarse turn of the pulse gain (see _gain_turns).
 _TURN = 1 << 12
 
-# Periods of F that start below this lattice point are walked point by
-# point: on a smaller lattice the period sums cost more than they save.
+# A lattice that ends below this point is walked point by point: there the
+# period sums cost more than they save.  On a longer one every period of F
+# from the third on may be summed; the weight's smoothness over a period,
+# which sets their accuracy, does not depend on the period's length.  With
+# g1-2.5ghz to 100 MHz the walk reads F at 8.4 % of the lattice at XY8-4,
+# 8 and 64 alike (59.7 %, 30.4 % and 8.4 % with a head of 2^16 points).
 _DIRECT_POINTS = _BLOCK
+
+# _prefix_sums adds up to this many prefixes as Python floats, more as arrays.
+_FEW_PREFIXES = 8
 
 # Pieces per period of F, and Chebyshev nodes of the weight per piece, of
 # the period sums (see _period_sums).
@@ -289,14 +297,14 @@ def _lattice_filter(ff: FilterFunction, n_points: int):
     np.sin((np.pi / (2 * m)) * (m - 2 * j[:half]), out=den[:half])
     np.negative(den[: j.size - half], out=den[half:])
     r = _tile(_ratio(h[: j.size], den, (np.pi / oversample) * j, n), length)
-    gain = ff.finite_pulse_correction and seq.t_pi > 0
-    if gain:
+    turns = None
+    if ff.finite_pulse_correction and seq.t_pi > 0:
         turns = _gain_turns(np.pi * seq.t_pi / (oversample * seq.tau_tot), min(_BLOCK, n_points))
 
     def values(k_start: int, k_stop: int, out: np.ndarray) -> np.ndarray:
         out = out[: k_stop - k_start]
         at = slice(k_start % period, k_start % period + k_stop - k_start)
-        if gain:
+        if turns is not None:
             np.multiply(turns(k_start, k_stop), r[at], out=out)
         else:
             out[:] = r[at]
@@ -304,7 +312,7 @@ def _lattice_filter(ff: FilterFunction, n_points: int):
         out *= out
         return out
 
-    values.tables = r, h
+    values.tables = r, h, None if turns is None else turns.fine
     return values
 
 
@@ -317,7 +325,8 @@ def _gain_turns(angle: float, size: int):
     cos(angle k) = cos(T angle i) cos(angle l) - sin(T angle i) sin(angle l):
     T fine turns per call and two coarse turns per T points of a run, not
     one trig call per point.  Both float arguments round once, as angle k
-    would, and each value depends on k alone, not on the run.
+    would, and each value depends on k alone, not on the run.  The function's
+    ``fine`` attribute holds (cos(angle l), sin(angle l)), l < T.
     """
     fine = angle * np.arange(_TURN)
     cos_fine, sin_fine = np.cos(fine), np.sin(fine)
@@ -330,6 +339,7 @@ def _gain_turns(angle: float, size: int):
         g -= np.multiply.outer(np.sin(coarse), sin_fine, out=buf[1, : i_stop - i_start])
         return g.ravel()[k_start - i_start * _TURN : k_stop - i_start * _TURN]
 
+    turns.fine = cos_fine, sin_fine
     return turns
 
 
@@ -343,7 +353,9 @@ def _period_sums(
 ) -> np.ndarray:
     """Sum of F / 4 times the weight over the lattice points k = m P + j,
     j < P = 2 oversample N, of each period m in ``periods``, from the walk's
-    r and h ``tables`` and the weight at a few nodes per period.
+    ``tables`` (r, h and the fine turns of the pulse gain, or None for delta
+    pulses; see :func:`_lattice_filter`) and the weight at a few nodes per
+    period.
 
     With g = cos(a k), theta = a m P and phi = a j, angle addition gives
 
@@ -368,8 +380,8 @@ def _period_sums(
     period = 2 * _OVERSAMPLE * seq.n_pi
     piece = period // _PIECES
     angle = np.pi * seq.t_pi / (_OVERSAMPLE * seq.tau_tot)
-    gain = ff.finite_pulse_correction and seq.t_pi > 0
-    r, h = tables
+    r, h, fine = tables
+    gain = fine is not None
     n_tables = 5 if gain else 1
     sums = np.zeros((n_tables, _PIECES))
     moments = np.zeros((n_tables, _PIECES, _NODES))
@@ -378,8 +390,7 @@ def _period_sums(
     tile = _BLOCK // 4
     rows, cols = max(1, min(_PIECES, tile // piece)), min(piece, tile)
     if gain:
-        fine = angle * np.arange(_TURN)
-        cos_fine, sin_fine = np.cos(fine), np.sin(fine)
+        cos_fine, sin_fine = fine
     for i0 in range(0, piece, cols):
         i1 = min(i0 + cols, piece)
         cheb = _chebyshev((2.0 * np.arange(i0, i1) - (piece - 1)) / (piece - 1))
@@ -454,19 +465,32 @@ def _chebyshev(x: np.ndarray) -> np.ndarray:
 def _prefix_sums(vals: np.ndarray, at: np.ndarray) -> np.ndarray:
     """sum(vals[: a + 1]) for each a in ``at``, as a sum of at most
     log2(a + 1) pairwise sums of aligned runs of 2^l values (one per set
-    bit of a + 1), so each rounds like a pairwise sum, not like a running
-    one, and does not depend on the other entries of ``at``."""
+    bit of a + 1, added from l = 0 up), so each rounds like a pairwise sum,
+    not like a running one, and does not depend on the other entries of
+    ``at``.  The run sums take one add per level; a few prefixes add their
+    runs as Python floats, more of them as arrays, in the same order and so
+    with the same bits."""
     n = at + 1
-    out = np.zeros(at.size)
-    level = vals[: n.max()]  # level l: the sums of aligned runs of 2^l values
-    shift = 0
+    levels = []  # level l: the sums of aligned runs of 2^l values
+    level = vals[: n.max(initial=0)]
     while level.size:
-        runs = n >> shift
-        np.add(out, level[runs - 1], out=out, where=(runs & 1) == 1)
-        pairs = level.size // 2 * 2
-        level = level[0:pairs:2] + level[1:pairs:2]
-        shift += 1
-    return out
+        levels.append(level)
+        level = level[:-1:2] + level[1::2]
+    if n.size > _FEW_PREFIXES:
+        out = np.zeros(n.size)
+        for shift, level in enumerate(levels):
+            runs = n >> shift
+            np.add(out, level[runs - 1], out=out, where=(runs & 1) == 1)
+        return out
+    out = []
+    for runs in n.tolist():
+        total = 0.0
+        for level in levels:
+            if runs & 1:
+                total += float(level[runs - 1])
+            runs >>= 1
+        out.append(total)
+    return np.array(out)
 
 
 def _lattice_integral(
@@ -479,26 +503,32 @@ def _lattice_integral(
 
     The lattice spans the integer multiples of step bracketing [f_lo,
     max(f_hi)], at least two points, k0 to k_end.  It is walked unit by
-    unit, so memory does not grow with its length.  Below the first period
-    of F (P = 2 oversample N points) that starts at or past max(2 P,
-    ``_DIRECT_POINTS``), a unit is a block aligned to absolute multiples of
-    ``_BLOCK``; from there on a unit is one period, read in runs that end at
-    block edges.  A unit's sum is the pairwise ``np.sum`` of each run, added
-    in order.  The trapezoid sum from k0 to the panel (p, p + 1) of a bound
-    is step (S_p - (v_k0 + v_p) / 2), with S_p the :func:`_prefix_sums` of
-    the unit sums before p's unit, plus the runs of its unit before p's,
-    plus the prefix sum of p's run up to p.
+    unit, so memory does not grow with its length.  Below the third period
+    of F (P = 2 oversample N points), a unit is a block aligned to absolute
+    multiples of ``_BLOCK``; from there on a unit is one period, read in
+    runs that end at block edges.  A lattice with k_end below
+    ``_DIRECT_POINTS``, and any weight without kinks, is all blocks.  A
+    unit's sum is the pairwise ``np.sum`` of each run, added in order.  The
+    trapezoid sum from k0 to the panel (p, p + 1) of a bound is
+    step (S_p - (v_k0 + v_p) / 2), with S_p the :func:`_prefix_sums` of the
+    unit sums before p's unit, plus the runs of its unit before p's, plus
+    the prefix sum of p's run up to p.
 
-    A whole period of F past that point, at or after k0, is summed by
+    A whole period of F from the third on, at or after k0, is summed by
     :func:`_period_sums` instead of point by point when the weight is None
     or says where it has kinks (``weight_fn.kinks``, as the power law of
     :func:`~mwnoise.analytic_sensitivity.sigma_phi_filter` does) and none
     lies in the period.  Any other weight is walked point by point, in
-    blocks.  Where such a period holds a bound's panel or k0, its runs are
-    read as far as that point for the values.  No unit's sum depends on
-    which bounds the call has, so an array of bounds gives the same bits as
-    one call per bound.  Every sum is pairwise, or a running sum of the few
-    runs of one period, so the result stays within a few ulps of the exactly
+    blocks.  The summed periods that hold no bound's panel and not k0 fill
+    their units in one step, so only the units read point by point cost a
+    Python step each.  Where a summed period holds a bound's panel or k0,
+    its runs are read as far as that point for the values.  So the spectrum
+    weight of ``g1-2.5ghz`` to 100 MHz is read directly at 8.4 % of the
+    lattice at XY8-4, 8 and 64 alike (the first two periods, the two that
+    hold a knot and the last, partial one).  No unit's sum depends on which
+    bounds the call has, so an array of bounds gives the same bits as one
+    call per bound.  Every sum is pairwise, or a running sum of the few runs
+    of one period, so the result stays within a few ulps of the exactly
     rounded sum of the lattice terms.  Because the interpolant is defined on
     a lattice independent of the query interval, integrals are exactly
     additive over adjacent intervals.  The tables and run buffers are freed
@@ -527,19 +557,31 @@ def _lattice_integral(
 
     filter_on = _lattice_filter(ff, k_end + 1)
     period = 2 * _OVERSAMPLE * ff.sequence.n_pi
-    first_period = max(2, -(-_DIRECT_POINTS // period))
     kinks = np.empty(0) if weight_fn is None else getattr(weight_fn, "kinks", None)
-    summed = {}
-    if kinks is None:
-        first_period = k_end // period + 1  # no period edges: the block walk
-    else:
-        m = np.arange(max(first_period, -(-k0 // period)), (k_end + 1) // period)
+    # Units: the head's blocks, then one per period of F from the third on.
+    # A lattice of one block, or a weight without kinks, is all head.
+    head_end = k_end + 1
+    if kinks is not None and k_end >= _DIRECT_POINTS:
+        head_end = min(2 * period, k_end + 1)
+    head = [k0, *range((k0 // _BLOCK + 1) * _BLOCK, head_end, _BLOCK)] if k0 < head_end else []
+    m_first = max(k0, head_end) // period
+    n_periods = k_end // period + 1 - m_first if head_end <= k_end else 0
+    units = np.empty(len(head) + n_periods)  # the sum of each unit, in order
+    walked = np.ones(units.size, dtype=bool)  # the units read point by point
+    summed = {}  # the sums of the summed periods that hold a read
+    reads = np.concatenate([panel, panel + 1, [k0]])
+    if kinks is not None:
+        m = np.arange(max(m_first, -(-k0 // period)), (k_end + 1) // period)
         m = m[np.searchsorted(kinks, m * period * step)
               == np.searchsorted(kinks, (m + 1) * period * step, "right")]
         if m.size:
             sums = _period_sums(ff, filter_on.tables, weight_fn, m, step)
-            summed = dict(zip(m.tolist(), sums.tolist()))
-    reads = np.concatenate([panel, panel + 1, [k0]])
+            held = np.isin(m, reads // period)
+            # Every summed period that holds no read fills its unit in one step.
+            free = len(head) + m[~held] - m_first
+            walked[free] = False
+            units[free] = sums[~held]
+            summed = dict(zip(m[held].tolist(), sums[held].tolist()))
 
     size = min(_BLOCK, k_end + 1 - k0)
     vals_buf = np.empty(size)
@@ -547,13 +589,12 @@ def _lattice_integral(
         offsets = np.arange(size, dtype=float)
         freqs_buf = np.empty(size)
     first = 0.0
-    units = []  # sums of the head's runs, then of each period, in order
     before = np.zeros(x.size, dtype=int)  # units before each bound's panel
 
-    def run(k_start: int, k_stop: int, ran: float) -> float:
-        """Reads the bounds off the lattice values of [k_start, k_stop),
-        after ``ran``, the sum of the runs of its unit before it, and
-        returns their sum."""
+    def run(k_start: int, k_stop: int, ran: float, unit: int) -> float:
+        """Reads the bounds off the lattice values of [k_start, k_stop) of
+        unit ``unit``, after ``ran``, the sum of the runs of the unit before
+        it, and returns their sum."""
         nonlocal first
         vals = filter_on(k_start, k_stop, vals_buf)
         if weight_fn is not None:
@@ -566,31 +607,31 @@ def _lattice_integral(
         if here.size:
             at = panel[here] - k_start
             total[here] = ran + _prefix_sums(vals, at)
-            before[here] = len(units)
+            before[here] = unit
             v0[here] = vals[at]
         here = np.flatnonzero((panel + 1 >= k_start) & (panel + 1 < k_stop))
         v1[here] = vals[panel[here] + 1 - k_start]
         return float(np.sum(vals))
 
-    k_start = k0
-    while k_start <= k_end:
-        m = k_start // period
-        if m < first_period:  # a block of the head
-            k_stop = min((k_start // _BLOCK + 1) * _BLOCK, first_period * period, k_end + 1)
+    for unit in np.flatnonzero(walked).tolist():
+        whole = None
+        if unit < len(head):
+            k_start = head[unit]
+            k_stop = min((k_start // _BLOCK + 1) * _BLOCK, head_end)
         else:
-            k_stop = min((m + 1) * period, k_end + 1)
-        whole = summed.get(m)
+            m = unit - len(head) + m_first
+            k_start, k_stop = max(m * period, k0), min((m + 1) * period, k_end + 1)
+            whole = summed.get(m)
         end = k_stop
         if whole is not None:  # walked only as far as the reads in it
-            end = int(reads[(reads >= k_start) & (reads < k_stop)].max(initial=k_start - 1)) + 1
+            end = int(reads[(reads >= k_start) & (reads < k_stop)].max()) + 1
         ran, k = 0.0, k_start
         while k < end:
             k_next = min((k // _BLOCK + 1) * _BLOCK, end)
-            ran += run(k, k_next, ran)
+            ran += run(k, k_next, ran, unit)
             k = k_next
-        units.append(ran if whole is None else whole)
-        k_start = k_stop
-    total += _prefix_sums(np.array(units), before - 1)
+        units[unit] = ran if whole is None else whole
+    total += _prefix_sums(units, before - 1)
 
     x0 = panel * step
     vx = v0 + (v1 - v0) * ((x - x0) / step)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -118,6 +117,10 @@ def _lanes(tasks: int):
     if lanes <= 1:
         yield (lambda fn, *items: list(map(fn, *items))), 1
         return
+
+    # Imported here: a run on one lane (predict, filter-fn, calibrate) needs
+    # no pool.
+    from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(max_workers=lanes)
     try:

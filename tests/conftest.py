@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -38,7 +39,8 @@ def force_lanes(monkeypatch):
 
         monkeypatch.setattr(spin_simulator, "_LANE_CAP", cap)
         monkeypatch.setattr(spin_simulator, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", RecordingPool)
+        # _lanes imports the pool class from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         return sizes
 
     return force

@@ -555,6 +555,77 @@ def test_cli_import_leaves_out_the_process_pool(child_env):
     assert done.stdout.strip() == "False"
 
 
+def test_predict_run_leaves_out_concurrent_futures(tmp_path, child_env):
+    # predict, filter-fn and calibrate run on one lane and open no pool, so
+    # a predict sweep does not import concurrent.futures: only a lane pool
+    # (Monte Carlo chunks, stream blocks) or a sweep's process pool does.
+    cfg = _write_config(
+        tmp_path, BASE_SEQUENCE + _PRESET + "[sweep]\naxis = n_r\nvalues = 1, 4\n"
+    )
+    probe = (
+        "import sys; from mwnoise.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'concurrent.futures' in sys.modules)"
+    )
+    argv = ["predict", "--config", cfg, "--out", str(tmp_path / "p.csv")]
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=child_env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{EXIT_OK} False"
+
+
+def test_sweep_builds_its_noise_once_per_call(tmp_path, monkeypatch):
+    # A sweep whose axis is no [noise] key reads its spectrum file once per
+    # main call; a [noise] axis builds each point's process; and the next
+    # call reads the file again, so a rewritten file is never served stale.
+    spec = tmp_path / "spec.csv"
+    spec.write_text("# carrier_hz=2.87e9\noffset_hz,l_dbc_per_hz\n1e3,-100\n1e6,-140\n")
+    loads = []
+    load = cli.load_spectrum
+    monkeypatch.setattr(cli, "load_spectrum", lambda path: loads.append(path) or load(path))
+    body = BASE_SEQUENCE + f"[noise]\nsource = file\nfile = {spec}\n"
+    cfg = _write_config(tmp_path, body + "[sweep]\naxis = n_r\nvalues = 1, 2, 4\n")
+    out = tmp_path / "p.csv"
+    argv = ["predict", "--config", cfg, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert len(loads) == 1
+    _, columns, before = _read_table(out)
+    spec.write_text("# carrier_hz=2.87e9\noffset_hz,l_dbc_per_hz\n1e3,-90\n1e6,-130\n")
+    assert main(argv) == EXIT_OK
+    assert len(loads) == 2
+    sigma = columns.index("sigma_phi_rad")
+    assert np.all(_read_table(out)[2][:, sigma] > 3.0 * before[:, sigma])
+
+    cfg = _write_config(tmp_path, body + "[sweep]\naxis = shift_db\nvalues = 0, 10\n", "db.ini")
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(loads) == 4
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_table_cell_types_fixed_per_table(tmp_path, monkeypatch, command):
+    # A table's rows are formatted with the template of its first row: each
+    # command gives every row, sweep axis included, float cells in the same
+    # columns (montecarlo's n_realizations is an int in every row).
+    tables = []
+    emit = cli._emit_table
+
+    def recorded(cfg, command, columns, rows, *rest, **kw):
+        tables.append(rows)
+        return emit(cfg, command, columns, rows, *rest, **kw)
+
+    monkeypatch.setattr(cli, "_emit_table", recorded)
+    body, extra = COMMAND_RUNS[command]
+    if command != "calibrate":
+        body += "[sweep]\naxis = n_r\nvalues = 1, 2\n"
+    cfg = _write_config(tmp_path, BASE_SEQUENCE + body)
+    assert main(_argv(tmp_path, command, cfg, tmp_path / "t.csv", *extra)) == EXIT_OK
+    (rows,) = tables
+    kinds = [[isinstance(v, float) for v in row] for row in rows]
+    assert all(kind == kinds[0] for kind in kinds)
+    assert len(rows) >= (1 if command == "calibrate" else 2)
+    assert all(kinds[0]) == (command != "montecarlo")
+
+
 @pytest.mark.parametrize(
     "noise",
     ["source = white\nsigma_wh = 0.01", "source = preset\npreset = g1-2.5ghz"],

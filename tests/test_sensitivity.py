@@ -74,11 +74,11 @@ def test_sigma_phi_goldens_presets(preset, n_r, finite):
     assert got == pytest.approx(SIGMA_PHI_GOLDENS[preset, n_r, finite], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("n_r", [8, 64])
+@pytest.mark.parametrize("n_r", [4, 8, 16, 64])
 @pytest.mark.parametrize(
     "spectrum",
-    [mw.preset_spectrum("g1-2.5ghz"), mw.flat_spectrum(-150.3)],
-    ids=["g1-2.5ghz", "flat"],
+    [mw.preset_spectrum("g1-2.5ghz"), mw.preset_spectrum("g2-2.1ghz"), mw.flat_spectrum(-150.3)],
+    ids=["g1-2.5ghz", "g2-2.1ghz", "flat"],
 )
 def test_sigma_phi_matches_exact_sum_of_lattice_terms(spectrum, n_r):
     # The reference is the quadrature's own trapezoid over its lattice terms
@@ -174,7 +174,7 @@ def _both_paths(monkeypatch, call):
 
 
 @pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
-@pytest.mark.parametrize("n_r", [4, 64])
+@pytest.mark.parametrize("n_r", [4, 8, 16, 64])
 @pytest.mark.parametrize("preset", mw.preset_names())
 def test_period_path_matches_direct_walk_on_presets(monkeypatch, preset, n_r, finite):
     seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
@@ -260,11 +260,9 @@ def test_period_path_array_bounds_across_a_period_edge(monkeypatch):
             assert fast == pytest.approx(direct, rel=2e-15, abs=0)
 
 
-def test_period_path_evaluates_a_tenth_of_the_lattice(monkeypatch):
-    # XY8-512 to 100 MHz has 14.3 M lattice points: the period path reads F
-    # directly only on the first two periods, the periods that hold a knot
-    # of the spectrum and the last, partial one.  A weight that is not the
-    # power law is walked point by point.
+def _count_reads(monkeypatch) -> list:
+    """The list to which every later lattice walk appends the length of
+    each run of F it reads point by point."""
     points = []
     lattice_filter = pulse_sequences._lattice_filter
 
@@ -279,6 +277,15 @@ def test_period_path_evaluates_a_tenth_of_the_lattice(monkeypatch):
         return counted
 
     monkeypatch.setattr(pulse_sequences, "_lattice_filter", counted_filter)
+    return points
+
+
+def test_period_path_evaluates_a_tenth_of_the_lattice(monkeypatch):
+    # XY8-512 to 100 MHz has 14.3 M lattice points: the period path reads F
+    # directly only on the first two periods, the periods that hold a knot
+    # of the spectrum and the last, partial one.  A weight that is not the
+    # power law is walked point by point.
+    points = _count_reads(monkeypatch)
     spectrum = mw.preset_spectrum("g1-2.5ghz")
     seq = mw.make_xy8(512, 458e3, T_PI, T_DEAD)
     lattice = math.ceil(1e8 * 32 * seq.tau_tot) + 1
@@ -299,6 +306,30 @@ def test_period_path_evaluates_a_tenth_of_the_lattice(monkeypatch):
         assert _variance(spectrum, mw.make_xy8(512, 458e3, T_PI, T_DEAD), True) == pytest.approx(
             fast, rel=2e-15, abs=0
         )
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
+@pytest.mark.parametrize("n_r", [4, 16])
+def test_period_path_reads_two_head_periods(monkeypatch, n_r, finite):
+    # Once the lattice is longer than one block, the period path starts at
+    # the third period of F, however short the periods: it reads F directly
+    # on at most the first two periods, the periods that hold a kink of the
+    # spectrum and the last, partial one.  At XY8-4 and XY8-16 that is well
+    # under the 2^16 points of one block.
+    spectrum = mw.preset_spectrum("g1-2.5ghz")
+    seq = mw.make_xy8(n_r, 458e3, T_PI, T_DEAD)
+    step = 1.0 / (32 * seq.tau_tot)
+    period = 64 * seq.n_pi
+    k_end = math.ceil(1e8 / step)
+    assert k_end >= pulse_sequences._BLOCK
+    edges = np.arange(2, k_end // period + 2) * period * step
+    kinks = _psd_power_law(spectrum).kinks
+    kinked = np.searchsorted(kinks, edges[:-1]) < np.searchsorted(kinks, edges[1:], "right")
+    bound = period * (2 + np.count_nonzero(kinked) + 1)
+    assert bound < pulse_sequences._BLOCK
+    points = _count_reads(monkeypatch)
+    _variance(spectrum, seq, finite)
+    assert 0 < sum(points) <= bound
 
 
 def test_sigma_phi_scales_with_level():

@@ -1,6 +1,7 @@
 """Time-domain spin simulation: phase recursion, Monte Carlo statistics,
 double-quantum readout, gradiometer channels and cw traces."""
 
+import concurrent.futures
 import math
 import pickle
 import signal
@@ -364,7 +365,7 @@ def test_lanes_interrupt_cancels_queued_tasks_and_leaves_at_once(force_lanes, mo
     queued, release = threading.Event(), threading.Event()
     started, finished, pools, futures = [], [], [], []
 
-    class KeptPool(spin_simulator.ThreadPoolExecutor):
+    class KeptPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(self)
             super().__init__(max_workers)
@@ -389,7 +390,7 @@ def test_lanes_interrupt_cancels_queued_tasks_and_leaves_at_once(force_lanes, mo
         assert release.wait(timeout=30)
         finished.append(i)
 
-    monkeypatch.setattr(spin_simulator, "ThreadPoolExecutor", KeptPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", KeptPool)
     with pytest.raises(KeyboardInterrupt):
         with spin_simulator._lanes(6) as (run, lanes):
             assert lanes == 2
