@@ -522,7 +522,9 @@ def _lattice_integral(
     blocks.  The summed periods that hold no bound's panel and not k0 fill
     their units in one step, so only the units read point by point cost a
     Python step each.  Where a summed period holds a bound's panel or k0,
-    its runs are read as far as that point for the values.  So the spectrum
+    its runs are read as far as that point for the values.  Bounds whose
+    own lattice would end below ``_DIRECT_POINTS`` are integrated by a call
+    of their own when others end past it.  So the spectrum
     weight of ``g1-2.5ghz`` to 100 MHz is read directly at 8.4 % of the
     lattice at XY8-4, 8 and 64 alike (the first two periods, the two that
     hold a knot and the last, partial one).  No unit's sum depends on which
@@ -543,6 +545,17 @@ def _lattice_integral(
     k_lo = math.floor(f_lo / step)
     k0 = max(k_lo, 0)
     k_end = max(math.ceil(float(np.max(f_hi, initial=f_lo)) / step), k_lo + 1)
+    kinks = np.empty(0) if weight_fn is None else getattr(weight_fn, "kinks", None)
+    if kinks is not None and k_end >= _DIRECT_POINTS and f_hi.ndim:
+        # A bound whose own lattice ends below _DIRECT_POINTS is walked in
+        # blocks alone, so it keeps those bits in a call of its own.
+        ends = np.maximum(np.ceil(np.maximum(f_hi, f_lo) / step), k_lo + 1)
+        short = ends < _DIRECT_POINTS
+        if short.any():
+            result = np.empty(f_hi.shape)
+            result[short] = _lattice_integral(ff, weight_fn, f_lo, f_hi[short])
+            result[~short] = _lattice_integral(ff, weight_fn, f_lo, f_hi[~short])
+            return result
 
     # Panel (k, k + 1) of each bound, f_lo last.  Each upper bound is read
     # off no later panel than the last one of the lattice a scalar call up to
@@ -557,7 +570,6 @@ def _lattice_integral(
 
     filter_on = _lattice_filter(ff, k_end + 1)
     period = 2 * _OVERSAMPLE * ff.sequence.n_pi
-    kinks = np.empty(0) if weight_fn is None else getattr(weight_fn, "kinks", None)
     # Units: the head's blocks, then one per period of F from the third on.
     # A lattice of one block, or a weight without kinks, is all head.
     head_end = k_end + 1

@@ -260,6 +260,30 @@ def test_period_path_array_bounds_across_a_period_edge(monkeypatch):
             assert fast == pytest.approx(direct, rel=2e-15, abs=0)
 
 
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "delta"])
+def test_period_path_array_bounds_across_one_block(finite):
+    # A lattice past one block sums periods from the third on, a shorter
+    # one is read point by point: bounds whose own lattice fits in one
+    # block keep the bits of one scalar call each in an array call whose
+    # other bounds reach past it, from zero and from inside the head.
+    seq = mw.make_xy8(8, 458e3, T_PI, T_DEAD)
+    ff = mw.FilterFunction(seq, finite_pulse_correction=finite)
+    step = 1.0 / (seq.tau_tot * 32)
+    period = 64 * seq.n_pi
+    block = pulse_sequences._BLOCK
+    f_hi = step * np.array(
+        [2 * period - 0.5, 3 * period + 17.3, block - 1.5, block - 1, block - 0.5, block,
+         block + 0.5, 5 * block + 3.7]
+    )
+    psd = _psd_power_law(mw.preset_spectrum("g1-2.5ghz"))
+    for weight in (None, psd):
+        for f_lo in (0.0, 1.3 * period * step):
+            got = pulse_sequences._lattice_integral(ff, weight, f_lo, f_hi)
+            assert got.tolist() == [
+                pulse_sequences._lattice_integral(ff, weight, f_lo, f) for f in f_hi
+            ], (weight, f_lo)
+
+
 def _count_reads(monkeypatch) -> list:
     """The list to which every later lattice walk appends the length of
     each run of F it reads point by point."""
