@@ -546,7 +546,8 @@ def _lattice_integral(
     k0 = max(k_lo, 0)
     k_end = max(math.ceil(float(np.max(f_hi, initial=f_lo)) / step), k_lo + 1)
     kinks = np.empty(0) if weight_fn is None else getattr(weight_fn, "kinks", None)
-    if kinks is not None and k_end >= _DIRECT_POINTS and f_hi.ndim:
+    period_path = kinks is not None and k_end >= _DIRECT_POINTS
+    if period_path and f_hi.ndim:
         # A bound whose own lattice ends below _DIRECT_POINTS is walked in
         # blocks alone, so it keeps those bits in a call of its own.
         ends = np.maximum(np.ceil(np.maximum(f_hi, f_lo) / step), k_lo + 1)
@@ -572,9 +573,7 @@ def _lattice_integral(
     period = 2 * _OVERSAMPLE * ff.sequence.n_pi
     # Units: the head's blocks, then one per period of F from the third on.
     # A lattice of one block, or a weight without kinks, is all head.
-    head_end = k_end + 1
-    if kinks is not None and k_end >= _DIRECT_POINTS:
-        head_end = min(2 * period, k_end + 1)
+    head_end = min(2 * period, k_end + 1) if period_path else k_end + 1
     head = [k0, *range((k0 // _BLOCK + 1) * _BLOCK, head_end, _BLOCK)] if k0 < head_end else []
     m_first = max(k0, head_end) // period
     n_periods = k_end // period + 1 - m_first if head_end <= k_end else 0
@@ -582,7 +581,7 @@ def _lattice_integral(
     walked = np.ones(units.size, dtype=bool)  # the units read point by point
     summed = {}  # the sums of the summed periods that hold a read
     reads = np.concatenate([panel, panel + 1, [k0]])
-    if kinks is not None:
+    if period_path:
         m = np.arange(max(m_first, -(-k0 // period)), (k_end + 1) // period)
         m = m[np.searchsorted(kinks, m * period * step)
               == np.searchsorted(kinks, (m + 1) * period * step, "right")]
